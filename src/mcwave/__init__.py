@@ -1,10 +1,10 @@
 """Unified multicarrier waveform simulation and benchmarking toolbox.
 
-Builds eleven multicarrier schemes as explicit operator bundles over a
-common frame geometry, propagates them through dispersive channel models,
-and measures link and sensing figures of merit (error rates, peak power
-statistics, ambiguity functions, overhead ratios) with a deterministic,
-config-driven benchmark CLI.
+Builds a single-carrier reference and eleven multicarrier schemes as
+explicit operator bundles over a common frame geometry, propagates them
+through dispersive channel models, and measures link and sensing figures of
+merit (error rates, peak power statistics, ambiguity functions, overhead
+ratios) with a deterministic, config-driven benchmark CLI.
 """
 
 __version__ = "0.1.0"

@@ -88,18 +88,6 @@ def _channel_config(cfg: dict, kind: str | None = None) -> channel.ChannelConfig
     )
 
 
-_1D_LABELS = {"scm", "ofdm", "dft-s-ofdm", "frft-ofdm", "ocdm", "ifdm", "afdm"}
-_2D_LABELS = {"otfs", "zak-otfs", "oddm", "otsm", "fbmc"}
-_LABEL_TO_SCHEME = {"otfs": "mc-otfs"}
-
-
-def _auto_prefix(cfg: dict, chan: channel.ChannelConfig, fs: float, key: str) -> int:
-    explicit = cfg[key]
-    if explicit >= 0:
-        return explicit
-    return chan.max_delay_samples(fs)
-
-
 def _alpha_ceil(cfg: dict) -> int:
     """Fractional-Doppler guard: integer chirp span covering nu_max."""
     if cfg["channel.preset"].upper() == "FIG16" and not cfg["channel.jakes"]:
@@ -110,46 +98,31 @@ def _alpha_ceil(cfg: dict) -> int:
     return int(math.ceil(nu / cfg["frame.delta_f_1d_hz"] - 1e-12))
 
 
-def _afdm_params(cfg: dict) -> dict:
+def _afdm_c1(cfg: dict) -> float:
+    """The configured first chirp rate, or the automatic one from the Doppler span."""
     if cfg["afdm.c1"] >= 0:
-        return {"c1": cfg["afdm.c1"], "c2": cfg["afdm.c2"]}
-    c1 = waveforms.afdm_default_c1(cfg["frame.m_1d"], _alpha_ceil(cfg))
-    return {"c1": c1, "c2": cfg["afdm.c2"]}
+        return cfg["afdm.c1"]
+    return waveforms.afdm_default_c1(cfg["frame.m_1d"], _alpha_ceil(cfg))
 
 
 def build_bundle(label: str, cfg: dict, chan: channel.ChannelConfig) -> waveforms.WaveformBundle:
     """Build the operator bundle behind a config waveform label."""
-    if label in _1D_LABELS:
-        fs = cfg["frame.m_1d"] * cfg["frame.delta_f_1d_hz"]
-        geo = waveforms.FrameGeometry(
-            m=cfg["frame.m_1d"],
-            n=1,
-            delta_f_hz=cfg["frame.delta_f_1d_hz"],
-            prefix_len=_auto_prefix(cfg, chan, fs, "frame.prefix_1d"),
-        )
-    elif label in _2D_LABELS:
-        fs = cfg["frame.m_2d"] * cfg["frame.delta_f_2d_hz"]
-        prefix = _auto_prefix(cfg, chan, fs, "frame.prefix_2d")
-        geo = waveforms.FrameGeometry(
-            m=cfg["frame.m_2d"],
-            n=cfg["frame.n_2d"],
-            delta_f_hz=cfg["frame.delta_f_2d_hz"],
-            prefix_len=0 if label == "fbmc" else prefix,
-        )
-    else:
+    row = waveforms.SCHEMES_BY_LABEL.get(label)
+    if row is None:
         raise ValidationError(f"waveforms: no bundle for label {label!r}")
-    params: dict = {}
-    if label == "afdm":
-        params = _afdm_params(cfg)
-    elif label == "frft-ofdm":
-        params = {"p": cfg["frft.p"]}
-    elif label == "ifdm":
-        params = {"seed": cfg["ifdm.seed"]}
-    elif label == "dft-s-ofdm":
-        if cfg["dfts.width"] >= 0:
-            params["width"] = cfg["dfts.width"]
-        params["mapping"] = cfg["dfts.mapping"]
-    return waveforms.build_waveform(_LABEL_TO_SCHEME.get(label, label), geo, params)
+    d = f"{row.dim}d"
+    m, delta_f, prefix = cfg[f"frame.m_{d}"], cfg[f"frame.delta_f_{d}_hz"], cfg[f"frame.prefix_{d}"]
+    if row.prefix_rule == "none":
+        prefix = 0
+    elif prefix < 0:  # automatic: the channel memory
+        prefix = chan.max_delay_samples(m * delta_f)
+    n = 1 if row.dim == 1 else cfg["frame.n_2d"]
+    geo = waveforms.FrameGeometry(m=m, n=n, delta_f_hz=delta_f, prefix_len=prefix)
+    # -1 (dfts.width's full allocation) leaves the builder's default in place
+    params = {p: cfg[k] for p, k in row.config_keys if cfg[k] != -1}
+    if label == "afdm":  # the automatic chirp rate depends on the channel
+        params.update(c1=_afdm_c1(cfg), c2=cfg["afdm.c2"])
+    return waveforms.build_waveform(row.name, geo, params)
 
 
 def _derived_info(cfg: dict, chan: channel.ChannelConfig) -> dict:
@@ -180,7 +153,7 @@ def _derived_info(cfg: dict, chan: channel.ChannelConfig) -> dict:
         f"{cfg['papr.symbols']} time-domain symbols per realization",
     }
     if "afdm" in cfg["waveforms"]:
-        info["afdm_c1"] = _afdm_params(cfg)["c1"]
+        info["afdm_c1"] = _afdm_c1(cfg)
         info["afdm_c2"] = cfg["afdm.c2"]
     return info
 

@@ -71,9 +71,6 @@ class PathSet:
     def dopplers(self) -> np.ndarray:
         return np.array([p.doppler_hz for p in self.paths])
 
-    def scales(self) -> np.ndarray:
-        return np.array([p.scale for p in self.paths])
-
 
 @dataclass(frozen=True)
 class Tap:

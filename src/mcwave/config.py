@@ -8,25 +8,20 @@ losslessly through :func:`parse_config` / :func:`serialize_config`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from .channel import ChannelConfig
+from .waveforms import SCHEMES_BY_LABEL
 
 EXPERIMENT_KINDS = ("ber", "papr", "af", "chanmat", "afdm-sweep", "overhead")
 
-WAVEFORM_LABELS = (
-    "scm",
-    "ofdm",
-    "dft-s-ofdm",
-    "frft-ofdm",
-    "ocdm",
-    "ifdm",
-    "afdm",
-    "fbmc",
-    "otfs",       # multicarrier delay-Doppler variant
-    "zak-otfs",
-    "oddm",
-    "otsm",
-    "ddam",       # peak-power experiments only
-)
+# Every scheme label, plus the path precoding of the peak-power experiments.
+WAVEFORM_LABELS = (*SCHEMES_BY_LABEL, "ddam")
+
+# Experiments that propagate frames through the channel, so their prefixes
+# must cover its memory.
+_CHANNEL_EXPERIMENTS = ("ber", "chanmat", "afdm-sweep")
 
 
 class ValidationError(ValueError):
@@ -171,6 +166,11 @@ def validate_config(cfg: dict) -> None:
     if missing:
         raise ValidationError(f"missing keys: {sorted(missing)}")
 
+    for key, spec in CONFIG_SCHEMA.items():
+        values = {"float": [cfg[key]], "float_list": cfg[key]}.get(spec.kind, [])
+        if not all(math.isfinite(v) for v in values):
+            raise ValidationError(f"{key} must be finite, got {cfg[key]!r}")
+
     exp = cfg["experiment"]
     if exp not in EXPERIMENT_KINDS:
         raise ValidationError(f"experiment must be one of {EXPERIMENT_KINDS}, got {exp!r}")
@@ -187,6 +187,11 @@ def validate_config(cfg: dict) -> None:
     for w in cfg["waveforms"]:
         if w not in WAVEFORM_LABELS:
             raise ValidationError(f"waveforms: unknown label {w!r}")
+        if w in SCHEMES_BY_LABEL and SCHEMES_BY_LABEL[w].real_field and exp in ("ber", "chanmat"):
+            raise ValidationError(
+                f"waveforms: {w!r} is real-field and has no complex channel matrix, "
+                f"so it is not available in {exp} experiments"
+            )
     if "ddam" in cfg["waveforms"] and exp != "papr":
         raise ValidationError("waveforms: 'ddam' is only available in papr experiments")
     for key in ("frame.m_1d", "frame.m_2d", "frame.n_2d"):
@@ -213,6 +218,13 @@ def validate_config(cfg: dict) -> None:
         raise ValidationError("channel.carrier_hz must be positive")
     if cfg["channel.velocity_kmh"] < 0:
         raise ValidationError("channel.velocity_kmh must be >= 0")
+    if not 0.0 < cfg["frft.p"] < 2.0:
+        raise ValidationError("frft.p must lie in (0, 2)")
+    if cfg["ifdm.seed"] < 0:
+        raise ValidationError("ifdm.seed must be >= 0")
+    width = cfg["dfts.width"]
+    if "dft-s-ofdm" in cfg["waveforms"] and width != -1 and not 1 <= width <= cfg["frame.m_1d"]:
+        raise ValidationError("dfts.width must be -1 (full allocation) or in 1..frame.m_1d")
     if cfg["dfts.mapping"] not in ("block-centered", "dc-centered"):
         raise ValidationError("dfts.mapping must be block-centered or dc-centered")
     if cfg["ddam.beamformer"] not in ("zf", "mrt"):
@@ -237,3 +249,35 @@ def validate_config(cfg: dict) -> None:
     for key in ("overhead.l_max", "overhead.alpha_max", "overhead.xi_nu"):
         if cfg[key] < 0:
             raise ValidationError(f"{key} must be >= 0")
+    if exp in _CHANNEL_EXPERIMENTS:
+        _check_prefixes(cfg)
+
+
+def _channel_memory(cfg: dict, fs: float) -> int:
+    """Largest path delay of the configured channel, in samples at ``fs``."""
+    preset = cfg["channel.preset"].upper()
+    chan = ChannelConfig(preset, carrier_hz=cfg["channel.carrier_hz"],
+                         profile_path=cfg["channel.profile_file"] if preset == "FILE" else "")
+    try:
+        return chan.max_delay_samples(fs)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"channel.profile_file: {exc}") from exc
+
+
+def _check_prefixes(cfg: dict) -> None:
+    """Each prefix in use must cover the channel memory and fit in the core frame."""
+    exp = cfg["experiment"]
+    labels = ["afdm"] if exp == "afdm-sweep" else cfg["waveforms"]
+    kinds = cfg["chanmat.models"] if exp == "chanmat" else [cfg["channel.model"]]
+    rows = [SCHEMES_BY_LABEL[w] for w in labels]
+    for d in sorted({row.dim for row in rows if row.prefix_rule != "none"}):
+        key = f"frame.prefix_{d}d"
+        core = cfg["frame.m_1d"] if d == 1 else cfg["frame.m_2d"] * cfg["frame.n_2d"]
+        fs = cfg[f"frame.m_{d}d"] * cfg[f"frame.delta_f_{d}d_hz"]
+        # a Doppler-only channel has no delay spread to cover
+        memory = 0 if set(kinds) == {"fdc"} else _channel_memory(cfg, fs)
+        prefix = cfg[key] if cfg[key] >= 0 else memory
+        if prefix < memory:
+            raise ValidationError(f"{key}: prefix {prefix} shorter than channel memory {memory}")
+        if prefix > core:
+            raise ValidationError(f"{key}: prefix {prefix} longer than the core frame {core}")

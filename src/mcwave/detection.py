@@ -140,7 +140,6 @@ class EqualizerOutput:
 
     soft: np.ndarray
     hard: np.ndarray | None = None
-    post_snr: np.ndarray | None = None
 
 
 def single_tap_equalize(
@@ -164,8 +163,7 @@ def single_tap_equalize(
         h = np.diag(h)
     soft = np.conj(h) * y / (np.abs(h) ** 2 + sigma2)
     hard = hard_decide(soft, constellation) if constellation is not None else None
-    snr = np.abs(h) ** 2 / sigma2 if sigma2 > 0 else None
-    return EqualizerOutput(soft=soft, hard=hard, post_snr=snr)
+    return EqualizerOutput(soft=soft, hard=hard)
 
 
 def mmse_equalize(

@@ -26,10 +26,7 @@ from .waveforms import (
     ConfigurationError,
     DdamConfig,
     WaveformBundle,
-    ddam_apply_channel,
-    ddam_composite_gain,
     ddam_precode,
-    ddam_receive,
     effective_channel,
 )
 
@@ -256,16 +253,6 @@ def ddam_frame_source(
     return source
 
 
-def ddam_loopback(
-    x: np.ndarray, cfg: DdamConfig, real, rng_seed: int | np.random.Generator = 0
-) -> np.ndarray:
-    """Precode, propagate and align one stream end to end (testing helper)."""
-    s = ddam_precode(x, cfg, real)
-    r = ddam_apply_channel(s, cfg, real, rng_seed=rng_seed)
-    g = ddam_composite_gain(cfg, real)
-    return ddam_receive(r, real.max_delay_samples, g, n_symbols=x.size)
-
-
 @dataclass(frozen=True)
 class AfGrid:
     """Peak-normalized ambiguity magnitudes on a delay/Doppler grid.
@@ -282,16 +269,6 @@ class AfGrid:
     magnitudes: np.ndarray  # (n_doppler, n_delay), peak == 1
     convention: str
     peak_raw: float
-
-    def delay_cut(self) -> np.ndarray:
-        """Magnitude profile along delay through the Doppler bin of the peak."""
-        i = np.unravel_index(np.argmax(self.magnitudes), self.magnitudes.shape)[0]
-        return self.magnitudes[i, :]
-
-    def doppler_cut(self) -> np.ndarray:
-        """Magnitude profile along Doppler through the delay bin of the peak."""
-        j = np.unravel_index(np.argmax(self.magnitudes), self.magnitudes.shape)[1]
-        return self.magnitudes[:, j]
 
 
 def ambiguity_grid(

@@ -20,7 +20,6 @@ __all__ = [
     "permutation_matrix",
     "dzt",
     "structured_permutation",
-    "unitarity_defect",
 ]
 
 
@@ -29,13 +28,6 @@ def _check_size(M: int, name: str = "M") -> int:
     if M < 1:
         raise ValueError(f"{name} must be >= 1, got {M}")
     return M
-
-
-def unitarity_defect(A: np.ndarray) -> float:
-    """Return max |A A^H - I|, the worst-case deviation from unitarity."""
-    A = np.asarray(A)
-    n = A.shape[0]
-    return float(np.max(np.abs(A @ A.conj().T - np.eye(n))))
 
 
 def dft_matrix(M: int) -> np.ndarray:

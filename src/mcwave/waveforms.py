@@ -11,6 +11,7 @@ builders note the layout they use.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,36 +19,6 @@ from numpy.polynomial.hermite import hermval
 
 from . import transforms
 from .channel import ChannelRealization, _as_generator, channel_matrix_full
-
-SCHEMES = (
-    "scm",
-    "ofdm",
-    "dft-s-ofdm",
-    "frft-ofdm",
-    "ocdm",
-    "ifdm",
-    "afdm",
-    "fbmc",
-    "mc-otfs",
-    "zak-otfs",
-    "oddm",
-    "otsm",
-)
-
-_DOMAIN_LABELS = {
-    "scm": "time",
-    "ofdm": "frequency",
-    "dft-s-ofdm": "frequency",
-    "frft-ofdm": "fractional-frequency",
-    "ocdm": "chirp",
-    "ifdm": "interleave-frequency",
-    "afdm": "daft",
-    "fbmc": "time-frequency",
-    "mc-otfs": "delay-doppler",
-    "zak-otfs": "delay-doppler",
-    "oddm": "delay-doppler",
-    "otsm": "delay-sequency",
-}
 
 
 class ConfigurationError(ValueError):
@@ -83,10 +54,6 @@ class FrameGeometry:
     @property
     def core_samples(self) -> int:
         return self.m * self.n
-
-    @property
-    def frame_samples(self) -> int:
-        return self.core_samples + self.prefix_len
 
 
 @dataclass(frozen=True)
@@ -203,15 +170,141 @@ def afdm_default_c1(m: int, alpha_max_int: int) -> float:
     return (2 * alpha_max_int + 1) / (2.0 * m)
 
 
-def _require_1d(scheme: str, geometry: FrameGeometry):
-    if geometry.n != 1:
-        raise ConfigurationError(f"{scheme} is a 1D scheme; use n=1 (got n={geometry.n})")
+def _build_scm(geometry: FrameGeometry, params: dict):
+    eye = np.eye(geometry.m, dtype=complex)
+    return eye, eye.copy()
 
 
-def _check_params(scheme: str, params: dict, allowed: set):
-    unknown = set(params) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown {scheme} parameters: {sorted(unknown)}")
+def _inverse_pair(forward: np.ndarray):
+    """Modulate with the inverse of a unitary transform, demodulate with it."""
+    return forward.conj().T, forward
+
+
+def _build_dft_s_ofdm(geometry: FrameGeometry, params: dict):
+    M = geometry.m
+    width = int(params.get("width", M))
+    mapping = params.get("mapping", "block-centered")
+    if not 1 <= width <= M:
+        raise ConfigurationError(f"width must be in 1..{M}, got {width}")
+    P = np.zeros((M, width), dtype=complex)
+    if mapping == "block-centered":
+        offset = int(params.get("offset", (M - width) // 2))
+        if not 0 <= offset <= M - width:
+            raise ConfigurationError(f"offset must be in 0..{M - width}")
+        P[offset + np.arange(width), np.arange(width)] = 1.0
+    elif mapping == "dc-centered":
+        if "offset" in params:
+            raise ConfigurationError("offset applies to block-centered mapping only")
+        rows = (np.arange(width) - width // 2) % M
+        P[rows, np.arange(width)] = 1.0
+    else:
+        raise ConfigurationError(f"unknown mapping {mapping!r}")
+    Fm = transforms.dft_matrix(M)
+    Fw = transforms.dft_matrix(width)
+    a_tx = Fm.conj().T @ P @ Fw
+    return a_tx, a_tx.conj().T
+
+
+def _build_ifdm(geometry: FrameGeometry, params: dict):
+    M = geometry.m
+    Pi = transforms.permutation_matrix(
+        transforms.random_interleaver(M, int(params.get("seed", 0))))
+    F = transforms.dft_matrix(M)
+    return Pi @ F.conj().T, F @ Pi.T
+
+
+def _build_afdm(geometry: FrameGeometry, params: dict):
+    if "c1" in params:
+        c1 = float(params["c1"])
+    else:
+        c1 = afdm_default_c1(geometry.m, int(params.get("alpha_max_int", 0)))
+    A = transforms.daft_matrix(geometry.m, c1, float(params.get("c2", 0.0)))
+    return A.conj().T, A, c1
+
+
+def _build_mc_otfs(geometry: FrameGeometry, params: dict):
+    # Delay-fastest vectorization: s = kron(F_N^H, G_tx) x with G = I.
+    Fn = transforms.dft_matrix(geometry.n)
+    return np.kron(Fn.conj().T, np.eye(geometry.m)), np.kron(Fn, np.eye(geometry.m))
+
+
+def _build_oddm(geometry: FrameGeometry, params: dict):
+    # Delay-major symbols (delay blocks of Doppler symbols): symbol l*N + k
+    # is the mc-otfs column l + k*M.
+    M, N = geometry.m, geometry.n
+    a_tx = _build_mc_otfs(geometry, params)[0][:, np.arange(M * N).reshape(N, M).T.ravel()]
+    return a_tx, a_tx.conj().T
+
+
+def _build_otsm(geometry: FrameGeometry, params: dict):
+    M, N = geometry.m, geometry.n
+    if N & (N - 1) != 0:
+        raise ConfigurationError(f"otsm needs a power-of-two slot count, got {N}")
+    W = transforms.wht_matrix(N, ordering=params.get("ordering", "sequency"))
+    P = transforms.structured_permutation("shuffle", M, N)
+    # Delay-major input x (delay blocks of sequency symbols): P.T reorders
+    # to slot-fastest, then the Walsh transform acts along slots.
+    a_tx = np.kron(W, np.eye(M)) @ P.T
+    a_rx = np.kron(np.eye(M), W) @ P
+    return a_tx.astype(complex), a_rx.astype(complex)
+
+
+def _build_fbmc(geometry: FrameGeometry, params: dict):
+    G, _ = fbmc_synthesis(geometry, int(params.get("overlap", 6)))
+    return G, G.conj().T
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One row of the scheme table.
+
+    ``label`` is the name configs and output files use; ``dim`` 1 schemes
+    take a one-slot geometry, ``dim`` 2 schemes an m x n grid.  ``build``
+    maps (geometry, params) to (a_tx, a_rx) or (a_tx, a_rx, cpp_c1), and
+    ``config_keys`` pairs each parameter the experiment runner fills from a
+    config with its key.
+    """
+
+    name: str
+    label: str
+    dim: int
+    domain: str
+    prefix_rule: str  # "cp" | "cpp" | "none"
+    build: Callable
+    params: frozenset = frozenset()
+    config_keys: tuple = ()
+    real_field: bool = False
+
+
+# Under the ideal (sample-spaced) pulse the Zak-transform and staggered
+# delay-Doppler schemes are the multicarrier one: zak-otfs is the same
+# operator and oddm takes its symbols delay-major.  The truncated
+# root-Nyquist transmit pulse is available separately via ddop_pulse.
+_TABLE = (
+    Scheme("scm", "scm", 1, "time", "cp", _build_scm),
+    Scheme("ofdm", "ofdm", 1, "frequency", "cp",
+           lambda g, p: _inverse_pair(transforms.dft_matrix(g.m))),
+    Scheme("dft-s-ofdm", "dft-s-ofdm", 1, "frequency", "cp", _build_dft_s_ofdm,
+           frozenset({"width", "mapping", "offset"}),
+           (("width", "dfts.width"), ("mapping", "dfts.mapping"))),
+    Scheme("frft-ofdm", "frft-ofdm", 1, "fractional-frequency", "cp",
+           lambda g, p: _inverse_pair(transforms.dfrft_matrix(g.m, float(p.get("p", 0.5)))),
+           frozenset({"p"}), (("p", "frft.p"),)),
+    Scheme("ocdm", "ocdm", 1, "chirp", "cp",
+           lambda g, p: _inverse_pair(transforms.dfnt_matrix(g.m)[2])),
+    Scheme("ifdm", "ifdm", 1, "interleave-frequency", "cp", _build_ifdm,
+           frozenset({"seed"}), (("seed", "ifdm.seed"),)),
+    Scheme("afdm", "afdm", 1, "daft", "cpp", _build_afdm,
+           frozenset({"c1", "c2", "alpha_max_int"})),
+    Scheme("fbmc", "fbmc", 2, "time-frequency", "none", _build_fbmc,
+           frozenset({"overlap"}), real_field=True),
+    Scheme("mc-otfs", "otfs", 2, "delay-doppler", "cp", _build_mc_otfs),
+    Scheme("zak-otfs", "zak-otfs", 2, "delay-doppler", "cp", _build_mc_otfs),
+    Scheme("oddm", "oddm", 2, "delay-doppler", "cp", _build_oddm),
+    Scheme("otsm", "otsm", 2, "delay-sequency", "cp", _build_otsm, frozenset({"ordering"})),
+)
+SCHEMES = {s.name: s for s in _TABLE}
+SCHEMES_BY_LABEL = {s.label: s for s in _TABLE}
 
 
 def build_waveform(scheme: str, geometry: FrameGeometry, params: dict | None = None) -> WaveformBundle:
@@ -227,6 +320,7 @@ def build_waveform(scheme: str, geometry: FrameGeometry, params: dict | None = N
     * ``ifdm``: interleaver ``seed``.
     * ``afdm``: chirp rates ``c1``/``c2``, or ``alpha_max_int`` from which the
       default c1 is derived; c2 defaults to 0.
+    * ``otsm``: Walsh row ``ordering`` ("sequency" or "natural").
     * ``fbmc``: ``overlap`` factor for the prototype truncation.
 
     Rectangular pulses are used throughout (identity pulse matrices); the
@@ -234,137 +328,20 @@ def build_waveform(scheme: str, geometry: FrameGeometry, params: dict | None = N
     orthogonal in the real field only.
     """
     params = dict(params or {})
-    if scheme not in SCHEMES:
+    row = SCHEMES.get(scheme)
+    if row is None:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
-    M, N = geometry.m, geometry.n
-    domain = _DOMAIN_LABELS[scheme]
-    kwargs = dict(scheme=scheme, geometry=geometry, domain=domain, params=params)
-
-    if scheme == "scm":
-        _check_params(scheme, params, set())
-        eye = np.eye(M * N, dtype=complex)
-        return WaveformBundle(a_tx=eye, a_rx=eye.copy(), prefix_rule="cp", **kwargs)
-
-    if scheme == "ofdm":
-        _require_1d(scheme, geometry)
-        _check_params(scheme, params, set())
-        F = transforms.dft_matrix(M)
-        return WaveformBundle(a_tx=F.conj().T, a_rx=F, prefix_rule="cp", **kwargs)
-
-    if scheme == "dft-s-ofdm":
-        _require_1d(scheme, geometry)
-        _check_params(scheme, params, {"width", "mapping", "offset"})
-        width = int(params.get("width", M))
-        mapping = params.get("mapping", "block-centered")
-        if not 1 <= width <= M:
-            raise ConfigurationError(f"width must be in 1..{M}, got {width}")
-        P = np.zeros((M, width), dtype=complex)
-        if mapping == "block-centered":
-            offset = int(params.get("offset", (M - width) // 2))
-            if not 0 <= offset <= M - width:
-                raise ConfigurationError(f"offset must be in 0..{M - width}")
-            P[offset + np.arange(width), np.arange(width)] = 1.0
-        elif mapping == "dc-centered":
-            if "offset" in params:
-                raise ConfigurationError("offset applies to block-centered mapping only")
-            rows = (np.arange(width) - width // 2) % M
-            P[rows, np.arange(width)] = 1.0
-        else:
-            raise ConfigurationError(f"unknown mapping {mapping!r}")
-        Fm = transforms.dft_matrix(M)
-        Fw = transforms.dft_matrix(width)
-        a_tx = Fm.conj().T @ P @ Fw
-        return WaveformBundle(a_tx=a_tx, a_rx=a_tx.conj().T, prefix_rule="cp", **kwargs)
-
-    if scheme == "frft-ofdm":
-        _require_1d(scheme, geometry)
-        _check_params(scheme, params, {"p"})
-        p = float(params.get("p", 0.5))
-        K = transforms.dfrft_matrix(M, p)
-        return WaveformBundle(a_tx=K.conj().T, a_rx=K, prefix_rule="cp", **kwargs)
-
-    if scheme == "ocdm":
-        _require_1d(scheme, geometry)
-        _check_params(scheme, params, set())
-        _, _, Phi = transforms.dfnt_matrix(M)
-        return WaveformBundle(a_tx=Phi.conj().T, a_rx=Phi, prefix_rule="cp", **kwargs)
-
-    if scheme == "ifdm":
-        _require_1d(scheme, geometry)
-        _check_params(scheme, params, {"seed"})
-        seed = int(params.get("seed", 0))
-        Pi = transforms.permutation_matrix(transforms.random_interleaver(M, seed))
-        F = transforms.dft_matrix(M)
-        a_tx = Pi @ F.conj().T
-        return WaveformBundle(a_tx=a_tx, a_rx=F @ Pi.T, prefix_rule="cp", **kwargs)
-
-    if scheme == "afdm":
-        _require_1d(scheme, geometry)
-        _check_params(scheme, params, {"c1", "c2", "alpha_max_int"})
-        if "c1" in params:
-            c1 = float(params["c1"])
-        else:
-            c1 = afdm_default_c1(M, int(params.get("alpha_max_int", 0)))
-        c2 = float(params.get("c2", 0.0))
-        A = transforms.daft_matrix(M, c1, c2)
-        return WaveformBundle(
-            a_tx=A.conj().T, a_rx=A, prefix_rule="cpp", cpp_c1=c1, **kwargs
-        )
-
-    if scheme == "mc-otfs":
-        _check_params(scheme, params, set())
-        # Delay-fastest vectorization: s = kron(F_N^H, G_tx) x with G = I.
-        Fn = transforms.dft_matrix(N)
-        a_tx = np.kron(Fn.conj().T, np.eye(M))
-        a_rx = np.kron(Fn, np.eye(M))
-        return WaveformBundle(a_tx=a_tx, a_rx=a_rx, prefix_rule="cp", **kwargs)
-
-    if scheme == "zak-otfs":
-        _check_params(scheme, params, set())
-        # Assembled column-by-column from the Zak transform so the bundle is
-        # an independent construction from the multicarrier variant.
-        L = M * N
-        a_tx = np.empty((L, L), dtype=complex)
-        basis = np.zeros(L, dtype=complex)
-        for j in range(L):
-            basis[j] = 1.0
-            a_tx[:, j] = transforms.dzt(basis, M, N, direction="inverse")
-            basis[j] = 0.0
-        return WaveformBundle(a_tx=a_tx, a_rx=a_tx.conj().T, prefix_rule="cp", **kwargs)
-
-    if scheme == "oddm":
-        _check_params(scheme, params, set())
-        # Delay-major symbol stacking; the interleaver turns the per-delay
-        # Doppler IDFT blocks into time order.  Ideal (sample-spaced) pulse,
-        # which keeps the bundle exactly unitary; the truncated root-Nyquist
-        # transmit pulse is available separately via ddop_pulse.
-        Fn = transforms.dft_matrix(N)
-        Pi = transforms.structured_permutation("oddm", M, N)
-        a_tx = Pi @ np.kron(np.eye(M), Fn.conj().T)
-        return WaveformBundle(a_tx=a_tx, a_rx=a_tx.conj().T, prefix_rule="cp", **kwargs)
-
-    if scheme == "otsm":
-        _check_params(scheme, params, {"ordering"})
-        if N & (N - 1) != 0:
-            raise ConfigurationError(f"otsm needs a power-of-two slot count, got {N}")
-        W = transforms.wht_matrix(N, ordering=params.get("ordering", "sequency"))
-        P = transforms.structured_permutation("shuffle", M, N)
-        # Delay-major input x (delay blocks of sequency symbols): P.T reorders
-        # to slot-fastest, then the Walsh transform acts along slots.
-        a_tx = np.kron(W, np.eye(M)) @ P.T
-        a_rx = np.kron(np.eye(M), W) @ P
-        return WaveformBundle(a_tx=a_tx.astype(complex), a_rx=a_rx.astype(complex),
-                              prefix_rule="cp", **kwargs)
-
-    if scheme == "fbmc":
-        _check_params(scheme, params, {"overlap"})
-        overlap = int(params.get("overlap", 6))
-        G, _ = fbmc_synthesis(geometry, overlap)
-        return WaveformBundle(
-            a_tx=G, a_rx=G.conj().T, prefix_rule="none", real_field=True, **kwargs
-        )
-
-    raise ConfigurationError(f"unhandled scheme {scheme!r}")  # pragma: no cover
+    if row.dim == 1 and geometry.n != 1:
+        raise ConfigurationError(f"{scheme} is a 1D scheme; use n=1 (got n={geometry.n})")
+    unknown = set(params) - row.params
+    if unknown:
+        raise ConfigurationError(f"unknown {scheme} parameters: {sorted(unknown)}")
+    a_tx, a_rx, *cpp_c1 = row.build(geometry, params)
+    return WaveformBundle(
+        scheme=scheme, geometry=geometry, a_tx=a_tx, a_rx=a_rx,
+        prefix_rule=row.prefix_rule, domain=row.domain, cpp_c1=cpp_c1[0] if cpp_c1 else 0.0,
+        real_field=row.real_field, params=params,
+    )
 
 
 # Hermite-series prototype coefficients (even orders 0..20).

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from mcwave import bench, cli
+from mcwave import waveforms as wf
 from mcwave.config import (
+    CONFIG_SCHEMA,
+    WAVEFORM_LABELS,
     ValidationError,
     default_config,
     parse_config,
@@ -50,6 +53,127 @@ class TestConfigFormat:
     def test_unknown_waveform_label(self):
         with pytest.raises(ValidationError, match="waveforms"):
             parse_config("waveforms = ofdm,qpsk-burst\n")
+
+
+class TestValidationGaps:
+    """Configs that cannot run are rejected at validation, naming the field."""
+
+    @staticmethod
+    def _cfg(**overrides):
+        cfg = default_config()
+        cfg.update(overrides)
+        return cfg
+
+    def test_labels_come_from_the_scheme_table(self):
+        assert WAVEFORM_LABELS == (*wf.SCHEMES_BY_LABEL, "ddam")
+
+    @pytest.mark.parametrize("experiment", ["ber", "chanmat"])
+    def test_real_field_scheme_rejected_in_channel_experiments(self, experiment):
+        cfg = self._cfg(experiment=experiment, waveforms=["ofdm", "fbmc"])
+        with pytest.raises(ValidationError, match="waveforms: 'fbmc'"):
+            validate_config(cfg)
+
+    def test_real_field_scheme_allowed_in_papr_and_af(self):
+        for experiment in ("papr", "af"):
+            validate_config(self._cfg(experiment=experiment, waveforms=["fbmc"]))
+
+    def test_real_field_scheme_validate_exit_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "fbmc.cfg"
+        cfg_file.write_text("experiment = ber\nwaveforms = fbmc\n")
+        assert cli.main(["validate", str(cfg_file)]) == 2
+        assert "waveforms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key", [k for k, v in CONFIG_SCHEMA.items() if v.kind in ("float", "float_list")])
+    def test_non_finite_floats_rejected(self, key, bad):
+        with pytest.raises(ValidationError, match=f"{key} must be finite"):
+            parse_config(f"{key} = {bad}\n")
+
+    def test_nan_snr_run_exit_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "nan.cfg"
+        cfg_file.write_text("experiment = ber\nwaveforms = scm\nsnr_db = nan\n"
+                            "output_dir = {}\n".format(tmp_path / "out"))
+        assert cli.main(["run", str(cfg_file)]) == 2
+        assert "snr_db" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # EVA at 32 x 96 kHz = 3.072 MHz: the channel memory is 8 samples.
+    _EVA_1D = {"frame.m_1d": 32, "frame.delta_f_1d_hz": 96e3, "waveforms": ["ofdm"]}
+
+    @pytest.mark.parametrize("experiment", ["ber", "chanmat", "afdm-sweep"])
+    def test_prefix_shorter_than_channel_memory(self, experiment):
+        cfg = self._cfg(experiment=experiment, **self._EVA_1D, **{"frame.prefix_1d": 7})
+        with pytest.raises(ValidationError,
+                           match="frame.prefix_1d: prefix 7 shorter than channel memory 8"):
+            validate_config(cfg)
+        cfg["frame.prefix_1d"] = 8
+        validate_config(cfg)
+
+    def test_prefix_longer_than_core(self):
+        cfg = self._cfg(**self._EVA_1D, **{"frame.prefix_1d": 33})
+        with pytest.raises(ValidationError, match="frame.prefix_1d: prefix 33 longer"):
+            validate_config(cfg)
+        cfg = self._cfg(experiment="chanmat", waveforms=["otfs"],
+                        **{"frame.m_2d": 4, "frame.n_2d": 2, "frame.prefix_2d": 9,
+                           "channel.preset": "AWGN"})
+        with pytest.raises(ValidationError, match="frame.prefix_2d: prefix 9 longer"):
+            validate_config(cfg)
+
+    def test_automatic_prefix_longer_than_core(self):
+        # EVA at 4 x 6.4 MHz = 25.6 MHz: a 64-sample memory over a 32-sample core
+        cfg = self._cfg(waveforms=["otfs"], **{"frame.m_2d": 4, "frame.n_2d": 8,
+                                               "frame.delta_f_2d_hz": 6.4e6})
+        with pytest.raises(ValidationError, match="frame.prefix_2d: prefix 64 longer"):
+            validate_config(cfg)
+
+    def test_prefix_unchecked_where_the_channel_is_not_crossed(self):
+        validate_config(self._cfg(experiment="papr", **self._EVA_1D, **{"frame.prefix_1d": 1}))
+        # a Doppler-only channel has no delay spread to cover
+        validate_config(self._cfg(experiment="chanmat", **self._EVA_1D,
+                                  **{"frame.prefix_1d": 1, "chanmat.models": ["fdc"]}))
+
+    def test_short_prefix_run_exit_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "prefix.cfg"
+        cfg_file.write_text(
+            "experiment = ber\ntrials = 2\nwaveforms = ofdm\nframe.m_1d = 32\n"
+            "frame.delta_f_1d_hz = 96000\nframe.prefix_1d = 1\n"
+            "output_dir = {}\n".format(tmp_path / "out"))
+        assert cli.main(["run", str(cfg_file)]) == 2
+        assert "frame.prefix_1d" in capsys.readouterr().err
+
+    def test_unreadable_profile_file_names_field(self, tmp_path):
+        cfg = self._cfg(**{"channel.preset": "file",
+                           "channel.profile_file": str(tmp_path / "missing.txt")})
+        with pytest.raises(ValidationError, match="channel.profile_file"):
+            validate_config(cfg)
+
+    def test_builder_parameter_ranges(self):
+        for key, bad in (("frft.p", 0.0), ("frft.p", 2.0), ("ifdm.seed", -1)):
+            with pytest.raises(ValidationError, match=key):
+                validate_config(self._cfg(**{key: bad}))
+        for width in (0, -2, 257):
+            with pytest.raises(ValidationError, match="dfts.width"):
+                validate_config(self._cfg(waveforms=["dft-s-ofdm"], **{"dfts.width": width}))
+        validate_config(self._cfg(waveforms=["dft-s-ofdm"], **{"dfts.width": 256}))
+
+
+class TestBuildBundle:
+    def test_label_row_sets_scheme_geometry_and_params(self):
+        cfg = default_config()
+        cfg.update({"frame.m_1d": 32, "frame.m_2d": 4, "frame.n_2d": 4,
+                    "frame.prefix_2d": 9, "frft.p": 0.7, "dfts.width": 8})
+        chan = bench._channel_config(cfg)
+        otfs = bench.build_bundle("otfs", cfg, chan)
+        assert (otfs.scheme, otfs.geometry.n, otfs.geometry.prefix_len) == ("mc-otfs", 4, 9)
+        assert bench.build_bundle("fbmc", cfg, chan).geometry.prefix_len == 0
+        assert bench.build_bundle("frft-ofdm", cfg, chan).params == {"p": 0.7}
+        dfts = bench.build_bundle("dft-s-ofdm", cfg, chan)
+        assert dfts.params == {"width": 8, "mapping": "block-centered"}
+        cfg["dfts.width"] = -1  # full allocation: the builder's default width
+        assert bench.build_bundle("dft-s-ofdm", cfg, chan).n_symbols == 32
+        cfg.update({"afdm.c1": 0.01, "afdm.c2": -0.002})
+        assert bench.build_bundle("afdm", cfg, chan).params == {"c1": 0.01, "c2": -0.002}
 
 
 class TestPresets:

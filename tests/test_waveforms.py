@@ -82,11 +82,12 @@ class TestBundles:
         x = rand_syms(16)
         assert np.max(np.abs(bf.transmit(x) - bo.transmit(x))) <= 1e-12
 
-    def test_otfs_variants_agree(self):
+    def test_otfs_variants_agree(self, zak_tx):
         geo = geo_2d()
-        b1 = wf.build_waveform("mc-otfs", geo)
-        b2 = wf.build_waveform("zak-otfs", geo)
-        assert np.max(np.abs(b1.a_tx - b2.a_tx)) <= 1e-12
+        oracle = zak_tx(geo.m, geo.n)
+        for scheme in ("mc-otfs", "zak-otfs"):
+            b = wf.build_waveform(scheme, geo)
+            assert np.max(np.abs(b.a_tx - oracle)) <= 1e-12
 
     def test_mc_otfs_small_structure(self):
         geo = wf.FrameGeometry(m=2, n=2, prefix_len=0)
@@ -154,8 +155,29 @@ class TestBundles:
         assert np.max(np.abs(s - s[0])) <= 1e-12
 
     def test_1d_schemes_reject_slots(self):
-        with pytest.raises(wf.ConfigurationError):
-            wf.build_waveform("ofdm", geo_2d())
+        for scheme, row in wf.SCHEMES.items():
+            if row.dim == 1:
+                with pytest.raises(wf.ConfigurationError, match="1D scheme"):
+                    wf.build_waveform(scheme, geo_2d())
+
+    def test_scheme_table_rows(self):
+        assert set(wf.SCHEMES_BY_LABEL) == (set(wf.SCHEMES) - {"mc-otfs"}) | {"otfs"}
+        for label, row in wf.SCHEMES_BY_LABEL.items():
+            assert label == ("otfs" if row.name == "mc-otfs" else row.name)
+            geo = geo_1d(prefix=0) if row.dim == 1 else geo_2d(m=4, n=2, prefix=0)
+            b = wf.build_waveform(row.name, geo)
+            assert (b.domain, b.prefix_rule, b.real_field) == (
+                row.domain, row.prefix_rule, row.real_field)
+            assert row.params >= {p for p, _ in row.config_keys}
+
+    def test_oddm_is_mc_otfs_on_delay_major_symbols(self):
+        M, N = 4, 3
+        geo = wf.FrameGeometry(m=M, n=N, prefix_len=0)
+        mc = wf.build_waveform("mc-otfs", geo)
+        bo = wf.build_waveform("oddm", geo)
+        delay_major = tr.permutation_matrix(np.arange(M * N).reshape(N, M).T.ravel())
+        assert np.array_equal(bo.a_tx, mc.a_tx @ delay_major.T)
+        assert np.array_equal(bo.a_rx, bo.a_tx.conj().T)
 
     def test_unknown_scheme_and_params(self):
         with pytest.raises(wf.ConfigurationError):
