@@ -111,7 +111,8 @@ def build_bundle(label: str, cfg: dict, chan: channel.ChannelConfig) -> waveform
     if row is None:
         raise ValidationError(f"waveforms: no bundle for label {label!r}")
     d = f"{row.dim}d"
-    m, delta_f, prefix = cfg[f"frame.m_{d}"], cfg[f"frame.delta_f_{d}_hz"], cfg[f"frame.prefix_{d}"]
+    m, delta_f = cfg[f"frame.m_{d}"], cfg[f"frame.delta_f_{d}_hz"]
+    prefix = cfg[f"frame.prefix_{d}"]
     if row.prefix_rule == "none":
         prefix = 0
     elif prefix < 0:  # automatic: the channel memory

@@ -19,10 +19,6 @@ EXPERIMENT_KINDS = ("ber", "papr", "af", "chanmat", "afdm-sweep", "overhead")
 # Every scheme label, plus the path precoding of the peak-power experiments.
 WAVEFORM_LABELS = (*SCHEMES_BY_LABEL, "ddam")
 
-# Experiments that propagate frames through the channel, so their prefixes
-# must cover its memory.
-_CHANNEL_EXPERIMENTS = ("ber", "chanmat", "afdm-sweep")
-
 
 class ValidationError(ValueError):
     """A config failed schema or semantic validation."""
@@ -249,7 +245,7 @@ def validate_config(cfg: dict) -> None:
     for key in ("overhead.l_max", "overhead.alpha_max", "overhead.xi_nu"):
         if cfg[key] < 0:
             raise ValidationError(f"{key} must be >= 0")
-    if exp in _CHANNEL_EXPERIMENTS:
+    if exp in ("ber", "chanmat", "afdm-sweep"):  # frames cross the channel
         _check_prefixes(cfg)
 
 
@@ -267,9 +263,9 @@ def _channel_memory(cfg: dict, fs: float) -> int:
 def _check_prefixes(cfg: dict) -> None:
     """Each prefix in use must cover the channel memory and fit in the core frame."""
     exp = cfg["experiment"]
-    labels = ["afdm"] if exp == "afdm-sweep" else cfg["waveforms"]
+    rows = ([SCHEMES_BY_LABEL["afdm"]] if exp == "afdm-sweep"
+            else [SCHEMES_BY_LABEL[w] for w in cfg["waveforms"]])
     kinds = cfg["chanmat.models"] if exp == "chanmat" else [cfg["channel.model"]]
-    rows = [SCHEMES_BY_LABEL[w] for w in labels]
     for d in sorted({row.dim for row in rows if row.prefix_rule != "none"}):
         key = f"frame.prefix_{d}d"
         core = cfg["frame.m_1d"] if d == 1 else cfg["frame.m_2d"] * cfg["frame.n_2d"]

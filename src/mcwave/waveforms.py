@@ -180,6 +180,11 @@ def _inverse_pair(forward: np.ndarray):
     return forward.conj().T, forward
 
 
+def _build_ocdm(geometry: FrameGeometry, params: dict):
+    _, _, Phi = transforms.dfnt_matrix(geometry.m)
+    return Phi.conj().T, Phi
+
+
 def _build_dft_s_ofdm(geometry: FrameGeometry, params: dict):
     M = geometry.m
     width = int(params.get("width", M))
@@ -290,8 +295,7 @@ _TABLE = (
     Scheme("frft-ofdm", "frft-ofdm", 1, "fractional-frequency", "cp",
            lambda g, p: _inverse_pair(transforms.dfrft_matrix(g.m, float(p.get("p", 0.5)))),
            frozenset({"p"}), (("p", "frft.p"),)),
-    Scheme("ocdm", "ocdm", 1, "chirp", "cp",
-           lambda g, p: _inverse_pair(transforms.dfnt_matrix(g.m)[2])),
+    Scheme("ocdm", "ocdm", 1, "chirp", "cp", _build_ocdm),
     Scheme("ifdm", "ifdm", 1, "interleave-frequency", "cp", _build_ifdm,
            frozenset({"seed"}), (("seed", "ifdm.seed"),)),
     Scheme("afdm", "afdm", 1, "daft", "cpp", _build_afdm,

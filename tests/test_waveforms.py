@@ -170,14 +170,15 @@ class TestBundles:
                 row.domain, row.prefix_rule, row.real_field)
             assert row.params >= {p for p, _ in row.config_keys}
 
-    def test_oddm_is_mc_otfs_on_delay_major_symbols(self):
-        M, N = 4, 3
-        geo = wf.FrameGeometry(m=M, n=N, prefix_len=0)
-        mc = wf.build_waveform("mc-otfs", geo)
-        bo = wf.build_waveform("oddm", geo)
-        delay_major = tr.permutation_matrix(np.arange(M * N).reshape(N, M).T.ravel())
-        assert np.array_equal(bo.a_tx, mc.a_tx @ delay_major.T)
-        assert np.array_equal(bo.a_rx, bo.a_tx.conj().T)
+    @pytest.mark.parametrize("M,N", [(4, 3), (16, 8)])
+    def test_oddm_matches_interleaved_chain(self, M, N):
+        # The canonical staggered chain Pi (I_M kron F_N^H), built apart
+        # from the mc-otfs columns the bundle reuses.
+        b = wf.build_waveform("oddm", wf.FrameGeometry(m=M, n=N, prefix_len=0))
+        chain = tr.structured_permutation("oddm", M, N) @ np.kron(
+            np.eye(M), tr.dft_matrix(N).conj().T)
+        assert np.array_equal(b.a_tx, chain)
+        assert np.array_equal(b.a_rx, chain.conj().T)
 
     def test_unknown_scheme_and_params(self):
         with pytest.raises(wf.ConfigurationError):
