@@ -12,6 +12,8 @@ import hashlib
 import json
 import math
 import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -357,7 +359,13 @@ _RUNNERS = {
 
 def run_experiment(cfg: dict, output_dir: str | Path | None = None,
                    preset_name: str | None = None) -> dict:
-    """Validate, execute and write one experiment; returns the manifest."""
+    """Validate, execute and write one experiment; returns the manifest.
+
+    The CSVs and the manifest are written to a staging directory inside the
+    output directory and moved into place only once all of them exist, so a
+    run that fails leaves the directory as it found it (and removes it if
+    the run created it).
+    """
     validate_config(cfg)
     out = Path(
         output_dir
@@ -365,20 +373,29 @@ def run_experiment(cfg: dict, output_dir: str | Path | None = None,
         or os.environ.get("MCWAVE_OUTPUT_DIR", "")
         or "."
     )
+    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    outputs = _RUNNERS[cfg["experiment"]](cfg, out)
-    for fname in outputs:
-        outputs[fname] = _sha256(out / fname)
-    manifest = {
-        "library": "mcwave",
-        "version": __version__,
-        "experiment": cfg["experiment"],
-        "preset": preset_name,
-        "config": {k: cfg[k] for k in sorted(cfg)},
-        "derived": _derived_info(cfg, _channel_config(cfg)),
-        "outputs": outputs,
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    staging = Path(tempfile.mkdtemp(prefix=".partial-", dir=out))
+    try:
+        outputs = _RUNNERS[cfg["experiment"]](cfg, staging)
+        for fname in outputs:
+            outputs[fname] = _sha256(staging / fname)
+        manifest = {
+            "library": "mcwave",
+            "version": __version__,
+            "experiment": cfg["experiment"],
+            "preset": preset_name,
+            "config": {k: cfg[k] for k in sorted(cfg)},
+            "derived": _derived_info(cfg, _channel_config(cfg)),
+            "outputs": outputs,
+        }
+        (staging / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        for fname in (*outputs, "manifest.json"):
+            os.replace(staging / fname, out / fname)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+        if created and not any(out.iterdir()):
+            out.rmdir()
     return manifest

@@ -354,10 +354,18 @@ def apply_channel(
         shifted[valid] = s[idx[valid]]
         out += t.gain * shifted * phase
     if real.sigma2 > 0:
-        rng = _as_generator(rng_seed)
-        w = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-        out += np.sqrt(real.sigma2 / 2.0) * w
+        out += np.sqrt(real.sigma2 / 2.0) * noise_shape(L, rng_seed)
     return out
+
+
+def noise_shape(length: int, rng_seed: int | np.random.Generator) -> np.ndarray:
+    """Unit noise draw: standard normal real and imaginary parts.
+
+    Scaled by sqrt(sigma2 / 2) it is circular complex Gaussian noise of
+    variance sigma2; a fixed seed gives the same shape at every noise level.
+    """
+    rng = _as_generator(rng_seed)
+    return rng.standard_normal(length) + 1j * rng.standard_normal(length)
 
 
 def channel_matrix_full(real: ChannelRealization, length: int) -> np.ndarray:

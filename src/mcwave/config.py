@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelConfig
+from .channel import ChannelConfig, load_profile_file
+from .kpi import PAPR_MIN_TAIL
 from .waveforms import SCHEMES_BY_LABEL
 
 EXPERIMENT_KINDS = ("ber", "papr", "af", "chanmat", "afdm-sweep", "overhead")
@@ -212,6 +213,11 @@ def validate_config(cfg: dict) -> None:
         raise ValidationError("channel.profile_file required when channel.preset = file")
     if cfg["channel.carrier_hz"] <= 0:
         raise ValidationError("channel.carrier_hz must be positive")
+    if preset == "FILE":  # every experiment reads it, if only for the manifest
+        try:
+            load_profile_file(cfg["channel.profile_file"], cfg["channel.carrier_hz"])
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"channel.profile_file: {exc}") from exc
     if cfg["channel.velocity_kmh"] < 0:
         raise ValidationError("channel.velocity_kmh must be >= 0")
     if not 0.0 < cfg["frft.p"] < 2.0:
@@ -229,6 +235,14 @@ def validate_config(cfg: dict) -> None:
         raise ValidationError("ddam.n_tx must be >= 1")
     if cfg["papr.symbols"] < 1:
         raise ValidationError("papr.symbols must be >= 1")
+    for w in cfg["waveforms"] if exp == "papr" else ():
+        # a bundle frame gives one sample, a DDAM frame one per antenna
+        samples = cfg["trials"] * (cfg["ddam.n_tx"] if w == "ddam" else 1)
+        if samples <= PAPR_MIN_TAIL:
+            raise ValidationError(
+                f"trials: {w!r} gets {samples} peak-power samples from {cfg['trials']} "
+                f"trials; its survivor curve needs more than {PAPR_MIN_TAIL}"
+            )
     if cfg["af.convention"] not in ("aperiodic", "cyclic"):
         raise ValidationError("af.convention must be aperiodic or cyclic")
     if cfg["af.doppler_points"] < 3:
@@ -254,10 +268,7 @@ def _channel_memory(cfg: dict, fs: float) -> int:
     preset = cfg["channel.preset"].upper()
     chan = ChannelConfig(preset, carrier_hz=cfg["channel.carrier_hz"],
                          profile_path=cfg["channel.profile_file"] if preset == "FILE" else "")
-    try:
-        return chan.max_delay_samples(fs)
-    except (OSError, ValueError) as exc:
-        raise ValidationError(f"channel.profile_file: {exc}") from exc
+    return chan.max_delay_samples(fs)
 
 
 def _check_prefixes(cfg: dict) -> None:

@@ -5,7 +5,8 @@ the usual cross layout with a documented quasi-Gray map (it only feeds peak
 power statistics, where the bit map is irrelevant).  Equalizers operate on
 the modulation-domain vector: a per-bin scalar stage for diagonal effective
 channels, a regularized least-squares block stage for coupled ones, and an
-exhaustive search oracle for tiny instances.
+exhaustive search oracle for tiny instances.  A periodic-banded solver,
+batched over noise levels, serves the same block stage in the time domain.
 """
 
 from __future__ import annotations
@@ -187,6 +188,83 @@ def mmse_equalize(
     soft = np.linalg.solve(gram, H.conj().T @ y)
     hard = hard_decide(soft, constellation) if constellation is not None else None
     return EqualizerOutput(soft=soft, hard=hard)
+
+
+_MIN_BLOCK = 8  # below this, per-block call overhead outweighs the O(b^3) work
+
+
+def solve_periodic_banded(
+    band: np.ndarray, shifts: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Solve (A + s_q I) z_q = b_q for every diagonal load s_q at once.
+
+    A is L x L, Hermitian positive definite and periodic-banded:
+    A[j, (j + d) % L] = band[j, w + d] for |d| <= w, ``band`` of shape
+    (L, 2w + 1), with columns whose offsets coincide modulo L adding.
+    ``shifts`` holds the Q loads and ``rhs`` is (Q, L); returns (Q, L).
+
+    Bordered block elimination: the last block (the border) meets the first
+    only through the wrap corners.  The interior blocks, each at least w
+    wide, form a block-tridiagonal system that one block Thomas sweep
+    solves, carrying the border's columns along; the border then follows
+    from its Schur complement.  The cost is O(L w^2) per load.  Systems too
+    small for two blocks are solved densely.
+    """
+    band = np.asarray(band, dtype=complex)
+    shifts = np.asarray(shifts, dtype=float).reshape(-1)
+    rhs = np.asarray(rhs, dtype=complex)
+    L, width = band.shape
+    w = width // 2
+    Q = shifts.size
+    if width != 2 * w + 1 or rhs.shape != (Q, L):
+        raise ValueError(f"need band (L, 2w+1) and rhs ({Q}, L), got {band.shape}, {rhs.shape}")
+    b = max(w, _MIN_BLOCK)
+    m = L // b - 1  # interior blocks; the border takes the remaining c in [b, 2b)
+    if m < 1 or L < 2 * w + 1:
+        j = np.arange(L)
+        A = np.zeros((L, L), dtype=complex)
+        for k in range(width):
+            A[j, (j + k - w) % L] += band[:, k]
+        systems = A + shifts[:, None, None] * np.eye(L)
+        return np.linalg.solve(systems, rhs[..., None])[..., 0]
+    interior = np.arange(m * b).reshape(m, b)
+    border = np.arange(m * b, L)
+    D = _band_block(band, interior[:, :, None], interior[:, None, :])
+    U = _band_block(band, interior[:-1, :, None], interior[1:, None, :])
+    E = _band_block(band, interior[:, :, None], border)  # interior rows, border columns
+    load = shifts[:, None, None] * np.eye(b)
+    # Columns swept through the interior: the right-hand side, then E.
+    G = np.concatenate(
+        [rhs[:, : m * b].reshape(Q, m, b, 1), np.broadcast_to(E, (Q, *E.shape))], axis=-1
+    )
+    # K[i] = S_i^{-1} [U_i | g_i], S_i the running Schur complement of block i.
+    K = []
+    S, g = D[0] + load, G[:, 0]
+    for i in range(m - 1):
+        K.append(np.linalg.solve(S, np.concatenate([np.broadcast_to(U[i], S.shape), g], -1)))
+        T = U[i].conj().T @ K[i]
+        S, g = D[i + 1] + load - T[..., :b], G[:, i + 1] - T[..., b:]
+    Y = np.empty_like(G)  # the interior's inverse applied to [rhs | E]
+    Y[:, m - 1] = np.linalg.solve(S, g)
+    for i in range(m - 2, -1, -1):
+        Y[:, i] = K[i][..., b:] - K[i][..., :b] @ Y[:, i + 1]
+    y = Y[..., 0].reshape(Q, m * b)
+    X = Y[..., 1:].reshape(Q, m * b, -1)
+    E = E.reshape(m * b, -1)
+    schur = (_band_block(band, border[:, None], border)
+             + shifts[:, None, None] * np.eye(border.size) - E.conj().T @ X)
+    z_border = np.linalg.solve(schur, (rhs[:, m * b :] - y @ E.conj())[..., None])
+    z_interior = y - (X @ z_border)[..., 0]
+    return np.concatenate([z_interior, z_border[..., 0]], axis=-1)
+
+
+def _band_block(band: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entries A[rows, cols] (broadcast) of a periodic band with 2w + 1 <= L."""
+    L, width = band.shape
+    w = width // 2
+    d = (cols - rows + L // 2) % L - L // 2
+    inside = np.abs(d) <= w
+    return np.where(inside, band[rows, w + np.where(inside, d, 0)], 0)
 
 
 _ML_MAX_SYMBOLS = 8

@@ -10,27 +10,32 @@ overhead ratios.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, apply_channel
+from .channel import ChannelConfig, ChannelRealization, apply_channel, noise_shape
 from .detection import (
     Constellation,
     bits_for_indices,
+    hard_decide,
     map_bits,
     mmse_equalize,
     single_tap_equalize,
+    solve_periodic_banded,
 )
 from .waveforms import (
     ConfigurationError,
     DdamConfig,
     WaveformBundle,
+    core_channel,
     ddam_precode,
     effective_channel,
+    remove_prefix,
 )
 
 SENTINEL_DB = -350.0  # stands in for -inf when a cut has no sidelobe energy
+PAPR_MIN_TAIL = 10  # survivor points kept down to this many samples beyond them
 
 
 def derive_rng(*keys: int) -> np.random.Generator:
@@ -66,7 +71,17 @@ def _ber_trial(
     seed: int,
     trial: int,
 ) -> np.ndarray:
-    """Bit errors per SNR point for one trial; shape (n_snr,)."""
+    """Bit errors per SNR point for one trial; shape (n_snr,).
+
+    The noiseless received frame and the unit noise shape are computed once;
+    each SNR point scales the shape onto the frame, exactly as
+    :func:`apply_channel` adds it.  Block MMSE over a square bundle with
+    a_rx = a_tx^H equalizes in the time domain (:func:`time_domain_mmse`);
+    other bundles and the single-tap detector use the modulation-domain
+    channel matrix.
+    """
+    if detector not in ("mmse", "single-tap"):
+        raise ConfigurationError(f"unknown detector {detector!r}")
     k = constellation.bits_per_symbol
     n_bits = bundle.n_symbols * k
     bits = derive_rng(seed, trial, _STREAM_BITS).integers(0, 2, n_bits)
@@ -77,25 +92,41 @@ def _ber_trial(
         sigma2=0.0,
         rng_seed=derive_rng(seed, trial, _STREAM_CHANNEL),
     )
-    h_eff = effective_channel(bundle, real)
-    errors = np.zeros(len(snr_db_list), dtype=np.int64)
-    for i, snr_db in enumerate(snr_db_list):
-        sigma2 = 10.0 ** (-snr_db / 10.0)
-        r = apply_channel(
-            frame,
-            replace(real, sigma2=sigma2),
-            rng_seed=derive_rng(seed, trial, _STREAM_NOISE),
-        )
-        y = bundle.receive(r)
-        if detector == "mmse":
-            out = mmse_equalize(y, h_eff, sigma2, constellation)
-        elif detector == "single-tap":
-            out = single_tap_equalize(y, h_eff, sigma2, constellation)
-        else:
-            raise ConfigurationError(f"unknown detector {detector!r}")
-        decided = bits_for_indices(out.hard, constellation)
-        errors[i] = int(np.sum(decided != bits))
-    return errors
+    r0 = apply_channel(frame, real)
+    w = noise_shape(frame.size, derive_rng(seed, trial, _STREAM_NOISE))
+    sigma2s = [10.0 ** (-snr_db / 10.0) for snr_db in snr_db_list]
+    received = [r0 + np.sqrt(sigma2 / 2.0) * w for sigma2 in sigma2s]
+    if detector == "mmse" and bundle.adjoint_pair:
+        soft = time_domain_mmse(bundle, real, received, sigma2s)
+        hard = [hard_decide(s, constellation) for s in soft]
+    else:
+        h_eff = effective_channel(bundle, real)
+        equalize = mmse_equalize if detector == "mmse" else single_tap_equalize
+        hard = [
+            equalize(bundle.receive(r), h_eff, sigma2, constellation).hard
+            for r, sigma2 in zip(received, sigma2s)
+        ]
+    return np.array(
+        [np.sum(bits_for_indices(h, constellation) != bits) for h in hard], dtype=np.int64
+    )
+
+
+def time_domain_mmse(
+    bundle: WaveformBundle, real: ChannelRealization, frames, sigma2s
+) -> np.ndarray:
+    """Block MMSE soft symbols of received frames, one per noise level.
+
+    For a square bundle with a_rx = a_tx^H (unitary), the modulation-domain
+    MMSE (H^H H + s I)^{-1} H^H y with H = a_rx C a_tx and y = a_rx r_core
+    equals a_rx (C^H C + s I)^{-1} C^H r_core, C the core channel with the
+    prefix folded in.  C^H C is periodic-banded, so every noise level costs
+    O(L w^2) for channel memory w plus one product with a_rx.  Returns
+    (len(sigma2s), n_symbols).
+    """
+    core = core_channel(bundle, real)
+    r_core = np.stack([remove_prefix(f, bundle.geometry.prefix_len) for f in frames])
+    z = solve_periodic_banded(core.gram_band(), sigma2s, core.adjoint(r_core))
+    return (bundle.a_rx @ z.T).T
 
 
 def run_ber(
@@ -177,7 +208,9 @@ def papr_samples(frame_source, trials: int, seed: int) -> np.ndarray:
     return np.array(out)
 
 
-def papr_ccdf(samples: np.ndarray, min_tail: int = 10) -> list[tuple[float, float]]:
+def papr_ccdf(
+    samples: np.ndarray, min_tail: int = PAPR_MIN_TAIL
+) -> list[tuple[float, float]]:
     """Empirical survivor curve P(PAPR > x) at the observed sample points.
 
     Points whose survivor probability falls below ``min_tail / n`` are

@@ -8,6 +8,8 @@ downstream.  All builders are pure functions of their arguments.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -30,14 +32,19 @@ def _check_size(M: int, name: str = "M") -> int:
     return M
 
 
+@functools.lru_cache(maxsize=1)
 def dft_matrix(M: int) -> np.ndarray:
     """Forward DFT matrix with entries exp(-2j*pi*k*l/M)/sqrt(M).
 
-    The inverse transform is the conjugate transpose.
+    The inverse transform is the conjugate transpose.  The last matrix built
+    is kept, since consecutive schemes of a run share their size, and it is
+    returned read-only because every caller gets the same array.
     """
     M = _check_size(M)
     k = np.arange(M)
-    return np.exp(-2j * np.pi * np.outer(k, k) / M) / np.sqrt(M)
+    F = np.exp(-2j * np.pi * np.outer(k, k) / M) / np.sqrt(M)
+    F.flags.writeable = False
+    return F
 
 
 def daft_matrix(M: int, c1: float, c2: float) -> np.ndarray:

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
 from . import transforms
-from .channel import ChannelRealization, _as_generator, channel_matrix_full
+from .channel import WIDEBAND_DDC, ChannelRealization, channel_matrix_full, noise_shape
 
 
 class ConfigurationError(ValueError):
@@ -73,6 +74,13 @@ class WaveformBundle:
     @property
     def n_symbols(self) -> int:
         return self.a_tx.shape[1]
+
+    @cached_property
+    def adjoint_pair(self) -> bool:
+        """Square, with a_rx = a_tx^H exactly (a unitary pair, as built)."""
+        return self.a_tx.shape[0] == self.a_tx.shape[1] and np.array_equal(
+            self.a_rx, self.a_tx.conj().T
+        )
 
     @property
     def core_len(self) -> int:
@@ -460,21 +468,101 @@ def effective_channel(bundle: WaveformBundle, real: ChannelRealization) -> np.nd
         raise ConfigurationError(
             "real-field bundles have no complex modulation-domain channel matrix"
         )
+    _check_realization(bundle, real)
+    L_core = bundle.core_len
+    L_p = bundle.geometry.prefix_len
+    R_add = prefix_operator(bundle.prefix_rule, L_core, L_p, bundle.cpp_c1)
+    H_full = channel_matrix_full(real, L_core + L_p)
+    core_rx = (H_full @ R_add)[L_p:, :]
+    return bundle.a_rx @ core_rx @ bundle.a_tx
+
+
+def _check_realization(bundle: WaveformBundle, real: ChannelRealization) -> None:
+    """The realization must share the bundle's sample rate, and the prefix
+    must cover its memory (else the circular structure is broken)."""
     fs = bundle.geometry.sample_rate_hz
     if abs(fs - real.sample_rate_hz) > 1e-6 * fs:
         raise ConfigurationError(
             f"sample rate mismatch: bundle {fs} Hz vs realization {real.sample_rate_hz} Hz"
         )
-    L_core = bundle.core_len
-    L_p = bundle.geometry.prefix_len
-    if L_p < real.max_delay_samples:
+    if bundle.geometry.prefix_len < real.max_delay_samples:
         raise ConfigurationError(
-            f"prefix {L_p} shorter than channel memory {real.max_delay_samples}"
+            f"prefix {bundle.geometry.prefix_len} shorter than channel memory "
+            f"{real.max_delay_samples}"
         )
-    R_add = prefix_operator(bundle.prefix_rule, L_core, L_p, bundle.cpp_c1)
-    H_full = channel_matrix_full(real, L_core + L_p)
-    core_rx = (H_full @ R_add)[L_p:, :]
-    return bundle.a_rx @ core_rx @ bundle.a_tx
+
+
+@dataclass(frozen=True)
+class CoreChannel:
+    """Core time-domain channel C with the prefix folded in, by cyclic diagonals.
+
+    ``diags[n, k]`` is C[n, (n + offsets[k]) % L]: received core sample n
+    weighs transmitted core sample n + offsets[k], wrapped by the prefix.
+    The noiseless chain gives r_core = C @ core; each offset lies in
+    [-L/2, L/2) and the offsets are distinct.
+    """
+
+    offsets: np.ndarray  # (K,) int
+    diags: np.ndarray  # (L, K) complex
+
+    def adjoint(self, r: np.ndarray) -> np.ndarray:
+        """C^H r along the last axis of ``r``."""
+        out = np.zeros(np.shape(r), dtype=complex)
+        for e, diag in zip(self.offsets, self.diags.T):
+            out += np.roll(diag.conj() * r, e, axis=-1)
+        return out
+
+    def gram_band(self) -> np.ndarray:
+        """C^H C as a periodic band: A[j, (j + d) % L] = band[j, w + d].
+
+        The half-bandwidth w is the spread of the offsets (the channel
+        memory for a non-warped channel); the band has shape (L, 2w + 1),
+        and columns whose offsets coincide modulo L add.
+        """
+        w = int(np.ptp(self.offsets))
+        band = np.zeros((self.diags.shape[0], 2 * w + 1), dtype=complex)
+        for e, diag in zip(self.offsets, self.diags.T):
+            # row n holds C[n, n + e]^* C[n, n + e2]: entry (n + e, n + e2) of A
+            band[:, w + self.offsets - e] += np.roll(diag.conj()[:, None] * self.diags, e, axis=0)
+        return band
+
+
+def core_channel(bundle: WaveformBundle, real: ChannelRealization) -> CoreChannel:
+    """The bundle's core channel built from the realization's taps in O(L P).
+
+    Equals ``(channel_matrix_full(real, L + Lp) @ prefix_operator(...))[Lp:]``
+    for the bundle's prefix rule, with the same checks as
+    :func:`effective_channel` on sample rate and prefix length.
+    """
+    _check_realization(bundle, real)
+    L, L_p = bundle.core_len, bundle.geometry.prefix_len
+    if L_p > L:
+        raise ConfigurationError(f"prefix {L_p} longer than core {L}")
+    prefix_phase = np.ones(L_p, dtype=complex)
+    if bundle.prefix_rule == "cpp":
+        l = np.arange(-L_p, 0)
+        prefix_phase = np.exp(-2j * np.pi * bundle.cpp_c1 * (L**2 + 2.0 * L * l))
+    n = np.arange(L)
+    m = n + L_p  # row of the full frame
+    rows, offsets, values = [], [], []
+    for t in real.taps:
+        phase = t.gain * np.exp(2j * np.pi * t.doppler_hz * m / real.sample_rate_hz)
+        if real.kind == WIDEBAND_DDC:
+            cols = np.round(m * (1.0 + t.scale)).astype(int) - t.delay_samples
+        else:
+            cols = m - t.delay_samples
+        valid = (cols >= 0) & (cols < L + L_p)
+        cols, phase = cols[valid], phase[valid]
+        wrapped = cols < L_p  # lands in the prefix: a copy of the core's tail
+        phase[wrapped] *= prefix_phase[cols[wrapped]]
+        core_cols = np.where(wrapped, cols + L - L_p, cols - L_p)
+        rows.append(n[valid])
+        offsets.append((core_cols - n[valid] + L // 2) % L - L // 2)
+        values.append(phase)
+    uniq, k = np.unique(np.concatenate(offsets), return_inverse=True)
+    diags = np.zeros((L, uniq.size), dtype=complex)
+    np.add.at(diags, (np.concatenate(rows), k), np.concatenate(values))
+    return CoreChannel(offsets=uniq, diags=diags)
 
 
 @dataclass(frozen=True)
@@ -607,9 +695,7 @@ def ddam_apply_channel(
         delayed[lo:hi] = proj[: hi - lo]
         r += tap.gain * delayed * np.exp(2j * np.pi * tap.doppler_hz * n / fs)
     if real.sigma2 > 0:
-        rng = _as_generator(rng_seed)
-        w = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-        r += np.sqrt(real.sigma2 / 2.0) * w
+        r += np.sqrt(real.sigma2 / 2.0) * noise_shape(L, rng_seed)
     return r
 
 

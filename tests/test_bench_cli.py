@@ -1,6 +1,10 @@
 """Config parsing, presets, CSV/manifest emission and CLI behavior."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -10,6 +14,7 @@ from mcwave import bench, cli
 from mcwave import waveforms as wf
 from mcwave.config import (
     CONFIG_SCHEMA,
+    EXPERIMENT_KINDS,
     WAVEFORM_LABELS,
     ValidationError,
     default_config,
@@ -143,10 +148,41 @@ class TestValidationGaps:
         assert "frame.prefix_1d" in capsys.readouterr().err
 
     def test_unreadable_profile_file_names_field(self, tmp_path):
-        cfg = self._cfg(**{"channel.preset": "file",
-                           "channel.profile_file": str(tmp_path / "missing.txt")})
-        with pytest.raises(ValidationError, match="channel.profile_file"):
+        # every experiment reads the file, if only for the manifest
+        for experiment in EXPERIMENT_KINDS:
+            cfg = self._cfg(experiment=experiment, waveforms=["ofdm"],
+                            **{"channel.preset": "file",
+                               "channel.profile_file": str(tmp_path / "missing.txt")})
+            with pytest.raises(ValidationError, match="channel.profile_file"):
+                validate_config(cfg)
+
+    def test_unreadable_profile_file_run_exit_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "papr.cfg"
+        cfg_file.write_text(
+            "experiment = papr\ntrials = 20\nwaveforms = ddam\nchannel.preset = file\n"
+            "channel.profile_file = {}\noutput_dir = {}\n".format(
+                tmp_path / "missing.txt", tmp_path / "out"))
+        assert cli.main(["run", str(cfg_file)]) == 2
+        assert "channel.profile_file" in capsys.readouterr().err
+
+    def test_too_few_papr_samples_names_trials(self, tmp_path, capsys):
+        # the survivor curve keeps points with at least 10 samples beyond them
+        cfg = self._cfg(experiment="papr", trials=10, waveforms=["ofdm"])
+        with pytest.raises(ValidationError, match="trials: 'ofdm' gets 10"):
             validate_config(cfg)
+        cfg["trials"] = 11
+        validate_config(cfg)
+        # path precoding gives one sample per antenna
+        cfg = self._cfg(experiment="papr", trials=2, waveforms=["ddam"], **{"ddam.n_tx": 5})
+        with pytest.raises(ValidationError, match="trials: 'ddam' gets 10"):
+            validate_config(cfg)
+        cfg["ddam.n_tx"] = 6
+        validate_config(cfg)
+        cfg_file = tmp_path / "papr.cfg"
+        cfg_file.write_text("experiment = papr\ntrials = 10\nwaveforms = ofdm\n"
+                            "output_dir = {}\n".format(tmp_path / "out"))
+        assert cli.main(["run", str(cfg_file)]) == 2
+        assert "trials" in capsys.readouterr().err
 
     def test_builder_parameter_ranges(self):
         for key, bad in (("frft.p", 0.0), ("frft.p", 2.0), ("ifdm.seed", -1)):
@@ -365,6 +401,48 @@ class TestCli:
         )
         assert cli.main(["run", str(cfg_file)]) == 3
         assert "runtime error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_run_leaves_no_partial_outputs(self, tmp_path, capsys):
+        # over a static 8-sample channel ofdm's effective channel is diagonal
+        # and its CSV is written; ocdm's is coupled, so the run fails after it
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "ber_ofdm.csv").write_text("earlier run\n")
+        cfg_file = tmp_path / "rt.cfg"
+        cfg_file.write_text(
+            "experiment = ber\ntrials = 2\nsnr_db = 10\nwaveforms = ofdm,ocdm\n"
+            "detector = single-tap\nframe.m_1d = 32\nframe.delta_f_1d_hz = 96000\n"
+            "channel.preset = EVA\nchannel.velocity_kmh = 0\n"
+            "output_dir = {}\n".format(out)
+        )
+        assert cli.main(["run", str(cfg_file)]) == 3
+        assert "not diagonal" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["ber_ofdm.csv"]
+        assert (out / "ber_ofdm.csv").read_text() == "earlier run\n"
+        cfg_file.write_text(cfg_file.read_text().replace("ofdm,ocdm", "ofdm"))
+        assert cli.main(["run", str(cfg_file)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["ber_ofdm.csv", "manifest.json"]
+
+    def test_ber_run_imports_no_scipy(self, tmp_path):
+        # the package declares numpy as its only dependency
+        code = (
+            "import sys\n"
+            "from mcwave import bench\n"
+            "from mcwave.presets import preset_config\n"
+            "cfg = preset_config('tab5-ber-desk')\n"
+            "cfg.update(trials=1, snr_db=[10.0], waveforms=['ofdm', 'otfs'])\n"
+            "bench.run_experiment(cfg, sys.argv[1])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = Path(bench.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "ber_otfs.csv").exists()
 
     def test_run_with_profile_file_channel(self, tmp_path):
         prof = tmp_path / "two_paths.txt"

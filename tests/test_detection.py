@@ -129,6 +129,42 @@ class TestMmse:
         assert errors == sorted(errors, reverse=True)
 
 
+class TestPeriodicBandedSolver:
+    @staticmethod
+    def system(L, w, rng):
+        """A = B^H B for a random periodic B with offsets 0..w (band w)."""
+        B = np.zeros((L, L), dtype=complex)
+        j = np.arange(L)
+        for e in range(w + 1):
+            B[j, (j + e) % L] = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+        A = B.conj().T @ B
+        band = np.stack([A[j, (j + d) % L] for d in range(-w, w + 1)], axis=1)
+        return A, band
+
+    @pytest.mark.parametrize("L,w", [
+        (20, 0),  # no channel memory
+        (37, 5),  # L not a multiple of the block size
+        (21, 10),  # w close to L/2: one interior block and the border
+        (200, 15),
+        (9, 4),  # too small for two blocks: dense
+    ])
+    def test_matches_dense_solve(self, L, w):
+        rng = np.random.default_rng(L + w)
+        A, band = self.system(L, w, rng)
+        shifts = np.array([1.0, 1e-2, 1e-3])
+        rhs = rng.standard_normal((3, L)) + 1j * rng.standard_normal((3, L))
+        z = det.solve_periodic_banded(band, shifts, rhs)
+        for zq, s, b in zip(z, shifts, rhs):
+            ref = np.linalg.solve(A + s * np.eye(L), b)
+            assert np.max(np.abs(zq - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            det.solve_periodic_banded(np.ones((8, 3)), [1.0, 2.0], np.ones((1, 8)))
+        with pytest.raises(ValueError):
+            det.solve_periodic_banded(np.ones((8, 2)), [1.0], np.ones((1, 8)))
+
+
 class TestMlOracle:
     def test_noiseless_recovery(self):
         c = det.qam_constellation(4)

@@ -1,5 +1,7 @@
 """KPI tests: Monte-Carlo error rates, peak power, ambiguity metrics, overheads."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -64,6 +66,79 @@ class TestRunBer:
         with pytest.raises(wf.ConfigurationError):
             kpi.run_ber(awgn_bundle(), ch.ChannelConfig(), "mmse", [0.0], trials=0,
                         seed=1, constellation=c)
+
+
+def dense_ber_errors(bundle, cfg, detector, snrs, trials, seed, c):
+    """Bit errors per SNR from the modulation-domain chain, trial by trial."""
+    equalize = {"mmse": det.mmse_equalize, "single-tap": det.single_tap_equalize}[detector]
+    errors = np.zeros(len(snrs), dtype=int)
+    for t in range(trials):
+        bits = kpi.derive_rng(seed, t, 0).integers(0, 2, bundle.n_symbols * c.bits_per_symbol)
+        frame = bundle.transmit(det.map_bits(bits, c))
+        real = cfg.realize(bundle.geometry.sample_rate_hz, 0.0, kpi.derive_rng(seed, t, 1))
+        h_eff = wf.effective_channel(bundle, real)
+        for i, snr in enumerate(snrs):
+            sigma2 = 10.0 ** (-snr / 10.0)
+            r = ch.apply_channel(frame, replace(real, sigma2=sigma2), kpi.derive_rng(seed, t, 2))
+            out = equalize(bundle.receive(r), h_eff, sigma2, c)
+            errors[i] += np.sum(det.bits_for_indices(out.hard, c) != bits)
+    return errors
+
+
+EVA_DOPPLER = ch.ChannelConfig(preset="EVA", nu_max_hz=2e3, random_gains=True, jakes=True)
+# EVA at 3.072 MHz has an 8-sample memory.
+GEO_1D = wf.FrameGeometry(m=32, n=1, delta_f_hz=96e3, prefix_len=8)
+GEO_2D = wf.FrameGeometry(m=8, n=4, delta_f_hz=384e3, prefix_len=8)
+SQUARE_SCHEMES = [
+    ("scm", GEO_1D, {}),
+    ("ofdm", GEO_1D, {}),
+    ("frft-ofdm", GEO_1D, {"p": 0.7}),
+    ("ocdm", GEO_1D, {}),
+    ("ifdm", GEO_1D, {"seed": 3}),
+    ("afdm", GEO_1D, {"c1": 3 / 64}),
+    ("mc-otfs", GEO_2D, {}),
+    ("zak-otfs", GEO_2D, {}),
+    ("oddm", GEO_2D, {}),
+    ("otsm", GEO_2D, {}),
+]
+
+
+class TestTimeDomainMmse:
+    @pytest.mark.parametrize("scheme,geo,params", SQUARE_SCHEMES)
+    def test_matches_modulation_domain_mmse(self, scheme, geo, params):
+        b = wf.build_waveform(scheme, geo, params)
+        assert b.adjoint_pair
+        real = EVA_DOPPLER.realize(geo.sample_rate_hz, 0.0, 3)
+        rng = np.random.default_rng(99)
+        frame = b.transmit(rng.standard_normal(b.n_symbols) + 1j * rng.standard_normal(b.n_symbols))
+        sigma2s = [1.0, 1e-2, 1e-3]
+        frames = [ch.apply_channel(frame, replace(real, sigma2=s), 5) for s in sigma2s]
+        soft = kpi.time_domain_mmse(b, real, frames, sigma2s)
+        h_eff = wf.effective_channel(b, real)
+        for sq, r, s in zip(soft, frames, sigma2s):
+            ref = det.mmse_equalize(b.receive(r), h_eff, s).soft
+            assert np.max(np.abs(sq - ref)) <= 1e-10
+
+    @pytest.mark.parametrize("scheme,geo,params,detector,dense_calls", [
+        ("ofdm", GEO_1D, {}, "mmse", 0),
+        ("mc-otfs", GEO_2D, {}, "mmse", 0),
+        ("dft-s-ofdm", GEO_1D, {"width": 24}, "mmse", 3),  # not square
+        ("ofdm", GEO_1D, {}, "single-tap", 3),
+    ])
+    def test_run_ber_path_and_counts(self, monkeypatch, scheme, geo, params, detector,
+                                     dense_calls):
+        c = det.qam_constellation(4)
+        b = wf.build_waveform(scheme, geo, params)
+        # single-tap needs a diagonal effective channel: no Doppler
+        cfg = EVA_DOPPLER if detector == "mmse" else ch.ChannelConfig(preset="EVA")
+        snrs = [0.0, 10.0, 20.0]
+        expected = dense_ber_errors(b, cfg, detector, snrs, 3, 7, c)
+        calls = []
+        monkeypatch.setattr(kpi, "effective_channel",
+                            lambda *a: calls.append(1) or wf.effective_channel(*a))
+        pts = kpi.run_ber(b, cfg, detector, snrs, trials=3, seed=7, constellation=c)
+        assert [p.bit_errors for p in pts] == expected.tolist()
+        assert len(calls) == dense_calls
 
 
 class TestPapr:

@@ -347,6 +347,69 @@ class TestEffectiveChannel:
         assert np.max(np.abs(He @ x - y)) <= 1e-11
 
 
+class TestCoreChannel:
+    """The directly built core channel against the dense fold it replaces."""
+
+    # Two taps share delay 0; the scales warp the wideband columns.
+    PATHS = ch.PathSet(paths=(
+        ch.Path(0.6 + 0.1j, 0.0, doppler_hz=1e4, scale=0.05),
+        ch.Path(0.5j, 3 / 3.072e6, doppler_hz=-2e4, scale=-0.04),
+        ch.Path(-0.4, 6 / 3.072e6, doppler_hz=3e3),
+        ch.Path(0.3, 0.0, doppler_hz=-1e4),
+    ))
+
+    @staticmethod
+    def dense(core):
+        L = core.diags.shape[0]
+        n = np.arange(L)
+        C = np.zeros((L, L), dtype=complex)
+        for e, diag in zip(core.offsets, core.diags.T):
+            C[n, (n + e) % L] = diag
+        return C
+
+    @staticmethod
+    def dense_fold(b, real):
+        L, Lp = b.core_len, b.geometry.prefix_len
+        R_add = wf.prefix_operator(b.prefix_rule, L, Lp, b.cpp_c1)
+        return (ch.channel_matrix_full(real, L + Lp) @ R_add)[Lp:]
+
+    @pytest.mark.parametrize("kind", ch.CHANNEL_MODEL_KINDS)
+    @pytest.mark.parametrize("scheme,params", [("ofdm", {}), ("afdm", {"c1": 5 / 64, "c2": 0.01})])
+    def test_matches_dense_fold(self, kind, scheme, params):
+        geo = wf.FrameGeometry(m=32, n=1, delta_f_hz=96e3, prefix_len=6)
+        b = wf.build_waveform(scheme, geo, params)
+        real = ch.discretize(self.PATHS, geo.sample_rate_hz, kind=kind)
+        core = wf.core_channel(b, real)
+        C = self.dense_fold(b, real)
+        assert np.max(np.abs(self.dense(core) - C)) <= 1e-14
+        if kind == ch.WIDEBAND_DDC:  # warping moves entries off the delay diagonals
+            assert set(core.offsets) > {-t.delay_samples for t in real.taps}
+        gram = core.gram_band()
+        w = gram.shape[1] // 2
+        j = np.arange(32)
+        A = np.zeros((32, 32), dtype=complex)
+        for d in range(-w, w + 1):
+            A[j, (j + d) % 32] += gram[:, w + d]
+        assert np.max(np.abs(A - C.conj().T @ C)) <= 1e-14
+        r = rand_syms(32)
+        assert np.max(np.abs(core.adjoint(r) - C.conj().T @ r)) <= 1e-14
+
+    def test_checks_match_effective_channel(self):
+        b = wf.build_waveform("ofdm", wf.FrameGeometry(m=16, n=1, delta_f_hz=15e3, prefix_len=1))
+        fs = b.geometry.sample_rate_hz
+        for real in (ch.discretize(ch.PathSet(paths=(ch.Path(1.0, 3 / fs),)), fs),
+                     ch.discretize(ch.channel_preset("AWGN"), 2 * fs)):
+            for build in (wf.effective_channel, wf.core_channel):
+                with pytest.raises(wf.ConfigurationError):
+                    build(b, real)
+
+    def test_adjoint_pair_from_the_operators(self):
+        for scheme, geo, params in UNITARY_CASES:
+            b = wf.build_waveform(scheme, geo, params)
+            assert b.adjoint_pair == (b.n_symbols == b.core_len), (scheme, params)
+        assert not wf.build_waveform("fbmc", geo_2d()).adjoint_pair
+
+
 class TestDdam:
     def test_single_path_degenerate(self):
         steer = np.array([[1.0 + 0j, 1j, -1.0, 0.5]])
