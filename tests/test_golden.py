@@ -50,6 +50,17 @@ CASES = {
         "ifdm.seed": 5,
     }),
     "papr-fbmc": ("tab6-papr-desk", {"trials": 20, "waveforms": ["fbmc"]}),
+    # Doppler-rotated taps and matched beamforming over a frame of several
+    # time blocks; tab6-papr-desk itself is static and zero-forcing.
+    "papr-ddam-doppler": ("tab6-papr-desk", {
+        "trials": 4,
+        "waveforms": ["ddam"],
+        "channel.velocity_kmh": 500.0,
+        "channel.jakes": True,
+        "ddam.beamformer": "mrt",
+        "ddam.n_tx": 8,
+        "papr.symbols": 24,
+    }),
     "af-fbmc": ("tab8-unit", {"waveforms": ["fbmc"], "frame.m_2d": 16, "frame.n_2d": 8}),
 }
 
