@@ -36,7 +36,8 @@ CONFIG_SCHEMA: dict[str, Key] = {
     "experiment": Key("str", "ber", "experiment kind: " + "|".join(EXPERIMENT_KINDS)),
     "seed": Key("int", 1, "master seed; every trial stream derives from it"),
     "trials": Key("int", 100, "Monte-Carlo realizations"),
-    "workers": Key("int", 1, "parallel trial workers (results are worker-count invariant)"),
+    "workers": Key("int", 1, "parallel trial workers, used by ber and afdm-sweep only "
+                   "(results are worker-count invariant); papr and af run in one process"),
     "output_dir": Key("str", "", "output directory (default: $MCWAVE_OUTPUT_DIR or cwd)"),
     "constellation": Key("int", 4, "QAM order: 4, 16, 64 or 128"),
     "detector": Key("str", "mmse", "mmse | single-tap"),
@@ -235,6 +236,13 @@ def validate_config(cfg: dict) -> None:
         raise ValidationError("ddam.n_tx must be >= 1")
     if cfg["papr.symbols"] < 1:
         raise ValidationError("papr.symbols must be >= 1")
+    if "ddam" in cfg["waveforms"] and cfg["ddam.beamformer"] == "zf":
+        paths = _channel(cfg).base_path_set().count
+        if cfg["ddam.n_tx"] < paths:
+            raise ValidationError(
+                f"ddam.n_tx: zero-forcing over {paths} paths needs at least {paths} "
+                f"antennas, got {cfg['ddam.n_tx']}"
+            )
     for w in cfg["waveforms"] if exp == "papr" else ():
         # a bundle frame gives one sample, a DDAM frame one per antenna
         samples = cfg["trials"] * (cfg["ddam.n_tx"] if w == "ddam" else 1)
@@ -263,12 +271,16 @@ def validate_config(cfg: dict) -> None:
         _check_prefixes(cfg)
 
 
+def _channel(cfg: dict) -> ChannelConfig:
+    """The configured path set's delays and count (no draw settings)."""
+    preset = cfg["channel.preset"].upper()
+    return ChannelConfig(preset, carrier_hz=cfg["channel.carrier_hz"],
+                         profile_path=cfg["channel.profile_file"] if preset == "FILE" else "")
+
+
 def _channel_memory(cfg: dict, fs: float) -> int:
     """Largest path delay of the configured channel, in samples at ``fs``."""
-    preset = cfg["channel.preset"].upper()
-    chan = ChannelConfig(preset, carrier_hz=cfg["channel.carrier_hz"],
-                         profile_path=cfg["channel.profile_file"] if preset == "FILE" else "")
-    return chan.max_delay_samples(fs)
+    return _channel(cfg).max_delay_samples(fs)
 
 
 def _check_prefixes(cfg: dict) -> None:

@@ -29,13 +29,15 @@ from .waveforms import (
     DdamConfig,
     WaveformBundle,
     core_channel,
-    ddam_precode,
+    ddam_blocks,
+    ddam_frame_length,
     effective_channel,
     remove_prefix,
 )
 
 SENTINEL_DB = -350.0  # stands in for -inf when a cut has no sidelobe energy
 PAPR_MIN_TAIL = 10  # survivor points kept down to this many samples beyond them
+PAPR_BLOCK = 2048  # longest time block of a streamed per-branch PAPR (>= 128)
 
 
 def derive_rng(*keys: int) -> np.random.Generator:
@@ -182,29 +184,83 @@ def awgn_qpsk_ber(snr_db: float) -> float:
 def papr(signal: np.ndarray) -> float:
     """Peak-to-average power ratio of a sample sequence, in dB."""
     s = np.asarray(signal)
+    if s.size == 0:
+        raise ValueError("signal must be nonempty")
     power = np.abs(s) ** 2
-    mean = power.mean()
-    if s.size == 0 or mean == 0:
-        raise ValueError("signal must be nonempty with nonzero power")
-    return float(10.0 * np.log10(power.max() / mean))
+    return float(_papr_db(power.max(), power.mean()))
+
+
+def _papr_db(peak, mean):
+    """10 log10(peak / mean), refusing non-finite or zero-power inputs.
+
+    The reduced peak and mean are checked rather than the samples: a NaN or
+    infinite sample makes its peak non-finite, so no extra pass is needed.
+    """
+    if not (np.all(np.isfinite(peak)) and np.all(np.isfinite(mean))):
+        raise ValueError("signal has a non-finite sample or power")
+    if np.any(mean == 0):
+        raise ValueError("signal must have nonzero power")
+    return 10.0 * np.log10(peak / mean)
+
+
+def _pairwise_half(n: int) -> int:
+    """Length of the first half where numpy's pairwise sum splits n > 128 values."""
+    return n // 2 - (n // 2) % 8
+
+
+def _pairwise_spans(lo: int, hi: int) -> list[tuple[int, int]]:
+    """Nodes of the pairwise-sum tree over lo:hi no longer than PAPR_BLOCK, in order."""
+    if hi - lo <= PAPR_BLOCK:
+        return [(lo, hi)]
+    mid = lo + _pairwise_half(hi - lo)
+    return _pairwise_spans(lo, mid) + _pairwise_spans(mid, hi)
+
+
+def _pairwise_total(n: int, node_sums):
+    """Sum of n values from the sums of the nodes of :func:`_pairwise_spans`."""
+    if n <= PAPR_BLOCK:
+        return next(node_sums)
+    half = _pairwise_half(n)
+    return _pairwise_total(half, node_sums) + _pairwise_total(n - half, node_sums)
+
+
+def branch_papr(length: int, blocks) -> np.ndarray:
+    """Per-branch PAPR in dB of a (branches x length) frame given in time blocks.
+
+    ``blocks(spans)`` yields the frame's columns lo:hi for each (lo, hi) of
+    ``spans``, so the whole frame never needs to exist.  The result equals
+    ``[papr(row) for row in frame]`` bit for bit: a branch's peak does not
+    depend on order, and its mean repeats numpy's pairwise summation of one
+    contiguous row.  That sum splits a run of n > 128 values at
+    :func:`_pairwise_half` and adds the halves, so the spans are the nodes of
+    this tree no longer than ``PAPR_BLOCK``; numpy sums each one exactly as
+    inside the row, and the node sums are added back in the tree's order.
+    Every span but the last is a multiple of 8 samples long.
+    """
+    if length < 1:
+        raise ValueError("signal must be nonempty")
+    peak, sums = None, []
+    for block in blocks(_pairwise_spans(0, length)):
+        power = np.abs(block) ** 2
+        top = power.max(axis=1)
+        peak = top if peak is None else np.maximum(peak, top)
+        sums.append(power.sum(axis=1))
+    mean = _pairwise_total(length, iter(sums)) / length
+    return _papr_db(peak, mean)
 
 
 def papr_samples(frame_source, trials: int, seed: int) -> np.ndarray:
-    """Per-branch peak-to-average ratios over random frames.
+    """Peak-to-average ratios in dB over random frames.
 
-    ``frame_source(rng)`` returns one frame: a 1-D array (one statistic) or a
-    2-D (branches x time) array (one statistic per branch, each branch being
-    a physically separate amplifier input).
+    ``frame_source(rng)`` returns the PAPR samples of one frame: one for a
+    single-branch frame, one per branch for a multi-antenna frame (each
+    branch being a physically separate amplifier input).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     out = []
     for t in range(trials):
-        frame = np.asarray(frame_source(derive_rng(seed, t)))
-        if frame.ndim == 1:
-            out.append(papr(frame))
-        else:
-            out.extend(papr(row) for row in frame)
+        out.extend(frame_source(derive_rng(seed, t)))
     return np.array(out)
 
 
@@ -240,7 +296,7 @@ def papr_at_ccdf(samples: np.ndarray, level: float) -> float:
 def qam_frame_source(
     bundle: WaveformBundle, constellation: Constellation, n_symbols: int = 1
 ):
-    """Random-symbol core-frame generator (prefix excluded from statistics).
+    """PAPR of random-symbol core frames (prefix excluded), one per frame.
 
     ``n_symbols`` > 1 concatenates that many time-domain symbols per
     realization (a 2D frame already spans ``geometry.n`` symbols, so it is
@@ -253,7 +309,7 @@ def qam_frame_source(
         x = constellation.points[idx]
         if bundle.real_field:
             x = np.sqrt(2.0) * x.real  # offset-QAM carries one real axis
-        return (bundle.a_tx @ x).T.reshape(-1)
+        return [papr((bundle.a_tx @ x).T.reshape(-1))]
 
     return source
 
@@ -266,12 +322,13 @@ def ddam_frame_source(
     n_samples: int,
     sample_rate_hz: float,
 ):
-    """Path-precoded multi-antenna frame generator for peak-power statistics.
+    """Per-antenna PAPR of path-precoded multi-antenna frames.
 
     Per frame: draw the channel realization (delays/Dopplers from the
     channel config), draw independent circular-Gaussian steering vectors for
-    its paths, precode a random symbol stream, and return the (n_tx x time)
-    transmit matrix.  Peak statistics are taken per antenna branch.
+    its paths, precode a random symbol stream, and return the PAPR of each
+    antenna branch.  The (n_tx x time) transmit matrix is streamed in time
+    blocks (:func:`branch_papr`), never built whole.
     """
 
     def source(rng: np.random.Generator) -> np.ndarray:
@@ -280,8 +337,10 @@ def ddam_frame_source(
         steering = (rng.standard_normal((P, n_tx)) + 1j * rng.standard_normal((P, n_tx)))
         steering /= np.sqrt(2.0)
         cfg = DdamConfig(steering=steering, beamformer=beamformer)
-        idx = rng.integers(0, constellation.order, n_samples)
-        return ddam_precode(constellation.points[idx], cfg, real)
+        x = constellation.points[rng.integers(0, constellation.order, n_samples)]
+        return branch_papr(
+            ddam_frame_length(x.size, real), lambda spans: ddam_blocks(x, cfg, real, spans)
+        )
 
     return source
 

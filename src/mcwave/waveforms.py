@@ -631,10 +631,13 @@ def ddam_beamformers(cfg: DdamConfig) -> np.ndarray:
     return F / np.sqrt(P)  # total transmit power sums to one
 
 
-def ddam_precode(
-    x: np.ndarray, cfg: DdamConfig, real: ChannelRealization
-) -> np.ndarray:
-    """Per-path delay/Doppler pre-compensated multi-antenna transmit signal.
+def ddam_frame_length(n_symbols: int, real: ChannelRealization) -> int:
+    """Samples of a precoded frame: the stream plus the largest pre-delay."""
+    return n_symbols + real.max_delay_samples - min(t.delay_samples for t in real.taps)
+
+
+def ddam_blocks(x: np.ndarray, cfg: DdamConfig, real: ChannelRealization, spans):
+    """Per-path delay/Doppler pre-compensated transmit signal, block by block.
 
     Each path i carries a copy of the stream delayed by kappa_i = l_max - l_i
     samples and pre-rotated by its negated Doppler, beamformed with its own
@@ -642,7 +645,14 @@ def ddam_precode(
 
         s[:, n] = sum_i f_i * x[n - kappa_i] * exp(-2j*pi*nu_i*n/f_s)
 
-    Output shape is (n_tx, len(x) + kappa_max).
+    The full signal is (n_tx, ddam_frame_length(len(x), real)); this yields
+    its columns lo:hi, one (n_tx, hi - lo) block per (lo, hi) of ``spans``,
+    so the whole signal never needs to exist.  The beamformers are computed
+    (and the arguments checked) once, before the first block.  A tap with
+    zero Doppler is not rotated: exp(-0j) would change only signs of zeros.
+    Blocks equal the whole signal's columns bit for bit when every span but
+    the last is a multiple of 8 samples long: the BLAS product computes the
+    last few columns of a block with separate kernels.
     """
     x = np.asarray(x, dtype=complex)
     if x.ndim != 1 or x.size == 0:
@@ -653,15 +663,31 @@ def ddam_precode(
         )
     F = ddam_beamformers(cfg)
     l_max = real.max_delay_samples
-    kappas = [l_max - t.delay_samples for t in real.taps]
-    L = x.size + max(kappas)
-    n = np.arange(L)
     fs = real.sample_rate_hz
-    streams = np.zeros((cfg.n_paths, L), dtype=complex)  # per-path shifted copies
-    for i, (tap, kap) in enumerate(zip(real.taps, kappas)):
-        streams[i, kap : kap + x.size] = x
-        streams[i] *= np.exp(-2j * np.pi * tap.doppler_hz * n / fs)
-    return F.T @ streams
+
+    def blocks():
+        for lo, hi in spans:
+            streams = np.zeros((cfg.n_paths, hi - lo), dtype=complex)  # shifted copies
+            for i, tap in enumerate(real.taps):
+                kap = l_max - tap.delay_samples
+                a, b = max(lo, kap), min(hi, kap + x.size)
+                if a >= b:
+                    continue
+                seg = x[a - kap : b - kap]
+                if tap.doppler_hz != 0:
+                    seg = seg * np.exp(-2j * np.pi * tap.doppler_hz * np.arange(a, b) / fs)
+                streams[i, a - lo : b - lo] = seg
+            yield F.T @ streams
+
+    return blocks()
+
+
+def ddam_precode(
+    x: np.ndarray, cfg: DdamConfig, real: ChannelRealization
+) -> np.ndarray:
+    """The whole precoded signal of :func:`ddam_blocks`, (n_tx, len(x) + kappa_max)."""
+    (s,) = ddam_blocks(x, cfg, real, [(0, ddam_frame_length(np.size(x), real))])
+    return s
 
 
 def ddam_apply_channel(

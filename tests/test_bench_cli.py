@@ -1,14 +1,19 @@
 """Config parsing, presets, CSV/manifest emission and CLI behavior."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcwave import bench, cli
 from mcwave import waveforms as wf
@@ -172,8 +177,10 @@ class TestValidationGaps:
             validate_config(cfg)
         cfg["trials"] = 11
         validate_config(cfg)
-        # path precoding gives one sample per antenna
-        cfg = self._cfg(experiment="papr", trials=2, waveforms=["ddam"], **{"ddam.n_tx": 5})
+        # path precoding gives one sample per antenna (matched beams: zero-forcing
+        # needs 9 antennas on EVA's 9 paths)
+        cfg = self._cfg(experiment="papr", trials=2, waveforms=["ddam"],
+                        **{"ddam.n_tx": 5, "ddam.beamformer": "mrt"})
         with pytest.raises(ValidationError, match="trials: 'ddam' gets 10"):
             validate_config(cfg)
         cfg["ddam.n_tx"] = 6
@@ -184,6 +191,32 @@ class TestValidationGaps:
         assert cli.main(["run", str(cfg_file)]) == 2
         assert "trials" in capsys.readouterr().err
 
+    def test_zero_forcing_needs_an_antenna_per_path(self, tmp_path, capsys):
+        # PAPR5 has 5 paths: zero-forcing nulls 4 of them with each beam
+        cfg = preset_config("tab6-papr-desk")
+        cfg.update(waveforms=["ddam"], **{"ddam.n_tx": 3})
+        with pytest.raises(ValidationError, match="ddam.n_tx: zero-forcing over 5 paths"):
+            validate_config(cfg)
+        validate_config(dict(cfg, **{"ddam.beamformer": "mrt"}))
+        validate_config(dict(cfg, **{"ddam.n_tx": 5}))
+        # the path count of a profile file
+        profile = tmp_path / "three.txt"
+        profile.write_text("0 0 0\n-3 1e-7 0\n-6 2e-7 0\n")
+        cfg.update({"channel.preset": "file", "channel.profile_file": str(profile),
+                    "trials": 20})
+        validate_config(cfg)
+        cfg["ddam.n_tx"] = 2
+        with pytest.raises(ValidationError, match="ddam.n_tx: zero-forcing over 3 paths"):
+            validate_config(cfg)
+        cfg_file = tmp_path / "zf.cfg"
+        cfg_file.write_text("experiment = papr\ntrials = 20\nwaveforms = ddam\n"
+                            "channel.preset = PAPR5\nddam.n_tx = 3\n"
+                            "output_dir = {}\n".format(tmp_path / "out"))
+        assert cli.main(["validate", str(cfg_file)]) == 2
+        assert "ddam.n_tx" in capsys.readouterr().err
+        assert cli.main(["run", str(cfg_file)]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_builder_parameter_ranges(self):
         for key, bad in (("frft.p", 0.0), ("frft.p", 2.0), ("ifdm.seed", -1)):
             with pytest.raises(ValidationError, match=key):
@@ -192,6 +225,51 @@ class TestValidationGaps:
             with pytest.raises(ValidationError, match="dfts.width"):
                 validate_config(self._cfg(waveforms=["dft-s-ofdm"], **{"dfts.width": width}))
         validate_config(self._cfg(waveforms=["dft-s-ofdm"], **{"dfts.width": 256}))
+
+
+# Run-time failures that come from the numbers drawn, not from the config:
+# a drawn steering set that zero-forcing cannot null, or a non-finite frame.
+NUMERICAL_FAILURES = ("rank-deficient", "span of the others", "non-finite", "LinAlgError")
+
+SMALL_PAPR = st.fixed_dictionaries({
+    # path precoding drawn as often as all bundle schemes together
+    "waveforms": st.lists(st.sampled_from([*WAVEFORM_LABELS, *["ddam"] * 11]), min_size=1,
+                          max_size=3, unique=True),
+    "ddam.beamformer": st.sampled_from(["zf", "mrt"]),
+    "ddam.n_tx": st.integers(1, 10),
+    "trials": st.integers(10, 13),  # a bundle scheme needs 11
+    "papr.symbols": st.integers(1, 3),
+    "channel.preset": st.sampled_from(["PAPR5", "EVA", "FIG16", "AWGN"]),
+    "channel.jakes": st.booleans(),
+    "frame.n_2d": st.integers(1, 4),
+})
+
+
+class TestValidatedConfigsRun:
+    """A config that passes validation runs; only a numerical failure exits 3."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(SMALL_PAPR)
+    def test_small_papr_configs(self, overrides):
+        cfg = default_config()
+        cfg.update(overrides, experiment="papr", **{"frame.m_1d": 16, "frame.m_2d": 4})
+        try:
+            validate_config(cfg)
+            valid = True
+        except ValidationError:
+            valid = False
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg["output_dir"] = str(Path(tmp) / "out")
+            cfg_file = Path(tmp) / "papr.cfg"
+            cfg_file.write_text(serialize_config(cfg))
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = cli.main(["run", str(cfg_file)])
+        if not valid:
+            assert code == 2, err.getvalue()
+        elif code != 0:
+            assert code == 3 and any(m in err.getvalue() for m in NUMERICAL_FAILURES), \
+                err.getvalue()
 
 
 class TestBuildBundle:

@@ -1,5 +1,7 @@
 """KPI tests: Monte-Carlo error rates, peak power, ambiguity metrics, overheads."""
 
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -157,6 +159,93 @@ class TestPapr:
     def test_zero_power_rejected(self):
         with pytest.raises(ValueError):
             kpi.papr(np.zeros(4))
+
+    def test_empty_rejected_before_any_reduction(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "Mean of empty slice" first
+            with pytest.raises(ValueError, match="nonempty"):
+                kpi.papr(np.array([], dtype=complex))
+            with pytest.raises(ValueError, match="nonempty"):
+                kpi.branch_papr(0, lambda spans: iter(()))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0),
+                                     complex(0.0, np.inf)])
+    def test_non_finite_sample_rejected(self, bad):
+        s = np.ones(300, dtype=complex)
+        s[170] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            kpi.papr(s)
+        frame = np.ones((3, 5000), dtype=complex)
+        frame[1, 4321] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            kpi.branch_papr(frame.shape[1], lambda spans: (frame[:, lo:hi] for lo, hi in spans))
+
+    def test_zero_power_branch_rejected(self):
+        frame = np.ones((2, 40), dtype=complex)
+        frame[0] = 0
+        with pytest.raises(ValueError, match="nonzero power"):
+            kpi.branch_papr(40, lambda spans: (frame[:, lo:hi] for lo, hi in spans))
+
+    # lengths below the 8-wide unrolled sum, within one 128-value pairwise
+    # leaf, above it and not a multiple of 8, odd, below one block, spanning
+    # several blocks, and the desk DDAM frame (512 x 100 symbols + 40)
+    @pytest.mark.parametrize("length", [1, 5, 8, 100, 128, 129, 1001, 2047,
+                                        kpi.PAPR_BLOCK, 2 * kpi.PAPR_BLOCK + 9, 51240])
+    def test_branch_papr_equals_per_row_papr_bit_for_bit(self, length):
+        rng = np.random.default_rng(length)
+        frame = rng.standard_normal((4, length)) + 1j * rng.standard_normal((4, length))
+        frame *= 10.0 ** rng.uniform(-3, 3, (4, 1))  # branches of unequal power
+        spans_seen = []
+
+        def blocks(spans):
+            spans_seen.extend(spans)
+            return (frame[:, lo:hi] for lo, hi in spans)
+
+        got = kpi.branch_papr(length, blocks)
+        assert np.array_equal(got, [kpi.papr(row) for row in frame])
+        # the blocks tile the frame in order, none longer than PAPR_BLOCK
+        assert [lo for lo, _ in spans_seen] == [0] + [hi for _, hi in spans_seen[:-1]]
+        assert spans_seen[-1][1] == length
+        assert max(hi - lo for lo, hi in spans_seen) <= kpi.PAPR_BLOCK
+
+    def test_papr_samples_concatenates_frame_samples(self):
+        samples = kpi.papr_samples(lambda rng: [rng.uniform(), 1.0, 2.0], 3, seed=4)
+        assert samples.shape == (9,)
+        assert samples[0] == kpi.derive_rng(4, 0).uniform()
+        assert list(samples[1:3]) == [1.0, 2.0]
+
+    def test_ddam_source_streams_the_frame(self):
+        # one desk-size frame: 64 antennas x (51200 + 40) samples
+        n_tx, n_samples = 64, 51200
+        chan = ch.ChannelConfig(preset="PAPR5", carrier_hz=28e9, random_gains=True)
+        source = kpi.ddam_frame_source(chan, n_tx, "zf", det.qam_constellation(128),
+                                       n_samples=n_samples, sample_rate_hz=128e6)
+        tracemalloc.start()
+        try:
+            samples = source(kpi.derive_rng(1, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == n_tx
+        assert peak < n_tx * (n_samples + 40) * 16 / 4
+
+    def test_ddam_source_equals_rows_of_the_dense_frame(self):
+        chan = ch.ChannelConfig(preset="EVA", carrier_hz=3e9, nu_max_hz=900.0,
+                                random_gains=True, jakes=True)
+        const = det.qam_constellation(16)
+        source = kpi.ddam_frame_source(chan, 12, "mrt", const, n_samples=3000,
+                                       sample_rate_hz=30.72e6)
+        rng = kpi.derive_rng(3, 1)
+        got = source(rng)
+        # replay the source's draws and precode the whole frame densely
+        rng = kpi.derive_rng(3, 1)
+        real = chan.realize(30.72e6, sigma2=0.0, rng_seed=rng)
+        P = len(real.taps)
+        steering = (rng.standard_normal((P, 12)) + 1j * rng.standard_normal((P, 12)))
+        cfg = wf.DdamConfig(steering=steering / np.sqrt(2.0), beamformer="mrt")
+        x = const.points[rng.integers(0, const.order, 3000)]
+        frame = wf.ddam_precode(x, cfg, real)
+        assert np.array_equal(got, [kpi.papr(row) for row in frame])
 
     def test_ccdf_floor_and_monotonicity(self):
         samples = np.arange(100, dtype=float)

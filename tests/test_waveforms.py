@@ -424,6 +424,58 @@ class TestDdam:
         expected = np.outer(f, x * np.exp(-2j * np.pi * 100.0 * n / 1e6))
         assert_allclose(s, expected, atol=1e-12)
 
+    @staticmethod
+    def _dense_precode(x, cfg, real):
+        """The whole-frame construction: every path's shifted, rotated copy at once."""
+        F = wf.ddam_beamformers(cfg)
+        kappas = [real.max_delay_samples - t.delay_samples for t in real.taps]
+        L = x.size + max(kappas)
+        n = np.arange(L)
+        streams = np.zeros((cfg.n_paths, L), dtype=complex)
+        for i, (tap, kap) in enumerate(zip(real.taps, kappas)):
+            streams[i, kap : kap + x.size] = x
+            streams[i] *= np.exp(-2j * np.pi * tap.doppler_hz * n / real.sample_rate_hz)
+        return F.T @ streams
+
+    @staticmethod
+    def _setup(dopplers, beamformer, n_tx=8, n_symbols=5003, fs=1e6):
+        rng = np.random.default_rng(len(dopplers) + n_tx)
+        delays = (0, 3, 7, 11, 40)[: len(dopplers)]
+        paths = tuple(ch.Path(gain=1.0, delay_s=d / fs, doppler_hz=nu)
+                      for d, nu in zip(delays, dopplers))
+        real = ch.discretize(ch.PathSet(paths=paths), fs)
+        H = rng.standard_normal((len(dopplers), n_tx)) + 1j * rng.standard_normal((len(dopplers), n_tx))
+        x = rng.standard_normal(n_symbols) + 1j * rng.standard_normal(n_symbols)
+        return x, wf.DdamConfig(steering=H, beamformer=beamformer), real
+
+    @pytest.mark.parametrize("dopplers", [(0.0, 0.0, 0.0, 0.0, 0.0),
+                                          (500.0, -800.0, 0.0, 120.0, 3e3),
+                                          (-250.0,)])
+    @pytest.mark.parametrize("beamformer", ["zf", "mrt"])
+    def test_blocks_concatenate_to_the_dense_frame(self, dopplers, beamformer):
+        x, cfg, real = self._setup(dopplers, beamformer)
+        L = wf.ddam_frame_length(x.size, real)
+        dense = self._dense_precode(x, cfg, real)
+        s = wf.ddam_precode(x, cfg, real)
+        assert s.shape == dense.shape == (cfg.n_tx, L)
+        assert np.array_equal(s, dense)  # a zero tap's skipped rotation moves no value
+        # spans of a multiple of 8 samples but the last, as the pairwise-sum
+        # tree cuts them: a BLAS product computes the last few columns of a
+        # block apart, so other spans may differ from the whole in the last bit
+        for spans in ([(0, 8), (8, 40), (40, 2048), (2048, L)],
+                      [(lo, min(L, lo + 1000)) for lo in range(0, L, 1000)]):
+            blocks = list(wf.ddam_blocks(x, cfg, real, spans))
+            assert [b.shape for b in blocks] == [(cfg.n_tx, hi - lo) for lo, hi in spans]
+            assert np.array_equal(np.concatenate(blocks, axis=1), dense)
+
+    def test_blocks_check_arguments_before_the_first_block(self):
+        x, cfg, real = self._setup((0.0, 10.0), "zf")
+        short = wf.DdamConfig(steering=cfg.steering[:1], beamformer="zf")
+        with pytest.raises(wf.ConfigurationError, match="steering vectors"):
+            wf.ddam_blocks(x, short, real, [(0, 10)])
+        with pytest.raises(wf.ConfigurationError, match="1-D"):
+            wf.ddam_blocks(x[:0], cfg, real, [(0, 10)])
+
     def test_zero_forcing_nulls_cross_paths(self):
         rng = np.random.default_rng(42)
         H = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
