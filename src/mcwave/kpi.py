@@ -182,7 +182,10 @@ def awgn_qpsk_ber(snr_db: float) -> float:
 
 
 def papr(signal: np.ndarray) -> float:
-    """Peak-to-average power ratio of a sample sequence, in dB."""
+    """Peak-to-average power ratio of a sample sequence, in dB.
+
+    Raises ``ValueError`` for an empty, non-finite or zero-power sequence.
+    """
     s = np.asarray(signal)
     if s.size == 0:
         raise ValueError("signal must be nonempty")
