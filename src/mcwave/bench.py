@@ -214,7 +214,9 @@ def _run_papr_experiment(cfg: dict, out: Path) -> dict:
 def _allone_core(label: str, cfg: dict, chan: channel.ChannelConfig) -> tuple[np.ndarray, float, float]:
     bundle = build_bundle(label, cfg, chan)
     x = np.ones(bundle.n_symbols, dtype=complex)
-    core = bundle.modulate(x)
+    # The dense product pins the AF bytes; the factored apply differs in
+    # last bits, so it waits for a declared numerics move.
+    core = bundle.a_tx @ x
     fs = bundle.geometry.sample_rate_hz
     if bundle.geometry.n > 1:
         doppler_ref = bundle.geometry.delta_f_hz / bundle.geometry.n

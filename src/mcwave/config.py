@@ -269,6 +269,8 @@ def validate_config(cfg: dict) -> None:
             raise ValidationError(f"{key} must be >= 0")
     if exp in ("ber", "chanmat", "afdm-sweep"):  # frames cross the channel
         _check_prefixes(cfg)
+    if exp in ("ber", "afdm-sweep") and cfg["detector"] == "single-tap":
+        _check_single_tap(cfg)
 
 
 def _channel(cfg: dict) -> ChannelConfig:
@@ -300,3 +302,32 @@ def _check_prefixes(cfg: dict) -> None:
             raise ValidationError(f"{key}: prefix {prefix} shorter than channel memory {memory}")
         if prefix > core:
             raise ValidationError(f"{key}: prefix {prefix} longer than the core frame {core}")
+
+
+def _check_single_tap(cfg: dict) -> None:
+    """The per-bin detector needs a diagonal effective channel for every draw.
+
+    That holds over a static channel (no path with a nonzero Doppler, no
+    wideband time warping) when the channel is flat (every path at zero
+    delay, at the scheme's sample rate) or the scheme is ofdm, whose prefix
+    turns a static delay spread into one gain per subcarrier.
+    """
+    model = cfg["channel.model"]
+    if cfg["channel.jakes"]:  # every path draws nu_max * cos(angle)
+        doppler = cfg["channel.velocity_kmh"] > 0
+    else:
+        doppler = any(p.doppler_hz != 0 for p in _channel(cfg).base_path_set().paths)
+    if model == "wideband" or (doppler and model != "tdc"):
+        raise ValidationError(
+            "detector: single-tap needs a static channel (no Doppler, not wideband); "
+            "use mmse"
+        )
+    labels = ["afdm"] if cfg["experiment"] == "afdm-sweep" else cfg["waveforms"]
+    for label in labels:
+        d = SCHEMES_BY_LABEL[label].dim
+        fs = cfg[f"frame.m_{d}d"] * cfg[f"frame.delta_f_{d}d_hz"]
+        if label != "ofdm" and model != "fdc" and _channel_memory(cfg, fs) > 0:
+            raise ValidationError(
+                f"detector: single-tap needs a flat channel for {label!r} (only ofdm "
+                "equalizes a static delay spread per subcarrier); use mmse"
+            )

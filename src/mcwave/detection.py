@@ -244,7 +244,9 @@ def solve_periodic_banded(
         K.append(np.linalg.solve(S, np.concatenate([np.broadcast_to(U[i], S.shape), g], -1)))
         T = U[i].conj().T @ K[i]
         S, g = D[i + 1] + load - T[..., :b], G[:, i + 1] - T[..., b:]
-    Y = np.empty_like(G)  # the interior's inverse applied to [rhs | E]
+    # The interior's inverse applied to [rhs | E], written over G, which the
+    # forward sweep has spent: one fewer (Q, m, b, c + 1) temporary per call.
+    Y = G
     Y[:, m - 1] = np.linalg.solve(S, g)
     for i in range(m - 2, -1, -1):
         Y[:, i] = K[i][..., b:] - K[i][..., :b] @ Y[:, i + 1]

@@ -77,10 +77,11 @@ def _ber_trial(
 
     The noiseless received frame and the unit noise shape are computed once;
     each SNR point scales the shape onto the frame, exactly as
-    :func:`apply_channel` adds it.  Block MMSE over a square bundle with
-    a_rx = a_tx^H equalizes in the time domain (:func:`time_domain_mmse`);
-    other bundles and the single-tap detector use the modulation-domain
-    channel matrix.
+    :func:`apply_channel` adds it.  Frames are modulated with the bundle's
+    factored operator.  Block MMSE over a square unitary bundle equalizes
+    in the time domain (:func:`time_domain_mmse`) and never builds a dense
+    matrix; other bundles and the single-tap detector use the
+    modulation-domain channel matrix, which reads the dense reference.
     """
     if detector not in ("mmse", "single-tap"):
         raise ConfigurationError(f"unknown detector {detector!r}")
@@ -122,13 +123,13 @@ def time_domain_mmse(
     MMSE (H^H H + s I)^{-1} H^H y with H = a_rx C a_tx and y = a_rx r_core
     equals a_rx (C^H C + s I)^{-1} C^H r_core, C the core channel with the
     prefix folded in.  C^H C is periodic-banded, so every noise level costs
-    O(L w^2) for channel memory w plus one product with a_rx.  Returns
-    (len(sigma2s), n_symbols).
+    O(L w^2) for channel memory w plus one application of the bundle's
+    factored a_rx; no dense matrix is built.  Returns (len(sigma2s), n_symbols).
     """
     core = core_channel(bundle, real)
     r_core = np.stack([remove_prefix(f, bundle.geometry.prefix_len) for f in frames])
     z = solve_periodic_banded(core.gram_band(), sigma2s, core.adjoint(r_core))
-    return (bundle.a_rx @ z.T).T
+    return bundle.operator.rx(z)
 
 
 def run_ber(
@@ -312,6 +313,8 @@ def qam_frame_source(
         x = constellation.points[idx]
         if bundle.real_field:
             x = np.sqrt(2.0) * x.real  # offset-QAM carries one real axis
+        # The dense product pins the PAPR bytes; the factored apply differs
+        # in last bits, so it waits for a declared numerics move.
         return [papr((bundle.a_tx @ x).T.reshape(-1))]
 
     return source

@@ -1,9 +1,12 @@
-"""Unitary transform matrices and structured permutations.
+"""Unitary transform matrices, their diagonal factors and structured permutations.
 
-Everything here is built densely as a ``complex128`` matrix; fast
-factorizations (FFT paths) are deliberately not the primary implementation,
-so these constructions double as the correctness reference for everything
-downstream.  All builders are pure functions of their arguments.
+The ``*_matrix`` builders form each transform densely as a ``complex128``
+matrix: that is the checkable reference every fast path is held against.
+The chirp transforms are a DFT between two unit-modulus diagonals, and the
+diagonals come from one function each (``daft_chirps``, ``dfrft_chirp``,
+``dfnt_diagonals``), so the dense matrix and the factored operator of a
+waveform (an FFT between the same diagonals) share their entries.  All
+builders are pure functions of their arguments.
 """
 
 from __future__ import annotations
@@ -14,8 +17,11 @@ import numpy as np
 
 __all__ = [
     "dft_matrix",
+    "daft_chirps",
     "daft_matrix",
+    "dfrft_chirp",
     "dfrft_matrix",
+    "dfnt_diagonals",
     "dfnt_matrix",
     "wht_matrix",
     "random_interleaver",
@@ -47,26 +53,26 @@ def dft_matrix(M: int) -> np.ndarray:
     return F
 
 
+def daft_chirps(M: int, c1: float, c2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals ``(lam1, lam2)`` of :func:`daft_matrix`, lam_c[l] = exp(-2j*pi*c*l^2)."""
+    M = _check_size(M)
+    l = np.arange(M)
+    return np.exp(-2j * np.pi * c1 * l**2), np.exp(-2j * np.pi * c2 * l**2)
+
+
 def daft_matrix(M: int, c1: float, c2: float) -> np.ndarray:
     """Forward discrete affine Fourier transform ``A = L_c2 @ F @ L_c1``.
 
     ``L_c = diag(exp(-2j*pi*c*l^2))`` for l = 0..M-1.  With c1 = c2 = 0 the
     result reduces to :func:`dft_matrix`.  The inverse transform is ``A^H``.
     """
-    M = _check_size(M)
-    l = np.arange(M)
-    lam1 = np.exp(-2j * np.pi * c1 * l**2)
-    lam2 = np.exp(-2j * np.pi * c2 * l**2)
+    lam1, lam2 = daft_chirps(M, c1, c2)
     return lam2[:, None] * dft_matrix(M) * lam1[None, :]
 
 
-def dfrft_matrix(M: int, p: float) -> np.ndarray:
-    """Discrete fractional Fourier kernel of order ``p`` (rotation p*pi/2).
-
-    The sampling intervals of the fractional and time axes are only
-    constrained through their product ``du * ts = 2*pi*|sin(a)| / M``; the
-    symmetric split ``du = ts = sqrt(2*pi*|sin(a)|/M)`` is used so the kernel
-    has a single free parameter.  ``p = 1`` reproduces :func:`dft_matrix`.
+def dfrft_chirp(M: int, p: float) -> tuple[complex, np.ndarray]:
+    """Scale and chirp of :func:`dfrft_matrix`: the kernel is
+    ``scale * chirp[k] * exp(-2j*pi*k*l/M) * chirp[l]``.
 
     Raises:
         ValueError: if the rotation is degenerate (p*pi/2 in {0, pi}), where
@@ -85,18 +91,26 @@ def dfrft_matrix(M: int, p: float) -> np.ndarray:
     du_sq = 2.0 * np.pi * abs(np.sin(alpha)) / M  # = ts_sq (symmetric split)
     scale = np.sqrt((np.sin(alpha) - 1j * np.cos(alpha)) / M)
     k = np.arange(M)
-    chirp = np.exp(0.5j * k**2 * cot * du_sq)
-    return scale * chirp[:, None] * np.exp(-2j * np.pi * np.outer(k, k) / M) * chirp[None, :]
+    return scale, np.exp(0.5j * k**2 * cot * du_sq)
 
 
-def dfnt_matrix(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Discrete Fresnel transform as the factorization ``Phi = T2 @ F @ T1``.
+def dfrft_matrix(M: int, p: float) -> np.ndarray:
+    """Discrete fractional Fourier kernel of order ``p`` (rotation p*pi/2).
 
-    Returns ``(T1, T2, Phi)`` where T1 and T2 are unit-modulus diagonal
-    matrices whose entries depend on the parity of M, F is the DFT matrix and
-    Phi is the (unitary) Fresnel transform used by the chirp-multiplexed
-    waveform.  The modulator applies ``Phi^H``.
+    The sampling intervals of the fractional and time axes are only
+    constrained through their product ``du * ts = 2*pi*|sin(a)| / M``; the
+    symmetric split ``du = ts = sqrt(2*pi*|sin(a)|/M)`` is used so the kernel
+    has a single free parameter.  ``p = 1`` reproduces :func:`dft_matrix`.
+    Raises ``ValueError`` for a degenerate rotation (:func:`dfrft_chirp`).
     """
+    scale, chirp = dfrft_chirp(M, p)
+    k = np.arange(chirp.size)
+    return scale * chirp[:, None] * np.exp(-2j * np.pi * np.outer(k, k) / k.size) * chirp[None, :]
+
+
+def dfnt_diagonals(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-modulus diagonals ``(t1, t2)`` of :func:`dfnt_matrix`; they
+    depend on the parity of M."""
     M = _check_size(M)
     k = np.arange(M)
     if M % 2 == 0:
@@ -109,6 +123,18 @@ def dfnt_matrix(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             * np.exp(1j * np.pi * (k**2 + k) / M)
         )
         t2 = np.exp(1j * np.pi * (k**2 - k) / M)
+    return t1, t2
+
+
+def dfnt_matrix(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Discrete Fresnel transform as the factorization ``Phi = T2 @ F @ T1``.
+
+    Returns ``(T1, T2, Phi)`` where T1 and T2 are the unit-modulus diagonal
+    matrices of :func:`dfnt_diagonals`, F is the DFT matrix and Phi is the
+    (unitary) Fresnel transform used by the chirp-multiplexed waveform.  The
+    modulator applies ``Phi^H``.
+    """
+    t1, t2 = dfnt_diagonals(M)
     T1 = np.diag(t1)
     T2 = np.diag(t2)
     return T1, T2, T2 @ dft_matrix(M) @ T1

@@ -1,12 +1,17 @@
 """Waveform bundles: modulation operator chains, prefixes and path precoding.
 
-Every scheme is materialized as a pair of dense operators (``a_tx`` maps the
-modulation-domain symbol vector to core time samples, ``a_rx`` maps received
-core samples back) plus a prefix rule.  All bundles are exactly unitary
-except the filter-bank scheme, whose orthogonality holds in the real field
-only.  2D delay-Doppler grids are vectorized delay-fastest (column-major)
-except where a scheme's canonical chain stacks delay blocks; the per-scheme
-builders note the layout they use.
+Every scheme is an operator pair (``a_tx`` maps the modulation-domain symbol
+vector to core time samples, ``a_rx = a_tx^H`` maps received core samples
+back) plus a prefix rule.  Each scheme describes its operator once, as a
+product of factors: FFTs, diagonals, index maps and small dense matrices
+(:class:`FactoredOperator`).  The factors are the working path of
+modulation and demodulation; the dense ``a_tx`` / ``a_rx`` are built only on
+first access, by the scheme's dense builder, and stay the checkable
+reference.  All bundles are exactly unitary except the filter-bank scheme,
+whose orthogonality holds in the real field only.  2D delay-Doppler grids
+are vectorized delay-fastest (column-major) except where a scheme's
+canonical chain stacks delay blocks; the per-scheme builders note the layout
+they use.
 """
 
 from __future__ import annotations
@@ -57,14 +62,124 @@ class FrameGeometry:
         return self.m * self.n
 
 
+# Factors of an operator.  Each acts along the last axis of a batch of
+# vectors; ``apply`` is the factor and ``adjoint`` its conjugate transpose.
+# They are plain module-level classes so that a bundle pickles to worker
+# processes.
+
+
+@dataclass(frozen=True, eq=False)
+class Diag:
+    """Elementwise product with ``d``."""
+
+    d: np.ndarray
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.d * x
+
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        return self.d.conj() * x
+
+
+@dataclass(frozen=True)
+class Dft:
+    """Unitary DFT ``F_n kron I_stride`` (``inverse``: ``F_n^H kron I_stride``).
+
+    The transform runs over the first axis of each vector's (n, stride)
+    reshape; stride 1 is the plain transform.
+    """
+
+    inverse: bool = False
+    stride: int = 1
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self._run(x, self.inverse)
+
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        return self._run(x, not self.inverse)
+
+    def _run(self, x: np.ndarray, inverse: bool) -> np.ndarray:
+        fft = np.fft.ifft if inverse else np.fft.fft
+        grid = x.reshape(*x.shape[:-1], -1, self.stride)
+        return fft(grid, axis=-2, norm="ortho").reshape(x.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class Embed:
+    """Input j lands on output ``rows[j]`` of ``size`` (zeros elsewhere).
+
+    A permutation when there are ``size`` rows, a subcarrier map otherwise;
+    the adjoint reads the rows back.
+    """
+
+    rows: np.ndarray
+    size: int
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros((*x.shape[:-1], self.size), dtype=x.dtype)
+        out[..., self.rows] = x
+        return out
+
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        return x[..., self.rows]
+
+
+@dataclass(frozen=True, eq=False)
+class Dense:
+    """A dense matrix ``a kron I_stride``: ``a`` acts like :class:`Dft`'s F."""
+
+    a: np.ndarray
+    stride: int = 1
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self._run(self.a, x)
+
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        return self._run(self.a.conj().T, x)
+
+    def _run(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+        grid = x.reshape(*x.shape[:-1], -1, self.stride)
+        return (a @ grid).reshape(*x.shape[:-1], -1)
+
+
+@dataclass(frozen=True)
+class FactoredOperator:
+    """``a_tx = f_k ... f_1`` for ``factors = (f_1, ..., f_k)``, applied in order.
+
+    ``shape`` is a_tx's (core samples, symbols).  :meth:`tx` applies a_tx and
+    :meth:`rx` applies a_rx = a_tx^H (the adjoints in reverse order), both
+    along the last axis, so a batch of vectors goes through in one call.
+    """
+
+    shape: tuple[int, int]
+    factors: tuple = ()
+
+    def tx(self, x: np.ndarray) -> np.ndarray:
+        x = np.array(x, dtype=complex)
+        for f in self.factors:
+            x = f.apply(x)
+        return x
+
+    def rx(self, r: np.ndarray) -> np.ndarray:
+        r = np.array(r, dtype=complex)
+        for f in reversed(self.factors):
+            r = f.adjoint(r)
+        return r
+
+
 @dataclass(frozen=True)
 class WaveformBundle:
-    """A scheme's modulation/demodulation operators plus its prefix rule."""
+    """A scheme's modulation/demodulation operators plus its prefix rule.
+
+    ``operator`` is the factored a_tx that modulation and demodulation
+    apply.  The dense ``a_tx`` / ``a_rx`` are built on first access by the
+    scheme's dense builder (:attr:`Scheme.build`) and kept; they are the
+    reference the factors are checked against.
+    """
 
     scheme: str
     geometry: FrameGeometry
-    a_tx: np.ndarray
-    a_rx: np.ndarray
+    operator: FactoredOperator
     prefix_rule: str  # "cp" | "cpp" | "none"
     domain: str
     cpp_c1: float = 0.0
@@ -73,18 +188,34 @@ class WaveformBundle:
 
     @property
     def n_symbols(self) -> int:
-        return self.a_tx.shape[1]
-
-    @cached_property
-    def adjoint_pair(self) -> bool:
-        """Square, with a_rx = a_tx^H exactly (a unitary pair, as built)."""
-        return self.a_tx.shape[0] == self.a_tx.shape[1] and np.array_equal(
-            self.a_rx, self.a_tx.conj().T
-        )
+        return self.operator.shape[1]
 
     @property
     def core_len(self) -> int:
-        return self.a_tx.shape[0]
+        return self.operator.shape[0]
+
+    @property
+    def adjoint_pair(self) -> bool:
+        """Square and unitary in the complex field.
+
+        Every scheme row builds a_rx = a_tx^H, so a square complex-field
+        bundle is a unitary pair without comparing its matrices.
+        """
+        return not self.real_field and self.core_len == self.n_symbols
+
+    @cached_property
+    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
+        return SCHEMES[self.scheme].build(self.geometry, self.params)
+
+    @property
+    def a_tx(self) -> np.ndarray:
+        """Dense modulator (core_len x n_symbols), built on first access."""
+        return self._dense[0]
+
+    @property
+    def a_rx(self) -> np.ndarray:
+        """Dense demodulator (n_symbols x core_len), built on first access."""
+        return self._dense[1]
 
     def modulate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -92,7 +223,7 @@ class WaveformBundle:
             raise ConfigurationError(
                 f"{self.scheme} expects {self.n_symbols} symbols, got {x.shape}"
             )
-        return self.a_tx @ x
+        return self.operator.tx(x)
 
     def demodulate(self, r_core: np.ndarray) -> np.ndarray:
         r_core = np.asarray(r_core)
@@ -100,7 +231,7 @@ class WaveformBundle:
             raise ConfigurationError(
                 f"{self.scheme} expects {self.core_len} core samples, got {r_core.shape}"
             )
-        return self.a_rx @ r_core
+        return self.operator.rx(r_core)
 
     def transmit(self, x: np.ndarray) -> np.ndarray:
         """Modulate and attach the scheme's prefix."""
@@ -178,6 +309,16 @@ def afdm_default_c1(m: int, alpha_max_int: int) -> float:
     return (2 * alpha_max_int + 1) / (2.0 * m)
 
 
+# Each scheme has a factored operator (``_factor_*``, the working path) and a
+# dense builder (``_build_*``, the reference, run only when a bundle's dense
+# matrices are read).  Both read the scheme's parameters through the same
+# helpers, so a bad parameter fails when the bundle is built.
+
+
+def _factor_scm(geometry: FrameGeometry, params: dict):
+    return FactoredOperator((geometry.m, geometry.m))
+
+
 def _build_scm(geometry: FrameGeometry, params: dict):
     eye = np.eye(geometry.m, dtype=complex)
     return eye, eye.copy()
@@ -188,51 +329,124 @@ def _inverse_pair(forward: np.ndarray):
     return forward.conj().T, forward
 
 
+def _chirped_fourier(pre: np.ndarray, post: np.ndarray) -> FactoredOperator:
+    """Modulator (diag(post) F diag(pre))^H = diag(pre)^* F^H diag(post)^*."""
+    m = pre.size
+    return FactoredOperator((m, m), (Diag(post.conj()), Dft(inverse=True), Diag(pre.conj())))
+
+
+def _factor_ofdm(geometry: FrameGeometry, params: dict):
+    return FactoredOperator((geometry.m, geometry.m), (Dft(inverse=True),))
+
+
+def _build_ofdm(geometry: FrameGeometry, params: dict):
+    return _inverse_pair(transforms.dft_matrix(geometry.m))
+
+
+def _frft_order(params: dict) -> float:
+    return float(params.get("p", 0.5))
+
+
+def _factor_frft_ofdm(geometry: FrameGeometry, params: dict):
+    # The kernel is scale * chirp E chirp with E = sqrt(m) F.
+    scale, chirp = transforms.dfrft_chirp(geometry.m, _frft_order(params))
+    return _chirped_fourier(chirp, scale * np.sqrt(geometry.m) * chirp)
+
+
+def _build_frft_ofdm(geometry: FrameGeometry, params: dict):
+    return _inverse_pair(transforms.dfrft_matrix(geometry.m, _frft_order(params)))
+
+
+def _factor_ocdm(geometry: FrameGeometry, params: dict):
+    return _chirped_fourier(*transforms.dfnt_diagonals(geometry.m))
+
+
 def _build_ocdm(geometry: FrameGeometry, params: dict):
     _, _, Phi = transforms.dfnt_matrix(geometry.m)
     return Phi.conj().T, Phi
 
 
-def _build_dft_s_ofdm(geometry: FrameGeometry, params: dict):
+def _dfts_rows(geometry: FrameGeometry, params: dict) -> np.ndarray:
+    """The subcarrier each spread output lands on (the columns of P)."""
     M = geometry.m
     width = int(params.get("width", M))
     mapping = params.get("mapping", "block-centered")
     if not 1 <= width <= M:
         raise ConfigurationError(f"width must be in 1..{M}, got {width}")
-    P = np.zeros((M, width), dtype=complex)
     if mapping == "block-centered":
         offset = int(params.get("offset", (M - width) // 2))
         if not 0 <= offset <= M - width:
             raise ConfigurationError(f"offset must be in 0..{M - width}")
-        P[offset + np.arange(width), np.arange(width)] = 1.0
-    elif mapping == "dc-centered":
+        return offset + np.arange(width)
+    if mapping == "dc-centered":
         if "offset" in params:
             raise ConfigurationError("offset applies to block-centered mapping only")
-        rows = (np.arange(width) - width // 2) % M
-        P[rows, np.arange(width)] = 1.0
-    else:
-        raise ConfigurationError(f"unknown mapping {mapping!r}")
+        return (np.arange(width) - width // 2) % M
+    raise ConfigurationError(f"unknown mapping {mapping!r}")
+
+
+def _factor_dft_s_ofdm(geometry: FrameGeometry, params: dict):
+    rows = _dfts_rows(geometry, params)
+    return FactoredOperator((geometry.m, rows.size),
+                            (Dft(), Embed(rows, geometry.m), Dft(inverse=True)))
+
+
+def _build_dft_s_ofdm(geometry: FrameGeometry, params: dict):
+    M = geometry.m
+    rows = _dfts_rows(geometry, params)
+    width = rows.size
+    P = np.zeros((M, width), dtype=complex)
+    P[rows, np.arange(width)] = 1.0
     Fm = transforms.dft_matrix(M)
     Fw = transforms.dft_matrix(width)
     a_tx = Fm.conj().T @ P @ Fw
     return a_tx, a_tx.conj().T
 
 
+def _ifdm_interleaver(geometry: FrameGeometry, params: dict) -> np.ndarray:
+    return transforms.random_interleaver(geometry.m, int(params.get("seed", 0)))
+
+
+def _factor_ifdm(geometry: FrameGeometry, params: dict):
+    # Pi x = x[perm]: symbol j lands on row argsort(perm)[j].
+    rows = np.argsort(_ifdm_interleaver(geometry, params))
+    return FactoredOperator((geometry.m, geometry.m),
+                            (Dft(inverse=True), Embed(rows, geometry.m)))
+
+
 def _build_ifdm(geometry: FrameGeometry, params: dict):
-    M = geometry.m
-    Pi = transforms.permutation_matrix(
-        transforms.random_interleaver(M, int(params.get("seed", 0))))
-    F = transforms.dft_matrix(M)
+    Pi = transforms.permutation_matrix(_ifdm_interleaver(geometry, params))
+    F = transforms.dft_matrix(geometry.m)
     return Pi @ F.conj().T, F @ Pi.T
 
 
-def _build_afdm(geometry: FrameGeometry, params: dict):
+def _afdm_chirp_rates(geometry: FrameGeometry, params: dict) -> tuple[float, float]:
     if "c1" in params:
         c1 = float(params["c1"])
     else:
         c1 = afdm_default_c1(geometry.m, int(params.get("alpha_max_int", 0)))
-    A = transforms.daft_matrix(geometry.m, c1, float(params.get("c2", 0.0)))
-    return A.conj().T, A, c1
+    return c1, float(params.get("c2", 0.0))
+
+
+def _factor_afdm(geometry: FrameGeometry, params: dict):
+    c1, c2 = _afdm_chirp_rates(geometry, params)
+    return _chirped_fourier(*transforms.daft_chirps(geometry.m, c1, c2))
+
+
+def _build_afdm(geometry: FrameGeometry, params: dict):
+    c1, c2 = _afdm_chirp_rates(geometry, params)
+    A = transforms.daft_matrix(geometry.m, c1, c2)
+    return A.conj().T, A
+
+
+def _delay_major(m: int, n: int) -> np.ndarray:
+    """Column of the delay-fastest layout (l + k*m) for each delay-major symbol l*n + k."""
+    return np.arange(m * n).reshape(n, m).T.ravel()
+
+
+def _factor_mc_otfs(geometry: FrameGeometry, params: dict):
+    L = geometry.m * geometry.n
+    return FactoredOperator((L, L), (Dft(inverse=True, stride=geometry.m),))
 
 
 def _build_mc_otfs(geometry: FrameGeometry, params: dict):
@@ -241,29 +455,60 @@ def _build_mc_otfs(geometry: FrameGeometry, params: dict):
     return np.kron(Fn.conj().T, np.eye(geometry.m)), np.kron(Fn, np.eye(geometry.m))
 
 
-def _build_oddm(geometry: FrameGeometry, params: dict):
-    # Delay-major symbols (delay blocks of Doppler symbols): symbol l*N + k
-    # is the mc-otfs column l + k*M.
+# Delay-major symbols (delay blocks of Doppler symbols): symbol l*N + k is
+# the mc-otfs column l + k*M.
+def _factor_oddm(geometry: FrameGeometry, params: dict):
     M, N = geometry.m, geometry.n
-    a_tx = _build_mc_otfs(geometry, params)[0][:, np.arange(M * N).reshape(N, M).T.ravel()]
+    return FactoredOperator((M * N, M * N),
+                            (Embed(_delay_major(M, N), M * N), Dft(inverse=True, stride=M)))
+
+
+def _build_oddm(geometry: FrameGeometry, params: dict):
+    a_tx = _build_mc_otfs(geometry, params)[0][:, _delay_major(geometry.m, geometry.n)]
     return a_tx, a_tx.conj().T
 
 
-def _build_otsm(geometry: FrameGeometry, params: dict):
-    M, N = geometry.m, geometry.n
+def _walsh(geometry: FrameGeometry, params: dict) -> np.ndarray:
+    N = geometry.n
     if N & (N - 1) != 0:
         raise ConfigurationError(f"otsm needs a power-of-two slot count, got {N}")
-    W = transforms.wht_matrix(N, ordering=params.get("ordering", "sequency"))
-    P = transforms.structured_permutation("shuffle", M, N)
-    # Delay-major input x (delay blocks of sequency symbols): P.T reorders
-    # to slot-fastest, then the Walsh transform acts along slots.
-    a_tx = np.kron(W, np.eye(M)) @ P.T
-    a_rx = np.kron(np.eye(M), W) @ P
+    return transforms.wht_matrix(N, ordering=params.get("ordering", "sequency"))
+
+
+# Delay-major input x (delay blocks of sequency symbols): the shuffle P.T
+# reorders it to slot-fastest, then the Walsh transform acts along slots, so
+# a_tx = kron(W, I_M) P^T, whose columns are those of kron(W, I_M) taken in
+# delay-major order.
+def _factor_otsm(geometry: FrameGeometry, params: dict):
+    M, N = geometry.m, geometry.n
+    return FactoredOperator((M * N, M * N),
+                            (Embed(_delay_major(M, N), M * N), Dense(_walsh(geometry, params), M)))
+
+
+def _build_otsm(geometry: FrameGeometry, params: dict):
+    # Column indexing instead of the product with the 0/1 shuffle P; adding
+    # 0.0 turns the -0.0 entries of the Kronecker factor into the +0.0 that
+    # product gives, so the bytes are those of kron(W, I) @ P.T and
+    # kron(I, W) @ P.
+    M, N = geometry.m, geometry.n
+    W = _walsh(geometry, params)
+    cols = _delay_major(M, N)
+    a_tx = np.kron(W, np.eye(M))[:, cols] + 0.0
+    a_rx = np.kron(np.eye(M), W)[:, np.argsort(cols)] + 0.0
     return a_tx.astype(complex), a_rx.astype(complex)
 
 
+def _fbmc_prototype(geometry: FrameGeometry, params: dict) -> np.ndarray:
+    return fbmc_synthesis(geometry, int(params.get("overlap", 6)))[0]
+
+
+def _factor_fbmc(geometry: FrameGeometry, params: dict):
+    G = _fbmc_prototype(geometry, params)
+    return FactoredOperator(G.shape, (Dense(G),))
+
+
 def _build_fbmc(geometry: FrameGeometry, params: dict):
-    G, _ = fbmc_synthesis(geometry, int(params.get("overlap", 6)))
+    G = _fbmc_prototype(geometry, params)
     return G, G.conj().T
 
 
@@ -272,10 +517,11 @@ class Scheme:
     """One row of the scheme table.
 
     ``label`` is the name configs and output files use; ``dim`` 1 schemes
-    take a one-slot geometry, ``dim`` 2 schemes an m x n grid.  ``build``
-    maps (geometry, params) to (a_tx, a_rx) or (a_tx, a_rx, cpp_c1), and
-    ``config_keys`` pairs each parameter the experiment runner fills from a
-    config with its key.
+    take a one-slot geometry, ``dim`` 2 schemes an m x n grid.  ``factor``
+    maps (geometry, params) to the :class:`FactoredOperator` of a_tx and
+    ``build`` maps them to the dense reference (a_tx, a_rx), with
+    a_rx = a_tx^H in every row.  ``config_keys`` pairs
+    each parameter the experiment runner fills from a config with its key.
     """
 
     name: str
@@ -283,6 +529,7 @@ class Scheme:
     dim: int
     domain: str
     prefix_rule: str  # "cp" | "cpp" | "none"
+    factor: Callable
     build: Callable
     params: frozenset = frozenset()
     config_keys: tuple = ()
@@ -294,26 +541,26 @@ class Scheme:
 # operator and oddm takes its symbols delay-major.  The truncated
 # root-Nyquist transmit pulse is available separately via ddop_pulse.
 _TABLE = (
-    Scheme("scm", "scm", 1, "time", "cp", _build_scm),
-    Scheme("ofdm", "ofdm", 1, "frequency", "cp",
-           lambda g, p: _inverse_pair(transforms.dft_matrix(g.m))),
-    Scheme("dft-s-ofdm", "dft-s-ofdm", 1, "frequency", "cp", _build_dft_s_ofdm,
+    Scheme("scm", "scm", 1, "time", "cp", _factor_scm, _build_scm),
+    Scheme("ofdm", "ofdm", 1, "frequency", "cp", _factor_ofdm, _build_ofdm),
+    Scheme("dft-s-ofdm", "dft-s-ofdm", 1, "frequency", "cp",
+           _factor_dft_s_ofdm, _build_dft_s_ofdm,
            frozenset({"width", "mapping", "offset"}),
            (("width", "dfts.width"), ("mapping", "dfts.mapping"))),
     Scheme("frft-ofdm", "frft-ofdm", 1, "fractional-frequency", "cp",
-           lambda g, p: _inverse_pair(transforms.dfrft_matrix(g.m, float(p.get("p", 0.5)))),
-           frozenset({"p"}), (("p", "frft.p"),)),
-    Scheme("ocdm", "ocdm", 1, "chirp", "cp", _build_ocdm),
-    Scheme("ifdm", "ifdm", 1, "interleave-frequency", "cp", _build_ifdm,
+           _factor_frft_ofdm, _build_frft_ofdm, frozenset({"p"}), (("p", "frft.p"),)),
+    Scheme("ocdm", "ocdm", 1, "chirp", "cp", _factor_ocdm, _build_ocdm),
+    Scheme("ifdm", "ifdm", 1, "interleave-frequency", "cp", _factor_ifdm, _build_ifdm,
            frozenset({"seed"}), (("seed", "ifdm.seed"),)),
-    Scheme("afdm", "afdm", 1, "daft", "cpp", _build_afdm,
+    Scheme("afdm", "afdm", 1, "daft", "cpp", _factor_afdm, _build_afdm,
            frozenset({"c1", "c2", "alpha_max_int"})),
-    Scheme("fbmc", "fbmc", 2, "time-frequency", "none", _build_fbmc,
+    Scheme("fbmc", "fbmc", 2, "time-frequency", "none", _factor_fbmc, _build_fbmc,
            frozenset({"overlap"}), real_field=True),
-    Scheme("mc-otfs", "otfs", 2, "delay-doppler", "cp", _build_mc_otfs),
-    Scheme("zak-otfs", "zak-otfs", 2, "delay-doppler", "cp", _build_mc_otfs),
-    Scheme("oddm", "oddm", 2, "delay-doppler", "cp", _build_oddm),
-    Scheme("otsm", "otsm", 2, "delay-sequency", "cp", _build_otsm, frozenset({"ordering"})),
+    Scheme("mc-otfs", "otfs", 2, "delay-doppler", "cp", _factor_mc_otfs, _build_mc_otfs),
+    Scheme("zak-otfs", "zak-otfs", 2, "delay-doppler", "cp", _factor_mc_otfs, _build_mc_otfs),
+    Scheme("oddm", "oddm", 2, "delay-doppler", "cp", _factor_oddm, _build_oddm),
+    Scheme("otsm", "otsm", 2, "delay-sequency", "cp", _factor_otsm, _build_otsm,
+           frozenset({"ordering"})),
 )
 SCHEMES = {s.name: s for s in _TABLE}
 SCHEMES_BY_LABEL = {s.label: s for s in _TABLE}
@@ -337,7 +584,8 @@ def build_waveform(scheme: str, geometry: FrameGeometry, params: dict | None = N
 
     Rectangular pulses are used throughout (identity pulse matrices); the
     filter-bank scheme's prototype is the one exception, and its bundle is
-    orthogonal in the real field only.
+    orthogonal in the real field only.  Only the factored operator is built
+    here; the dense matrices wait for their first reader.
     """
     params = dict(params or {})
     row = SCHEMES.get(scheme)
@@ -348,11 +596,12 @@ def build_waveform(scheme: str, geometry: FrameGeometry, params: dict | None = N
     unknown = set(params) - row.params
     if unknown:
         raise ConfigurationError(f"unknown {scheme} parameters: {sorted(unknown)}")
-    a_tx, a_rx, *cpp_c1 = row.build(geometry, params)
+    op = row.factor(geometry, params)
+    # the chirp-periodic prefix follows the affine scheme's first chirp rate
+    cpp_c1 = _afdm_chirp_rates(geometry, params)[0] if row.prefix_rule == "cpp" else 0.0
     return WaveformBundle(
-        scheme=scheme, geometry=geometry, a_tx=a_tx, a_rx=a_rx,
-        prefix_rule=row.prefix_rule, domain=row.domain, cpp_c1=cpp_c1[0] if cpp_c1 else 0.0,
-        real_field=row.real_field, params=params,
+        scheme=scheme, geometry=geometry, operator=op, prefix_rule=row.prefix_rule,
+        domain=row.domain, cpp_c1=cpp_c1, real_field=row.real_field, params=params,
     )
 
 

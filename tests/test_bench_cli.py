@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcwave import bench, cli
+from mcwave import bench, cli, kpi
 from mcwave import waveforms as wf
 from mcwave.config import (
     CONFIG_SCHEMA,
@@ -245,6 +245,57 @@ SMALL_PAPR = st.fixed_dictionaries({
 })
 
 
+# Small configs of the experiments whose frames cross the channel, plus the
+# ambiguity study.  Every draw runs at m = 16 (1D) and 4 x n (2D); the 1D
+# sample rate makes EVA and FIG16 one sample long, the 2D one four.
+SMALL_CHANNEL = st.fixed_dictionaries({
+    "experiment": st.sampled_from(["ber", "ber", "ber", "chanmat", "af", "afdm-sweep"]),
+    "waveforms": st.lists(st.sampled_from([w for w in WAVEFORM_LABELS if w != "ddam"]),
+                          min_size=1, max_size=3, unique=True),
+    "detector": st.sampled_from(["mmse", "single-tap"]),
+    "channel.preset": st.sampled_from(["AWGN", "EVA", "FIG16"]),
+    "channel.model": st.sampled_from(["narrowband", "wideband", "tdc", "fdc"]),
+    "channel.velocity_kmh": st.sampled_from([0.0, 540.0]),
+    "channel.jakes": st.booleans(),
+    "chanmat.models": st.lists(st.sampled_from(["tdc", "fdc", "narrowband", "wideband"]),
+                               min_size=1, max_size=3, unique=True),
+    "dfts.width": st.sampled_from([-1, 5]),
+    "frame.n_2d": st.sampled_from([2, 4]),
+})
+
+SMALL_FRAMES = {"frame.m_1d": 16, "frame.m_2d": 4, "trials": 2, "snr_db": [10.0],
+                "sweep.steps": 2, "af.doppler_points": 5}
+
+# Every label of the bit-error experiments, with the spread scheme narrower
+# than the frame so that it takes the non-square path.
+BER_LABELS = [w for w in WAVEFORM_LABELS if w not in ("fbmc", "ddam")]
+
+
+def run_cli(cfg: dict) -> tuple[bool, int, str]:
+    """(validates, exit code of ``mcwave run``, stderr) for one config."""
+    try:
+        validate_config(cfg)
+        valid = True
+    except ValidationError:
+        valid = False
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = dict(cfg, output_dir=str(Path(tmp) / "out"))
+        cfg_file = Path(tmp) / "run.cfg"
+        cfg_file.write_text(serialize_config(cfg))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = cli.main(["run", str(cfg_file)])
+    return valid, code, err.getvalue()
+
+
+def assert_validates_iff_runs(cfg: dict) -> None:
+    valid, code, err = run_cli(cfg)
+    if not valid:
+        assert code == 2, err
+    elif code != 0:
+        assert code == 3 and any(m in err for m in NUMERICAL_FAILURES), err
+
+
 class TestValidatedConfigsRun:
     """A config that passes validation runs; only a numerical failure exits 3."""
 
@@ -253,23 +304,43 @@ class TestValidatedConfigsRun:
     def test_small_papr_configs(self, overrides):
         cfg = default_config()
         cfg.update(overrides, experiment="papr", **{"frame.m_1d": 16, "frame.m_2d": 4})
-        try:
+        assert_validates_iff_runs(cfg)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(SMALL_CHANNEL)
+    def test_small_channel_configs(self, overrides):
+        cfg = default_config()
+        cfg.update(SMALL_FRAMES, **overrides)
+        assert_validates_iff_runs(cfg)
+
+    @pytest.mark.parametrize("detector,channel,runs", [
+        ("mmse", {"channel.preset": "EVA", "channel.velocity_kmh": 540.0}, True),
+        ("mmse", {"channel.preset": "FIG16", "channel.model": "wideband"}, True),
+        ("single-tap", {"channel.preset": "AWGN", "channel.velocity_kmh": 0.0}, True),
+        ("single-tap", {"channel.preset": "AWGN", "channel.velocity_kmh": 540.0}, False),
+        ("single-tap", {"channel.preset": "EVA", "channel.velocity_kmh": 0.0}, False),
+    ])
+    def test_every_ber_label(self, detector, channel, runs):
+        cfg = default_config()
+        cfg.update(SMALL_FRAMES, experiment="ber", waveforms=BER_LABELS, detector=detector,
+                   **{"dfts.width": 5, "frame.n_2d": 4}, **channel)
+        valid, code, err = run_cli(cfg)
+        assert (valid, code) == ((True, 0) if runs else (False, 2)), err
+        if not runs:
+            assert "detector" in err
+
+    @pytest.mark.parametrize("overrides", [
+        {"waveforms": ["ofdm"]},  # Doppler couples the subcarriers
+        {"waveforms": ["scm"], "channel.velocity_kmh": 0.0},  # a static delay spread
+        {"waveforms": ["otfs", "ocdm", "afdm"], "channel.preset": "AWGN"},  # one moving path
+    ])
+    def test_single_tap_over_a_coupling_channel_names_detector(self, overrides):
+        cfg = preset_config("tab5-ber-desk")
+        cfg.update(trials=1, detector="single-tap", **overrides)
+        with pytest.raises(ValidationError, match="detector"):
             validate_config(cfg)
-            valid = True
-        except ValidationError:
-            valid = False
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg["output_dir"] = str(Path(tmp) / "out")
-            cfg_file = Path(tmp) / "papr.cfg"
-            cfg_file.write_text(serialize_config(cfg))
-            err = io.StringIO()
-            with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                code = cli.main(["run", str(cfg_file)])
-        if not valid:
-            assert code == 2, err.getvalue()
-        elif code != 0:
-            assert code == 3 and any(m in err.getvalue() for m in NUMERICAL_FAILURES), \
-                err.getvalue()
+        cfg.update({"channel.model": "tdc"}, waveforms=["ofdm"])  # static: one gain per bin
+        validate_config(cfg)
 
 
 class TestBuildBundle:
@@ -467,13 +538,16 @@ class TestCli:
         assert cli.main(["run", "overhead"]) == 0
         assert (tmp_path / "envout" / "overhead.csv").exists()
 
-    def test_runtime_failure_exit_3(self, tmp_path, capsys):
-        # valid config, but the per-bin equalizer rejects the coupled
-        # effective channel at runtime
+    def test_runtime_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a valid config whose banded solve fails numerically at runtime
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(kpi, "solve_periodic_banded", singular)
         cfg_file = tmp_path / "rt.cfg"
         cfg_file.write_text(
             "experiment = ber\ntrials = 2\nsnr_db = 10\nwaveforms = ofdm\n"
-            "detector = single-tap\nframe.m_1d = 32\nframe.delta_f_1d_hz = 3000\n"
+            "frame.m_1d = 32\nframe.delta_f_1d_hz = 3000\n"
             "channel.preset = EVA\nchannel.velocity_kmh = 540\n"
             "output_dir = {}\n".format(tmp_path / "out")
         )
@@ -481,21 +555,28 @@ class TestCli:
         assert "runtime error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_failed_run_leaves_no_partial_outputs(self, tmp_path, capsys):
-        # over a static 8-sample channel ofdm's effective channel is diagonal
-        # and its CSV is written; ocdm's is coupled, so the run fails after it
+    def test_failed_run_leaves_no_partial_outputs(self, tmp_path, capsys, monkeypatch):
+        # ofdm's CSV is written; ocdm's banded solve then fails numerically
+        run_ber = kpi.run_ber
+
+        def failing_ocdm(bundle, *args, **kwargs):
+            if bundle.scheme == "ocdm":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return run_ber(bundle, *args, **kwargs)
+
+        monkeypatch.setattr(kpi, "run_ber", failing_ocdm)
         out = tmp_path / "out"
         out.mkdir()
         (out / "ber_ofdm.csv").write_text("earlier run\n")
         cfg_file = tmp_path / "rt.cfg"
         cfg_file.write_text(
             "experiment = ber\ntrials = 2\nsnr_db = 10\nwaveforms = ofdm,ocdm\n"
-            "detector = single-tap\nframe.m_1d = 32\nframe.delta_f_1d_hz = 96000\n"
+            "frame.m_1d = 32\nframe.delta_f_1d_hz = 96000\n"
             "channel.preset = EVA\nchannel.velocity_kmh = 0\n"
             "output_dir = {}\n".format(out)
         )
         assert cli.main(["run", str(cfg_file)]) == 3
-        assert "not diagonal" in capsys.readouterr().err
+        assert "Singular matrix" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["ber_ofdm.csv"]
         assert (out / "ber_ofdm.csv").read_text() == "earlier run\n"
         cfg_file.write_text(cfg_file.read_text().replace("ofdm,ocdm", "ofdm"))

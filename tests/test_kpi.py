@@ -143,6 +143,35 @@ class TestTimeDomainMmse:
         assert len(calls) == dense_calls
 
 
+# Every label of the bit-error experiments, the spread scheme narrower than
+# the frame (the non-square, effective-channel path).
+BER_BUNDLES = [
+    (row.label, GEO_1D if row.dim == 1 else GEO_2D,
+     {"width": 24} if row.name == "dft-s-ofdm" else {})
+    for row in wf.SCHEMES_BY_LABEL.values() if not row.real_field
+]
+
+
+class TestFactoredBerPath:
+    @pytest.mark.parametrize("label,geo,params", BER_BUNDLES)
+    def test_worker_count_invariance_every_label(self, label, geo, params):
+        c = det.qam_constellation(4)
+        b = wf.build_waveform(wf.SCHEMES_BY_LABEL[label].name, geo, params)
+        counts = [
+            [p.bit_errors for p in kpi.run_ber(b, EVA_DOPPLER, "mmse", [10.0, 20.0], trials=4,
+                                               seed=2, constellation=c, workers=workers)]
+            for workers in (1, 2)
+        ]
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("scheme,geo,params", SQUARE_SCHEMES)
+    def test_mmse_builds_no_dense_matrix(self, scheme, geo, params):
+        b = wf.build_waveform(scheme, geo, params)
+        kpi.run_ber(b, EVA_DOPPLER, "mmse", [10.0], trials=2, seed=1,
+                    constellation=det.qam_constellation(4))
+        assert not {"a_tx", "a_rx", "_dense"} & set(vars(b))
+
+
 class TestPapr:
     def test_constant_envelope_is_zero_db(self):
         assert kpi.papr(np.exp(1j * np.linspace(0, 6, 50))) == pytest.approx(0.0, abs=1e-12)

@@ -187,6 +187,75 @@ class TestBundles:
             wf.build_waveform("ofdm", geo_1d(), {"bogus": 1})
 
 
+def crit7_bundles():
+    """Every table row at the unitarity suite's sizes and parameters."""
+    for m, n in ((16, 1), (64, 1), (16, 8), (32, 32)):
+        for scheme, row in wf.SCHEMES.items():
+            if (row.dim == 1) != (n == 1):
+                continue
+            params = {"p": 0.8} if scheme == "frft-ofdm" else (
+                {"c1": 3 / (2 * m), "c2": 1e-4} if scheme == "afdm" else {})
+            prefix = 0 if row.prefix_rule == "none" else 4
+            yield wf.build_waveform(scheme, wf.FrameGeometry(m=m, n=n, prefix_len=prefix), params)
+
+
+def factor_error(b, rng):
+    """Largest deviation of the factored tx / rx from the dense matrices."""
+    x = rng.standard_normal((3, b.n_symbols)) + 1j * rng.standard_normal((3, b.n_symbols))
+    r = rng.standard_normal((3, b.core_len)) + 1j * rng.standard_normal((3, b.core_len))
+    return max(np.max(np.abs(b.operator.tx(x) - x @ b.a_tx.T)),
+               np.max(np.abs(b.operator.rx(r) - r @ b.a_rx.T)))
+
+
+class TestFactoredOperators:
+    """The factors are the working path; the dense matrices their reference."""
+
+    def test_every_row_builds_a_rx_as_a_tx_adjoint(self):
+        # adjoint_pair reads this from the table instead of comparing matrices
+        for b in crit7_bundles():
+            assert np.array_equal(b.a_rx, b.a_tx.conj().T), (b.scheme, b.geometry)
+            assert b.operator.shape == b.a_tx.shape
+
+    def test_factors_match_dense_at_unitarity_sizes(self):
+        rng = np.random.default_rng(7)
+        for b in crit7_bundles():
+            assert factor_error(b, rng) <= 1e-12, (b.scheme, b.geometry)
+
+    @pytest.mark.parametrize("m", [256, 1024])
+    def test_factors_match_dense_at_full_1d_sizes(self, m):
+        rng = np.random.default_rng(m)
+        geo = geo_1d(m=m)
+        for scheme, params in [("scm", {}), ("ofdm", {}), ("dft-s-ofdm", {"width": m // 2}),
+                               ("frft-ofdm", {"p": 0.7}), ("ocdm", {}), ("ifdm", {"seed": 3}),
+                               ("afdm", {"c1": 5 / (2 * m), "c2": 1e-4})]:
+            b = wf.build_waveform(scheme, geo, params)
+            assert factor_error(b, rng) <= 1e-11, scheme
+
+    def test_single_vector_modulation_matches_batch(self):
+        rng = np.random.default_rng(3)
+        for b in crit7_bundles():
+            x = rand_syms(b.n_symbols, rng)
+            assert np.array_equal(b.modulate(x), b.operator.tx(x[None])[0])
+            r = rand_syms(b.core_len, rng)
+            assert np.array_equal(b.demodulate(r), b.operator.rx(r[None])[0])
+
+    def test_dense_matrices_are_built_on_first_read(self):
+        b = wf.build_waveform("ocdm", geo_1d())
+        b.receive(b.transmit(rand_syms(16)))
+        assert not {"a_tx", "a_rx", "_dense"} & set(vars(b))
+        a_tx = b.a_tx
+        assert b.a_rx is b._dense[1] and b.a_tx is a_tx  # one build, kept
+
+    @pytest.mark.parametrize("M,N", [(16, 16), (32, 32), (32, 16), (8, 4), (4, 8), (64, 8)])
+    @pytest.mark.parametrize("ordering", ["sequency", "natural"])
+    def test_otsm_dense_reference_keeps_the_shuffle_product_bytes(self, M, N, ordering):
+        W = tr.wht_matrix(N, ordering=ordering)
+        P = tr.structured_permutation("shuffle", M, N)
+        b = wf.build_waveform("otsm", wf.FrameGeometry(m=M, n=N), {"ordering": ordering})
+        assert b.a_tx.tobytes() == (np.kron(W, np.eye(M)) @ P.T).astype(complex).tobytes()
+        assert b.a_rx.tobytes() == (np.kron(np.eye(M), W) @ P).astype(complex).tobytes()
+
+
 class TestPrefix:
     def test_cp_example(self):
         out = wf.add_prefix(np.array([1.0, 2.0, 3.0, 4.0]), "cp", 2)
