@@ -25,6 +25,8 @@ CSV_SCHEMAS = {
     "ber": ("scheme", "snr_db", "bits", "bit_errors", "ber"),
     "papr": ("scheme", "papr_db", "ccdf"),
     "af": ("scheme", "axis", "metric", "value"),
+    "af_metrics": ("scheme", "delay_width_3db", "doppler_width_3db",
+                   "pslr_delay_db", "islr_delay_db", "pslr_doppler_db", "islr_doppler_db"),
     "chanmat": ("row", "col", "magnitude"),
     "overhead": ("scheme", "metric", "value"),
 }
@@ -271,12 +273,7 @@ def _run_af_experiment(cfg: dict, out: Path) -> dict:
                 (label, axis, "islr_db", cut.islr_db),
                 (label, axis, "no_null", float(cut.no_null)),
             ]
-    header = ("scheme", "delay_width_3db", "doppler_width_3db",
-              "pslr_delay_db", "islr_delay_db", "pslr_doppler_db", "islr_doppler_db")
-    lines = [",".join(header)]
-    for row in wide_rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    (out / "af_metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    emit_results(wide_rows, "af_metrics", out / "af_metrics.csv")
     emit_results(long_records, "af", out / "af_points.csv")
     return {"af_metrics.csv": None, "af_points.csv": None}
 

@@ -325,6 +325,18 @@ def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
+def tap_columns(real: ChannelRealization, tap: Tap, n: np.ndarray) -> np.ndarray:
+    """Input sample index that output sample ``n`` reads through ``tap``.
+
+    n - l for a delay tap; the wideband kind indexes the warped time axis at
+    the nearest sample, round(n*(1+a)) - l.  Indices may fall outside the
+    frame; callers drop them.
+    """
+    if real.kind == WIDEBAND_DDC:
+        return np.round(n * (1.0 + tap.scale)).astype(int) - tap.delay_samples
+    return n - tap.delay_samples
+
+
 def apply_channel(
     s: np.ndarray, real: ChannelRealization, rng_seed: int | np.random.Generator = 0
 ) -> np.ndarray:
@@ -332,8 +344,8 @@ def apply_channel(
 
     output[n] = sum_i h_i * s[n - l_i] * exp(2j*pi*nu_i*n/f_s) + w[n]
 
-    with s[.] = 0 outside its support.  The wideband kind instead indexes the
-    warped time axis at the nearest sample, n' = round(n*(1+a_i)) - l_i.
+    with s[.] = 0 outside its support; the wideband kind reads the warped
+    index of :func:`tap_columns` instead of n - l_i.
     Noise w is circular complex Gaussian with variance ``real.sigma2``
     (zero allowed, in which case no random draw happens).
     """
@@ -345,10 +357,7 @@ def apply_channel(
     out = np.zeros(L, dtype=complex)
     for t in real.taps:
         phase = np.exp(2j * np.pi * t.doppler_hz * n / real.sample_rate_hz)
-        if real.kind == WIDEBAND_DDC:
-            idx = np.round(n * (1.0 + t.scale)).astype(int) - t.delay_samples
-        else:
-            idx = n - t.delay_samples
+        idx = tap_columns(real, t, n)
         valid = (idx >= 0) & (idx < L)
         shifted = np.zeros(L, dtype=complex)
         shifted[valid] = s[idx[valid]]
@@ -384,10 +393,7 @@ def channel_matrix_full(real: ChannelRealization, length: int) -> np.ndarray:
     n = np.arange(length)
     for t in real.taps:
         phase = t.gain * np.exp(2j * np.pi * t.doppler_hz * n / real.sample_rate_hz)
-        if real.kind == WIDEBAND_DDC:
-            cols = np.round(n * (1.0 + t.scale)).astype(int) - t.delay_samples
-        else:
-            cols = n - t.delay_samples
+        cols = tap_columns(real, t, n)
         valid = (cols >= 0) & (cols < length)
         H[n[valid], cols[valid]] += phase[valid]
     return H

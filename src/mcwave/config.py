@@ -182,6 +182,13 @@ def validate_config(cfg: dict) -> None:
         raise ValidationError("detector must be 'mmse' or 'single-tap'")
     if not cfg["snr_db"]:
         raise ValidationError("snr_db must be nonempty")
+    for snr in cfg["snr_db"]:
+        try:  # the noise variance the bit-error trials use
+            10.0 ** (-snr / 10.0)
+        except OverflowError:
+            raise ValidationError(
+                f"snr_db: {snr} dB gives a noise variance beyond the float range"
+            ) from None
     for w in cfg["waveforms"]:
         if w not in WAVEFORM_LABELS:
             raise ValidationError(f"waveforms: unknown label {w!r}")
@@ -295,11 +302,13 @@ def _check_prefixes(cfg: dict) -> None:
         key = f"frame.prefix_{d}d"
         core = cfg["frame.m_1d"] if d == 1 else cfg["frame.m_2d"] * cfg["frame.n_2d"]
         fs = cfg[f"frame.m_{d}d"] * cfg[f"frame.delta_f_{d}d_hz"]
+        # the automatic prefix is the preset's memory whatever the model, but
         # a Doppler-only channel has no delay spread to cover
-        memory = 0 if set(kinds) == {"fdc"} else _channel_memory(cfg, fs)
+        memory = _channel_memory(cfg, fs)
         prefix = cfg[key] if cfg[key] >= 0 else memory
-        if prefix < memory:
-            raise ValidationError(f"{key}: prefix {prefix} shorter than channel memory {memory}")
+        cover = 0 if set(kinds) == {"fdc"} else memory
+        if prefix < cover:
+            raise ValidationError(f"{key}: prefix {prefix} shorter than channel memory {cover}")
         if prefix > core:
             raise ValidationError(f"{key}: prefix {prefix} longer than the core frame {core}")
 

@@ -120,11 +120,7 @@ def hard_decide(symbols: np.ndarray, constellation: Constellation) -> np.ndarray
 
 def demap_hard(symbols: np.ndarray, constellation: Constellation) -> np.ndarray:
     """Hard-decision bits (MSB first) for a symbol vector."""
-    idx = hard_decide(symbols, constellation)
-    labels = constellation.labels[idx]
-    k = constellation.bits_per_symbol
-    shifts = np.arange(k - 1, -1, -1)
-    return ((labels[:, None] >> shifts[None, :]) & 1).reshape(-1)
+    return bits_for_indices(hard_decide(symbols, constellation), constellation)
 
 
 def bits_for_indices(indices: np.ndarray, constellation: Constellation) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 
 from . import transforms
-from .channel import WIDEBAND_DDC, ChannelRealization, channel_matrix_full, noise_shape
+from .channel import ChannelRealization, noise_shape, tap_columns
 
 
 class ConfigurationError(ValueError):
@@ -265,10 +265,14 @@ def add_prefix(core: np.ndarray, rule: str, prefix_len: int, c1: float = 0.0) ->
     if rule == "cp":
         return np.concatenate([core[-prefix_len:], core])
     if rule == "cpp":
-        l = np.arange(-prefix_len, 0)
-        phase = np.exp(-2j * np.pi * c1 * (L**2 + 2.0 * L * l))
-        return np.concatenate([core[L + l] * phase, core])
+        return np.concatenate([core[L - prefix_len:] * _cpp_phase(L, prefix_len, c1), core])
     raise ConfigurationError(f"unknown prefix rule {rule!r}")
+
+
+def _cpp_phase(L: int, prefix_len: int, c1: float) -> np.ndarray:
+    """Chirp-periodic prefix phase exp(-2j*pi*c1*(L^2 + 2*L*l)), l = -prefix_len..-1."""
+    l = np.arange(-prefix_len, 0)
+    return np.exp(-2j * np.pi * c1 * (L**2 + 2.0 * L * l))
 
 
 def remove_prefix(frame: np.ndarray, prefix_len: int) -> np.ndarray:
@@ -277,25 +281,6 @@ def remove_prefix(frame: np.ndarray, prefix_len: int) -> np.ndarray:
     if prefix_len >= frame.shape[0]:
         raise ConfigurationError("prefix removal would consume the whole frame")
     return frame[prefix_len:]
-
-
-def prefix_operator(rule: str, core_len: int, prefix_len: int, c1: float = 0.0) -> np.ndarray:
-    """Matrix form of :func:`add_prefix`: (core_len + prefix_len) x core_len."""
-    R = np.zeros((core_len + prefix_len, core_len), dtype=complex)
-    R[prefix_len:, :] = np.eye(core_len)
-    if prefix_len:
-        if rule == "cp":
-            phase = np.ones(prefix_len)
-        elif rule == "cpp":
-            l = np.arange(-prefix_len, 0)
-            phase = np.exp(-2j * np.pi * c1 * (core_len**2 + 2.0 * core_len * l))
-        elif rule == "none":
-            raise ConfigurationError("prefix_len must be 0 for rule 'none'")
-        else:
-            raise ConfigurationError(f"unknown prefix rule {rule!r}")
-        for j in range(prefix_len):
-            R[j, core_len - prefix_len + j] = phase[j]
-    return R
 
 
 def afdm_default_c1(m: int, alpha_max_int: int) -> float:
@@ -415,9 +400,12 @@ def _factor_ifdm(geometry: FrameGeometry, params: dict):
 
 
 def _build_ifdm(geometry: FrameGeometry, params: dict):
-    Pi = transforms.permutation_matrix(_ifdm_interleaver(geometry, params))
+    # Row and column indexing instead of the products Pi @ F^H and F @ Pi.T
+    # with the 0/1 interleaver Pi; adding 0.0 gives the +0.0 those products
+    # give, as in the otsm builder.
+    perm = _ifdm_interleaver(geometry, params)
     F = transforms.dft_matrix(geometry.m)
-    return Pi @ F.conj().T, F @ Pi.T
+    return F.conj().T[perm] + 0.0, F[:, perm] + 0.0
 
 
 def _afdm_chirp_rates(geometry: FrameGeometry, params: dict) -> tuple[float, float]:
@@ -706,39 +694,17 @@ def _rrc(x: np.ndarray, beta: float) -> np.ndarray:
 
 
 def effective_channel(bundle: WaveformBundle, real: ChannelRealization) -> np.ndarray:
-    """Modulation-domain channel matrix: demod . deprefix . H . prefix . mod.
+    """Modulation-domain channel matrix a_rx C a_tx, C the bundle's core channel.
 
     The result is (n_symbols x n_symbols) and satisfies y = H_eff x + noise
-    for the bundle's end-to-end chain.  Raises if the prefix is shorter than
-    the channel memory (the circular structure would be broken) or if the
-    bundle and realization disagree on the sample rate.
+    for the bundle's end-to-end chain.  Raises for a real-field bundle and
+    on the checks of :func:`core_channel`.
     """
     if bundle.real_field:
         raise ConfigurationError(
             "real-field bundles have no complex modulation-domain channel matrix"
         )
-    _check_realization(bundle, real)
-    L_core = bundle.core_len
-    L_p = bundle.geometry.prefix_len
-    R_add = prefix_operator(bundle.prefix_rule, L_core, L_p, bundle.cpp_c1)
-    H_full = channel_matrix_full(real, L_core + L_p)
-    core_rx = (H_full @ R_add)[L_p:, :]
-    return bundle.a_rx @ core_rx @ bundle.a_tx
-
-
-def _check_realization(bundle: WaveformBundle, real: ChannelRealization) -> None:
-    """The realization must share the bundle's sample rate, and the prefix
-    must cover its memory (else the circular structure is broken)."""
-    fs = bundle.geometry.sample_rate_hz
-    if abs(fs - real.sample_rate_hz) > 1e-6 * fs:
-        raise ConfigurationError(
-            f"sample rate mismatch: bundle {fs} Hz vs realization {real.sample_rate_hz} Hz"
-        )
-    if bundle.geometry.prefix_len < real.max_delay_samples:
-        raise ConfigurationError(
-            f"prefix {bundle.geometry.prefix_len} shorter than channel memory "
-            f"{real.max_delay_samples}"
-        )
+    return bundle.a_rx @ core_channel(bundle, real).matrix() @ bundle.a_tx
 
 
 @dataclass(frozen=True)
@@ -775,31 +741,45 @@ class CoreChannel:
             band[:, w + self.offsets - e] += np.roll(diag.conj()[:, None] * self.diags, e, axis=0)
         return band
 
+    def matrix(self) -> np.ndarray:
+        """Dense L x L core channel: C[n, (n + offsets) % L] = diags."""
+        L = self.diags.shape[0]
+        n = np.arange(L)[:, None]
+        C = np.zeros((L, L), dtype=complex)
+        C[n, (n + self.offsets) % L] = self.diags
+        return C
+
 
 def core_channel(bundle: WaveformBundle, real: ChannelRealization) -> CoreChannel:
     """The bundle's core channel built from the realization's taps in O(L P).
 
-    Equals ``(channel_matrix_full(real, L + Lp) @ prefix_operator(...))[Lp:]``
-    for the bundle's prefix rule, with the same checks as
-    :func:`effective_channel` on sample rate and prefix length.
+    Row n is row n + Lp of the frame's linear time-varying channel, with the
+    columns that land in the prefix folded onto the core's tail (times the
+    chirp phase of a "cpp" prefix).  Raises if the realization's sample rate
+    is not the bundle's, or if the prefix is shorter than the channel memory
+    (the circular structure would be broken) or longer than the core.
     """
-    _check_realization(bundle, real)
+    fs = bundle.geometry.sample_rate_hz
+    if abs(fs - real.sample_rate_hz) > 1e-6 * fs:
+        raise ConfigurationError(
+            f"sample rate mismatch: bundle {fs} Hz vs realization {real.sample_rate_hz} Hz"
+        )
     L, L_p = bundle.core_len, bundle.geometry.prefix_len
+    if L_p < real.max_delay_samples:
+        raise ConfigurationError(
+            f"prefix {L_p} shorter than channel memory {real.max_delay_samples}"
+        )
     if L_p > L:
         raise ConfigurationError(f"prefix {L_p} longer than core {L}")
     prefix_phase = np.ones(L_p, dtype=complex)
     if bundle.prefix_rule == "cpp":
-        l = np.arange(-L_p, 0)
-        prefix_phase = np.exp(-2j * np.pi * bundle.cpp_c1 * (L**2 + 2.0 * L * l))
+        prefix_phase = _cpp_phase(L, L_p, bundle.cpp_c1)
     n = np.arange(L)
     m = n + L_p  # row of the full frame
     rows, offsets, values = [], [], []
     for t in real.taps:
         phase = t.gain * np.exp(2j * np.pi * t.doppler_hz * m / real.sample_rate_hz)
-        if real.kind == WIDEBAND_DDC:
-            cols = np.round(m * (1.0 + t.scale)).astype(int) - t.delay_samples
-        else:
-            cols = m - t.delay_samples
+        cols = tap_columns(real, t, m)
         valid = (cols >= 0) & (cols < L + L_p)
         cols, phase = cols[valid], phase[valid]
         wrapped = cols < L_p  # lands in the prefix: a copy of the core's tail

@@ -143,6 +143,43 @@ class TestValidationGaps:
         validate_config(self._cfg(experiment="chanmat", **self._EVA_1D,
                                   **{"frame.prefix_1d": 1, "chanmat.models": ["fdc"]}))
 
+    def test_automatic_prefix_of_a_doppler_only_channel_fits_the_core(self, tmp_path, capsys):
+        # ETU at 16 x 384 kHz = 6.144 MHz: the automatic prefix is the preset's
+        # 31-sample memory, though a Doppler-only channel needs none
+        frame = {"frame.m_1d": 16, "frame.delta_f_1d_hz": 384e3, "channel.preset": "ETU"}
+        for cfg in (self._cfg(waveforms=["ofdm"], **frame, **{"channel.model": "fdc"}),
+                    self._cfg(experiment="chanmat", waveforms=["ofdm"], **frame,
+                              **{"chanmat.models": ["fdc"]})):
+            with pytest.raises(ValidationError,
+                               match="frame.prefix_1d: prefix 31 longer than the core frame 16"):
+                validate_config(cfg)
+            cfg["frame.prefix_1d"] = 0
+            validate_config(cfg)
+        cfg_file = tmp_path / "fdc.cfg"
+        cfg_file.write_text(
+            "experiment = ber\ntrials = 2\nwaveforms = ofdm\nchannel.model = fdc\n"
+            "channel.preset = ETU\nframe.m_1d = 16\nframe.delta_f_1d_hz = 384000\n"
+            "output_dir = {}\n".format(tmp_path / "out"))
+        assert cli.main(["validate", str(cfg_file)]) == 2
+        assert "frame.prefix_1d" in capsys.readouterr().err
+        assert cli.main(["run", str(cfg_file)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_snr_whose_noise_variance_overflows_names_snr_db(self, tmp_path, capsys):
+        # sigma2 = 10^(-snr_db / 10) passes the float range below about -3083 dB
+        with pytest.raises(ValidationError, match="snr_db: -4000.0 dB"):
+            validate_config(self._cfg(snr_db=[10.0, -4000.0]))
+        validate_config(self._cfg(snr_db=[-3080.0, 4000.0]))
+        cfg_file = tmp_path / "snr.cfg"
+        cfg_file.write_text(
+            "experiment = ber\ntrials = 1\nwaveforms = ofdm\nframe.m_1d = 16\n"
+            "snr_db = -4000\noutput_dir = {}\n".format(tmp_path / "out"))
+        assert cli.main(["validate", str(cfg_file)]) == 2
+        assert "snr_db" in capsys.readouterr().err
+        assert cli.main(["run", str(cfg_file)]) == 2
+        assert "snr_db" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_short_prefix_run_exit_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "prefix.cfg"
         cfg_file.write_text(
@@ -246,8 +283,10 @@ SMALL_PAPR = st.fixed_dictionaries({
 
 
 # Small configs of the experiments whose frames cross the channel, plus the
-# ambiguity study.  Every draw runs at m = 16 (1D) and 4 x n (2D); the 1D
-# sample rate makes EVA and FIG16 one sample long, the 2D one four.
+# ambiguity study.  Every draw runs at m = 16 (1D) and 4 x n (2D); the
+# default 1D sample rate makes EVA and FIG16 one sample long, the 2D one
+# four.  The wide 1D spacing makes their memory (39 and 36 samples) longer
+# than the 16-sample core, which a Doppler-only model cannot run either.
 SMALL_CHANNEL = st.fixed_dictionaries({
     "experiment": st.sampled_from(["ber", "ber", "ber", "chanmat", "af", "afdm-sweep"]),
     "waveforms": st.lists(st.sampled_from([w for w in WAVEFORM_LABELS if w != "ddam"]),
@@ -261,6 +300,7 @@ SMALL_CHANNEL = st.fixed_dictionaries({
                                min_size=1, max_size=3, unique=True),
     "dfts.width": st.sampled_from([-1, 5]),
     "frame.n_2d": st.sampled_from([2, 4]),
+    "frame.delta_f_1d_hz": st.sampled_from([24e3, 960e3]),
 })
 
 SMALL_FRAMES = {"frame.m_1d": 16, "frame.m_2d": 4, "trials": 2, "snr_db": [10.0],

@@ -62,6 +62,14 @@ CASES = {
         "papr.symbols": 24,
     }),
     "af-fbmc": ("tab8-unit", {"waveforms": ["fbmc"], "frame.m_2d": 16, "frame.n_2d": 8}),
+    # An explicit first chirp rate over a channel longer than one sample:
+    # the delays wrap through the chirp-periodic prefix.
+    "chanmat-afdm-c1": ("fig16-chanmat", {
+        "waveforms": ["afdm"],
+        "afdm.c1": 0.05,
+        "channel.preset": "EVA",
+        "chanmat.models": ["tdc", "fdc", "narrowband", "wideband"],
+    }),
 }
 
 

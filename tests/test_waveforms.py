@@ -23,6 +23,27 @@ def geo_2d(m=16, n=8, prefix=4):
     return wf.FrameGeometry(m=m, n=n, delta_f_hz=60e3, prefix_len=prefix)
 
 
+def prefix_operator(rule, core_len, prefix_len, c1=0.0):
+    """Matrix form of ``add_prefix``: (core_len + prefix_len) x core_len."""
+    R = np.zeros((core_len + prefix_len, core_len), dtype=complex)
+    R[prefix_len:, :] = np.eye(core_len)
+    if rule == "cpp":
+        l = np.arange(-prefix_len, 0)
+        phase = np.exp(-2j * np.pi * c1 * (core_len**2 + 2.0 * core_len * l))
+    else:
+        phase = np.ones(prefix_len)
+    for j in range(prefix_len):
+        R[j, core_len - prefix_len + j] = phase[j]
+    return R
+
+
+def dense_fold(b, real):
+    """Core channel as the dense fold (H @ R)[Lp:] of the frame channel and prefix."""
+    L, Lp = b.core_len, b.geometry.prefix_len
+    R_add = prefix_operator(b.prefix_rule, L, Lp, b.cpp_c1)
+    return (ch.channel_matrix_full(real, L + Lp) @ R_add)[Lp:]
+
+
 UNITARY_CASES = [
     ("scm", geo_1d(), {}),
     ("ofdm", geo_1d(), {}),
@@ -255,6 +276,15 @@ class TestFactoredOperators:
         assert b.a_tx.tobytes() == (np.kron(W, np.eye(M)) @ P.T).astype(complex).tobytes()
         assert b.a_rx.tobytes() == (np.kron(np.eye(M), W) @ P).astype(complex).tobytes()
 
+    @pytest.mark.parametrize("M", [4, 8, 16, 17, 32, 64, 100, 256])
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_ifdm_dense_reference_keeps_the_interleaver_product_bytes(self, M, seed):
+        Pi = tr.permutation_matrix(tr.random_interleaver(M, seed))
+        F = tr.dft_matrix(M)
+        b = wf.build_waveform("ifdm", geo_1d(m=M), {"seed": seed})
+        assert b.a_tx.tobytes() == (Pi @ F.conj().T).tobytes()
+        assert b.a_rx.tobytes() == (F @ Pi.T).tobytes()
+
 
 class TestPrefix:
     def test_cp_example(self):
@@ -283,7 +313,7 @@ class TestPrefix:
     def test_operator_matches_function(self):
         core = rand_syms(10)
         for rule, c1 in (("cp", 0.0), ("cpp", 0.11)):
-            R = wf.prefix_operator(rule, 10, 4, c1)
+            R = prefix_operator(rule, 10, 4, c1)
             assert_allclose(R @ core, wf.add_prefix(core, rule, 4, c1), atol=1e-14)
 
     def test_prefix_longer_than_core_rejected(self):
@@ -427,21 +457,6 @@ class TestCoreChannel:
         ch.Path(0.3, 0.0, doppler_hz=-1e4),
     ))
 
-    @staticmethod
-    def dense(core):
-        L = core.diags.shape[0]
-        n = np.arange(L)
-        C = np.zeros((L, L), dtype=complex)
-        for e, diag in zip(core.offsets, core.diags.T):
-            C[n, (n + e) % L] = diag
-        return C
-
-    @staticmethod
-    def dense_fold(b, real):
-        L, Lp = b.core_len, b.geometry.prefix_len
-        R_add = wf.prefix_operator(b.prefix_rule, L, Lp, b.cpp_c1)
-        return (ch.channel_matrix_full(real, L + Lp) @ R_add)[Lp:]
-
     @pytest.mark.parametrize("kind", ch.CHANNEL_MODEL_KINDS)
     @pytest.mark.parametrize("scheme,params", [("ofdm", {}), ("afdm", {"c1": 5 / 64, "c2": 0.01})])
     def test_matches_dense_fold(self, kind, scheme, params):
@@ -449,8 +464,8 @@ class TestCoreChannel:
         b = wf.build_waveform(scheme, geo, params)
         real = ch.discretize(self.PATHS, geo.sample_rate_hz, kind=kind)
         core = wf.core_channel(b, real)
-        C = self.dense_fold(b, real)
-        assert np.max(np.abs(self.dense(core) - C)) <= 1e-14
+        C = dense_fold(b, real)
+        assert np.max(np.abs(core.matrix() - C)) <= 1e-14
         if kind == ch.WIDEBAND_DDC:  # warping moves entries off the delay diagonals
             assert set(core.offsets) > {-t.delay_samples for t in real.taps}
         gram = core.gram_band()
@@ -462,6 +477,26 @@ class TestCoreChannel:
         assert np.max(np.abs(A - C.conj().T @ C)) <= 1e-14
         r = rand_syms(32)
         assert np.max(np.abs(core.adjoint(r) - C.conj().T @ r)) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ch.CHANNEL_MODEL_KINDS)
+    @pytest.mark.parametrize("scheme,geo,params", [
+        c for c in UNITARY_CASES if c[0] != "dft-s-ofdm" or "width" not in c[2]])
+    def test_effective_channel_matches_dense_fold(self, kind, scheme, geo, params):
+        # taps at the bundle's rate, the longest one as long as the prefix
+        b = wf.build_waveform(scheme, geo, params)
+        fs, Lp = b.geometry.sample_rate_hz, b.geometry.prefix_len
+        ps = ch.PathSet(paths=(
+            ch.Path(0.6 + 0.1j, 0.0, doppler_hz=0.01 * fs, scale=0.05),
+            ch.Path(0.5j, 2 / fs, doppler_hz=-0.02 * fs, scale=-0.04),
+            ch.Path(-0.4, Lp / fs, doppler_hz=0.003 * fs),
+            ch.Path(0.3, 0.0, doppler_hz=-0.01 * fs),
+        ))
+        real = ch.discretize(ps, fs, kind=kind)
+        He = wf.effective_channel(b, real)
+        fold = b.a_rx @ dense_fold(b, real) @ b.a_tx
+        assert np.max(np.abs(He - fold)) <= 1e-13
+        if b.prefix_rule == "cp":
+            assert He.tobytes() == fold.tobytes()
 
     def test_checks_match_effective_channel(self):
         b = wf.build_waveform("ofdm", wf.FrameGeometry(m=16, n=1, delta_f_hz=15e3, prefix_len=1))
