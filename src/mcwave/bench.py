@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import shutil
 import tempfile
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, channel, detection, kpi, waveforms
-from .config import ValidationError, validate_config
+from .config import ValidationError, afdm_c1, channel_config, scheme_geometry, validate_config
 
 CSV_SCHEMAS = {
     "ber": ("scheme", "snr_db", "bits", "bit_errors", "ber"),
@@ -74,39 +73,8 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _nu_max_hz(cfg: dict) -> float:
-    return channel.doppler_from_velocity(cfg["channel.velocity_kmh"], cfg["channel.carrier_hz"])
-
-
-def _channel_config(cfg: dict, kind: str | None = None) -> channel.ChannelConfig:
-    preset = cfg["channel.preset"].upper()
-    return channel.ChannelConfig(
-        preset=preset if preset != "FILE" else "AWGN",
-        kind=kind or cfg["channel.model"],
-        carrier_hz=cfg["channel.carrier_hz"],
-        nu_max_hz=_nu_max_hz(cfg),
-        random_gains=cfg["channel.random_gains"],
-        jakes=cfg["channel.jakes"],
-        profile_path=cfg["channel.profile_file"] if preset == "FILE" else "",
-        doppler_norm_hz=cfg["frame.delta_f_1d_hz"],
-    )
-
-
-def _alpha_ceil(cfg: dict) -> int:
-    """Fractional-Doppler guard: integer chirp span covering nu_max."""
-    if cfg["channel.preset"].upper() == "FIG16" and not cfg["channel.jakes"]:
-        ps = channel.channel_preset("FIG16")
-        nu = float(np.max(np.abs(ps.dopplers())))
-    else:
-        nu = _nu_max_hz(cfg)
-    return int(math.ceil(nu / cfg["frame.delta_f_1d_hz"] - 1e-12))
-
-
-def _afdm_c1(cfg: dict) -> float:
-    """The configured first chirp rate, or the automatic one from the Doppler span."""
-    if cfg["afdm.c1"] >= 0:
-        return cfg["afdm.c1"]
-    return waveforms.afdm_default_c1(cfg["frame.m_1d"], _alpha_ceil(cfg))
+# The benchmark harness times set-up through this name.
+_channel_config = channel_config
 
 
 def build_bundle(label: str, cfg: dict, chan: channel.ChannelConfig) -> waveforms.WaveformBundle:
@@ -114,26 +82,17 @@ def build_bundle(label: str, cfg: dict, chan: channel.ChannelConfig) -> waveform
     row = waveforms.SCHEMES_BY_LABEL.get(label)
     if row is None:
         raise ValidationError(f"waveforms: no bundle for label {label!r}")
-    d = f"{row.dim}d"
-    m, delta_f = cfg[f"frame.m_{d}"], cfg[f"frame.delta_f_{d}_hz"]
-    prefix = cfg[f"frame.prefix_{d}"]
-    if row.prefix_rule == "none":
-        prefix = 0
-    elif prefix < 0:  # automatic: the channel memory
-        prefix = chan.max_delay_samples(m * delta_f)
-    n = 1 if row.dim == 1 else cfg["frame.n_2d"]
-    geo = waveforms.FrameGeometry(m=m, n=n, delta_f_hz=delta_f, prefix_len=prefix)
     # -1 (dfts.width's full allocation) leaves the builder's default in place
     params = {p: cfg[k] for p, k in row.config_keys if cfg[k] != -1}
     if label == "afdm":  # the automatic chirp rate depends on the channel
-        params.update(c1=_afdm_c1(cfg), c2=cfg["afdm.c2"])
-    return waveforms.build_waveform(row.name, geo, params)
+        params.update(c1=afdm_c1(cfg, chan), c2=cfg["afdm.c2"])
+    return waveforms.build_waveform(row.name, scheme_geometry(cfg, row, chan), params)
 
 
 def _derived_info(cfg: dict, chan: channel.ChannelConfig) -> dict:
     fs1 = cfg["frame.m_1d"] * cfg["frame.delta_f_1d_hz"]
     fs2 = cfg["frame.m_2d"] * cfg["frame.delta_f_2d_hz"]
-    nu_max = _nu_max_hz(cfg)
+    nu_max = chan.nu_max_hz
     info = {
         "sample_rate_1d_hz": fs1,
         "sample_rate_2d_hz": fs2,
@@ -158,13 +117,13 @@ def _derived_info(cfg: dict, chan: channel.ChannelConfig) -> dict:
         f"{cfg['papr.symbols']} time-domain symbols per realization",
     }
     if "afdm" in cfg["waveforms"]:
-        info["afdm_c1"] = _afdm_c1(cfg)
+        info["afdm_c1"] = afdm_c1(cfg, chan)
         info["afdm_c2"] = cfg["afdm.c2"]
     return info
 
 
 def _run_ber_experiment(cfg: dict, out: Path) -> dict:
-    chan = _channel_config(cfg)
+    chan = channel_config(cfg)
     const = detection.qam_constellation(cfg["constellation"])
     outputs = {}
     for label in cfg["waveforms"]:
@@ -187,7 +146,7 @@ def _run_ber_experiment(cfg: dict, out: Path) -> dict:
 
 
 def _run_papr_experiment(cfg: dict, out: Path) -> dict:
-    chan = _channel_config(cfg)
+    chan = channel_config(cfg)
     const = detection.qam_constellation(cfg["constellation"])
     outputs = {}
     for label in cfg["waveforms"]:
@@ -253,7 +212,7 @@ def af_metrics_for_frame(
 
 
 def _run_af_experiment(cfg: dict, out: Path) -> dict:
-    chan = _channel_config(cfg)
+    chan = channel_config(cfg)
     wide_rows = []
     long_records = []
     for label in cfg["waveforms"]:
@@ -282,7 +241,7 @@ def _run_chanmat_experiment(cfg: dict, out: Path) -> dict:
     outputs = {}
     thr = cfg["chanmat.threshold"]
     for kind in cfg["chanmat.models"]:
-        chan = _channel_config(cfg, kind=kind)
+        chan = channel_config(cfg, kind=kind)
         for label in cfg["waveforms"]:
             bundle = build_bundle(label, cfg, chan)
             real = chan.realize(bundle.geometry.sample_rate_hz, sigma2=0.0,
@@ -301,7 +260,7 @@ def _run_chanmat_experiment(cfg: dict, out: Path) -> dict:
 
 
 def _run_sweep_experiment(cfg: dict, out: Path) -> dict:
-    chan = _channel_config(cfg)
+    chan = channel_config(cfg)
     const = detection.qam_constellation(cfg["constellation"])
     M = cfg["frame.m_1d"]
     grid = np.linspace(0.0, 1.0 / (2.0 * M), cfg["sweep.steps"])
@@ -385,7 +344,7 @@ def run_experiment(cfg: dict, output_dir: str | Path | None = None,
             "experiment": cfg["experiment"],
             "preset": preset_name,
             "config": {k: cfg[k] for k in sorted(cfg)},
-            "derived": _derived_info(cfg, _channel_config(cfg)),
+            "derived": _derived_info(cfg, channel_config(cfg)),
             "outputs": outputs,
         }
         (staging / "manifest.json").write_text(

@@ -11,7 +11,9 @@ channel-matrix experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -37,10 +39,9 @@ class Path:
 
 @dataclass(frozen=True)
 class PathSet:
-    """A set of propagation paths plus the carrier they were defined for."""
+    """A set of propagation paths."""
 
     paths: tuple[Path, ...]
-    carrier_hz: float = 0.0
     normalized: bool = False
 
     def __post_init__(self):
@@ -65,9 +66,6 @@ class PathSet:
     def gains(self) -> np.ndarray:
         return np.array([p.gain for p in self.paths], dtype=complex)
 
-    def delays(self) -> np.ndarray:
-        return np.array([p.delay_s for p in self.paths])
-
     def dopplers(self) -> np.ndarray:
         return np.array([p.doppler_hz for p in self.paths])
 
@@ -90,7 +88,6 @@ class ChannelRealization:
     taps: tuple[Tap, ...]
     sample_rate_hz: float
     sigma2: float = 0.0
-    doppler_norm_hz: float = 0.0  # reporting reference for normalized Doppler
 
     def __post_init__(self):
         if self.kind not in CHANNEL_MODEL_KINDS:
@@ -103,13 +100,6 @@ class ChannelRealization:
     @property
     def max_delay_samples(self) -> int:
         return max(t.delay_samples for t in self.taps)
-
-    def normalized_dopplers(self) -> np.ndarray:
-        """Per-tap Doppler divided by the reporting reference (may be fractional)."""
-        ref = self.doppler_norm_hz
-        if ref <= 0:
-            return np.zeros(len(self.taps))
-        return np.array([t.doppler_hz / ref for t in self.taps])
 
 
 # 3GPP extended multipath profiles: (delay ns, relative power dB) per tap.
@@ -137,6 +127,8 @@ _FIG16_CARRIER_HZ = 24e9
 # study channel: 40 samples of delay spread at a 128 MHz sample rate).
 _PAPR5_DELAYS_NS = (0.0, 78.125, 156.25, 234.375, 312.5)
 
+CHANNEL_PRESETS = (*_PROFILES, "FIG16", "PAPR5", "AWGN")
+
 
 def doppler_from_velocity(velocity_kmh: float, carrier_hz: float) -> float:
     """Doppler shift in Hz of a path moving at ``velocity_kmh`` at ``carrier_hz``."""
@@ -150,7 +142,7 @@ def profile_powers(name: str) -> np.ndarray:
     return p / p.sum()
 
 
-def channel_preset(name: str, carrier_hz: float = 0.0) -> PathSet:
+def channel_preset(name: str) -> PathSet:
     """Look up a named path set.
 
     EPA/EVA/ETU return the standard extended profiles with unit-magnitude
@@ -161,6 +153,8 @@ def channel_preset(name: str, carrier_hz: float = 0.0) -> PathSet:
     unit-gain path.
     """
     key = name.upper()
+    if key not in CHANNEL_PRESETS:
+        raise KeyError(f"unknown channel preset {name!r}")
     if key == "AWGN":
         return PathSet(paths=(Path(gain=1.0 + 0j, delay_s=0.0),), normalized=True)
     if key == "FIG16":
@@ -175,19 +169,16 @@ def channel_preset(name: str, carrier_hz: float = 0.0) -> PathSet:
             )
             for d, v in zip(_FIG16_DELAYS_US, _FIG16_VELOCITIES_KMH)
         )
-        return PathSet(paths=paths, carrier_hz=_FIG16_CARRIER_HZ, normalized=True)
+        return PathSet(paths=paths, normalized=True)
     if key == "PAPR5":
         g = 1.0 / np.sqrt(len(_PAPR5_DELAYS_NS))
         paths = tuple(Path(gain=g, delay_s=d * 1e-9) for d in _PAPR5_DELAYS_NS)
-        return PathSet(paths=paths, carrier_hz=carrier_hz, normalized=True)
-    if key in _PROFILES:
-        powers = profile_powers(key)
-        paths = tuple(
-            Path(gain=np.sqrt(p), delay_s=d_ns * 1e-9)
-            for (d_ns, _), p in zip(_PROFILES[key], powers)
-        )
-        return PathSet(paths=paths, carrier_hz=carrier_hz, normalized=True)
-    raise KeyError(f"unknown channel preset {name!r}")
+        return PathSet(paths=paths, normalized=True)
+    powers = profile_powers(key)
+    paths = tuple(
+        Path(gain=np.sqrt(p), delay_s=d_ns * 1e-9) for (d_ns, _), p in zip(_PROFILES[key], powers)
+    )
+    return PathSet(paths=paths, normalized=True)
 
 
 def load_profile_file(path: str, carrier_hz: float = 0.0) -> PathSet:
@@ -197,12 +188,13 @@ def load_profile_file(path: str, carrier_hz: float = 0.0) -> PathSet:
     separated, ``#`` comments).  The third column is a Doppler shift in Hz
     unless a header line ``# units: velocity_kmh`` appears, in which case it
     is a velocity converted via ``carrier_hz``.  Gains are the square roots
-    of the normalized linear powers.
+    of the normalized linear powers.  Raises ``ValueError`` naming the line
+    for a non-finite field or linear power, and when the powers sum to 0.
     """
     velocity_units = False
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line.lower().replace(" ", "") in ("#units:velocity_kmh",):
                 velocity_units = True
@@ -211,12 +203,23 @@ def load_profile_file(path: str, carrier_hz: float = 0.0) -> PathSet:
                 continue
             parts = [p for p in line.replace(",", " ").split() if p]
             if len(parts) != 3:
-                raise ValueError(f"expected 3 fields per line, got {line!r}")
-            rows.append(tuple(float(p) for p in parts))
+                raise ValueError(f"line {lineno}: expected 3 fields, got {line!r}")
+            db, delay_s, third = (float(p) for p in parts)
+            try:
+                power = 10.0 ** (db / 10.0)
+            except OverflowError:
+                power = math.inf
+            if not all(map(math.isfinite, (db, delay_s, third, power))):
+                raise ValueError(
+                    f"line {lineno}: fields and linear power must be finite, got {line!r}")
+            rows.append((power, delay_s, third))
     if not rows:
         raise ValueError(f"no paths found in {path!r}")
-    powers = np.array([10.0 ** (db / 10.0) for db, _, _ in rows])
-    powers = powers / powers.sum()
+    powers = np.array([power for power, _, _ in rows])
+    total = powers.sum()
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"the linear powers in {path!r} sum to {total}")
+    powers = powers / total
     paths = []
     for (_, delay_s, third), p in zip(rows, powers):
         if velocity_units:
@@ -226,7 +229,7 @@ def load_profile_file(path: str, carrier_hz: float = 0.0) -> PathSet:
         else:
             dop = third
         paths.append(Path(gain=np.sqrt(p), delay_s=delay_s, doppler_hz=dop))
-    return PathSet(paths=tuple(paths), carrier_hz=carrier_hz, normalized=True)
+    return PathSet(paths=tuple(paths), normalized=True)
 
 
 def draw_jakes_dopplers(
@@ -245,8 +248,7 @@ def draw_jakes_dopplers(
     paths = tuple(
         replace(p, doppler_hz=float(d)) for p, d in zip(path_set.paths, dops)
     )
-    return PathSet(paths=paths, carrier_hz=path_set.carrier_hz,
-                   normalized=path_set.normalized)
+    return PathSet(paths=paths, normalized=path_set.normalized)
 
 
 def draw_profile_gains(path_set: PathSet, rng_seed: int | np.random.Generator) -> PathSet:
@@ -261,13 +263,12 @@ def draw_profile_gains(path_set: PathSet, rng_seed: int | np.random.Generator) -
     g = g * np.abs(path_set.gains())
     g = g / np.linalg.norm(g)
     paths = tuple(replace(p, gain=complex(gi)) for p, gi in zip(path_set.paths, g))
-    return PathSet(paths=paths, carrier_hz=path_set.carrier_hz, normalized=True)
+    return PathSet(paths=paths, normalized=True)
 
 
 def discretize(
     path_set: PathSet,
     sample_rate_hz: float,
-    doppler_norm_hz: float = 0.0,
     kind: str = NARROWBAND_DDC,
     sigma2: float = 0.0,
 ) -> ChannelRealization:
@@ -296,13 +297,8 @@ def discretize(
         if kind != WIDEBAND_DDC:
             scale = 0.0
         taps.append(Tap(delay_samples=l, doppler_hz=nu, gain=p.gain, scale=scale))
-    return ChannelRealization(
-        kind=kind,
-        taps=tuple(taps),
-        sample_rate_hz=sample_rate_hz,
-        sigma2=sigma2,
-        doppler_norm_hz=doppler_norm_hz,
-    )
+    return ChannelRealization(kind=kind, taps=tuple(taps), sample_rate_hz=sample_rate_hz,
+                              sigma2=sigma2)
 
 
 def implied_path_set(real: ChannelRealization) -> PathSet:
@@ -436,12 +432,16 @@ class ChannelConfig:
     random_gains: bool = False
     jakes: bool = False
     profile_path: str = ""
-    doppler_norm_hz: float = 0.0
 
-    def base_path_set(self) -> PathSet:
+    @cached_property
+    def path_set(self) -> PathSet:
+        """The paths before any draw: the profile file's, else the preset's.
+
+        Built on first use and kept, so a config reads its profile file once.
+        """
         if self.profile_path:
             return load_profile_file(self.profile_path, self.carrier_hz)
-        return channel_preset(self.preset, self.carrier_hz)
+        return channel_preset(self.preset)
 
     def realize(
         self,
@@ -450,18 +450,12 @@ class ChannelConfig:
         rng_seed: int | np.random.Generator,
     ) -> ChannelRealization:
         rng = _as_generator(rng_seed)
-        ps = self.base_path_set()
+        ps = self.path_set
         if self.random_gains:
             ps = draw_profile_gains(ps, rng)
         if self.jakes:
             ps = draw_jakes_dopplers(ps, self.nu_max_hz, rng)
-        return discretize(
-            ps,
-            sample_rate_hz,
-            doppler_norm_hz=self.doppler_norm_hz,
-            kind=self.kind,
-            sigma2=sigma2,
-        )
+        return discretize(ps, sample_rate_hz, kind=self.kind, sigma2=sigma2)
 
     def max_delay_samples(self, sample_rate_hz: float) -> int:
-        return int(round(self.base_path_set().max_delay_s * sample_rate_hz))
+        return int(round(self.path_set.max_delay_s * sample_rate_hz))

@@ -33,12 +33,7 @@ def _resolve_config(arg: str) -> tuple[dict, str | None]:
     raise ValidationError(f"{arg!r} is neither a config file nor a known preset")
 
 
-def cmd_run(arg: str, output_dir: str | None) -> int:
-    try:
-        cfg, preset = _resolve_config(arg)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+def cmd_run(cfg: dict, preset: str | None, output_dir: str | None) -> int:
     try:
         manifest = run_experiment(cfg, output_dir, preset_name=preset)
     except ValidationError as exc:
@@ -57,28 +52,6 @@ def cmd_presets() -> int:
     for name in preset_names():
         print(f"{name}:")
         print(f"  {preset_description(name)}")
-    return EXIT_OK
-
-
-def cmd_validate(arg: str) -> int:
-    try:
-        cfg, preset = _resolve_config(arg)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    label = preset or arg
-    print(f"{label}: ok ({cfg['experiment']} experiment)")
-    return EXIT_OK
-
-
-def cmd_show(arg: str) -> int:
-    """Print a preset's config in the file format (handy as a template)."""
-    try:
-        cfg, _ = _resolve_config(arg)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    sys.stdout.write(serialize_config(cfg))
     return EXIT_OK
 
 
@@ -102,16 +75,20 @@ def main(argv: list[str] | None = None) -> int:
     p_show.add_argument("config", help="config file path or preset name")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config, args.output_dir)
     if args.command == "presets":
         return cmd_presets()
+    try:
+        cfg, preset = _resolve_config(args.config)
+    except ValidationError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if args.command == "run":
+        return cmd_run(cfg, preset, args.output_dir)
     if args.command == "validate":
-        return cmd_validate(args.config)
-    if args.command == "show":
-        return cmd_show(args.config)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return EXIT_RUNTIME
+        print(f"{preset or args.config}: ok ({cfg['experiment']} experiment)")
+    else:  # show: the config in the file format (handy as a template)
+        sys.stdout.write(serialize_config(cfg))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -11,9 +11,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelConfig, load_profile_file
-from .kpi import PAPR_MIN_TAIL
-from .waveforms import SCHEMES_BY_LABEL
+from .channel import CHANNEL_MODEL_KINDS, CHANNEL_PRESETS, ChannelConfig, doppler_from_velocity
+from .detection import QAM_ORDERS
+from .kpi import AF_CONVENTIONS, DETECTORS, PAPR_MIN_TAIL
+from .waveforms import (
+    BEAMFORMERS,
+    DFTS_MAPPINGS,
+    SCHEMES_BY_LABEL,
+    FrameGeometry,
+    Scheme,
+    afdm_default_c1,
+)
 
 EXPERIMENT_KINDS = ("ber", "papr", "af", "chanmat", "afdm-sweep", "overhead")
 
@@ -39,8 +47,8 @@ CONFIG_SCHEMA: dict[str, Key] = {
     "workers": Key("int", 1, "parallel trial workers, used by ber and afdm-sweep only "
                    "(results are worker-count invariant); papr and af run in one process"),
     "output_dir": Key("str", "", "output directory (default: $MCWAVE_OUTPUT_DIR or cwd)"),
-    "constellation": Key("int", 4, "QAM order: 4, 16, 64 or 128"),
-    "detector": Key("str", "mmse", "mmse | single-tap"),
+    "constellation": Key("int", 4, "QAM order: " + "|".join(map(str, QAM_ORDERS))),
+    "detector": Key("str", "mmse", "|".join(DETECTORS)),
     "snr_db": Key("float_list", [0.0, 5.0, 10.0, 15.0, 20.0], "symbol-SNR grid in dB"),
     "waveforms": Key(
         "str_list",
@@ -54,8 +62,8 @@ CONFIG_SCHEMA: dict[str, Key] = {
     "frame.n_2d": Key("int", 16, "Doppler bins / slots for 2D schemes"),
     "frame.delta_f_2d_hz": Key("float", 384e3, "2D subcarrier spacing"),
     "frame.prefix_2d": Key("int", -1, "2D prefix samples; -1 = channel max delay"),
-    "channel.preset": Key("str", "EVA", "EPA|EVA|ETU|FIG16|PAPR5|AWGN or 'file'"),
-    "channel.model": Key("str", "narrowband", "wideband|narrowband|tdc|fdc"),
+    "channel.preset": Key("str", "EVA", "|".join(CHANNEL_PRESETS) + " or 'file'"),
+    "channel.model": Key("str", "narrowband", "|".join(CHANNEL_MODEL_KINDS)),
     "channel.carrier_hz": Key("float", 24e9, "carrier frequency"),
     "channel.velocity_kmh": Key("float", 540.0, "max speed for the Doppler draw"),
     "channel.jakes": Key("bool", True, "redraw per-path Doppler as nu_max*cos(U[-pi,pi])"),
@@ -66,11 +74,11 @@ CONFIG_SCHEMA: dict[str, Key] = {
     "frft.p": Key("float", 0.5, "fractional transform order"),
     "ifdm.seed": Key("int", 0, "interleaver key"),
     "dfts.width": Key("int", -1, "spread width; -1 = full allocation"),
-    "dfts.mapping": Key("str", "block-centered", "block-centered | dc-centered"),
+    "dfts.mapping": Key("str", "block-centered", "|".join(DFTS_MAPPINGS)),
     "ddam.n_tx": Key("int", 64, "transmit antennas for path precoding"),
-    "ddam.beamformer": Key("str", "zf", "zf | mrt"),
+    "ddam.beamformer": Key("str", "zf", "|".join(BEAMFORMERS)),
     "papr.symbols": Key("int", 100, "time-domain symbols concatenated per realization"),
-    "af.convention": Key("str", "aperiodic", "ambiguity evaluation: aperiodic | cyclic"),
+    "af.convention": Key("str", "aperiodic", "ambiguity evaluation: " + "|".join(AF_CONVENTIONS)),
     "af.doppler_span": Key("float", 0.9, "Doppler cut half-span in subcarrier spacings"),
     "af.doppler_points": Key("int", 721, "Doppler cut grid points"),
     "sweep.steps": Key("int", 16, "grid steps per chirp axis over [0, 1/(2M)]"),
@@ -155,6 +163,12 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
 
 
+def _check_choice(cfg: dict, key: str, choices: tuple) -> None:
+    if cfg[key] not in choices:
+        raise ValidationError(
+            f"{key} must be one of {'|'.join(map(str, choices))}, got {cfg[key]!r}")
+
+
 def validate_config(cfg: dict) -> None:
     """Semantic validation; raises :class:`ValidationError` naming the field."""
     unknown = set(cfg) - set(CONFIG_SCHEMA)
@@ -170,16 +184,13 @@ def validate_config(cfg: dict) -> None:
             raise ValidationError(f"{key} must be finite, got {cfg[key]!r}")
 
     exp = cfg["experiment"]
-    if exp not in EXPERIMENT_KINDS:
-        raise ValidationError(f"experiment must be one of {EXPERIMENT_KINDS}, got {exp!r}")
+    _check_choice(cfg, "experiment", EXPERIMENT_KINDS)
     if cfg["trials"] < 1:
         raise ValidationError("trials must be >= 1")
     if cfg["workers"] < 1:
         raise ValidationError("workers must be >= 1")
-    if cfg["constellation"] not in (4, 16, 64, 128):
-        raise ValidationError("constellation must be 4, 16, 64 or 128")
-    if cfg["detector"] not in ("mmse", "single-tap"):
-        raise ValidationError("detector must be 'mmse' or 'single-tap'")
+    _check_choice(cfg, "constellation", QAM_ORDERS)
+    _check_choice(cfg, "detector", DETECTORS)
     if not cfg["snr_db"]:
         raise ValidationError("snr_db must be nonempty")
     for snr in cfg["snr_db"]:
@@ -212,18 +223,18 @@ def validate_config(cfg: dict) -> None:
         raise ValidationError(
             f"frame.n_2d: the sequency transform needs a power of two, got {cfg['frame.n_2d']}"
         )
-    if cfg["channel.model"] not in ("wideband", "narrowband", "tdc", "fdc"):
-        raise ValidationError("channel.model must be wideband|narrowband|tdc|fdc")
+    _check_choice(cfg, "channel.model", CHANNEL_MODEL_KINDS)
     preset = cfg["channel.preset"].upper()
-    if preset not in ("EPA", "EVA", "ETU", "FIG16", "PAPR5", "AWGN", "FILE"):
+    if preset not in (*CHANNEL_PRESETS, "FILE"):
         raise ValidationError(f"channel.preset: unknown preset {cfg['channel.preset']!r}")
     if preset == "FILE" and not cfg["channel.profile_file"]:
         raise ValidationError("channel.profile_file required when channel.preset = file")
     if cfg["channel.carrier_hz"] <= 0:
         raise ValidationError("channel.carrier_hz must be positive")
+    chan = channel_config(cfg)
     if preset == "FILE":  # every experiment reads it, if only for the manifest
         try:
-            load_profile_file(cfg["channel.profile_file"], cfg["channel.carrier_hz"])
+            chan.path_set
         except (OSError, ValueError) as exc:
             raise ValidationError(f"channel.profile_file: {exc}") from exc
     if cfg["channel.velocity_kmh"] < 0:
@@ -235,16 +246,14 @@ def validate_config(cfg: dict) -> None:
     width = cfg["dfts.width"]
     if "dft-s-ofdm" in cfg["waveforms"] and width != -1 and not 1 <= width <= cfg["frame.m_1d"]:
         raise ValidationError("dfts.width must be -1 (full allocation) or in 1..frame.m_1d")
-    if cfg["dfts.mapping"] not in ("block-centered", "dc-centered"):
-        raise ValidationError("dfts.mapping must be block-centered or dc-centered")
-    if cfg["ddam.beamformer"] not in ("zf", "mrt"):
-        raise ValidationError("ddam.beamformer must be zf or mrt")
+    _check_choice(cfg, "dfts.mapping", DFTS_MAPPINGS)
+    _check_choice(cfg, "ddam.beamformer", BEAMFORMERS)
     if cfg["ddam.n_tx"] < 1:
         raise ValidationError("ddam.n_tx must be >= 1")
     if cfg["papr.symbols"] < 1:
         raise ValidationError("papr.symbols must be >= 1")
     if "ddam" in cfg["waveforms"] and cfg["ddam.beamformer"] == "zf":
-        paths = _channel(cfg).base_path_set().count
+        paths = chan.path_set.count
         if cfg["ddam.n_tx"] < paths:
             raise ValidationError(
                 f"ddam.n_tx: zero-forcing over {paths} paths needs at least {paths} "
@@ -258,8 +267,7 @@ def validate_config(cfg: dict) -> None:
                 f"trials: {w!r} gets {samples} peak-power samples from {cfg['trials']} "
                 f"trials; its survivor curve needs more than {PAPR_MIN_TAIL}"
             )
-    if cfg["af.convention"] not in ("aperiodic", "cyclic"):
-        raise ValidationError("af.convention must be aperiodic or cyclic")
+    _check_choice(cfg, "af.convention", AF_CONVENTIONS)
     if cfg["af.doppler_points"] < 3:
         raise ValidationError("af.doppler_points must be >= 3")
     if cfg["af.doppler_span"] <= 0:
@@ -269,51 +277,95 @@ def validate_config(cfg: dict) -> None:
     if not 0.0 < cfg["chanmat.threshold"] < 1.0:
         raise ValidationError("chanmat.threshold must lie in (0, 1)")
     for m in cfg["chanmat.models"]:
-        if m not in ("wideband", "narrowband", "tdc", "fdc"):
+        if m not in CHANNEL_MODEL_KINDS:
             raise ValidationError(f"chanmat.models: unknown kind {m!r}")
     for key in ("overhead.l_max", "overhead.alpha_max", "overhead.xi_nu"):
         if cfg[key] < 0:
             raise ValidationError(f"{key} must be >= 0")
     if exp in ("ber", "chanmat", "afdm-sweep"):  # frames cross the channel
-        _check_prefixes(cfg)
+        _check_prefixes(cfg, chan)
     if exp in ("ber", "afdm-sweep") and cfg["detector"] == "single-tap":
-        _check_single_tap(cfg)
+        _check_single_tap(cfg, chan)
 
 
-def _channel(cfg: dict) -> ChannelConfig:
-    """The configured path set's delays and count (no draw settings)."""
+# The mapping from a config to what a run builds.  Validation and the runner
+# both read these, so a config that validates is the config that runs.
+
+def channel_config(cfg: dict, kind: str | None = None) -> ChannelConfig:
+    """The configured channel, drawn as ``kind`` (default ``channel.model``)."""
     preset = cfg["channel.preset"].upper()
-    return ChannelConfig(preset, carrier_hz=cfg["channel.carrier_hz"],
-                         profile_path=cfg["channel.profile_file"] if preset == "FILE" else "")
+    return ChannelConfig(
+        preset=preset if preset != "FILE" else "AWGN",
+        kind=kind or cfg["channel.model"],
+        carrier_hz=cfg["channel.carrier_hz"],
+        nu_max_hz=doppler_from_velocity(cfg["channel.velocity_kmh"], cfg["channel.carrier_hz"]),
+        random_gains=cfg["channel.random_gains"],
+        jakes=cfg["channel.jakes"],
+        profile_path=cfg["channel.profile_file"] if preset == "FILE" else "",
+    )
 
 
-def _channel_memory(cfg: dict, fs: float) -> int:
-    """Largest path delay of the configured channel, in samples at ``fs``."""
-    return _channel(cfg).max_delay_samples(fs)
+def scheme_geometry(cfg: dict, row: Scheme, chan: ChannelConfig) -> FrameGeometry:
+    """The frame of a scheme row: its dimension's size, spacing and prefix.
+
+    The prefix is 0 under the ``none`` rule; the config's -1 (automatic)
+    is the channel memory at the sample rate m * delta_f.
+    """
+    d = f"{row.dim}d"
+    m, delta_f = cfg[f"frame.m_{d}"], cfg[f"frame.delta_f_{d}_hz"]
+    prefix = 0 if row.prefix_rule == "none" else cfg[f"frame.prefix_{d}"]
+    if prefix < 0:
+        prefix = chan.max_delay_samples(m * delta_f)
+    n = 1 if row.dim == 1 else cfg["frame.n_2d"]
+    return FrameGeometry(m=m, n=n, delta_f_hz=delta_f, prefix_len=prefix)
 
 
-def _check_prefixes(cfg: dict) -> None:
-    """Each prefix in use must cover the channel memory and fit in the core frame."""
-    exp = cfg["experiment"]
-    rows = ([SCHEMES_BY_LABEL["afdm"]] if exp == "afdm-sweep"
-            else [SCHEMES_BY_LABEL[w] for w in cfg["waveforms"]])
-    kinds = cfg["chanmat.models"] if exp == "chanmat" else [cfg["channel.model"]]
-    for d in sorted({row.dim for row in rows if row.prefix_rule != "none"}):
+def doppler_span_hz(chan: ChannelConfig) -> float:
+    """Largest |Doppler| of any draw: nu_max under the Jakes draw, else the paths'."""
+    if chan.jakes:  # every path draws nu_max * cos(angle)
+        return chan.nu_max_hz
+    return max(abs(p.doppler_hz) for p in chan.path_set.paths)
+
+
+def afdm_c1(cfg: dict, chan: ChannelConfig) -> float:
+    """The configured first chirp rate, or (2a + 1)/(2M) for the Doppler span.
+
+    a is the span in 1D subcarrier spacings, rounded up to an integer.
+    """
+    if cfg["afdm.c1"] >= 0:
+        return cfg["afdm.c1"]
+    alpha = math.ceil(doppler_span_hz(chan) / cfg["frame.delta_f_1d_hz"] - 1e-12)
+    return afdm_default_c1(cfg["frame.m_1d"], alpha)
+
+
+def _crossing_rows(cfg: dict) -> list[Scheme]:
+    """Scheme rows whose frames cross the channel in this experiment."""
+    labels = ["afdm"] if cfg["experiment"] == "afdm-sweep" else cfg["waveforms"]
+    return [SCHEMES_BY_LABEL[label] for label in labels]
+
+
+def _check_prefixes(cfg: dict, chan: ChannelConfig) -> None:
+    """Each prefix in use must cover the channel memory and fit in the core frame.
+
+    An automatic prefix is the memory, so only a set one needs the cover
+    check; a Doppler-only channel has no delay spread to cover.
+    """
+    kinds = cfg["chanmat.models"] if cfg["experiment"] == "chanmat" else [cfg["channel.model"]]
+    rows = {row.dim: row for row in _crossing_rows(cfg) if row.prefix_rule != "none"}
+    for d, row in sorted(rows.items()):
         key = f"frame.prefix_{d}d"
-        core = cfg["frame.m_1d"] if d == 1 else cfg["frame.m_2d"] * cfg["frame.n_2d"]
-        fs = cfg[f"frame.m_{d}d"] * cfg[f"frame.delta_f_{d}d_hz"]
-        # the automatic prefix is the preset's memory whatever the model, but
-        # a Doppler-only channel has no delay spread to cover
-        memory = _channel_memory(cfg, fs)
-        prefix = cfg[key] if cfg[key] >= 0 else memory
-        cover = 0 if set(kinds) == {"fdc"} else memory
-        if prefix < cover:
-            raise ValidationError(f"{key}: prefix {prefix} shorter than channel memory {cover}")
-        if prefix > core:
-            raise ValidationError(f"{key}: prefix {prefix} longer than the core frame {core}")
+        geo = scheme_geometry(cfg, row, chan)
+        if cfg[key] >= 0 and set(kinds) != {"fdc"}:
+            memory = chan.max_delay_samples(geo.sample_rate_hz)
+            if geo.prefix_len < memory:
+                raise ValidationError(
+                    f"{key}: prefix {geo.prefix_len} shorter than channel memory {memory}")
+        if geo.prefix_len > geo.core_samples:
+            raise ValidationError(
+                f"{key}: prefix {geo.prefix_len} longer than the core frame {geo.core_samples}")
 
 
-def _check_single_tap(cfg: dict) -> None:
+def _check_single_tap(cfg: dict, chan: ChannelConfig) -> None:
     """The per-bin detector needs a diagonal effective channel for every draw.
 
     That holds over a static channel (no path with a nonzero Doppler, no
@@ -322,21 +374,15 @@ def _check_single_tap(cfg: dict) -> None:
     turns a static delay spread into one gain per subcarrier.
     """
     model = cfg["channel.model"]
-    if cfg["channel.jakes"]:  # every path draws nu_max * cos(angle)
-        doppler = cfg["channel.velocity_kmh"] > 0
-    else:
-        doppler = any(p.doppler_hz != 0 for p in _channel(cfg).base_path_set().paths)
-    if model == "wideband" or (doppler and model != "tdc"):
+    if model == "wideband" or (doppler_span_hz(chan) > 0 and model != "tdc"):
         raise ValidationError(
             "detector: single-tap needs a static channel (no Doppler, not wideband); "
             "use mmse"
         )
-    labels = ["afdm"] if cfg["experiment"] == "afdm-sweep" else cfg["waveforms"]
-    for label in labels:
-        d = SCHEMES_BY_LABEL[label].dim
-        fs = cfg[f"frame.m_{d}d"] * cfg[f"frame.delta_f_{d}d_hz"]
-        if label != "ofdm" and model != "fdc" and _channel_memory(cfg, fs) > 0:
+    for row in _crossing_rows(cfg):
+        fs = scheme_geometry(cfg, row, chan).sample_rate_hz
+        if row.label != "ofdm" and model != "fdc" and chan.max_delay_samples(fs) > 0:
             raise ValidationError(
-                f"detector: single-tap needs a flat channel for {label!r} (only ofdm "
+                f"detector: single-tap needs a flat channel for {row.label!r} (only ofdm "
                 "equalizes a static delay spread per subcarrier); use mmse"
             )

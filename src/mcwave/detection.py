@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_SUPPORTED_ORDERS = (4, 16, 64, 128)
+QAM_ORDERS = (4, 16, 64, 128)
 
 
 def _gray(n: int) -> int:
@@ -90,8 +90,8 @@ class Constellation:
 
 def qam_constellation(order: int) -> Constellation:
     """Unit-energy QAM alphabet of the given order (4, 16, 64 or 128)."""
-    if order not in _SUPPORTED_ORDERS:
-        raise ValueError(f"unsupported order {order}; pick from {_SUPPORTED_ORDERS}")
+    if order not in QAM_ORDERS:
+        raise ValueError(f"unsupported order {order}; pick from {QAM_ORDERS}")
     if order == 128:
         points, labels = _cross_128_points()
     else:
@@ -131,21 +131,8 @@ def bits_for_indices(indices: np.ndarray, constellation: Constellation) -> np.nd
     return ((labels[:, None] >> shifts[None, :]) & 1).reshape(-1)
 
 
-@dataclass(frozen=True)
-class EqualizerOutput:
-    """Soft symbol estimates plus optional hard decisions and diagnostics."""
-
-    soft: np.ndarray
-    hard: np.ndarray | None = None
-
-
-def single_tap_equalize(
-    y: np.ndarray,
-    h_diag: np.ndarray,
-    sigma2: float,
-    constellation: Constellation | None = None,
-) -> EqualizerOutput:
-    """Per-bin scalar Wiener equalizer for a diagonal effective channel.
+def single_tap_equalize(y: np.ndarray, h_diag: np.ndarray, sigma2: float) -> np.ndarray:
+    """Soft symbols of the per-bin scalar Wiener equalizer (diagonal channel).
 
     x_hat_k = conj(h_k) y_k / (|h_k|^2 + sigma2).  ``h_diag`` may be the full
     matrix, in which case it must actually be diagonal.
@@ -158,18 +145,11 @@ def single_tap_equalize(
         if np.max(np.abs(off)) > 1e-9 * peak:
             raise ValueError("effective channel is not diagonal")
         h = np.diag(h)
-    soft = np.conj(h) * y / (np.abs(h) ** 2 + sigma2)
-    hard = hard_decide(soft, constellation) if constellation is not None else None
-    return EqualizerOutput(soft=soft, hard=hard)
+    return np.conj(h) * y / (np.abs(h) ** 2 + sigma2)
 
 
-def mmse_equalize(
-    y: np.ndarray,
-    h_eff: np.ndarray,
-    sigma2: float,
-    constellation: Constellation | None = None,
-) -> EqualizerOutput:
-    """Block linear MMSE over the whole modulation-domain vector.
+def mmse_equalize(y: np.ndarray, h_eff: np.ndarray, sigma2: float) -> np.ndarray:
+    """Soft symbols of the block linear MMSE over the modulation-domain vector.
 
     Solves (H^H H + sigma2 I) x = H^H y; with sigma2 = 0 and a singular
     channel the solver error propagates rather than being regularized away.
@@ -181,9 +161,7 @@ def mmse_equalize(
     if sigma2 < 0:
         raise ValueError("sigma2 must be >= 0")
     gram = H.conj().T @ H + sigma2 * np.eye(H.shape[0])
-    soft = np.linalg.solve(gram, H.conj().T @ y)
-    hard = hard_decide(soft, constellation) if constellation is not None else None
-    return EqualizerOutput(soft=soft, hard=hard)
+    return np.linalg.solve(gram, H.conj().T @ y)
 
 
 _MIN_BLOCK = 8  # below this, per-block call overhead outweighs the O(b^3) work

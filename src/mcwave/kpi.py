@@ -38,6 +38,8 @@ from .waveforms import (
 SENTINEL_DB = -350.0  # stands in for -inf when a cut has no sidelobe energy
 PAPR_MIN_TAIL = 10  # survivor points kept down to this many samples beyond them
 PAPR_BLOCK = 2048  # longest time block of a streamed per-branch PAPR (>= 128)
+DETECTORS = ("mmse", "single-tap")
+AF_CONVENTIONS = ("aperiodic", "cyclic")
 
 
 def derive_rng(*keys: int) -> np.random.Generator:
@@ -83,7 +85,7 @@ def _ber_trial(
     matrix; other bundles and the single-tap detector use the
     modulation-domain channel matrix, which reads the dense reference.
     """
-    if detector not in ("mmse", "single-tap"):
+    if detector not in DETECTORS:
         raise ConfigurationError(f"unknown detector {detector!r}")
     k = constellation.bits_per_symbol
     n_bits = bundle.n_symbols * k
@@ -106,7 +108,7 @@ def _ber_trial(
         h_eff = effective_channel(bundle, real)
         equalize = mmse_equalize if detector == "mmse" else single_tap_equalize
         hard = [
-            equalize(bundle.receive(r), h_eff, sigma2, constellation).hard
+            hard_decide(equalize(bundle.receive(r), h_eff, sigma2), constellation)
             for r, sigma2 in zip(received, sigma2s)
         ]
     return np.array(
@@ -268,19 +270,17 @@ def papr_samples(frame_source, trials: int, seed: int) -> np.ndarray:
     return np.array(out)
 
 
-def papr_ccdf(
-    samples: np.ndarray, min_tail: int = PAPR_MIN_TAIL
-) -> list[tuple[float, float]]:
+def papr_ccdf(samples: np.ndarray) -> list[tuple[float, float]]:
     """Empirical survivor curve P(PAPR > x) at the observed sample points.
 
-    Points whose survivor probability falls below ``min_tail / n`` are
+    Points whose survivor probability falls below ``PAPR_MIN_TAIL / n`` are
     dropped rather than extrapolated.
     """
     v = np.sort(np.asarray(samples, dtype=float))
     n = v.size
     if n == 0:
         raise ValueError("no samples")
-    floor = min_tail / n
+    floor = PAPR_MIN_TAIL / n
     pts = []
     for i, x in enumerate(v):
         ccdf = (n - i - 1) / n
@@ -376,7 +376,6 @@ def ambiguity_grid(
     nu_hz: np.ndarray,
     sample_rate_hz: float,
     convention: str = "aperiodic",
-    delay_ref_s: float | None = None,
     doppler_ref_hz: float | None = None,
 ) -> AfGrid:
     """Discrete-sum ambiguity surface A(tau, nu) = sum_n a[n] b*[n - lag] e^{-2j pi nu n / fs}.
@@ -395,7 +394,7 @@ def ambiguity_grid(
         raise ValueError("delay and Doppler grids must be nonempty")
     if np.any(np.diff(tau_s) <= 0) or np.any(np.diff(nu_hz) <= 0):
         raise ValueError("grid axes must be strictly increasing")
-    if convention not in ("aperiodic", "cyclic"):
+    if convention not in AF_CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     lags_f = tau_s * sample_rate_hz
     lags = np.round(lags_f).astype(int)
@@ -419,7 +418,7 @@ def ambiguity_grid(
     peak = float(mags.max())
     if peak == 0:
         raise ValueError("ambiguity surface is identically zero")
-    delay_ref = delay_ref_s if delay_ref_s else L / sample_rate_hz
+    delay_ref = L / sample_rate_hz
     doppler_ref = doppler_ref_hz if doppler_ref_hz else sample_rate_hz / L
     return AfGrid(
         delay_s=tau_s,

@@ -48,11 +48,7 @@ _register(
 _register(
     "fig17-desk",
     "Alias of tab5-ber-desk: the six-scheme error-rate study at desk scale.",
-    **{
-        "experiment": "ber",
-        "trials": 200,
-        "snr_db": [0.0, 5.0, 10.0, 15.0, 20.0],
-    },
+    **_PRESETS["tab5-ber-desk"][1],
 )
 
 _register(
@@ -83,23 +79,7 @@ _register(
     "tab6-papr-desk",
     "Desk-scale peak-power study (shrunk from tab6-papr: 64 antennas, 2000 "
     "frames; frame sizes unchanged).",
-    **{
-        "experiment": "papr",
-        "trials": 2000,
-        "constellation": 128,
-        "waveforms": ["ofdm", "ocdm", "afdm", "otfs", "ddam"],
-        "frame.m_1d": 512,
-        "frame.delta_f_1d_hz": 0.25e6,
-        "frame.m_2d": 32,
-        "frame.n_2d": 16,
-        "frame.delta_f_2d_hz": 4e6,
-        "channel.preset": "PAPR5",
-        "channel.carrier_hz": 28e9,
-        "channel.velocity_kmh": 0.0,
-        "channel.jakes": False,
-        "channel.random_gains": True,
-        "ddam.n_tx": 64,
-    },
+    **{**_PRESETS["tab6-papr"][1], "trials": 2000, "ddam.n_tx": 64},
 )
 
 _register(
@@ -209,5 +189,6 @@ def preset_config(name: str) -> dict:
     if name not in _PRESETS:
         raise KeyError(f"unknown preset {name!r}")
     cfg = default_config()
-    cfg.update(_PRESETS[name][1])
+    # presets share override lists, so each config gets its own copies
+    cfg.update({k: list(v) if isinstance(v, list) else v for k, v in _PRESETS[name][1].items()})
     return cfg

@@ -31,6 +31,10 @@ class ConfigurationError(ValueError):
     """Raised for inconsistent waveform / frame / channel configurations."""
 
 
+BEAMFORMERS = ("zf", "mrt")  # path precoding: zero-forcing or matched
+DFTS_MAPPINGS = ("block-centered", "dc-centered")
+
+
 @dataclass(frozen=True)
 class FrameGeometry:
     """Frame dimensions shared by every waveform.
@@ -358,16 +362,16 @@ def _dfts_rows(geometry: FrameGeometry, params: dict) -> np.ndarray:
     mapping = params.get("mapping", "block-centered")
     if not 1 <= width <= M:
         raise ConfigurationError(f"width must be in 1..{M}, got {width}")
+    if mapping not in DFTS_MAPPINGS:
+        raise ConfigurationError(f"unknown mapping {mapping!r}")
     if mapping == "block-centered":
         offset = int(params.get("offset", (M - width) // 2))
         if not 0 <= offset <= M - width:
             raise ConfigurationError(f"offset must be in 0..{M - width}")
         return offset + np.arange(width)
-    if mapping == "dc-centered":
-        if "offset" in params:
-            raise ConfigurationError("offset applies to block-centered mapping only")
-        return (np.arange(width) - width // 2) % M
-    raise ConfigurationError(f"unknown mapping {mapping!r}")
+    if "offset" in params:
+        raise ConfigurationError("offset applies to block-centered mapping only")
+    return (np.arange(width) - width // 2) % M
 
 
 def _factor_dft_s_ofdm(geometry: FrameGeometry, params: dict):
@@ -646,15 +650,14 @@ def fbmc_synthesis(geometry: FrameGeometry, overlap_factor: int = 6) -> tuple[np
     return G, n_samp
 
 
-def ddop_pulse(m: int, n: int, q: int = 4, rolloff: float = 0.1,
-               oversample: int = 1) -> np.ndarray:
+def ddop_pulse(m: int, n: int, q: int = 4, rolloff: float = 0.1) -> np.ndarray:
     """Pulse train of truncated root-raised-cosine pulses, one per slot.
 
     The elementary pulse is a root-Nyquist pulse for the delay resolution
     T/m, truncated to |t| < q*T/m (needs 2q < m so trains do not overlap),
     and the train repeats it at the slot period T for n slots.  Returned
-    samples are on the T/(m*oversample) raster starting at t = -q*T/m, and
-    the train is normalized to unit sampled energy.
+    samples are on the T/m raster starting at t = -q*T/m, and the train is
+    normalized to unit sampled energy.
     """
     if 2 * q >= m:
         raise ConfigurationError(f"need 2q < m, got q={q}, m={m}")
@@ -662,15 +665,14 @@ def ddop_pulse(m: int, n: int, q: int = 4, rolloff: float = 0.1,
         raise ConfigurationError("rolloff must lie in [0, 1]")
     if q < 1:
         raise ConfigurationError("q must be >= 1")
-    step = 1.0 / oversample  # in units of T/m
     # Train support: t in [-q, (n-1)*m + q] * T/m.
-    u = np.arange(-q, (n - 1) * m + q + step / 2, step)
+    u = np.arange(-q, (n - 1) * m + q + 0.5, 1.0)
     train = np.zeros(u.size)
     for k in range(n):
         x = u - k * m
         mask = np.abs(x) < q
         train[mask] += _rrc(x[mask], rolloff)
-    return train / np.sqrt(np.sum(train**2) * step)
+    return train / np.sqrt(np.sum(train**2))
 
 
 def _rrc(x: np.ndarray, beta: float) -> np.ndarray:
@@ -804,17 +806,14 @@ class DdamConfig:
 
     steering: np.ndarray
     beamformer: str = "zf"
-    n_streams: int = 1
 
     def __post_init__(self):
         steering = np.asarray(self.steering, dtype=complex)
         object.__setattr__(self, "steering", steering)
         if steering.ndim != 2:
             raise ConfigurationError("steering must be (paths, n_tx)")
-        if self.beamformer not in ("mrt", "zf"):
+        if self.beamformer not in BEAMFORMERS:
             raise ConfigurationError(f"unknown beamformer {self.beamformer!r}")
-        if self.n_streams != 1:
-            raise ConfigurationError("only single-stream precoding is supported")
         if np.any(np.linalg.norm(steering, axis=1) == 0):
             raise ConfigurationError("steering vectors must be nonzero")
 
@@ -924,7 +923,6 @@ def ddam_apply_channel(
     cfg: DdamConfig,
     real: ChannelRealization,
     rng_seed: int | np.random.Generator = 0,
-    out_len: int | None = None,
 ) -> np.ndarray:
     """Propagate a multi-antenna signal through the per-path vector channel.
 
@@ -938,7 +936,7 @@ def ddam_apply_channel(
         raise ConfigurationError(f"expected ({cfg.n_tx}, L) signal, got {s.shape}")
     if cfg.n_paths != len(real.taps):
         raise ConfigurationError("steering vector count != channel tap count")
-    L = out_len if out_len is not None else s.shape[1] + real.max_delay_samples
+    L = s.shape[1] + real.max_delay_samples
     n = np.arange(L)
     r = np.zeros(L, dtype=complex)
     fs = real.sample_rate_hz

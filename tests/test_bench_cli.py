@@ -1,5 +1,6 @@
 """Config parsing, presets, CSV/manifest emission and CLI behavior."""
 
+import hashlib
 import io
 import json
 import os
@@ -15,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcwave import bench, cli, kpi
+from mcwave import bench, cli, config, kpi
 from mcwave import waveforms as wf
 from mcwave.config import (
     CONFIG_SCHEMA,
     EXPERIMENT_KINDS,
     WAVEFORM_LABELS,
     ValidationError,
+    channel_config,
     default_config,
     parse_config,
     serialize_config,
@@ -207,6 +209,21 @@ class TestValidationGaps:
         assert cli.main(["run", str(cfg_file)]) == 2
         assert "channel.profile_file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["4000 0 0", "0 inf 0", "0 nan 0", "-4000 0 0", "nan 0 0"])
+    def test_profile_file_without_finite_powers_exit_2(self, tmp_path, capsys, line):
+        # a power that overflows, one that underflows to a zero total, a non-finite field
+        profile = tmp_path / "profile.txt"
+        profile.write_text(line + "\n")
+        cfg_file = tmp_path / "profile.cfg"
+        cfg_file.write_text(
+            "experiment = ber\ntrials = 1\nwaveforms = ofdm\nframe.m_1d = 16\n"
+            "channel.preset = file\nchannel.profile_file = {}\noutput_dir = {}\n".format(
+                profile, tmp_path / "out"))
+        for command in ("validate", "run"):
+            assert cli.main([command, str(cfg_file)]) == 2
+            assert "channel.profile_file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_too_few_papr_samples_names_trials(self, tmp_path, capsys):
         # the survivor curve keeps points with at least 10 samples beyond them
         cfg = self._cfg(experiment="papr", trials=10, waveforms=["ofdm"])
@@ -384,6 +401,9 @@ class TestValidatedConfigsRun:
 
 
 class TestBuildBundle:
+    def test_set_up_timer_name_is_the_config_channel(self):
+        assert bench._channel_config is channel_config
+
     def test_label_row_sets_scheme_geometry_and_params(self):
         cfg = default_config()
         cfg.update({"frame.m_1d": 32, "frame.m_2d": 4, "frame.n_2d": 4,
@@ -400,8 +420,75 @@ class TestBuildBundle:
         cfg.update({"afdm.c1": 0.01, "afdm.c2": -0.002})
         assert bench.build_bundle("afdm", cfg, chan).params == {"c1": 0.01, "c2": -0.002}
 
+    @pytest.mark.parametrize("name", preset_names())
+    def test_geometry_is_the_validated_one(self, name, monkeypatch):
+        cfg = preset_config(name)
+        scheme_geometry = config.scheme_geometry
+        checked = {}  # the frame validation checked, per dimension
+
+        def record(cfg, row, chan):
+            checked[row.dim] = scheme_geometry(cfg, row, chan)
+            return checked[row.dim]
+
+        monkeypatch.setattr(config, "scheme_geometry", record)
+        validate_config(cfg)
+        assert bool(checked) == (cfg["experiment"] in ("ber", "chanmat", "afdm-sweep"))
+        chan = channel_config(cfg)
+        for label in (w for w in cfg["waveforms"] if w != "ddam"):
+            row = wf.SCHEMES_BY_LABEL[label]
+            geometry = bench.build_bundle(label, cfg, chan).geometry
+            assert geometry == scheme_geometry(cfg, row, chan)
+            assert geometry == checked.get(row.dim, geometry)
+
+    def test_file_profile_doppler_sets_the_automatic_chirp_rate(self, tmp_path):
+        # one path at 20 kHz: a Doppler span of ceil(20 / 24) = 1 subcarrier at
+        # M = 256, 24 kHz, although the Jakes draw is off and nu_max is 0
+        profile = tmp_path / "doppler.txt"
+        profile.write_text("0 0 0\n-3 1e-6 20000\n")
+        cfg = default_config()
+        cfg.update({"channel.preset": "file", "channel.profile_file": str(profile),
+                    "channel.jakes": False, "channel.velocity_kmh": 0.0})
+        validate_config(cfg)
+        afdm = bench.build_bundle("afdm", cfg, bench._channel_config(cfg))
+        assert afdm.params["c1"] == 3 / (2 * 256)
+
+    def test_static_paths_keep_the_plain_chirp_rate(self):
+        # EVA's paths are static when the Jakes draw is off, whatever the speed
+        cfg = default_config()
+        cfg.update({"channel.jakes": False, "channel.velocity_kmh": 540.0})
+        afdm = bench.build_bundle("afdm", cfg, bench._channel_config(cfg))
+        assert afdm.params["c1"] == 1 / (2 * 256)
+        cfg.update(waveforms=["ofdm"], detector="single-tap")
+        validate_config(cfg)
+
+
+# sha256 of ``mcwave show <preset>``, recorded before the desk presets were
+# written as overrides of the full-size ones.
+SHOW_DIGESTS = {
+    "awgn-ber": "bed57838462b9fed9ee4db3e5e2565bd6051a26711db51d0a204a696d05dbe53",
+    "fig16-chanmat": "37c6906807a7cb1e051acff6e182112b17616291b8e89467ff78e83bfe5edb65",
+    "fig17-desk": "cb66bcd4734cb462d017727621f45128263b0770d66e9843d5ea743d28a33d50",
+    "fig21-sweep": "7a20cdd13123e84d304d43782b1c41511615902ed9adf2ab6724f39177c93392",
+    "overhead": "9a5bd760ae52b7bd28670584d091d396703bc6d8ea8bfa494760abc710d43b51",
+    "tab5-ber": "d99aad5509c05eb615fb34ba7b340d25d5624af7bbe35903073dcb8f1c9ee54c",
+    "tab5-ber-desk": "cb66bcd4734cb462d017727621f45128263b0770d66e9843d5ea743d28a33d50",
+    "tab6-papr": "fa72dfb60973f093ec8e9c03247fe4861d2360edb75b0084997c1799c9c3652a",
+    "tab6-papr-desk": "65bcf2980993ed59e99c29f633026065cf733b37d99dca40663cb6343e7b8874",
+    "tab8-unit": "9f546012d6d2807a1ea7b38b2ca2f2fef55a0810ac1096d346b9cdaf915784f0",
+}
+
 
 class TestPresets:
+    @pytest.mark.parametrize("name", preset_names())
+    def test_show_output_is_pinned(self, name, capsys):
+        assert cli.main(["show", name]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SHOW_DIGESTS[name]
+
+    def test_configs_do_not_share_lists(self):
+        preset_config("tab6-papr-desk")["waveforms"].remove("ddam")
+        assert "ddam" in preset_config("tab6-papr")["waveforms"]
+
     def test_all_presets_validate(self):
         for name in preset_names():
             validate_config(preset_config(name))

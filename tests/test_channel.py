@@ -74,13 +74,6 @@ class TestDiscretize:
         real = ch.discretize(ps, 1.536e6)
         assert real.taps[0].delay_samples == 4  # round(3.594)
 
-    def test_normalized_doppler_reporting(self):
-        nu = ch.doppler_from_velocity(540.0, 24e9)
-        assert nu == pytest.approx(12e3)
-        ps = ch.PathSet(paths=(ch.Path(gain=1.0, delay_s=0.0, doppler_hz=nu),))
-        real = ch.discretize(ps, 3.072e6, doppler_norm_hz=3e3)
-        assert real.normalized_dopplers()[0] == pytest.approx(4.0)
-
     def test_zero_delay(self):
         ps = ch.PathSet(paths=(ch.Path(gain=1.0, delay_s=0.0),))
         assert ch.discretize(ps, 1e6).taps[0].delay_samples == 0
@@ -243,8 +236,29 @@ class TestProfileFile:
         with pytest.raises(ValueError):
             ch.load_profile_file(str(p))
 
+    @pytest.mark.parametrize("line", ["4000 0 0", "0 inf 0", "0 nan 0", "nan 0 0", "0 0 -inf"])
+    def test_non_finite_field_or_power_names_the_line(self, tmp_path, line):
+        p = tmp_path / "prof.txt"
+        p.write_text(f"# header\n0 0 0\n{line}\n")
+        with pytest.raises(ValueError, match=f"line 3: .*{line!r}"):
+            ch.load_profile_file(str(p))
+
+    def test_powers_that_sum_to_zero_rejected(self, tmp_path):
+        p = tmp_path / "prof.txt"
+        p.write_text("-4000 0 0\n-5000 1e-6 0\n")
+        with pytest.raises(ValueError, match="sum to 0"):
+            ch.load_profile_file(str(p))
+
 
 class TestChannelConfig:
+    def test_profile_file_read_once(self, tmp_path):
+        p = tmp_path / "prof.txt"
+        p.write_text("0 0 0\n-3 1e-6 0\n")
+        cfg = ch.ChannelConfig(profile_path=str(p), random_gains=True)
+        assert cfg.path_set is cfg.path_set
+        p.unlink()
+        assert len(cfg.realize(1e6, sigma2=0.0, rng_seed=1).taps) == 2
+
     def test_realize_deterministic(self):
         cfg = ch.ChannelConfig(preset="EVA", nu_max_hz=500.0,
                                random_gains=True, jakes=True)

@@ -82,8 +82,8 @@ def dense_ber_errors(bundle, cfg, detector, snrs, trials, seed, c):
         for i, snr in enumerate(snrs):
             sigma2 = 10.0 ** (-snr / 10.0)
             r = ch.apply_channel(frame, replace(real, sigma2=sigma2), kpi.derive_rng(seed, t, 2))
-            out = equalize(bundle.receive(r), h_eff, sigma2, c)
-            errors[i] += np.sum(det.bits_for_indices(out.hard, c) != bits)
+            hard = det.hard_decide(equalize(bundle.receive(r), h_eff, sigma2), c)
+            errors[i] += np.sum(det.bits_for_indices(hard, c) != bits)
     return errors
 
 
@@ -118,7 +118,7 @@ class TestTimeDomainMmse:
         soft = kpi.time_domain_mmse(b, real, frames, sigma2s)
         h_eff = wf.effective_channel(b, real)
         for sq, r, s in zip(soft, frames, sigma2s):
-            ref = det.mmse_equalize(b.receive(r), h_eff, s).soft
+            ref = det.mmse_equalize(b.receive(r), h_eff, s)
             assert np.max(np.abs(sq - ref)) <= 1e-10
 
     @pytest.mark.parametrize("scheme,geo,params,detector,dense_calls", [
@@ -278,9 +278,9 @@ class TestPapr:
 
     def test_ccdf_floor_and_monotonicity(self):
         samples = np.arange(100, dtype=float)
-        pts = kpi.papr_ccdf(samples, min_tail=10)
+        pts = kpi.papr_ccdf(samples)
         levels = [p[1] for p in pts]
-        assert min(levels) >= 10 / 100
+        assert min(levels) >= kpi.PAPR_MIN_TAIL / 100
         assert levels == sorted(levels, reverse=True)
 
     def test_quantile_lookup(self):
