@@ -2,7 +2,7 @@
 
 Each case is a preset plus overrides, small enough that all of them run in
 seconds.  ``golden/digests.json`` holds the sha256 of every CSV a case
-writes.  Policy: outputs stay byte-identical; a change that moves a digest
+writes and of its ``manifest.json``, which pins the ``derived`` block.  Policy: outputs stay byte-identical; a change that moves a digest
 re-records the file with ``PYTHONPATH=src python tests/test_golden.py`` and
 names every moved digest and its cause in CHANGES.md (README, "Decisions").
 
@@ -13,6 +13,7 @@ channel-matrix experiments, and the filter bank in the peak-power and
 ambiguity experiments.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -74,11 +75,13 @@ CASES = {
 
 
 def run_case(name: str, out: Path) -> dict:
-    """Run one case into ``out``; returns its CSV digests by file name."""
+    """Run one case into ``out``; returns the digests of its CSVs and manifest."""
     preset, overrides = CASES[name]
     cfg = preset_config(preset)
     cfg.update(overrides)
-    return bench.run_experiment(cfg, out, preset_name=preset)["outputs"]
+    outputs = bench.run_experiment(cfg, out, preset_name=preset)["outputs"]
+    manifest = hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
+    return dict(outputs, **{"manifest.json": manifest})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
