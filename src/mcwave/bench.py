@@ -122,33 +122,35 @@ def _derived_info(cfg: dict, chan: channel.ChannelConfig) -> dict:
     return info
 
 
-def _run_ber_experiment(cfg: dict, out: Path) -> dict:
-    chan = channel_config(cfg)
-    const = detection.qam_constellation(cfg["constellation"])
-    outputs = {}
+def _csv_name(kind: str, label: str, tag: str = "") -> str:
+    """``<kind>_<label with - as _>[_<tag>].csv``, the file of one scheme."""
+    return "_".join(filter(None, (kind, label.replace("-", "_"), tag))) + ".csv"
+
+
+def _ber_rows(tag: str, bundle: waveforms.WaveformBundle, cfg: dict,
+              chan: channel.ChannelConfig) -> list[tuple]:
+    """The ``ber`` records of one bundle, one per SNR point, labelled ``tag``."""
+    points = kpi.run_ber(
+        bundle,
+        chan,
+        cfg["detector"],
+        cfg["snr_db"],
+        cfg["trials"],
+        cfg["seed"],
+        detection.qam_constellation(cfg["constellation"]),
+        workers=cfg["workers"],
+    )
+    return [(tag, p.snr_db, p.bits, p.bit_errors, p.ber) for p in points]
+
+
+def _run_ber_experiment(cfg: dict, chan: channel.ChannelConfig):
     for label in cfg["waveforms"]:
-        bundle = build_bundle(label, cfg, chan)
-        points = kpi.run_ber(
-            bundle,
-            chan,
-            cfg["detector"],
-            cfg["snr_db"],
-            cfg["trials"],
-            cfg["seed"],
-            const,
-            workers=cfg["workers"],
-        )
-        records = [(label, p.snr_db, p.bits, p.bit_errors, p.ber) for p in points]
-        fname = f"ber_{label.replace('-', '_')}.csv"
-        emit_results(records, "ber", out / fname)
-        outputs[fname] = None
-    return outputs
+        rows = _ber_rows(label, build_bundle(label, cfg, chan), cfg, chan)
+        yield _csv_name("ber", label), "ber", rows
 
 
-def _run_papr_experiment(cfg: dict, out: Path) -> dict:
-    chan = channel_config(cfg)
+def _run_papr_experiment(cfg: dict, chan: channel.ChannelConfig):
     const = detection.qam_constellation(cfg["constellation"])
-    outputs = {}
     for label in cfg["waveforms"]:
         if label == "ddam":
             fs = cfg["frame.m_1d"] * cfg["frame.delta_f_1d_hz"]
@@ -166,61 +168,41 @@ def _run_papr_experiment(cfg: dict, out: Path) -> dict:
             )
         samples = kpi.papr_samples(source, cfg["trials"], cfg["seed"])
         records = [(label, v, c) for v, c in kpi.papr_ccdf(samples)]
-        fname = f"papr_{label.replace('-', '_')}.csv"
-        emit_results(records, "papr", out / fname)
-        outputs[fname] = None
-    return outputs
+        yield _csv_name("papr", label), "papr", records
 
 
-def _allone_core(label: str, cfg: dict, chan: channel.ChannelConfig) -> tuple[np.ndarray, float, float]:
-    bundle = build_bundle(label, cfg, chan)
-    x = np.ones(bundle.n_symbols, dtype=complex)
+def _af_cuts(bundle: waveforms.WaveformBundle, cfg: dict):
+    """Delay- and Doppler-cut metrics of the self-ambiguity of an all-one frame.
+
+    The Doppler cut spans +-``af.doppler_span`` Doppler bins of delta_f / n.
+    """
     # The dense product pins the AF bytes; the factored apply differs in
     # last bits, so it waits for a declared numerics move.
-    core = bundle.a_tx @ x
-    fs = bundle.geometry.sample_rate_hz
-    if bundle.geometry.n > 1:
-        doppler_ref = bundle.geometry.delta_f_hz / bundle.geometry.n
-    else:
-        doppler_ref = bundle.geometry.delta_f_hz
-    return core, fs, doppler_ref
-
-
-def af_metrics_for_frame(
-    core: np.ndarray,
-    fs: float,
-    doppler_ref: float,
-    convention: str,
-    doppler_span: float,
-    doppler_points: int,
-):
-    """Delay- and Doppler-cut metrics of a frame's self-ambiguity."""
+    core = bundle.a_tx @ np.ones(bundle.n_symbols, dtype=complex)
+    geo = bundle.geometry
+    fs, doppler_ref = geo.sample_rate_hz, geo.delta_f_hz / geo.n
     L = core.size
     tau = np.arange(-(L - 1), L) / fs
     delay_grid = kpi.ambiguity_grid(
-        core, core, tau, np.array([0.0]), fs, convention=convention,
+        core, core, tau, np.array([0.0]), fs, convention=cfg["af.convention"],
         doppler_ref_hz=doppler_ref,
     )
     delay_cut = kpi.af_cut_metrics(delay_grid.magnitudes[0], delay_grid.delay_norm)
-    nu = np.linspace(-doppler_span, doppler_span, doppler_points) * doppler_ref
+    span = cfg["af.doppler_span"]
+    nu = np.linspace(-span, span, cfg["af.doppler_points"]) * doppler_ref
     dop_grid = kpi.ambiguity_grid(
-        core, core, np.array([0.0]), nu, fs, convention=convention,
+        core, core, np.array([0.0]), nu, fs, convention=cfg["af.convention"],
         doppler_ref_hz=doppler_ref,
     )
     dop_cut = kpi.af_cut_metrics(dop_grid.magnitudes[:, 0], dop_grid.doppler_norm)
     return delay_cut, dop_cut
 
 
-def _run_af_experiment(cfg: dict, out: Path) -> dict:
-    chan = channel_config(cfg)
+def _run_af_experiment(cfg: dict, chan: channel.ChannelConfig):
     wide_rows = []
     long_records = []
     for label in cfg["waveforms"]:
-        core, fs, dref = _allone_core(label, cfg, chan)
-        dcut, ncut = af_metrics_for_frame(
-            core, fs, dref, cfg["af.convention"],
-            cfg["af.doppler_span"], cfg["af.doppler_points"],
-        )
+        dcut, ncut = _af_cuts(build_bundle(label, cfg, chan), cfg)
         wide_rows.append(
             (label, dcut.width_3db, ncut.width_3db, dcut.pslr_db, dcut.islr_db,
              ncut.pslr_db, ncut.islr_db)
@@ -232,20 +214,18 @@ def _run_af_experiment(cfg: dict, out: Path) -> dict:
                 (label, axis, "islr_db", cut.islr_db),
                 (label, axis, "no_null", float(cut.no_null)),
             ]
-    emit_results(wide_rows, "af_metrics", out / "af_metrics.csv")
-    emit_results(long_records, "af", out / "af_points.csv")
-    return {"af_metrics.csv": None, "af_points.csv": None}
+    yield "af_metrics.csv", "af_metrics", wide_rows
+    yield "af_points.csv", "af", long_records
 
 
-def _run_chanmat_experiment(cfg: dict, out: Path) -> dict:
-    outputs = {}
+def _run_chanmat_experiment(cfg: dict, chan: channel.ChannelConfig):
     thr = cfg["chanmat.threshold"]
-    for kind in cfg["chanmat.models"]:
-        chan = channel_config(cfg, kind=kind)
+    for kind in cfg["chanmat.models"]:  # each model draws its own channel
+        model_chan = channel_config(cfg, kind=kind)
         for label in cfg["waveforms"]:
-            bundle = build_bundle(label, cfg, chan)
-            real = chan.realize(bundle.geometry.sample_rate_hz, sigma2=0.0,
-                                rng_seed=cfg["seed"])
+            bundle = build_bundle(label, cfg, model_chan)
+            real = model_chan.realize(bundle.geometry.sample_rate_hz, sigma2=0.0,
+                                      rng_seed=cfg["seed"])
             h_eff = waveforms.effective_channel(bundle, real)
             mag = np.abs(h_eff)
             peak = mag.max()
@@ -253,15 +233,10 @@ def _run_chanmat_experiment(cfg: dict, out: Path) -> dict:
             records = [
                 (int(r), int(c), float(mag[r, c])) for r, c in zip(rows, cols)
             ]
-            fname = f"chanmat_{label.replace('-', '_')}_{kind}.csv"
-            emit_results(records, "chanmat", out / fname)
-            outputs[fname] = None
-    return outputs
+            yield _csv_name("chanmat", label, kind), "chanmat", records
 
 
-def _run_sweep_experiment(cfg: dict, out: Path) -> dict:
-    chan = channel_config(cfg)
-    const = detection.qam_constellation(cfg["constellation"])
+def _run_sweep_experiment(cfg: dict, chan: channel.ChannelConfig):
     M = cfg["frame.m_1d"]
     grid = np.linspace(0.0, 1.0 / (2.0 * M), cfg["sweep.steps"])
     records = []
@@ -270,18 +245,12 @@ def _run_sweep_experiment(cfg: dict, out: Path) -> dict:
             sweep_cfg = dict(cfg)
             sweep_cfg["afdm.c1"] = float(c1)
             sweep_cfg["afdm.c2"] = float(c2)
-            bundle = build_bundle("afdm", sweep_cfg, chan)
-            points = kpi.run_ber(
-                bundle, chan, cfg["detector"], cfg["snr_db"], cfg["trials"],
-                cfg["seed"], const, workers=cfg["workers"],
-            )
             tag = f"afdm[c1={c1:.10g};c2={c2:.10g}]"
-            records += [(tag, p.snr_db, p.bits, p.bit_errors, p.ber) for p in points]
-    emit_results(records, "ber", out / "afdm_sweep.csv")
-    return {"afdm_sweep.csv": None}
+            records += _ber_rows(tag, build_bundle("afdm", sweep_cfg, chan), cfg, chan)
+    yield "afdm_sweep.csv", "ber", records
 
 
-def _run_overhead_experiment(cfg: dict, out: Path) -> dict:
+def _run_overhead_experiment(cfg: dict, chan: channel.ChannelConfig):
     l_max, a_max, xi = cfg["overhead.l_max"], cfg["overhead.alpha_max"], cfg["overhead.xi_nu"]
     m1 = cfg["frame.m_1d"]
     mn = cfg["frame.m_2d"] * cfg["frame.n_2d"]
@@ -301,8 +270,7 @@ def _run_overhead_experiment(cfg: dict, out: Path) -> dict:
                     kpi.spectral_efficiency(0.0, order, m1, m1 / bw, 0.0, bw)))
     records.append(("any", "spectral_efficiency_cp_quarter",
                     kpi.spectral_efficiency(0.0, order, m1, m1 / bw, m1 / bw / 4, bw)))
-    emit_results(records, "overhead", out / "overhead.csv")
-    return {"overhead.csv": None}
+    yield "overhead.csv", "overhead", records
 
 
 _RUNNERS = {
@@ -319,12 +287,14 @@ def run_experiment(cfg: dict, output_dir: str | Path | None = None,
                    preset_name: str | None = None) -> dict:
     """Validate, execute and write one experiment; returns the manifest.
 
-    The CSVs and the manifest are written to a staging directory inside the
-    output directory and moved into place only once all of them exist, so a
-    run that fails leaves the directory as it found it (and removes it if
-    the run created it).
+    The experiment's runner computes over the channel that validation
+    checked and yields (file name, schema kind, records) per CSV; each file
+    is written as soon as its records exist.  The CSVs and the manifest are
+    written to a staging directory inside the output directory and moved
+    into place only once all of them exist, so a run that fails leaves the
+    directory as it found it (and removes it if the run created it).
     """
-    validate_config(cfg)
+    chan = validate_config(cfg)
     out = Path(
         output_dir
         or cfg["output_dir"]
@@ -335,8 +305,9 @@ def run_experiment(cfg: dict, output_dir: str | Path | None = None,
     out.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".partial-", dir=out))
     try:
-        outputs = _RUNNERS[cfg["experiment"]](cfg, staging)
-        for fname in outputs:
+        outputs = {}
+        for fname, kind, records in _RUNNERS[cfg["experiment"]](cfg, chan):
+            emit_results(records, kind, staging / fname)
             outputs[fname] = _sha256(staging / fname)
         manifest = {
             "library": "mcwave",
@@ -344,7 +315,7 @@ def run_experiment(cfg: dict, output_dir: str | Path | None = None,
             "experiment": cfg["experiment"],
             "preset": preset_name,
             "config": {k: cfg[k] for k in sorted(cfg)},
-            "derived": _derived_info(cfg, channel_config(cfg)),
+            "derived": _derived_info(cfg, chan),
             "outputs": outputs,
         }
         (staging / "manifest.json").write_text(

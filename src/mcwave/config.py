@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .channel import CHANNEL_MODEL_KINDS, CHANNEL_PRESETS, ChannelConfig, doppler_from_velocity
 from .detection import QAM_ORDERS
-from .kpi import AF_CONVENTIONS, DETECTORS, PAPR_MIN_TAIL
+from .kpi import AF_CONVENTIONS, DETECTORS, PAPR_MIN_TAIL, noise_variance
 from .waveforms import (
     BEAMFORMERS,
     DFTS_MAPPINGS,
@@ -169,8 +169,11 @@ def _check_choice(cfg: dict, key: str, choices: tuple) -> None:
             f"{key} must be one of {'|'.join(map(str, choices))}, got {cfg[key]!r}")
 
 
-def validate_config(cfg: dict) -> None:
-    """Semantic validation; raises :class:`ValidationError` naming the field."""
+def validate_config(cfg: dict) -> ChannelConfig:
+    """Semantic validation; raises :class:`ValidationError` naming the field.
+
+    Returns the channel the checks read, which is the channel the run uses.
+    """
     unknown = set(cfg) - set(CONFIG_SCHEMA)
     if unknown:
         raise ValidationError(f"unknown keys: {sorted(unknown)}")
@@ -194,8 +197,8 @@ def validate_config(cfg: dict) -> None:
     if not cfg["snr_db"]:
         raise ValidationError("snr_db must be nonempty")
     for snr in cfg["snr_db"]:
-        try:  # the noise variance the bit-error trials use
-            10.0 ** (-snr / 10.0)
+        try:
+            noise_variance(snr)
         except OverflowError:
             raise ValidationError(
                 f"snr_db: {snr} dB gives a noise variance beyond the float range"
@@ -239,6 +242,11 @@ def validate_config(cfg: dict) -> None:
             raise ValidationError(f"channel.profile_file: {exc}") from exc
     if cfg["channel.velocity_kmh"] < 0:
         raise ValidationError("channel.velocity_kmh must be >= 0")
+    if not math.isfinite(chan.nu_max_hz):
+        raise ValidationError(
+            f"channel.velocity_kmh: {cfg['channel.velocity_kmh']} km/h at "
+            f"{cfg['channel.carrier_hz']} Hz gives a Doppler shift beyond the float range"
+        )
     if not 0.0 < cfg["frft.p"] < 2.0:
         raise ValidationError("frft.p must lie in (0, 2)")
     if cfg["ifdm.seed"] < 0:
@@ -286,6 +294,7 @@ def validate_config(cfg: dict) -> None:
         _check_prefixes(cfg, chan)
     if exp in ("ber", "afdm-sweep") and cfg["detector"] == "single-tap":
         _check_single_tap(cfg, chan)
+    return chan
 
 
 # The mapping from a config to what a run builds.  Validation and the runner

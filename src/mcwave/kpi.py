@@ -66,6 +66,11 @@ class BerPoint:
         return self.bit_errors / self.bits if self.bits else 0.0
 
 
+def noise_variance(snr_db: float) -> float:
+    """Complex noise variance at symbol SNR ``snr_db`` over a unit-energy alphabet."""
+    return 10.0 ** (-snr_db / 10.0)
+
+
 def _ber_trial(
     bundle: WaveformBundle,
     channel_cfg: ChannelConfig,
@@ -99,7 +104,7 @@ def _ber_trial(
     )
     r0 = apply_channel(frame, real)
     w = noise_shape(frame.size, derive_rng(seed, trial, _STREAM_NOISE))
-    sigma2s = [10.0 ** (-snr_db / 10.0) for snr_db in snr_db_list]
+    sigma2s = [noise_variance(snr_db) for snr_db in snr_db_list]
     received = [r0 + np.sqrt(sigma2 / 2.0) * w for sigma2 in sigma2s]
     if detector == "mmse" and bundle.adjoint_pair:
         soft = time_domain_mmse(bundle, real, received, sigma2s)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcwave import bench, cli, config, kpi
+from mcwave import bench, channel, cli, config, kpi
 from mcwave import waveforms as wf
 from mcwave.config import (
     CONFIG_SCHEMA,
@@ -181,6 +181,19 @@ class TestValidationGaps:
         assert cli.main(["run", str(cfg_file)]) == 2
         assert "snr_db" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("waveform", ["ofdm", "afdm"])
+    def test_doppler_beyond_the_float_range_names_velocity(self, tmp_path, capsys, waveform):
+        # nu_max = inf: NaN phases in the ofdm draw, an infinite automatic afdm c1
+        cfg_file = tmp_path / "fast.cfg"
+        cfg_file.write_text(
+            "experiment = ber\ntrials = 1\nwaveforms = {}\nframe.m_1d = 16\n"
+            "channel.velocity_kmh = 1e300\noutput_dir = {}\n".format(waveform, tmp_path / "out"))
+        for command in ("validate", "run"):
+            assert cli.main([command, str(cfg_file)]) == 2
+            assert "channel.velocity_kmh" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        validate_config(self._cfg(**{"channel.velocity_kmh": 1e290}))
 
     def test_short_prefix_run_exit_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "prefix.cfg"
@@ -729,6 +742,29 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
         assert (tmp_path / "ber_otfs.csv").exists()
+
+    @pytest.mark.parametrize("experiment,reads", [("ber", 1), ("chanmat", 4)])
+    def test_run_reads_the_profile_file_once_per_channel(
+            self, tmp_path, monkeypatch, experiment, reads):
+        # one channel for validation, the run and the manifest; chanmat adds
+        # one per model (three here)
+        prof = tmp_path / "two_paths.txt"
+        prof.write_text("0 0 0\n-3 1e-6 0\n")
+        calls = []
+        load = channel.load_profile_file
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "load_profile_file", counting)
+        cfg = default_config()
+        cfg.update(experiment=experiment, trials=1, snr_db=[10.0], waveforms=["ofdm"],
+                   **{"frame.m_1d": 32, "frame.delta_f_1d_hz": 96e3,
+                      "channel.preset": "file", "channel.profile_file": str(prof),
+                      "chanmat.models": ["tdc", "fdc", "narrowband"]})
+        bench.run_experiment(cfg, tmp_path / "out")
+        assert len(calls) == reads
 
     def test_run_with_profile_file_channel(self, tmp_path):
         prof = tmp_path / "two_paths.txt"
