@@ -2,9 +2,10 @@
 
 Each case is a preset plus overrides, small enough that all of them run in
 seconds.  ``golden/digests.json`` holds the sha256 of every CSV a case
-writes and of its ``manifest.json``, which pins the ``derived`` block.  Policy: outputs stay byte-identical; a change that moves a digest
-re-records the file with ``PYTHONPATH=src python tests/test_golden.py`` and
-names every moved digest and its cause in CHANGES.md (README, "Decisions").
+writes and of its ``manifest.json``, which pins the ``derived`` block.
+Policy: outputs stay byte-identical; a change that moves a digest re-records
+the file with ``PYTHONPATH=src python tests/test_golden.py`` and names every
+moved digest and its cause in CHANGES.md (README, "Decisions").
 
 Together the cases use every waveform label at least once, including the
 ones no benchmark workload runs: the delay-Doppler variants, the spread,
