@@ -224,8 +224,7 @@ def _run_chanmat_experiment(cfg: dict, chan: channel.ChannelConfig):
         model_chan = channel_config(cfg, kind=kind)
         for label in cfg["waveforms"]:
             bundle = build_bundle(label, cfg, model_chan)
-            real = model_chan.realize(bundle.geometry.sample_rate_hz, sigma2=0.0,
-                                      rng_seed=cfg["seed"])
+            real = model_chan.realize(bundle.geometry.sample_rate_hz, cfg["seed"])
             h_eff = waveforms.effective_channel(bundle, real)
             mag = np.abs(h_eff)
             peak = mag.max()

@@ -82,20 +82,17 @@ class Tap:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """An immutable channel draw tied to a sample rate and noise level."""
+    """An immutable channel draw tied to a sample rate."""
 
     kind: str
     taps: tuple[Tap, ...]
     sample_rate_hz: float
-    sigma2: float = 0.0
 
     def __post_init__(self):
         if self.kind not in CHANNEL_MODEL_KINDS:
             raise ValueError(f"unknown channel model kind {self.kind!r}")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample rate must be positive")
-        if self.sigma2 < 0:
-            raise ValueError("noise variance must be >= 0")
 
     @property
     def max_delay_samples(self) -> int:
@@ -270,7 +267,6 @@ def discretize(
     path_set: PathSet,
     sample_rate_hz: float,
     kind: str = NARROWBAND_DDC,
-    sigma2: float = 0.0,
 ) -> ChannelRealization:
     """Round path delays to the nearest sample and freeze a realization.
 
@@ -297,8 +293,7 @@ def discretize(
         if kind != WIDEBAND_DDC:
             scale = 0.0
         taps.append(Tap(delay_samples=l, doppler_hz=nu, gain=p.gain, scale=scale))
-    return ChannelRealization(kind=kind, taps=tuple(taps), sample_rate_hz=sample_rate_hz,
-                              sigma2=sigma2)
+    return ChannelRealization(kind=kind, taps=tuple(taps), sample_rate_hz=sample_rate_hz)
 
 
 def implied_path_set(real: ChannelRealization) -> PathSet:
@@ -333,17 +328,13 @@ def tap_columns(real: ChannelRealization, tap: Tap, n: np.ndarray) -> np.ndarray
     return n - tap.delay_samples
 
 
-def apply_channel(
-    s: np.ndarray, real: ChannelRealization, rng_seed: int | np.random.Generator = 0
-) -> np.ndarray:
-    """Propagate a full (prefixed) frame through the realization.
+def apply_channel(s: np.ndarray, real: ChannelRealization) -> np.ndarray:
+    """Propagate a full (prefixed) frame through the realization, noiselessly.
 
-    output[n] = sum_i h_i * s[n - l_i] * exp(2j*pi*nu_i*n/f_s) + w[n]
+    output[n] = sum_i h_i * s[n - l_i] * exp(2j*pi*nu_i*n/f_s)
 
     with s[.] = 0 outside its support; the wideband kind reads the warped
     index of :func:`tap_columns` instead of n - l_i.
-    Noise w is circular complex Gaussian with variance ``real.sigma2``
-    (zero allowed, in which case no random draw happens).
     """
     s = np.asarray(s, dtype=complex)
     if s.ndim != 1 or s.size == 0:
@@ -358,27 +349,15 @@ def apply_channel(
         shifted = np.zeros(L, dtype=complex)
         shifted[valid] = s[idx[valid]]
         out += t.gain * shifted * phase
-    if real.sigma2 > 0:
-        out += np.sqrt(real.sigma2 / 2.0) * noise_shape(L, rng_seed)
     return out
 
 
-def noise_shape(length: int, rng_seed: int | np.random.Generator) -> np.ndarray:
-    """Unit noise draw: standard normal real and imaginary parts.
-
-    Scaled by sqrt(sigma2 / 2) it is circular complex Gaussian noise of
-    variance sigma2; a fixed seed gives the same shape at every noise level.
-    """
-    rng = _as_generator(rng_seed)
-    return rng.standard_normal(length) + 1j * rng.standard_normal(length)
-
-
 def channel_matrix_full(real: ChannelRealization, length: int) -> np.ndarray:
-    """Dense linear time-varying matrix H with r = H s (noiseless).
+    """Dense linear time-varying matrix H with r = H s.
 
     Row n accumulates h_i * exp(2j*pi*nu_i*n/f_s) at column n - l_i (or the
-    warped index for the wideband kind).  ``apply_channel`` with sigma2 = 0
-    equals H @ s by construction.
+    warped index for the wideband kind).  ``apply_channel`` equals H @ s by
+    construction.
     """
     length = int(length)
     if length < real.max_delay_samples + 1:
@@ -444,10 +423,7 @@ class ChannelConfig:
         return channel_preset(self.preset)
 
     def realize(
-        self,
-        sample_rate_hz: float,
-        sigma2: float,
-        rng_seed: int | np.random.Generator,
+        self, sample_rate_hz: float, rng_seed: int | np.random.Generator
     ) -> ChannelRealization:
         rng = _as_generator(rng_seed)
         ps = self.path_set
@@ -455,7 +431,7 @@ class ChannelConfig:
             ps = draw_profile_gains(ps, rng)
         if self.jakes:
             ps = draw_jakes_dopplers(ps, self.nu_max_hz, rng)
-        return discretize(ps, sample_rate_hz, kind=self.kind, sigma2=sigma2)
+        return discretize(ps, sample_rate_hz, kind=self.kind)
 
     def max_delay_samples(self, sample_rate_hz: float) -> int:
         return int(round(self.path_set.max_delay_s * sample_rate_hz))

@@ -21,15 +21,16 @@ EXIT_RUNTIME = 3
 
 
 def _resolve_config(arg: str) -> tuple[dict, str | None]:
-    """A path parses as a config file; otherwise the arg must name a preset."""
+    """A path parses as a config file; otherwise the arg must name a preset.
+
+    The config is not yet validated: ``run`` leaves that to
+    :func:`run_experiment`, so each command validates once.
+    """
     path = Path(arg)
     if path.exists():
-        cfg = parse_config(path.read_text(encoding="utf-8"))
-        return cfg, None
+        return parse_config(path.read_text(encoding="utf-8")), None
     if arg in preset_names():
-        cfg = preset_config(arg)
-        validate_config(cfg)
-        return cfg, arg
+        return preset_config(arg), arg
     raise ValidationError(f"{arg!r} is neither a config file nor a known preset")
 
 
@@ -79,6 +80,8 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_presets()
     try:
         cfg, preset = _resolve_config(args.config)
+        if args.command != "run":
+            validate_config(cfg)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

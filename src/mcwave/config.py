@@ -2,8 +2,9 @@
 
 One ``key = value`` pair per line, ``#`` comments, lists comma-separated.
 Unknown keys are hard errors (nothing is silently ignored) and every value
-is validated against the schema below, so a config file round-trips
-losslessly through :func:`parse_config` / :func:`serialize_config`.
+is typed by the schema below, so a config file round-trips losslessly
+through :func:`parse_config` / :func:`serialize_config`; the semantic
+checks are :func:`validate_config`.
 """
 
 from __future__ import annotations
@@ -132,7 +133,11 @@ def default_config() -> dict:
 
 
 def parse_config(text: str) -> dict:
-    """Parse config text into a full (defaults-applied) validated dict."""
+    """Parse config text into a full (defaults-applied) typed dict.
+
+    Rejects unknown keys and values of the wrong kind; the semantic checks
+    are left to :func:`validate_config`.
+    """
     cfg = default_config()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -145,7 +150,6 @@ def parse_config(text: str) -> dict:
         if key not in CONFIG_SCHEMA:
             raise ValidationError(f"line {lineno}: unknown key {key!r}")
         cfg[key] = _parse_value(key, CONFIG_SCHEMA[key].kind, val)
-    validate_config(cfg)
     return cfg
 
 
@@ -280,6 +284,15 @@ def validate_config(cfg: dict) -> ChannelConfig:
         raise ValidationError("af.doppler_points must be >= 3")
     if cfg["af.doppler_span"] <= 0:
         raise ValidationError("af.doppler_span must be positive")
+    for w in cfg["waveforms"] if exp == "af" else ():
+        # the delay cut of an L-sample core frame has 2L - 1 points and a cut
+        # needs 3; fbmc's frame also carries the prototype's tails
+        row = SCHEMES_BY_LABEL[w]
+        if row.label != "fbmc" and scheme_geometry(cfg, row, chan).core_samples < 2:
+            keys = "frame.m_1d" if row.dim == 1 else "frame.m_2d, frame.n_2d"
+            raise ValidationError(
+                f"{keys}: the {w!r} core frame has one sample; its ambiguity delay cut "
+                "needs at least 2")
     if cfg["sweep.steps"] < 2:
         raise ValidationError("sweep.steps must be >= 2")
     if not 0.0 < cfg["chanmat.threshold"] < 1.0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, ChannelRealization, apply_channel, noise_shape
+from .channel import ChannelConfig, ChannelRealization, apply_channel
 from .detection import (
     Constellation,
     bits_for_indices,
@@ -71,6 +71,15 @@ def noise_variance(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
+def noise_shape(length: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit noise draw: standard normal real and imaginary parts.
+
+    Scaled by sqrt(sigma2 / 2) it is circular complex Gaussian noise of
+    variance sigma2; one draw gives the same shape at every noise level.
+    """
+    return rng.standard_normal(length) + 1j * rng.standard_normal(length)
+
+
 def _ber_trial(
     bundle: WaveformBundle,
     channel_cfg: ChannelConfig,
@@ -82,10 +91,10 @@ def _ber_trial(
 ) -> np.ndarray:
     """Bit errors per SNR point for one trial; shape (n_snr,).
 
-    The noiseless received frame and the unit noise shape are computed once;
-    each SNR point scales the shape onto the frame, exactly as
-    :func:`apply_channel` adds it.  Frames are modulated with the bundle's
-    factored operator.  Block MMSE over a square unitary bundle equalizes
+    The channel is noiseless: the received frame and the unit noise shape
+    are computed once, and each SNR point adds the shape scaled to its
+    noise variance.  Frames are modulated with the bundle's factored
+    operator.  Block MMSE over a square unitary bundle equalizes
     in the time domain (:func:`time_domain_mmse`) and never builds a dense
     matrix; other bundles and the single-tap detector use the
     modulation-domain channel matrix, which reads the dense reference.
@@ -98,9 +107,7 @@ def _ber_trial(
     x = map_bits(bits, constellation)
     frame = bundle.transmit(x)
     real = channel_cfg.realize(
-        bundle.geometry.sample_rate_hz,
-        sigma2=0.0,
-        rng_seed=derive_rng(seed, trial, _STREAM_CHANNEL),
+        bundle.geometry.sample_rate_hz, derive_rng(seed, trial, _STREAM_CHANNEL)
     )
     r0 = apply_channel(frame, real)
     w = noise_shape(frame.size, derive_rng(seed, trial, _STREAM_NOISE))
@@ -343,7 +350,7 @@ def ddam_frame_source(
     """
 
     def source(rng: np.random.Generator) -> np.ndarray:
-        real = channel_cfg.realize(sample_rate_hz, sigma2=0.0, rng_seed=rng)
+        real = channel_cfg.realize(sample_rate_hz, rng)
         P = len(real.taps)
         steering = (rng.standard_normal((P, n_tx)) + 1j * rng.standard_normal((P, n_tx)))
         steering /= np.sqrt(2.0)

@@ -11,8 +11,6 @@ builders are pure functions of their arguments.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 __all__ = [
@@ -38,19 +36,14 @@ def _check_size(M: int, name: str = "M") -> int:
     return M
 
 
-@functools.lru_cache(maxsize=1)
 def dft_matrix(M: int) -> np.ndarray:
     """Forward DFT matrix with entries exp(-2j*pi*k*l/M)/sqrt(M).
 
-    The inverse transform is the conjugate transpose.  The last matrix built
-    is kept, since consecutive schemes of a run share their size, and it is
-    returned read-only because every caller gets the same array.
+    The inverse transform is the conjugate transpose.
     """
     M = _check_size(M)
     k = np.arange(M)
-    F = np.exp(-2j * np.pi * np.outer(k, k) / M) / np.sqrt(M)
-    F.flags.writeable = False
-    return F
+    return np.exp(-2j * np.pi * np.outer(k, k) / M) / np.sqrt(M)
 
 
 def daft_chirps(M: int, c1: float, c2: float) -> tuple[np.ndarray, np.ndarray]:

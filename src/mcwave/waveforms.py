@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 
 from . import transforms
-from .channel import ChannelRealization, noise_shape, tap_columns
+from .channel import ChannelRealization, tap_columns
 
 
 class ConfigurationError(ValueError):
@@ -918,15 +918,10 @@ def ddam_precode(
     return s
 
 
-def ddam_apply_channel(
-    s: np.ndarray,
-    cfg: DdamConfig,
-    real: ChannelRealization,
-    rng_seed: int | np.random.Generator = 0,
-) -> np.ndarray:
+def ddam_apply_channel(s: np.ndarray, cfg: DdamConfig, real: ChannelRealization) -> np.ndarray:
     """Propagate a multi-antenna signal through the per-path vector channel.
 
-    r[n] = sum_i gain_i * (h_i^H s[:, n - l_i]) * exp(2j*pi*nu_i*n/f_s) + w[n]
+    r[n] = sum_i gain_i * (h_i^H s[:, n - l_i]) * exp(2j*pi*nu_i*n/f_s)
 
     where h_i are the steering vectors of ``cfg`` and gain_i the (scalar) tap
     gains of the realization, normally 1 when the vectors carry the gain.
@@ -947,8 +942,6 @@ def ddam_apply_channel(
         hi = min(L, lo + proj.size)
         delayed[lo:hi] = proj[: hi - lo]
         r += tap.gain * delayed * np.exp(2j * np.pi * tap.doppler_hz * n / fs)
-    if real.sigma2 > 0:
-        r += np.sqrt(real.sigma2 / 2.0) * noise_shape(L, rng_seed)
     return r
 
 

@@ -50,7 +50,7 @@ class TestConfigFormat:
 
     def test_negative_trials_names_field(self):
         with pytest.raises(ValidationError, match="trials"):
-            parse_config("trials = -3\n")
+            validate_config(parse_config("trials = -3\n"))
 
     def test_bad_value_names_key(self):
         with pytest.raises(ValidationError, match="snr_db"):
@@ -64,7 +64,7 @@ class TestConfigFormat:
 
     def test_unknown_waveform_label(self):
         with pytest.raises(ValidationError, match="waveforms"):
-            parse_config("waveforms = ofdm,qpsk-burst\n")
+            validate_config(parse_config("waveforms = ofdm,qpsk-burst\n"))
 
 
 class TestValidationGaps:
@@ -100,7 +100,7 @@ class TestValidationGaps:
         "key", [k for k, v in CONFIG_SCHEMA.items() if v.kind in ("float", "float_list")])
     def test_non_finite_floats_rejected(self, key, bad):
         with pytest.raises(ValidationError, match=f"{key} must be finite"):
-            parse_config(f"{key} = {bad}\n")
+            validate_config(parse_config(f"{key} = {bad}\n"))
 
     def test_nan_snr_run_exit_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "nan.cfg"
@@ -194,6 +194,23 @@ class TestValidationGaps:
             assert "channel.velocity_kmh" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         validate_config(self._cfg(**{"channel.velocity_kmh": 1e290}))
+
+    @pytest.mark.parametrize("frame,key", [
+        ("waveforms = scm\nframe.m_1d = 1\n", "frame.m_1d"),
+        ("waveforms = otfs\nframe.m_2d = 1\nframe.n_2d = 1\n", "frame.m_2d, frame.n_2d"),
+    ], ids=["scm", "otfs"])
+    def test_one_sample_af_frame_names_the_frame_key(self, tmp_path, capsys, frame, key):
+        # the delay cut of an L-sample frame has 2L - 1 points and needs 3
+        cfg_file = tmp_path / "af.cfg"
+        cfg_file.write_text("experiment = af\n{}output_dir = {}\n".format(
+            frame, tmp_path / "out"))
+        for command in ("validate", "run"):
+            assert cli.main([command, str(cfg_file)]) == 2
+            assert f"validation error: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # the fbmc frame carries the prototype's tails
+        validate_config(self._cfg(experiment="af", waveforms=["fbmc"],
+                                  **{"frame.m_2d": 1, "frame.n_2d": 1}))
 
     def test_short_prefix_run_exit_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "prefix.cfg"
@@ -445,7 +462,7 @@ class TestBuildBundle:
 
         monkeypatch.setattr(config, "scheme_geometry", record)
         validate_config(cfg)
-        assert bool(checked) == (cfg["experiment"] in ("ber", "chanmat", "afdm-sweep"))
+        assert bool(checked) == (cfg["experiment"] in ("ber", "chanmat", "af", "afdm-sweep"))
         chan = channel_config(cfg)
         for label in (w for w in cfg["waveforms"] if w != "ddam"):
             row = wf.SCHEMES_BY_LABEL[label]
@@ -765,6 +782,27 @@ class TestCli:
                       "chanmat.models": ["tdc", "fdc", "narrowband"]})
         bench.run_experiment(cfg, tmp_path / "out")
         assert len(calls) == reads
+
+    def test_cli_run_validates_once(self, tmp_path, monkeypatch):
+        # the profile is read by the one validation inside run_experiment
+        prof = tmp_path / "two_paths.txt"
+        prof.write_text("0 0 0\n-3 1e-6 0\n")
+        reads = []
+        load = channel.load_profile_file
+
+        def counting(*args, **kwargs):
+            reads.append(args)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "load_profile_file", counting)
+        cfg_file = tmp_path / "file_chan.cfg"
+        cfg_file.write_text(
+            "experiment = ber\ntrials = 1\nsnr_db = 10\nwaveforms = ofdm\n"
+            "frame.m_1d = 32\nframe.delta_f_1d_hz = 96000\n"
+            "channel.preset = file\nchannel.profile_file = {}\n"
+            "output_dir = {}\n".format(prof, tmp_path / "out"))
+        assert cli.main(["run", str(cfg_file)]) == 0
+        assert len(reads) == 1
 
     def test_run_with_profile_file_channel(self, tmp_path):
         prof = tmp_path / "two_paths.txt"

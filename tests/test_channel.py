@@ -123,12 +123,6 @@ class TestApplyChannel:
         with pytest.raises(ValueError):
             ch.apply_channel(np.array([]), real)
 
-    def test_noise_variance_scaling(self):
-        real = ch.discretize(ch.channel_preset("AWGN"), 1e6, sigma2=0.25)
-        s = np.zeros(4096, dtype=complex)
-        out = ch.apply_channel(s, real, rng_seed=5)
-        assert np.mean(np.abs(out) ** 2) == pytest.approx(0.25, rel=0.1)
-
     def test_wideband_time_scaling(self):
         # positive scale factor compresses the waveform: sample n reads the
         # input at round(n * (1 + a)).
@@ -257,18 +251,18 @@ class TestChannelConfig:
         cfg = ch.ChannelConfig(profile_path=str(p), random_gains=True)
         assert cfg.path_set is cfg.path_set
         p.unlink()
-        assert len(cfg.realize(1e6, sigma2=0.0, rng_seed=1).taps) == 2
+        assert len(cfg.realize(1e6, rng_seed=1).taps) == 2
 
     def test_realize_deterministic(self):
         cfg = ch.ChannelConfig(preset="EVA", nu_max_hz=500.0,
                                random_gains=True, jakes=True)
-        r1 = cfg.realize(3.072e6, sigma2=0.1, rng_seed=42)
-        r2 = cfg.realize(3.072e6, sigma2=0.1, rng_seed=42)
+        r1 = cfg.realize(3.072e6, rng_seed=42)
+        r2 = cfg.realize(3.072e6, rng_seed=42)
         assert r1.taps == r2.taps
 
     def test_realize_normalized_power(self):
         cfg = ch.ChannelConfig(preset="ETU", nu_max_hz=100.0,
                                random_gains=True, jakes=True)
-        real = cfg.realize(1e6, sigma2=0.0, rng_seed=7)
+        real = cfg.realize(1e6, rng_seed=7)
         total = sum(abs(t.gain) ** 2 for t in real.taps)
         assert total == pytest.approx(1.0)

@@ -2,7 +2,6 @@
 
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,8 +45,8 @@ class TestRunBer:
         bits_b = kpi.derive_rng(7, 3, 0).integers(0, 2, 512)
         assert np.array_equal(bits_a, bits_b)
         cfg = ch.ChannelConfig(preset="EVA", nu_max_hz=1e3, random_gains=True, jakes=True)
-        r1 = cfg.realize(3.072e6, 0.0, kpi.derive_rng(7, 3, 1))
-        r2 = cfg.realize(3.072e6, 0.0, kpi.derive_rng(7, 3, 1))
+        r1 = cfg.realize(3.072e6, kpi.derive_rng(7, 3, 1))
+        r2 = cfg.realize(3.072e6, kpi.derive_rng(7, 3, 1))
         assert r1.taps == r2.taps
 
     def test_worker_count_invariance(self):
@@ -63,6 +62,10 @@ class TestRunBer:
         assert [(p.bit_errors, p.bits) for p in serial] == \
                [(p.bit_errors, p.bits) for p in parallel]
 
+    def test_noise_variance_scaling(self):
+        w = np.sqrt(0.25 / 2.0) * kpi.noise_shape(4096, kpi.derive_rng(5))
+        assert np.mean(np.abs(w) ** 2) == pytest.approx(0.25, rel=0.1)
+
     def test_bad_trials_rejected(self):
         c = det.qam_constellation(4)
         with pytest.raises(wf.ConfigurationError):
@@ -77,11 +80,12 @@ def dense_ber_errors(bundle, cfg, detector, snrs, trials, seed, c):
     for t in range(trials):
         bits = kpi.derive_rng(seed, t, 0).integers(0, 2, bundle.n_symbols * c.bits_per_symbol)
         frame = bundle.transmit(det.map_bits(bits, c))
-        real = cfg.realize(bundle.geometry.sample_rate_hz, 0.0, kpi.derive_rng(seed, t, 1))
+        real = cfg.realize(bundle.geometry.sample_rate_hz, kpi.derive_rng(seed, t, 1))
         h_eff = wf.effective_channel(bundle, real)
         for i, snr in enumerate(snrs):
             sigma2 = 10.0 ** (-snr / 10.0)
-            r = ch.apply_channel(frame, replace(real, sigma2=sigma2), kpi.derive_rng(seed, t, 2))
+            w = kpi.noise_shape(frame.size, kpi.derive_rng(seed, t, 2))
+            r = ch.apply_channel(frame, real) + np.sqrt(sigma2 / 2.0) * w
             hard = det.hard_decide(equalize(bundle.receive(r), h_eff, sigma2), c)
             errors[i] += np.sum(det.bits_for_indices(hard, c) != bits)
     return errors
@@ -110,11 +114,12 @@ class TestTimeDomainMmse:
     def test_matches_modulation_domain_mmse(self, scheme, geo, params):
         b = wf.build_waveform(scheme, geo, params)
         assert b.adjoint_pair
-        real = EVA_DOPPLER.realize(geo.sample_rate_hz, 0.0, 3)
+        real = EVA_DOPPLER.realize(geo.sample_rate_hz, 3)
         rng = np.random.default_rng(99)
         frame = b.transmit(rng.standard_normal(b.n_symbols) + 1j * rng.standard_normal(b.n_symbols))
         sigma2s = [1.0, 1e-2, 1e-3]
-        frames = [ch.apply_channel(frame, replace(real, sigma2=s), 5) for s in sigma2s]
+        w = kpi.noise_shape(frame.size, np.random.Generator(np.random.Philox(key=5)))
+        frames = [ch.apply_channel(frame, real) + np.sqrt(s / 2.0) * w for s in sigma2s]
         soft = kpi.time_domain_mmse(b, real, frames, sigma2s)
         h_eff = wf.effective_channel(b, real)
         for sq, r, s in zip(soft, frames, sigma2s):
@@ -268,7 +273,7 @@ class TestPapr:
         got = source(rng)
         # replay the source's draws and precode the whole frame densely
         rng = kpi.derive_rng(3, 1)
-        real = chan.realize(30.72e6, sigma2=0.0, rng_seed=rng)
+        real = chan.realize(30.72e6, rng_seed=rng)
         P = len(real.taps)
         steering = (rng.standard_normal((P, 12)) + 1j * rng.standard_normal((P, 12)))
         cfg = wf.DdamConfig(steering=steering / np.sqrt(2.0), beamformer="mrt")

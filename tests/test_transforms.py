@@ -28,14 +28,6 @@ class TestDft:
         with pytest.raises(ValueError):
             tr.dft_matrix(0)
 
-    def test_shared_matrix_is_read_only(self):
-        F = tr.dft_matrix(8)
-        assert tr.dft_matrix(8) is F
-        with pytest.raises(ValueError):
-            F[0, 0] = 0.0
-        k = np.arange(8)
-        assert np.array_equal(F, np.exp(-2j * np.pi * np.outer(k, k) / 8) / np.sqrt(8))
-
 
 class TestDaft:
     def test_zero_chirps_reduce_to_dft(self):
