@@ -127,11 +127,15 @@ def _csv_name(kind: str, label: str, tag: str = "") -> str:
     return "_".join(filter(None, (kind, label.replace("-", "_"), tag))) + ".csv"
 
 
-def _ber_rows(tag: str, bundle: waveforms.WaveformBundle, cfg: dict,
-              chan: channel.ChannelConfig) -> list[tuple]:
-    """The ``ber`` records of one bundle, one per SNR point, labelled ``tag``."""
-    points = kpi.run_ber(
-        bundle,
+def _ber_rows(tags: list[str], bundles: list[waveforms.WaveformBundle], cfg: dict,
+              chan: channel.ChannelConfig) -> list[list[tuple]]:
+    """The ``ber`` records of each bundle, one per SNR point, labelled by its tag.
+
+    One ``kpi.run_ber`` call covers every bundle, so bundles that see the
+    same core channel share each trial's block MMSE solve.
+    """
+    results = kpi.run_ber(
+        bundles,
         chan,
         cfg["detector"],
         cfg["snr_db"],
@@ -140,12 +144,16 @@ def _ber_rows(tag: str, bundle: waveforms.WaveformBundle, cfg: dict,
         detection.qam_constellation(cfg["constellation"]),
         workers=cfg["workers"],
     )
-    return [(tag, p.snr_db, p.bits, p.bit_errors, p.ber) for p in points]
+    return [
+        [(tag, p.snr_db, p.bits, p.bit_errors, p.ber) for p in points]
+        for tag, points in zip(tags, results)
+    ]
 
 
 def _run_ber_experiment(cfg: dict, chan: channel.ChannelConfig):
-    for label in cfg["waveforms"]:
-        rows = _ber_rows(label, build_bundle(label, cfg, chan), cfg, chan)
+    labels = cfg["waveforms"]
+    bundles = [build_bundle(label, cfg, chan) for label in labels]
+    for label, rows in zip(labels, _ber_rows(labels, bundles, cfg, chan)):
         yield _csv_name("ber", label), "ber", rows
 
 
@@ -238,15 +246,16 @@ def _run_chanmat_experiment(cfg: dict, chan: channel.ChannelConfig):
 def _run_sweep_experiment(cfg: dict, chan: channel.ChannelConfig):
     M = cfg["frame.m_1d"]
     grid = np.linspace(0.0, 1.0 / (2.0 * M), cfg["sweep.steps"])
-    records = []
+    tags, bundles = [], []
     for c1 in grid:
         for c2 in grid:
             sweep_cfg = dict(cfg)
             sweep_cfg["afdm.c1"] = float(c1)
             sweep_cfg["afdm.c2"] = float(c2)
-            tag = f"afdm[c1={c1:.10g};c2={c2:.10g}]"
-            records += _ber_rows(tag, build_bundle("afdm", sweep_cfg, chan), cfg, chan)
-    yield "afdm_sweep.csv", "ber", records
+            tags.append(f"afdm[c1={c1:.10g};c2={c2:.10g}]")
+            bundles.append(build_bundle("afdm", sweep_cfg, chan))
+    rows = _ber_rows(tags, bundles, cfg, chan)
+    yield "afdm_sweep.csv", "ber", [row for points in rows for row in points]
 
 
 def _run_overhead_experiment(cfg: dict, chan: channel.ChannelConfig):

@@ -6,7 +6,8 @@ power statistics, where the bit map is irrelevant).  Equalizers operate on
 the modulation-domain vector: a per-bin scalar stage for diagonal effective
 channels, a regularized least-squares block stage for coupled ones, and an
 exhaustive search oracle for tiny instances.  A periodic-banded solver,
-batched over noise levels, serves the same block stage in the time domain.
+batched over noise levels and right-hand sides, serves the same block stage
+in the time domain.
 """
 
 from __future__ import annotations
@@ -170,19 +171,21 @@ _MIN_BLOCK = 8  # below this, per-block call overhead outweighs the O(b^3) work
 def solve_periodic_banded(
     band: np.ndarray, shifts: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
-    """Solve (A + s_q I) z_q = b_q for every diagonal load s_q at once.
+    """Solve (A + s_q I) z_rq = b_rq for every diagonal load s_q at once.
 
     A is L x L, Hermitian positive definite and periodic-banded:
     A[j, (j + d) % L] = band[j, w + d] for |d| <= w, ``band`` of shape
     (L, 2w + 1), with columns whose offsets coincide modulo L adding.
-    ``shifts`` holds the Q loads and ``rhs`` is (Q, L); returns (Q, L).
+    ``shifts`` holds the Q loads and ``rhs`` is (R, Q, L): R right-hand
+    sides per load, which share every factorization; returns (R, Q, L).
 
     Bordered block elimination: the last block (the border) meets the first
     only through the wrap corners.  The interior blocks, each at least w
     wide, form a block-tridiagonal system that one block Thomas sweep
-    solves, carrying the border's columns along; the border then follows
-    from its Schur complement.  The cost is O(L w^2) per load.  Systems too
-    small for two blocks are solved densely.
+    solves, carrying the R right-hand sides and the border's columns along;
+    the border then follows from its Schur complement.  The cost is
+    O(L w (w + R)) per load.  Systems too small for two blocks are solved
+    densely.
     """
     band = np.asarray(band, dtype=complex)
     shifts = np.asarray(shifts, dtype=float).reshape(-1)
@@ -190,8 +193,11 @@ def solve_periodic_banded(
     L, width = band.shape
     w = width // 2
     Q = shifts.size
-    if width != 2 * w + 1 or rhs.shape != (Q, L):
-        raise ValueError(f"need band (L, 2w+1) and rhs ({Q}, L), got {band.shape}, {rhs.shape}")
+    if width != 2 * w + 1 or rhs.ndim != 3 or rhs.shape[1:] != (Q, L):
+        raise ValueError(
+            f"need band (L, 2w+1) and rhs (R, {Q}, L), got {band.shape}, {rhs.shape}"
+        )
+    R = rhs.shape[0]
     b = max(w, _MIN_BLOCK)
     m = L // b - 1  # interior blocks; the border takes the remaining c in [b, 2b)
     if m < 1 or L < 2 * w + 1:
@@ -200,38 +206,43 @@ def solve_periodic_banded(
         for k in range(width):
             A[j, (j + k - w) % L] += band[:, k]
         systems = A + shifts[:, None, None] * np.eye(L)
-        return np.linalg.solve(systems, rhs[..., None])[..., 0]
+        return np.linalg.solve(systems, rhs.transpose(1, 2, 0)).transpose(2, 0, 1)
     interior = np.arange(m * b).reshape(m, b)
     border = np.arange(m * b, L)
     D = _band_block(band, interior[:, :, None], interior[:, None, :])
     U = _band_block(band, interior[:-1, :, None], interior[1:, None, :])
     E = _band_block(band, interior[:, :, None], border)  # interior rows, border columns
     load = shifts[:, None, None] * np.eye(b)
-    # Columns swept through the interior: the right-hand side, then E.
-    G = np.concatenate(
-        [rhs[:, : m * b].reshape(Q, m, b, 1), np.broadcast_to(E, (Q, *E.shape))], axis=-1
-    )
-    # K[i] = S_i^{-1} [U_i | g_i], S_i the running Schur complement of block i.
-    K = []
+    # Columns swept through the interior: the R right-hand sides, then E.
+    G = np.empty((Q, m, b, R + border.size), dtype=complex)
+    G[..., :R] = rhs[:, :, : m * b].reshape(R, Q, m, b).transpose(1, 2, 3, 0)
+    G[..., R:] = E
+    # KU[i] = S_i^{-1} U_i, S_i the running Schur complement of block i.  The
+    # swept columns S_i^{-1} g_i are written over block i of G, which g_i has
+    # already folded in, so only the b x b blocks KU are kept for the way back.
+    KU = []
     S, g = D[0] + load, G[:, 0]
     for i in range(m - 1):
-        K.append(np.linalg.solve(S, np.concatenate([np.broadcast_to(U[i], S.shape), g], -1)))
-        T = U[i].conj().T @ K[i]
+        K = np.linalg.solve(S, np.concatenate([np.broadcast_to(U[i], S.shape), g], -1))
+        KU.append(K[..., :b].copy())
+        G[:, i] = K[..., b:]
+        T = U[i].conj().T @ K
         S, g = D[i + 1] + load - T[..., :b], G[:, i + 1] - T[..., b:]
-    # The interior's inverse applied to [rhs | E], written over G, which the
-    # forward sweep has spent: one fewer (Q, m, b, c + 1) temporary per call.
-    Y = G
-    Y[:, m - 1] = np.linalg.solve(S, g)
+    # Back substitution turns G into the interior's inverse applied to [rhs | E].
+    G[:, m - 1] = np.linalg.solve(S, g)
     for i in range(m - 2, -1, -1):
-        Y[:, i] = K[i][..., b:] - K[i][..., :b] @ Y[:, i + 1]
-    y = Y[..., 0].reshape(Q, m * b)
-    X = Y[..., 1:].reshape(Q, m * b, -1)
+        G[:, i] -= KU.pop() @ G[:, i + 1]
+    y = G[..., :R].reshape(Q, m * b, R)
+    X = G[..., R:].reshape(Q, m * b, -1)
     E = E.reshape(m * b, -1)
     schur = (_band_block(band, border[:, None], border)
              + shifts[:, None, None] * np.eye(border.size) - E.conj().T @ X)
-    z_border = np.linalg.solve(schur, (rhs[:, m * b :] - y @ E.conj())[..., None])
-    z_interior = y - (X @ z_border)[..., 0]
-    return np.concatenate([z_interior, z_border[..., 0]], axis=-1)
+    z_border = np.linalg.solve(schur, rhs[:, :, m * b :].transpose(1, 2, 0) - E.conj().T @ y)
+    y -= X @ z_border
+    z = np.empty((R, Q, L), dtype=complex)
+    z[:, :, : m * b] = y.transpose(2, 0, 1)
+    z[:, :, m * b :] = z_border.transpose(2, 0, 1)
+    return z
 
 
 def _band_block(band: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

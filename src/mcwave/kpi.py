@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, ChannelRealization, apply_channel
+from .channel import ChannelConfig, apply_channel
 from .detection import (
     Constellation,
     bits_for_indices,
@@ -26,6 +26,7 @@ from .detection import (
 )
 from .waveforms import (
     ConfigurationError,
+    CoreChannel,
     DdamConfig,
     WaveformBundle,
     core_channel,
@@ -81,7 +82,7 @@ def noise_shape(length: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _ber_trial(
-    bundle: WaveformBundle,
+    bundles: tuple[WaveformBundle, ...],
     channel_cfg: ChannelConfig,
     constellation: Constellation,
     snr_db_list: tuple,
@@ -89,65 +90,101 @@ def _ber_trial(
     seed: int,
     trial: int,
 ) -> np.ndarray:
-    """Bit errors per SNR point for one trial; shape (n_snr,).
+    """Bit errors per bundle and SNR point for one trial; shape (n_bundles, n_snr).
 
-    The channel is noiseless: the received frame and the unit noise shape
-    are computed once, and each SNR point adds the shape scaled to its
-    noise variance.  Frames are modulated with the bundle's factored
-    operator.  Block MMSE over a square unitary bundle equalizes
-    in the time domain (:func:`time_domain_mmse`) and never builds a dense
-    matrix; other bundles and the single-tap detector use the
-    modulation-domain channel matrix, which reads the dense reference.
+    Every bundle draws the trial's bits, channel and unit noise shape from
+    the same streams.  The channel is noiseless: each received frame and
+    noise shape is computed once, and each SNR point adds the shape scaled
+    to its noise variance.  Frames are modulated with the bundle's factored
+    operator.  Block MMSE over square unitary bundles equalizes in the time
+    domain (:func:`time_domain_mmse`) and never builds a dense matrix;
+    bundles whose core channels are equal, byte for byte, share one solve.
+    Other bundles and the single-tap detector use the modulation-domain
+    channel matrix, which reads the dense reference.
     """
     if detector not in DETECTORS:
         raise ConfigurationError(f"unknown detector {detector!r}")
-    k = constellation.bits_per_symbol
-    n_bits = bundle.n_symbols * k
-    bits = derive_rng(seed, trial, _STREAM_BITS).integers(0, 2, n_bits)
-    x = map_bits(bits, constellation)
-    frame = bundle.transmit(x)
-    real = channel_cfg.realize(
-        bundle.geometry.sample_rate_hz, derive_rng(seed, trial, _STREAM_CHANNEL)
-    )
-    r0 = apply_channel(frame, real)
-    w = noise_shape(frame.size, derive_rng(seed, trial, _STREAM_NOISE))
     sigma2s = [noise_variance(snr_db) for snr_db in snr_db_list]
-    received = [r0 + np.sqrt(sigma2 / 2.0) * w for sigma2 in sigma2s]
-    if detector == "mmse" and bundle.adjoint_pair:
-        soft = time_domain_mmse(bundle, real, received, sigma2s)
-        hard = [hard_decide(s, constellation) for s in soft]
-    else:
+    errors = np.empty((len(bundles), len(sigma2s)), dtype=np.int64)
+    bits, reals = [], []
+    for bundle in bundles:
+        n_bits = bundle.n_symbols * constellation.bits_per_symbol
+        bits.append(derive_rng(seed, trial, _STREAM_BITS).integers(0, 2, n_bits))
+        reals.append(channel_cfg.realize(
+            bundle.geometry.sample_rate_hz, derive_rng(seed, trial, _STREAM_CHANNEL)
+        ))
+
+    def received(i: int) -> list:
+        """Bundle i's received frames, one per SNR point."""
+        frame = bundles[i].transmit(map_bits(bits[i], constellation))
+        r0 = apply_channel(frame, reals[i])
+        w = noise_shape(frame.size, derive_rng(seed, trial, _STREAM_NOISE))
+        return [r0 + np.sqrt(sigma2 / 2.0) * w for sigma2 in sigma2s]
+
+    def count(indices: list, soft) -> None:
+        """Bit errors of bundle indices[j] from soft[j], one row per SNR point."""
+        for i, rows in zip(indices, soft):
+            for q, s in enumerate(rows):
+                hard = hard_decide(s, constellation)
+                errors[i, q] = np.sum(bits_for_indices(hard, constellation) != bits[i])
+
+    groups = []  # (core channel, indices of its bundles), one per distinct channel
+    for i, (bundle, real) in enumerate(zip(bundles, reals)):
+        if detector == "mmse" and bundle.adjoint_pair:
+            core = core_channel(bundle, real)
+            for shared, members in groups:
+                if _same_core(shared, core):
+                    members.append(i)
+                    break
+            else:
+                groups.append((core, [i]))
+            continue
         h_eff = effective_channel(bundle, real)
         equalize = mmse_equalize if detector == "mmse" else single_tap_equalize
-        hard = [
-            hard_decide(equalize(bundle.receive(r), h_eff, sigma2), constellation)
-            for r, sigma2 in zip(received, sigma2s)
-        ]
-    return np.array(
-        [np.sum(bits_for_indices(h, constellation) != bits) for h in hard], dtype=np.int64
-    )
+        count([i], [[equalize(bundle.receive(r), h_eff, sigma2)
+                     for r, sigma2 in zip(received(i), sigma2s)]])
+    for core, members in groups:
+        count(members, time_domain_mmse(
+            core, [bundles[i] for i in members], map(received, members), sigma2s
+        ))
+    return errors
 
 
-def time_domain_mmse(
-    bundle: WaveformBundle, real: ChannelRealization, frames, sigma2s
-) -> np.ndarray:
-    """Block MMSE soft symbols of received frames, one per noise level.
+def _same_core(a: CoreChannel, b: CoreChannel) -> bool:
+    """Whether two core channels are equal byte for byte."""
+    return a.offsets.tobytes() == b.offsets.tobytes() and a.diags.tobytes() == b.diags.tobytes()
+
+
+def time_domain_mmse(core: CoreChannel, bundles, frames, sigma2s) -> np.ndarray:
+    """Block MMSE soft symbols of bundles that share one core channel.
 
     For a square bundle with a_rx = a_tx^H (unitary), the modulation-domain
     MMSE (H^H H + s I)^{-1} H^H y with H = a_rx C a_tx and y = a_rx r_core
     equals a_rx (C^H C + s I)^{-1} C^H r_core, C the core channel with the
-    prefix folded in.  C^H C is periodic-banded, so every noise level costs
-    O(L w^2) for channel memory w plus one application of the bundle's
-    factored a_rx; no dense matrix is built.  Returns (len(sigma2s), n_symbols).
+    prefix folded in.  C does not depend on a_tx, so every bundle whose
+    core channel is ``core`` solves the same system: its C^H r_core is one
+    more right-hand side.  C^H C is periodic-banded, so every noise level
+    costs O(L w^2) for channel memory w plus one application of each
+    bundle's factored a_rx; no dense matrix is built.
+
+    ``frames`` yields, bundle by bundle, the received frames (one per noise
+    level); each is dropped once its C^H r_core exists.  Returns
+    (len(bundles), len(sigma2s), n_symbols), written over the solution.
     """
-    core = core_channel(bundle, real)
-    r_core = np.stack([remove_prefix(f, bundle.geometry.prefix_len) for f in frames])
-    z = solve_periodic_banded(core.gram_band(), sigma2s, core.adjoint(r_core))
-    return bundle.operator.rx(z)
+    frames = iter(frames)
+    rhs = np.empty((len(bundles), len(sigma2s), core.diags.shape[0]), dtype=complex)
+    for out, bundle in zip(rhs, bundles):
+        out[...] = core.adjoint(
+            np.stack([remove_prefix(f, bundle.geometry.prefix_len) for f in next(frames)])
+        )
+    z = solve_periodic_banded(core.gram_band(), sigma2s, rhs)
+    for zr, bundle in zip(z, bundles):
+        zr[...] = bundle.operator.rx(zr)
+    return z
 
 
 def run_ber(
-    bundle: WaveformBundle,
+    bundles: list[WaveformBundle],
     channel_cfg: ChannelConfig,
     detector: str,
     snr_db_list,
@@ -155,20 +192,23 @@ def run_ber(
     seed: int,
     constellation: Constellation,
     workers: int = 1,
-) -> list[BerPoint]:
-    """Monte-Carlo bit error rates over a list of SNR points.
+) -> list[list[BerPoint]]:
+    """Monte-Carlo bit error rates of each bundle over a list of SNR points.
 
     Each trial derives its bit, channel and noise streams from
-    (seed, trial), so every waveform run with the same seed sees the same
-    bitstream and channel realization, and the same unit noise shape scaled
-    to each SNR.  Error counts are integers summed over trials, making the
-    result independent of worker count and scheduling.
+    (seed, trial), so every bundle sees the same bitstream and channel
+    realization, and the same unit noise shape scaled to each SNR.  The
+    bundles of one trial run together, so those that see the same core
+    channel share one block MMSE solve.  Error counts are integers summed
+    over trials, making the result independent of worker count and
+    scheduling.  Returns one list of points per bundle, in order.
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
+    bundles = tuple(bundles)
     snr_tuple = tuple(float(s) for s in snr_db_list)
     args = [
-        (bundle, channel_cfg, constellation, snr_tuple, detector, seed, t)
+        (bundles, channel_cfg, constellation, snr_tuple, detector, seed, t)
         for t in range(trials)
     ]
     if workers > 1:
@@ -177,10 +217,13 @@ def run_ber(
     else:
         per_trial = [_ber_trial_star(a) for a in args]
     totals = np.sum(per_trial, axis=0)
-    bits_per_trial = bundle.n_symbols * constellation.bits_per_symbol
     return [
-        BerPoint(snr_db=s, bit_errors=int(e), bits=bits_per_trial * trials)
-        for s, e in zip(snr_tuple, totals)
+        [
+            BerPoint(snr_db=s, bit_errors=int(e),
+                     bits=bundle.n_symbols * constellation.bits_per_symbol * trials)
+            for s, e in zip(snr_tuple, row)
+        ]
+        for bundle, row in zip(bundles, totals)
     ]
 
 

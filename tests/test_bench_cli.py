@@ -713,15 +713,16 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_failed_run_leaves_no_partial_outputs(self, tmp_path, capsys, monkeypatch):
-        # ofdm's CSV is written; ocdm's banded solve then fails numerically
-        run_ber = kpi.run_ber
+        # ofdm's CSV is staged; writing ocdm's then fails
+        emit_results, staged = bench.emit_results, []
 
-        def failing_ocdm(bundle, *args, **kwargs):
-            if bundle.scheme == "ocdm":
-                raise np.linalg.LinAlgError("Singular matrix")
-            return run_ber(bundle, *args, **kwargs)
+        def failing_second_file(records, kind, path):
+            if staged:
+                raise OSError("No space left on device")
+            emit_results(records, kind, path)
+            staged.append(path.name)
 
-        monkeypatch.setattr(kpi, "run_ber", failing_ocdm)
+        monkeypatch.setattr(bench, "emit_results", failing_second_file)
         out = tmp_path / "out"
         out.mkdir()
         (out / "ber_ofdm.csv").write_text("earlier run\n")
@@ -733,9 +734,11 @@ class TestCli:
             "output_dir = {}\n".format(out)
         )
         assert cli.main(["run", str(cfg_file)]) == 3
-        assert "Singular matrix" in capsys.readouterr().err
+        assert "No space left on device" in capsys.readouterr().err
+        assert staged == ["ber_ofdm.csv"]
         assert [p.name for p in out.iterdir()] == ["ber_ofdm.csv"]
         assert (out / "ber_ofdm.csv").read_text() == "earlier run\n"
+        monkeypatch.setattr(bench, "emit_results", emit_results)
         cfg_file.write_text(cfg_file.read_text().replace("ofdm,ocdm", "ofdm"))
         assert cli.main(["run", str(cfg_file)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["ber_ofdm.csv", "manifest.json"]

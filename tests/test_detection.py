@@ -152,17 +152,23 @@ class TestPeriodicBandedSolver:
         rng = np.random.default_rng(L + w)
         A, band = self.system(L, w, rng)
         shifts = np.array([1.0, 1e-2, 1e-3])
-        rhs = rng.standard_normal((3, L)) + 1j * rng.standard_normal((3, L))
-        z = det.solve_periodic_banded(band, shifts, rhs)
-        for zq, s, b in zip(z, shifts, rhs):
-            ref = np.linalg.solve(A + s * np.eye(L), b)
-            assert np.max(np.abs(zq - ref)) <= 1e-10 * np.max(np.abs(ref))
+        # one right-hand side per load, then three sharing each load
+        for R in (1, 3):
+            rhs = rng.standard_normal((R, 3, L)) + 1j * rng.standard_normal((R, 3, L))
+            z = det.solve_periodic_banded(band, shifts, rhs)
+            assert z.shape == (R, 3, L)
+            for zr, br in zip(z, rhs):
+                for zq, s, b in zip(zr, shifts, br):
+                    ref = np.linalg.solve(A + s * np.eye(L), b)
+                    assert np.max(np.abs(zq - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            det.solve_periodic_banded(np.ones((8, 3)), [1.0, 2.0], np.ones((1, 8)))
+            det.solve_periodic_banded(np.ones((8, 3)), [1.0, 2.0], np.ones((1, 1, 8)))
         with pytest.raises(ValueError):
-            det.solve_periodic_banded(np.ones((8, 2)), [1.0], np.ones((1, 8)))
+            det.solve_periodic_banded(np.ones((8, 2)), [1.0], np.ones((1, 1, 8)))
+        with pytest.raises(ValueError):  # (Q, L) without the leading R axis
+            det.solve_periodic_banded(np.ones((8, 3)), [1.0], np.ones((1, 8)))
 
 
 class TestMlOracle:

@@ -4,8 +4,10 @@ Each case is a preset plus overrides, small enough that all of them run in
 seconds.  ``golden/digests.json`` holds the sha256 of every CSV a case
 writes and of its ``manifest.json``, which pins the ``derived`` block.
 Policy: outputs stay byte-identical; a change that moves a digest re-records
-the file with ``PYTHONPATH=src python tests/test_golden.py`` and names every
-moved digest and its cause in CHANGES.md (README, "Decisions").
+the file with ``PYTHONPATH=src python tests/test_golden.py --record`` and
+names every moved digest and its cause in CHANGES.md (README, "Decisions").
+Run as a script without ``--record``, or with any other argument, the module
+prints its usage, exits 2 and writes nothing.
 
 Together the cases use every waveform label at least once, including the
 ones no benchmark workload runs: the delay-Doppler variants, the spread,
@@ -102,15 +104,36 @@ def test_cases_use_every_label():
     assert used == set(WAVEFORM_LABELS)
 
 
+@pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["--record", "extra"], ["record"]])
+def test_recording_needs_exactly_record(argv, capsys):
+    before = DIGESTS.read_bytes()
+    assert main(argv) == 2
+    assert "--record" in capsys.readouterr().err
+    assert DIGESTS.read_bytes() == before
+
+
 def record(out_root: Path) -> None:
     """Rewrite ``golden/digests.json`` from runs of the code on ``sys.path``."""
     digests = {name: run_case(name, out_root / name) for name in sorted(CASES)}
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-if __name__ == "__main__":
+USAGE = "usage: PYTHONPATH=src python tests/test_golden.py --record"
+
+
+def main(argv: list[str]) -> int:
+    """Record the digests only when asked by exactly ``--record``; else exit 2."""
+    if argv != ["--record"]:
+        print(USAGE, file=sys.stderr)
+        print("rewrites golden/digests.json from the code on sys.path", file=sys.stderr)
+        return 2
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         record(Path(tmp))
     print(f"wrote {DIGESTS}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -22,16 +22,16 @@ class TestRunBer:
     def test_noiseless_identity_channel_is_error_free(self):
         c = det.qam_constellation(4)
         cfg = ch.ChannelConfig(preset="AWGN")
-        pts = kpi.run_ber(awgn_bundle(), cfg, "single-tap", [300.0], trials=3,
-                          seed=1, constellation=c)
+        pts = kpi.run_ber([awgn_bundle()], cfg, "single-tap", [300.0], trials=3,
+                          seed=1, constellation=c)[0]
         assert pts[0].bit_errors == 0
         assert pts[0].ber == 0.0
 
     def test_matches_closed_form_on_pure_noise(self):
         c = det.qam_constellation(4)
         cfg = ch.ChannelConfig(preset="AWGN")
-        pts = kpi.run_ber(awgn_bundle(m=256), cfg, "single-tap", [0.0, 4.0, 8.0],
-                          trials=120, seed=11, constellation=c)
+        pts = kpi.run_ber([awgn_bundle(m=256)], cfg, "single-tap", [0.0, 4.0, 8.0],
+                          trials=120, seed=11, constellation=c)[0]
         for p in pts:
             ana = kpi.awgn_qpsk_ber(p.snr_db)
             stderr = np.sqrt(ana * (1 - ana) / p.bits)
@@ -55,10 +55,10 @@ class TestRunBer:
                                jakes=True)
         geo = wf.FrameGeometry(m=32, n=1, delta_f_hz=96e3, prefix_len=8)
         b = wf.build_waveform("ofdm", geo)
-        serial = kpi.run_ber(b, cfg, "mmse", [5.0, 10.0], trials=12, seed=5,
-                             constellation=c, workers=1)
-        parallel = kpi.run_ber(b, cfg, "mmse", [5.0, 10.0], trials=12, seed=5,
-                               constellation=c, workers=2)
+        serial = kpi.run_ber([b], cfg, "mmse", [5.0, 10.0], trials=12, seed=5,
+                             constellation=c, workers=1)[0]
+        parallel = kpi.run_ber([b], cfg, "mmse", [5.0, 10.0], trials=12, seed=5,
+                               constellation=c, workers=2)[0]
         assert [(p.bit_errors, p.bits) for p in serial] == \
                [(p.bit_errors, p.bits) for p in parallel]
 
@@ -69,7 +69,7 @@ class TestRunBer:
     def test_bad_trials_rejected(self):
         c = det.qam_constellation(4)
         with pytest.raises(wf.ConfigurationError):
-            kpi.run_ber(awgn_bundle(), ch.ChannelConfig(), "mmse", [0.0], trials=0,
+            kpi.run_ber([awgn_bundle()], ch.ChannelConfig(), "mmse", [0.0], trials=0,
                         seed=1, constellation=c)
 
 
@@ -120,7 +120,7 @@ class TestTimeDomainMmse:
         sigma2s = [1.0, 1e-2, 1e-3]
         w = kpi.noise_shape(frame.size, np.random.Generator(np.random.Philox(key=5)))
         frames = [ch.apply_channel(frame, real) + np.sqrt(s / 2.0) * w for s in sigma2s]
-        soft = kpi.time_domain_mmse(b, real, frames, sigma2s)
+        soft = kpi.time_domain_mmse(wf.core_channel(b, real), [b], [frames], sigma2s)[0]
         h_eff = wf.effective_channel(b, real)
         for sq, r, s in zip(soft, frames, sigma2s):
             ref = det.mmse_equalize(b.receive(r), h_eff, s)
@@ -143,7 +143,7 @@ class TestTimeDomainMmse:
         calls = []
         monkeypatch.setattr(kpi, "effective_channel",
                             lambda *a: calls.append(1) or wf.effective_channel(*a))
-        pts = kpi.run_ber(b, cfg, detector, snrs, trials=3, seed=7, constellation=c)
+        pts = kpi.run_ber([b], cfg, detector, snrs, trials=3, seed=7, constellation=c)[0]
         assert [p.bit_errors for p in pts] == expected.tolist()
         assert len(calls) == dense_calls
 
@@ -163,8 +163,9 @@ class TestFactoredBerPath:
         c = det.qam_constellation(4)
         b = wf.build_waveform(wf.SCHEMES_BY_LABEL[label].name, geo, params)
         counts = [
-            [p.bit_errors for p in kpi.run_ber(b, EVA_DOPPLER, "mmse", [10.0, 20.0], trials=4,
-                                               seed=2, constellation=c, workers=workers)]
+            [p.bit_errors for p in kpi.run_ber([b], EVA_DOPPLER, "mmse", [10.0, 20.0], trials=4,
+                                                 seed=2, constellation=c,
+                                                 workers=workers)[0]]
             for workers in (1, 2)
         ]
         assert counts[0] == counts[1]
@@ -172,9 +173,52 @@ class TestFactoredBerPath:
     @pytest.mark.parametrize("scheme,geo,params", SQUARE_SCHEMES)
     def test_mmse_builds_no_dense_matrix(self, scheme, geo, params):
         b = wf.build_waveform(scheme, geo, params)
-        kpi.run_ber(b, EVA_DOPPLER, "mmse", [10.0], trials=2, seed=1,
+        kpi.run_ber([b], EVA_DOPPLER, "mmse", [10.0], trials=2, seed=1,
                     constellation=det.qam_constellation(4))
         assert not {"a_tx", "a_rx", "_dense"} & set(vars(b))
+
+
+# The five plain-prefix schemes of the 1D geometry: every one sees the same
+# core channel, so a trial solves it once.
+CP_SCHEMES_1D = [(name, GEO_1D, params) for name, geo, params in SQUARE_SCHEMES
+                 if geo is GEO_1D and name != "afdm"]
+
+
+class TestSharedSolve:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_bundle_gets_its_own_counts(self, workers):
+        c = det.qam_constellation(4)
+        bundles = [wf.build_waveform(wf.SCHEMES_BY_LABEL[label].name, geo, params)
+                   for label, geo, params in BER_BUNDLES]
+        bundles.append(wf.build_waveform("afdm", GEO_1D, {"c1": 3 / 64}))
+        run = dict(channel_cfg=EVA_DOPPLER, detector="mmse", snr_db_list=[10.0, 20.0],
+                   trials=4, seed=2, constellation=c, workers=workers)
+        together = kpi.run_ber(bundles, **run)
+        alone = [kpi.run_ber([b], **run)[0] for b in bundles]
+        assert together == alone
+
+    @pytest.mark.parametrize("with_afdm,solves", [(False, 1), (True, 2)])
+    def test_one_solve_per_core_channel(self, monkeypatch, with_afdm, solves):
+        bundles = [wf.build_waveform(*row) for row in CP_SCHEMES_1D]
+        assert len(bundles) == 5
+        if with_afdm:  # its chirp-periodic prefix phase is 1 only up to rounding
+            bundles.append(wf.build_waveform("afdm", GEO_1D, {"c1": 3 / 64}))
+        calls = {"solve": 0, "gram": 0}
+        solve, gram_band = kpi.solve_periodic_banded, wf.CoreChannel.gram_band
+
+        def counted_solve(*args):
+            calls["solve"] += 1
+            return solve(*args)
+
+        def counted_gram(core):
+            calls["gram"] += 1
+            return gram_band(core)
+
+        monkeypatch.setattr(kpi, "solve_periodic_banded", counted_solve)
+        monkeypatch.setattr(wf.CoreChannel, "gram_band", counted_gram)
+        kpi.run_ber(bundles, EVA_DOPPLER, "mmse", [10.0, 20.0], trials=1, seed=3,
+                    constellation=det.qam_constellation(4))
+        assert calls == {"solve": solves, "gram": solves}
 
 
 class TestPapr:
