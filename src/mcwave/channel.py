@@ -296,20 +296,6 @@ def discretize(
     return ChannelRealization(kind=kind, taps=tuple(taps), sample_rate_hz=sample_rate_hz)
 
 
-def implied_path_set(real: ChannelRealization) -> PathSet:
-    """The path set a realization implies (delays back on the sample grid)."""
-    paths = tuple(
-        Path(
-            gain=t.gain,
-            delay_s=t.delay_samples / real.sample_rate_hz,
-            doppler_hz=t.doppler_hz,
-            scale=t.scale,
-        )
-        for t in real.taps
-    )
-    return PathSet(paths=paths)
-
-
 def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed

@@ -4,15 +4,13 @@ Square QAM alphabets use per-axis Gray labeling; the 128-point alphabet is
 the usual cross layout with a documented quasi-Gray map (it only feeds peak
 power statistics, where the bit map is irrelevant).  Equalizers operate on
 the modulation-domain vector: a per-bin scalar stage for diagonal effective
-channels, a regularized least-squares block stage for coupled ones, and an
-exhaustive search oracle for tiny instances.  A periodic-banded solver,
-batched over noise levels and right-hand sides, serves the same block stage
-in the time domain.
+channels and a regularized least-squares block stage for coupled ones.  A
+periodic-banded solver, batched over noise levels and right-hand sides,
+serves the same block stage in the time domain.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,35 +250,3 @@ def _band_block(band: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndar
     d = (cols - rows + L // 2) % L - L // 2
     inside = np.abs(d) <= w
     return np.where(inside, band[rows, w + np.where(inside, d, 0)], 0)
-
-
-_ML_MAX_SYMBOLS = 8
-_ML_MAX_CANDIDATES = 1 << 20
-
-
-def ml_oracle(
-    y: np.ndarray, h_eff: np.ndarray, constellation: Constellation
-) -> np.ndarray:
-    """Exact maximum-likelihood point indices by exhaustive enumeration.
-
-    Minimizes ||y - H x||^2 over every candidate symbol vector; candidates
-    are visited in ascending lexicographic index order so ties resolve to
-    the lowest indices.  Refuses instances beyond the enumeration budget.
-    """
-    y = np.asarray(y, dtype=complex)
-    H = np.asarray(h_eff, dtype=complex)
-    n = H.shape[1]
-    if n > _ML_MAX_SYMBOLS or constellation.order**n > _ML_MAX_CANDIDATES:
-        raise ValueError(
-            f"instance too large for exhaustive search ({constellation.order}^{n})"
-        )
-    best = None
-    best_metric = np.inf
-    pts = constellation.points
-    for cand in itertools.product(range(constellation.order), repeat=n):
-        x = pts[list(cand)]
-        metric = float(np.sum(np.abs(y - H @ x) ** 2))
-        if metric < best_metric:  # strict: ties keep the earlier (lower) indices
-            best_metric = metric
-            best = cand
-    return np.array(best, dtype=int)

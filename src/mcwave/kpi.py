@@ -102,8 +102,6 @@ def _ber_trial(
     Other bundles and the single-tap detector use the modulation-domain
     channel matrix, which reads the dense reference.
     """
-    if detector not in DETECTORS:
-        raise ConfigurationError(f"unknown detector {detector!r}")
     sigma2s = [noise_variance(snr_db) for snr_db in snr_db_list]
     errors = np.empty((len(bundles), len(sigma2s)), dtype=np.int64)
     bits, reals = [], []
@@ -203,6 +201,8 @@ def run_ber(
     over trials, making the result independent of worker count and
     scheduling.  Returns one list of points per bundle, in order.
     """
+    if detector not in DETECTORS:
+        raise ConfigurationError(f"unknown detector {detector!r}")
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
     bundles = tuple(bundles)
@@ -229,14 +229,6 @@ def run_ber(
 
 def _ber_trial_star(args):
     return _ber_trial(*args)
-
-
-def awgn_qpsk_ber(snr_db: float) -> float:
-    """Closed-form Gray 4-QAM bit error rate over the pure-noise channel."""
-    from math import erfc, sqrt
-
-    snr = 10.0 ** (snr_db / 10.0)
-    return 0.5 * erfc(sqrt(snr) / sqrt(2.0))
 
 
 def papr(signal: np.ndarray) -> float:
@@ -342,14 +334,6 @@ def papr_ccdf(samples: np.ndarray) -> list[tuple[float, float]]:
         if ccdf >= floor:
             pts.append((float(x), float(ccdf)))
     return pts
-
-
-def papr_at_ccdf(samples: np.ndarray, level: float) -> float:
-    """Threshold (dB) exceeded with probability ``level``."""
-    v = np.asarray(samples, dtype=float)
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
-    return float(np.quantile(v, 1.0 - level))
 
 
 def qam_frame_source(

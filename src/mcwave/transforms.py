@@ -1,4 +1,4 @@
-"""Unitary transform matrices, their diagonal factors and structured permutations.
+"""Unitary transform matrices, their diagonal factors and the random interleaver.
 
 The ``*_matrix`` builders form each transform densely as a ``complex128``
 matrix: that is the checkable reference every fast path is held against.
@@ -23,9 +23,6 @@ __all__ = [
     "dfnt_matrix",
     "wht_matrix",
     "random_interleaver",
-    "permutation_matrix",
-    "dzt",
-    "structured_permutation",
 ]
 
 
@@ -119,18 +116,15 @@ def dfnt_diagonals(M: int) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
-def dfnt_matrix(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Discrete Fresnel transform as the factorization ``Phi = T2 @ F @ T1``.
+def dfnt_matrix(M: int) -> np.ndarray:
+    """Discrete Fresnel transform ``Phi = T2 @ F @ T1``.
 
-    Returns ``(T1, T2, Phi)`` where T1 and T2 are the unit-modulus diagonal
-    matrices of :func:`dfnt_diagonals`, F is the DFT matrix and Phi is the
-    (unitary) Fresnel transform used by the chirp-multiplexed waveform.  The
-    modulator applies ``Phi^H``.
+    T1 and T2 are the unit-modulus diagonals of :func:`dfnt_diagonals` and F
+    is the DFT matrix; Phi is the (unitary) Fresnel transform used by the
+    chirp-multiplexed waveform.  The modulator applies ``Phi^H``.
     """
     t1, t2 = dfnt_diagonals(M)
-    T1 = np.diag(t1)
-    T2 = np.diag(t2)
-    return T1, T2, T2 @ dft_matrix(M) @ T1
+    return np.diag(t2) @ dft_matrix(M) @ np.diag(t1)
 
 
 def wht_matrix(N: int, ordering: str = "sequency") -> np.ndarray:
@@ -169,68 +163,3 @@ def random_interleaver(M: int, seed: int) -> np.ndarray:
     M = _check_size(M)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     return rng.permutation(M)
-
-
-def permutation_matrix(perm: np.ndarray) -> np.ndarray:
-    """Matrix P with P[i, perm[i]] = 1, i.e. (P @ x)[i] = x[perm[i]]."""
-    perm = np.asarray(perm, dtype=int)
-    M = perm.size
-    if sorted(perm.tolist()) != list(range(M)):
-        raise ValueError("perm is not a permutation of 0..M-1")
-    P = np.zeros((M, M))
-    P[np.arange(M), perm] = 1.0
-    return P
-
-
-def dzt(x: np.ndarray, M: int, N: int, direction: str = "forward") -> np.ndarray:
-    """Discrete Zak transform between time samples and a delay-Doppler grid.
-
-    The length-M*N grid vector is laid out column-major with the delay index
-    fastest: element ``l + k*M`` holds delay bin l, Doppler bin k.  The
-    inverse map synthesizes time samples as
-
-        s[n] = (1/sqrt(N)) * sum_k x[(n mod M) + k*M] * exp(2j*pi*floor(n/M)*k/N)
-
-    and ``direction="forward"`` is its exact inverse.
-    """
-    x = np.asarray(x, dtype=complex)
-    M = _check_size(M)
-    N = _check_size(N, "N")
-    if x.shape != (M * N,):
-        raise ValueError(f"expected a length-{M * N} vector, got shape {x.shape}")
-    grid = x.reshape((N, M)).T  # (M, N), delay x Doppler
-    k = np.arange(N)
-    kernel = np.exp(2j * np.pi * np.outer(k, k) / N) / np.sqrt(N)  # IDFT along Doppler
-    if direction == "inverse":
-        out = grid @ kernel.T
-    elif direction == "forward":
-        out = grid @ kernel.conj().T
-    else:
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    return out.T.reshape(M * N)
-
-
-def structured_permutation(kind: str, M: int, N: int) -> np.ndarray:
-    """Structured MN x MN permutation matrices used by the 2D waveforms.
-
-    ``kind="oddm"``: [P]_{k,k'} = 1 iff k' = (k mod M)*N + floor(k/M), the
-    interleaver that turns delay-major staggered blocks into time order.
-
-    ``kind="shuffle"``: the perfect shuffle, stacked row blocks
-    ``I_N kron e_M(m)^T`` for m = 0..M-1; it maps a delay-fastest vector to
-    its slot-fastest reordering.
-    """
-    M = _check_size(M)
-    N = _check_size(N, "N")
-    L = M * N
-    P = np.zeros((L, L))
-    if kind == "oddm":
-        k = np.arange(L)
-        P[k, (k % M) * N + k // M] = 1.0
-    elif kind == "shuffle":
-        for m in range(M):
-            for n in range(N):
-                P[m * N + n, n * M + m] = 1.0
-    else:
-        raise ValueError(f"unknown permutation kind {kind!r}")
-    return P

@@ -260,17 +260,15 @@ def add_prefix(core: np.ndarray, rule: str, prefix_len: int, c1: float = 0.0) ->
     L = core.shape[0]
     if prefix_len > L:
         raise ConfigurationError(f"prefix {prefix_len} longer than core {L}")
-    if rule == "none":
-        if prefix_len:
-            raise ConfigurationError("prefix_len must be 0 for rule 'none'")
-        return core.copy()
+    if rule not in ("cp", "cpp", "none"):
+        raise ConfigurationError(f"unknown prefix rule {rule!r}")
+    if rule == "none" and prefix_len:
+        raise ConfigurationError("prefix_len must be 0 for rule 'none'")
     if prefix_len == 0:
         return core.copy()
     if rule == "cp":
         return np.concatenate([core[-prefix_len:], core])
-    if rule == "cpp":
-        return np.concatenate([core[L - prefix_len:] * _cpp_phase(L, prefix_len, c1), core])
-    raise ConfigurationError(f"unknown prefix rule {rule!r}")
+    return np.concatenate([core[L - prefix_len:] * _cpp_phase(L, prefix_len, c1), core])
 
 
 def _cpp_phase(L: int, prefix_len: int, c1: float) -> np.ndarray:
@@ -351,7 +349,7 @@ def _factor_ocdm(geometry: FrameGeometry, params: dict):
 
 
 def _build_ocdm(geometry: FrameGeometry, params: dict):
-    _, _, Phi = transforms.dfnt_matrix(geometry.m)
+    Phi = transforms.dfnt_matrix(geometry.m)
     return Phi.conj().T, Phi
 
 
@@ -530,8 +528,7 @@ class Scheme:
 
 # Under the ideal (sample-spaced) pulse the Zak-transform and staggered
 # delay-Doppler schemes are the multicarrier one: zak-otfs is the same
-# operator and oddm takes its symbols delay-major.  The truncated
-# root-Nyquist transmit pulse is available separately via ddop_pulse.
+# operator and oddm takes its symbols delay-major.
 _TABLE = (
     Scheme("scm", "scm", 1, "time", "cp", _factor_scm, _build_scm),
     Scheme("ofdm", "ofdm", 1, "frequency", "cp", _factor_ofdm, _build_ofdm),
@@ -648,51 +645,6 @@ def fbmc_synthesis(geometry: FrameGeometry, overlap_factor: int = 6) -> tuple[np
             col = p * np.exp(2j * np.pi * l * tk) * np.exp(1j * np.pi * (l + k) / 2.0)
             G[:, l + k * M] = np.sqrt(dt) * col
     return G, n_samp
-
-
-def ddop_pulse(m: int, n: int, q: int = 4, rolloff: float = 0.1) -> np.ndarray:
-    """Pulse train of truncated root-raised-cosine pulses, one per slot.
-
-    The elementary pulse is a root-Nyquist pulse for the delay resolution
-    T/m, truncated to |t| < q*T/m (needs 2q < m so trains do not overlap),
-    and the train repeats it at the slot period T for n slots.  Returned
-    samples are on the T/m raster starting at t = -q*T/m, and the train is
-    normalized to unit sampled energy.
-    """
-    if 2 * q >= m:
-        raise ConfigurationError(f"need 2q < m, got q={q}, m={m}")
-    if not 0.0 <= rolloff <= 1.0:
-        raise ConfigurationError("rolloff must lie in [0, 1]")
-    if q < 1:
-        raise ConfigurationError("q must be >= 1")
-    # Train support: t in [-q, (n-1)*m + q] * T/m.
-    u = np.arange(-q, (n - 1) * m + q + 0.5, 1.0)
-    train = np.zeros(u.size)
-    for k in range(n):
-        x = u - k * m
-        mask = np.abs(x) < q
-        train[mask] += _rrc(x[mask], rolloff)
-    return train / np.sqrt(np.sum(train**2))
-
-
-def _rrc(x: np.ndarray, beta: float) -> np.ndarray:
-    """Root-raised-cosine impulse response at t/Ts = x (unit symbol interval)."""
-    y = np.empty_like(x, dtype=float)
-    if beta == 0.0:
-        return np.sinc(x)
-    sing = np.isclose(np.abs(x), 1.0 / (4.0 * beta))
-    zero = np.isclose(x, 0.0)
-    rest = ~(sing | zero)
-    y[zero] = 1.0 + beta * (4.0 / np.pi - 1.0)
-    y[sing] = (beta / np.sqrt(2.0)) * (
-        (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * beta))
-        + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * beta))
-    )
-    xr = x[rest]
-    num = np.sin(np.pi * xr * (1 - beta)) + 4 * beta * xr * np.cos(np.pi * xr * (1 + beta))
-    den = np.pi * xr * (1 - (4 * beta * xr) ** 2)
-    y[rest] = num / den
-    return y
 
 
 def effective_channel(bundle: WaveformBundle, real: ChannelRealization) -> np.ndarray:
@@ -908,73 +860,3 @@ def ddam_blocks(x: np.ndarray, cfg: DdamConfig, real: ChannelRealization, spans)
             yield F.T @ streams
 
     return blocks()
-
-
-def ddam_precode(
-    x: np.ndarray, cfg: DdamConfig, real: ChannelRealization
-) -> np.ndarray:
-    """The whole precoded signal of :func:`ddam_blocks`, (n_tx, len(x) + kappa_max)."""
-    (s,) = ddam_blocks(x, cfg, real, [(0, ddam_frame_length(np.size(x), real))])
-    return s
-
-
-def ddam_apply_channel(s: np.ndarray, cfg: DdamConfig, real: ChannelRealization) -> np.ndarray:
-    """Propagate a multi-antenna signal through the per-path vector channel.
-
-    r[n] = sum_i gain_i * (h_i^H s[:, n - l_i]) * exp(2j*pi*nu_i*n/f_s)
-
-    where h_i are the steering vectors of ``cfg`` and gain_i the (scalar) tap
-    gains of the realization, normally 1 when the vectors carry the gain.
-    """
-    s = np.asarray(s, dtype=complex)
-    if s.ndim != 2 or s.shape[0] != cfg.n_tx:
-        raise ConfigurationError(f"expected ({cfg.n_tx}, L) signal, got {s.shape}")
-    if cfg.n_paths != len(real.taps):
-        raise ConfigurationError("steering vector count != channel tap count")
-    L = s.shape[1] + real.max_delay_samples
-    n = np.arange(L)
-    r = np.zeros(L, dtype=complex)
-    fs = real.sample_rate_hz
-    for h_i, tap in zip(cfg.steering, real.taps):
-        proj = h_i.conj() @ s  # (L_s,)
-        delayed = np.zeros(L, dtype=complex)
-        lo = tap.delay_samples
-        hi = min(L, lo + proj.size)
-        delayed[lo:hi] = proj[: hi - lo]
-        r += tap.gain * delayed * np.exp(2j * np.pi * tap.doppler_hz * n / fs)
-    return r
-
-
-def ddam_composite_gain(cfg: DdamConfig, real: ChannelRealization) -> complex:
-    """Gain of the single aligned tap after precoding and propagation.
-
-    Path i's pre-delayed copy reaches the receiver with the residual constant
-    phase exp(2j*pi*nu_i*l_i/f_s) picked up because the Doppler
-    pre-compensation is evaluated at transmit rather than receive time.
-    """
-    F = ddam_beamformers(cfg)
-    g = 0.0 + 0.0j
-    fs = real.sample_rate_hz
-    for i, tap in enumerate(real.taps):
-        phase = np.exp(2j * np.pi * tap.doppler_hz * tap.delay_samples / fs)
-        g += (cfg.steering[i].conj() @ F[i]) * tap.gain * phase
-    return complex(g)
-
-
-def ddam_receive(
-    r: np.ndarray,
-    kappa_max: int,
-    composite_gain: complex = 1.0,
-    n_symbols: int | None = None,
-) -> np.ndarray:
-    """Align to the common compensated tap and undo the composite gain.
-
-    ``kappa_max`` is the alignment delay in samples (all path copies pile up
-    there); with zero-forcing (or spatially orthogonal paths) the output
-    equals the transmitted stream exactly in the noiseless case.
-    """
-    r = np.asarray(r, dtype=complex)
-    out = r[kappa_max:] if kappa_max else r.copy()
-    if n_symbols is not None:
-        out = out[:n_symbols]
-    return out / composite_gain

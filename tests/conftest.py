@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mcwave import transforms as tr
+from oracles import dzt
 
 
 @pytest.fixture
@@ -19,7 +19,7 @@ def zak_tx():
         L = M * N
         a_tx = np.empty((L, L), dtype=complex)
         for j, basis in enumerate(np.eye(L, dtype=complex)):
-            a_tx[:, j] = tr.dzt(basis, M, N, direction="inverse")
+            a_tx[:, j] = dzt(basis, M, N, direction="inverse")
         return a_tx
 
     return build

@@ -1,0 +1,199 @@
+"""Reference implementations that only the tests call.
+
+None of these is on the path of a run: each is the independent construction
+or closed form a test holds the program against.
+"""
+
+from __future__ import annotations
+
+import itertools
+from math import erfc, sqrt
+
+import numpy as np
+
+from mcwave.channel import ChannelRealization, Path, PathSet
+from mcwave.detection import Constellation
+from mcwave.transforms import _check_size
+from mcwave.waveforms import (
+    ConfigurationError,
+    DdamConfig,
+    ddam_beamformers,
+    ddam_blocks,
+    ddam_frame_length,
+)
+
+
+def awgn_qpsk_ber(snr_db: float) -> float:
+    """Closed-form Gray 4-QAM bit error rate over the pure-noise channel."""
+    snr = 10.0 ** (snr_db / 10.0)
+    return 0.5 * erfc(sqrt(snr) / sqrt(2.0))
+
+
+def implied_path_set(real: ChannelRealization) -> PathSet:
+    """The path set a realization implies (delays back on the sample grid)."""
+    paths = tuple(
+        Path(
+            gain=t.gain,
+            delay_s=t.delay_samples / real.sample_rate_hz,
+            doppler_hz=t.doppler_hz,
+            scale=t.scale,
+        )
+        for t in real.taps
+    )
+    return PathSet(paths=paths)
+
+
+def dzt(x: np.ndarray, M: int, N: int, direction: str = "forward") -> np.ndarray:
+    """Discrete Zak transform between time samples and a delay-Doppler grid.
+
+    The length-M*N grid vector is laid out column-major with the delay index
+    fastest: element ``l + k*M`` holds delay bin l, Doppler bin k.  The
+    inverse map synthesizes time samples as
+
+        s[n] = (1/sqrt(N)) * sum_k x[(n mod M) + k*M] * exp(2j*pi*floor(n/M)*k/N)
+
+    and ``direction="forward"`` is its exact inverse.
+    """
+    x = np.asarray(x, dtype=complex)
+    M = _check_size(M)
+    N = _check_size(N, "N")
+    if x.shape != (M * N,):
+        raise ValueError(f"expected a length-{M * N} vector, got shape {x.shape}")
+    grid = x.reshape((N, M)).T  # (M, N), delay x Doppler
+    k = np.arange(N)
+    kernel = np.exp(2j * np.pi * np.outer(k, k) / N) / np.sqrt(N)  # IDFT along Doppler
+    if direction == "inverse":
+        out = grid @ kernel.T
+    elif direction == "forward":
+        out = grid @ kernel.conj().T
+    else:
+        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    return out.T.reshape(M * N)
+
+
+def structured_permutation(kind: str, M: int, N: int) -> np.ndarray:
+    """Structured MN x MN permutation matrices used by the 2D waveforms.
+
+    ``kind="oddm"``: [P]_{k,k'} = 1 iff k' = (k mod M)*N + floor(k/M), the
+    interleaver that turns delay-major staggered blocks into time order.
+
+    ``kind="shuffle"``: the perfect shuffle, stacked row blocks
+    ``I_N kron e_M(m)^T`` for m = 0..M-1; it maps a delay-fastest vector to
+    its slot-fastest reordering.
+    """
+    M = _check_size(M)
+    N = _check_size(N, "N")
+    L = M * N
+    P = np.zeros((L, L))
+    if kind == "oddm":
+        k = np.arange(L)
+        P[k, (k % M) * N + k // M] = 1.0
+    elif kind == "shuffle":
+        for m in range(M):
+            for n in range(N):
+                P[m * N + n, n * M + m] = 1.0
+    else:
+        raise ValueError(f"unknown permutation kind {kind!r}")
+    return P
+
+
+_ML_MAX_SYMBOLS = 8
+_ML_MAX_CANDIDATES = 1 << 20
+
+
+def ml_oracle(
+    y: np.ndarray, h_eff: np.ndarray, constellation: Constellation
+) -> np.ndarray:
+    """Exact maximum-likelihood point indices by exhaustive enumeration.
+
+    Minimizes ||y - H x||^2 over every candidate symbol vector; candidates
+    are visited in ascending lexicographic index order so ties resolve to
+    the lowest indices.  Refuses instances beyond the enumeration budget.
+    """
+    y = np.asarray(y, dtype=complex)
+    H = np.asarray(h_eff, dtype=complex)
+    n = H.shape[1]
+    if n > _ML_MAX_SYMBOLS or constellation.order**n > _ML_MAX_CANDIDATES:
+        raise ValueError(
+            f"instance too large for exhaustive search ({constellation.order}^{n})"
+        )
+    best = None
+    best_metric = np.inf
+    pts = constellation.points
+    for cand in itertools.product(range(constellation.order), repeat=n):
+        x = pts[list(cand)]
+        metric = float(np.sum(np.abs(y - H @ x) ** 2))
+        if metric < best_metric:  # strict: ties keep the earlier (lower) indices
+            best_metric = metric
+            best = cand
+    return np.array(best, dtype=int)
+
+
+def ddam_precode(
+    x: np.ndarray, cfg: DdamConfig, real: ChannelRealization
+) -> np.ndarray:
+    """The whole precoded signal of ``ddam_blocks``, one block spanning the frame."""
+    (s,) = ddam_blocks(x, cfg, real, [(0, ddam_frame_length(np.size(x), real))])
+    return s
+
+
+def ddam_apply_channel(s: np.ndarray, cfg: DdamConfig, real: ChannelRealization) -> np.ndarray:
+    """Propagate a multi-antenna signal through the per-path vector channel.
+
+    r[n] = sum_i gain_i * (h_i^H s[:, n - l_i]) * exp(2j*pi*nu_i*n/f_s)
+
+    where h_i are the steering vectors of ``cfg`` and gain_i the (scalar) tap
+    gains of the realization, normally 1 when the vectors carry the gain.
+    """
+    s = np.asarray(s, dtype=complex)
+    if s.ndim != 2 or s.shape[0] != cfg.n_tx:
+        raise ConfigurationError(f"expected ({cfg.n_tx}, L) signal, got {s.shape}")
+    if cfg.n_paths != len(real.taps):
+        raise ConfigurationError("steering vector count != channel tap count")
+    L = s.shape[1] + real.max_delay_samples
+    n = np.arange(L)
+    r = np.zeros(L, dtype=complex)
+    fs = real.sample_rate_hz
+    for h_i, tap in zip(cfg.steering, real.taps):
+        proj = h_i.conj() @ s  # (L_s,)
+        delayed = np.zeros(L, dtype=complex)
+        lo = tap.delay_samples
+        hi = min(L, lo + proj.size)
+        delayed[lo:hi] = proj[: hi - lo]
+        r += tap.gain * delayed * np.exp(2j * np.pi * tap.doppler_hz * n / fs)
+    return r
+
+
+def ddam_composite_gain(cfg: DdamConfig, real: ChannelRealization) -> complex:
+    """Gain of the single aligned tap after precoding and propagation.
+
+    Path i's pre-delayed copy reaches the receiver with the residual constant
+    phase exp(2j*pi*nu_i*l_i/f_s) picked up because the Doppler
+    pre-compensation is evaluated at transmit rather than receive time.
+    """
+    F = ddam_beamformers(cfg)
+    g = 0.0 + 0.0j
+    fs = real.sample_rate_hz
+    for i, tap in enumerate(real.taps):
+        phase = np.exp(2j * np.pi * tap.doppler_hz * tap.delay_samples / fs)
+        g += (cfg.steering[i].conj() @ F[i]) * tap.gain * phase
+    return complex(g)
+
+
+def ddam_receive(
+    r: np.ndarray,
+    kappa_max: int,
+    composite_gain: complex = 1.0,
+    n_symbols: int | None = None,
+) -> np.ndarray:
+    """Align to the common compensated tap and undo the composite gain.
+
+    ``kappa_max`` is the alignment delay in samples (all path copies pile up
+    there); with zero-forcing (or spatially orthogonal paths) the output
+    equals the transmitted stream exactly in the noiseless case.
+    """
+    r = np.asarray(r, dtype=complex)
+    out = r[kappa_max:] if kappa_max else r.copy()
+    if n_symbols is not None:
+        out = out[:n_symbols]
+    return out / composite_gain

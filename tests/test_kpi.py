@@ -12,6 +12,8 @@ from mcwave import detection as det
 from mcwave import kpi
 from mcwave import waveforms as wf
 
+import oracles
+
 
 def awgn_bundle(m=64):
     geo = wf.FrameGeometry(m=m, n=1, delta_f_hz=15e3, prefix_len=0)
@@ -33,7 +35,7 @@ class TestRunBer:
         pts = kpi.run_ber([awgn_bundle(m=256)], cfg, "single-tap", [0.0, 4.0, 8.0],
                           trials=120, seed=11, constellation=c)[0]
         for p in pts:
-            ana = kpi.awgn_qpsk_ber(p.snr_db)
+            ana = oracles.awgn_qpsk_ber(p.snr_db)
             stderr = np.sqrt(ana * (1 - ana) / p.bits)
             assert abs(p.ber - ana) <= 3 * stderr
 
@@ -71,6 +73,16 @@ class TestRunBer:
         with pytest.raises(wf.ConfigurationError):
             kpi.run_ber([awgn_bundle()], ch.ChannelConfig(), "mmse", [0.0], trials=0,
                         seed=1, constellation=c)
+
+    def test_unknown_detector_rejected_before_the_pool_starts(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was constructed")
+
+        monkeypatch.setattr(kpi, "ProcessPoolExecutor", no_pool)
+        c = det.qam_constellation(4)
+        with pytest.raises(wf.ConfigurationError, match="unknown detector"):
+            kpi.run_ber([awgn_bundle()], ch.ChannelConfig(), "zf", [0.0], trials=2,
+                        seed=1, constellation=c, workers=2)
 
 
 def dense_ber_errors(bundle, cfg, detector, snrs, trials, seed, c):
@@ -322,7 +334,7 @@ class TestPapr:
         steering = (rng.standard_normal((P, 12)) + 1j * rng.standard_normal((P, 12)))
         cfg = wf.DdamConfig(steering=steering / np.sqrt(2.0), beamformer="mrt")
         x = const.points[rng.integers(0, const.order, 3000)]
-        frame = wf.ddam_precode(x, cfg, real)
+        frame = oracles.ddam_precode(x, cfg, real)
         assert np.array_equal(got, [kpi.papr(row) for row in frame])
 
     def test_ccdf_floor_and_monotonicity(self):
@@ -331,10 +343,6 @@ class TestPapr:
         levels = [p[1] for p in pts]
         assert min(levels) >= kpi.PAPR_MIN_TAIL / 100
         assert levels == sorted(levels, reverse=True)
-
-    def test_quantile_lookup(self):
-        samples = np.linspace(0, 10, 1001)
-        assert kpi.papr_at_ccdf(samples, 0.5) == pytest.approx(5.0, abs=0.02)
 
 
 class TestAmbiguity:
