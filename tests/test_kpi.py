@@ -344,6 +344,13 @@ class TestPapr:
         assert min(levels) >= kpi.PAPR_MIN_TAIL / 100
         assert levels == sorted(levels, reverse=True)
 
+    def test_quantile_lookup(self):
+        # the survivor curve reads the median of a uniform grid at 1/2
+        samples = np.linspace(0, 10, 1001)
+        x, level = min(kpi.papr_ccdf(samples), key=lambda p: abs(p[1] - 0.5))
+        assert x == pytest.approx(5.0, abs=0.02)
+        assert level == pytest.approx(0.5, abs=1e-3)
+
 
 class TestAmbiguity:
     def test_origin_value_is_signal_energy(self):

@@ -131,6 +131,10 @@ class TestInterleaver:
         perm = tr.random_interleaver(33, seed=5)
         assert sorted(perm.tolist()) == list(range(33))
 
+    def test_matrix_orthogonal(self):
+        P = np.eye(16)[tr.random_interleaver(16, seed=9)]
+        assert np.max(np.abs(P @ P.T - np.eye(16))) == 0.0
+
     def test_deterministic(self):
         a = tr.random_interleaver(64, seed=1234)
         b = tr.random_interleaver(64, seed=1234)
