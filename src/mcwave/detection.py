@@ -181,7 +181,9 @@ def solve_periodic_banded(
     only through the wrap corners.  The interior blocks, each at least w
     wide, form a block-tridiagonal system that one block Thomas sweep
     solves, carrying the R right-hand sides and the border's columns along;
-    the border then follows from its Schur complement.  The cost is
+    each step inverts the running b x b Schur complement once for all Q
+    loads and applies the inverse by matrix products.  The border then
+    follows from its Schur complement.  The cost is
     O(L w (w + R)) per load.  Systems too small for two blocks are solved
     densely.
     """
@@ -218,14 +220,16 @@ def solve_periodic_banded(
     # KU[i] = S_i^{-1} U_i, S_i the running Schur complement of block i.  The
     # swept columns S_i^{-1} g_i are written over block i of G, which g_i has
     # already folded in, so only the b x b blocks KU are kept for the way back.
+    # One inverse per block and matrix products are faster than a solve with
+    # b + R + c right-hand sides, whose triangular solves dominate at these b.
     KU = []
+    UH = U.conj().transpose(0, 2, 1)
     S, g = D[0] + load, G[:, 0]
     for i in range(m - 1):
-        K = np.linalg.solve(S, np.concatenate([np.broadcast_to(U[i], S.shape), g], -1))
-        KU.append(K[..., :b].copy())
-        G[:, i] = K[..., b:]
-        T = U[i].conj().T @ K
-        S, g = D[i + 1] + load - T[..., :b], G[:, i + 1] - T[..., b:]
+        S_inv = np.linalg.inv(S)
+        KU.append(S_inv @ U[i])
+        G[:, i] = S_inv @ g
+        S, g = D[i + 1] + load - UH[i] @ KU[-1], G[:, i + 1] - UH[i] @ G[:, i]
     # Back substitution turns G into the interior's inverse applied to [rhs | E].
     G[:, m - 1] = np.linalg.solve(S, g)
     for i in range(m - 2, -1, -1):

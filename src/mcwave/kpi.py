@@ -93,58 +93,78 @@ def _ber_trial(
     """Bit errors per bundle and SNR point for one trial; shape (n_bundles, n_snr).
 
     Every bundle draws the trial's bits, channel and unit noise shape from
-    the same streams.  The channel is noiseless: each received frame and
-    noise shape is computed once, and each SNR point adds the shape scaled
-    to its noise variance.  Frames are modulated with the bundle's factored
-    operator.  Block MMSE over square unitary bundles equalizes in the time
-    domain (:func:`time_domain_mmse`) and never builds a dense matrix;
-    bundles whose core channels are equal, byte for byte, share one solve.
-    Other bundles and the single-tap detector use the modulation-domain
-    channel matrix, which reads the dense reference.
+    the same streams, so each shared input is made once per distinct key:
+    the bits and their symbols per bit count, the channel realization per
+    sample rate, the noise shape per frame length and the core channel per
+    (sample rate, core length, prefix length, prefix rule, chirp rate).  The
+    channel is noiseless: each received frame is propagated once, and each
+    SNR point adds the shape scaled to its noise variance.  Frames are
+    modulated with the bundle's factored operator.  Block MMSE over square
+    unitary bundles equalizes in the time domain (:func:`time_domain_mmse`)
+    and never builds a dense matrix; bundles whose core channels are equal,
+    byte for byte, share one solve.  Other bundles and the single-tap
+    detector use the modulation-domain channel matrix, which reads the
+    dense reference.
     """
-    sigma2s = [noise_variance(snr_db) for snr_db in snr_db_list]
-    errors = np.empty((len(bundles), len(sigma2s)), dtype=np.int64)
-    bits, reals = [], []
-    for bundle in bundles:
+    sigma2s = np.array([noise_variance(snr_db) for snr_db in snr_db_list])
+    errors = np.empty((len(bundles), sigma2s.size), dtype=np.int64)
+    drawn, reals, shapes = {}, {}, {}
+
+    def bits_and_symbols(bundle: WaveformBundle) -> tuple[np.ndarray, np.ndarray]:
+        """The trial's bits for the bundle and the symbols they map to."""
         n_bits = bundle.n_symbols * constellation.bits_per_symbol
-        bits.append(derive_rng(seed, trial, _STREAM_BITS).integers(0, 2, n_bits))
-        reals.append(channel_cfg.realize(
-            bundle.geometry.sample_rate_hz, derive_rng(seed, trial, _STREAM_CHANNEL)
-        ))
+        if n_bits not in drawn:
+            bits = derive_rng(seed, trial, _STREAM_BITS).integers(0, 2, n_bits)
+            drawn[n_bits] = bits, map_bits(bits, constellation)
+        return drawn[n_bits]
 
-    def received(i: int) -> list:
-        """Bundle i's received frames, one per SNR point."""
-        frame = bundles[i].transmit(map_bits(bits[i], constellation))
-        r0 = apply_channel(frame, reals[i])
-        w = noise_shape(frame.size, derive_rng(seed, trial, _STREAM_NOISE))
-        return [r0 + np.sqrt(sigma2 / 2.0) * w for sigma2 in sigma2s]
+    def realization(bundle: WaveformBundle):
+        """The trial's channel realization at the bundle's sample rate."""
+        fs = bundle.geometry.sample_rate_hz
+        if fs not in reals:
+            reals[fs] = channel_cfg.realize(fs, derive_rng(seed, trial, _STREAM_CHANNEL))
+        return reals[fs]
 
-    def count(indices: list, soft) -> None:
-        """Bit errors of bundle indices[j] from soft[j], one row per SNR point."""
-        for i, rows in zip(indices, soft):
-            for q, s in enumerate(rows):
-                hard = hard_decide(s, constellation)
-                errors[i, q] = np.sum(bits_for_indices(hard, constellation) != bits[i])
+    def received(bundle: WaveformBundle) -> np.ndarray:
+        """The bundle's received frames, one row per SNR point."""
+        frame = bundle.transmit(bits_and_symbols(bundle)[1])
+        if frame.size not in shapes:
+            shapes[frame.size] = noise_shape(
+                frame.size, derive_rng(seed, trial, _STREAM_NOISE)
+            )
+        r0 = apply_channel(frame, realization(bundle))
+        return r0 + np.sqrt(sigma2s / 2.0)[:, None] * shapes[frame.size]
+
+    def count(i: int, soft: np.ndarray) -> None:
+        """Bit errors of bundle i from soft, one row per SNR point."""
+        hard = hard_decide(soft.reshape(-1), constellation)
+        decided = bits_for_indices(hard, constellation).reshape(sigma2s.size, -1)
+        errors[i] = np.sum(decided != bits_and_symbols(bundles[i])[0], axis=1)
 
     groups = []  # (core channel, indices of its bundles), one per distinct channel
-    for i, (bundle, real) in enumerate(zip(bundles, reals)):
+    group_of = {}  # core channel key -> its group
+    for i, bundle in enumerate(bundles):
         if detector == "mmse" and bundle.adjoint_pair:
-            core = core_channel(bundle, real)
-            for shared, members in groups:
-                if _same_core(shared, core):
-                    members.append(i)
-                    break
-            else:
-                groups.append((core, [i]))
+            key = (bundle.geometry.sample_rate_hz, bundle.core_len,
+                   bundle.geometry.prefix_len, bundle.prefix_rule, bundle.cpp_c1)
+            if key not in group_of:
+                core = core_channel(bundle, realization(bundle))
+                group = next((g for g in groups if _same_core(g[0], core)), None)
+                if group is None:
+                    group = (core, [])
+                    groups.append(group)
+                group_of[key] = group
+            group_of[key][1].append(i)
             continue
-        h_eff = effective_channel(bundle, real)
+        h_eff = effective_channel(bundle, realization(bundle))
         equalize = mmse_equalize if detector == "mmse" else single_tap_equalize
-        count([i], [[equalize(bundle.receive(r), h_eff, sigma2)
-                     for r, sigma2 in zip(received(i), sigma2s)]])
+        count(i, np.array([equalize(bundle.receive(r), h_eff, sigma2)
+                           for r, sigma2 in zip(received(bundle), sigma2s)]))
     for core, members in groups:
-        count(members, time_domain_mmse(
-            core, [bundles[i] for i in members], map(received, members), sigma2s
-        ))
+        shared = [bundles[i] for i in members]
+        soft = time_domain_mmse(core, shared, map(received, shared), sigma2s)
+        for i, rows in zip(members, soft):
+            count(i, rows)
     return errors
 
 
@@ -166,15 +186,13 @@ def time_domain_mmse(core: CoreChannel, bundles, frames, sigma2s) -> np.ndarray:
     bundle's factored a_rx; no dense matrix is built.
 
     ``frames`` yields, bundle by bundle, the received frames (one per noise
-    level); each is dropped once its C^H r_core exists.  Returns
+    level).  Their cores are stacked into one (R, Q, L) array, to which C^H
+    is applied once; the stack is dropped before the solve.  Returns
     (len(bundles), len(sigma2s), n_symbols), written over the solution.
     """
-    frames = iter(frames)
-    rhs = np.empty((len(bundles), len(sigma2s), core.diags.shape[0]), dtype=complex)
-    for out, bundle in zip(rhs, bundles):
-        out[...] = core.adjoint(
-            np.stack([remove_prefix(f, bundle.geometry.prefix_len) for f in next(frames)])
-        )
+    rhs = core.adjoint(np.array([
+        remove_prefix(f, bundle.geometry.prefix_len) for bundle, f in zip(bundles, frames)
+    ]))
     z = solve_periodic_banded(core.gram_band(), sigma2s, rhs)
     for zr, bundle in zip(z, bundles):
         zr[...] = bundle.operator.rx(zr)
@@ -196,9 +214,10 @@ def run_ber(
     Each trial derives its bit, channel and noise streams from
     (seed, trial), so every bundle sees the same bitstream and channel
     realization, and the same unit noise shape scaled to each SNR.  The
-    bundles of one trial run together, so those that see the same core
-    channel share one block MMSE solve.  Error counts are integers summed
-    over trials, making the result independent of worker count and
+    bundles of one trial run together: each shared draw is made once per
+    trial and key rather than per bundle, and bundles that see the same
+    core channel share one block MMSE solve.  Error counts are integers
+    summed over trials, making the result independent of worker count and
     scheduling.  Returns one list of points per bundle, in order.
     """
     if detector not in DETECTORS:

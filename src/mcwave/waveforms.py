@@ -278,11 +278,11 @@ def _cpp_phase(L: int, prefix_len: int, c1: float) -> np.ndarray:
 
 
 def remove_prefix(frame: np.ndarray, prefix_len: int) -> np.ndarray:
-    """Drop the first ``prefix_len`` samples of a frame."""
+    """Drop the first ``prefix_len`` samples of a frame (or of each row of frames)."""
     frame = np.asarray(frame)
-    if prefix_len >= frame.shape[0]:
+    if prefix_len >= frame.shape[-1]:
         raise ConfigurationError("prefix removal would consume the whole frame")
-    return frame[prefix_len:]
+    return frame[..., prefix_len:]
 
 
 def afdm_default_c1(m: int, alpha_max_int: int) -> float:

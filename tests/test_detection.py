@@ -131,6 +131,15 @@ class TestMmse:
         assert errors == sorted(errors, reverse=True)
 
 
+# Loads and right-hand sides per load of the BER presets' shapes: the noise
+# variances of 0..20 dB (desk, L = 256) and 0..30 dB (full size, L = 1024),
+# five schemes sharing each solve.
+PRESET_SHAPES = {
+    (256, 15): (10.0 ** (-np.arange(0.0, 25.0, 5.0) / 10.0), (5,)),
+    (1024, 8): (10.0 ** (-np.arange(0.0, 35.0, 5.0) / 10.0), (5,)),
+}
+
+
 class TestPeriodicBandedSolver:
     @staticmethod
     def system(L, w, rng):
@@ -149,19 +158,21 @@ class TestPeriodicBandedSolver:
         (21, 10),  # w close to L/2: one interior block and the border
         (200, 15),
         (9, 4),  # too small for two blocks: dense
+        *PRESET_SHAPES,
     ])
     def test_matches_dense_solve(self, L, w):
         rng = np.random.default_rng(L + w)
         A, band = self.system(L, w, rng)
-        shifts = np.array([1.0, 1e-2, 1e-3])
-        # one right-hand side per load, then three sharing each load
-        for R in (1, 3):
-            rhs = rng.standard_normal((R, 3, L)) + 1j * rng.standard_normal((R, 3, L))
+        # one right-hand side per load, then three (five at the preset shapes)
+        shifts, Rs = PRESET_SHAPES.get((L, w), (np.array([1.0, 1e-2, 1e-3]), (1, 3)))
+        Q = shifts.size
+        for R in Rs:
+            rhs = rng.standard_normal((R, Q, L)) + 1j * rng.standard_normal((R, Q, L))
             z = det.solve_periodic_banded(band, shifts, rhs)
-            assert z.shape == (R, 3, L)
-            for zr, br in zip(z, rhs):
-                for zq, s, b in zip(zr, shifts, br):
-                    ref = np.linalg.solve(A + s * np.eye(L), b)
+            assert z.shape == (R, Q, L)
+            for q, s in enumerate(shifts):
+                refs = np.linalg.solve(A + s * np.eye(L), rhs[:, q].T).T
+                for zq, ref in zip(z[:, q], refs):
                     assert np.max(np.abs(zq - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_shape_mismatch_rejected(self):

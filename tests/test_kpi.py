@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mcwave import bench
 from mcwave import channel as ch
 from mcwave import detection as det
 from mcwave import kpi
 from mcwave import waveforms as wf
+from mcwave.config import validate_config
+from mcwave.presets import preset_config
 
 import oracles
 
@@ -169,7 +172,28 @@ BER_BUNDLES = [
 ]
 
 
+def desk_run(**overrides):
+    """The six ``tab5-ber-desk`` bundles over the preset's validated channel.
+
+    Returns the bundles and the keyword arguments of a serial ``run_ber``.
+    """
+    cfg = dict(preset_config("tab5-ber-desk"), **overrides)
+    chan = validate_config(cfg)
+    bundles = [bench.build_bundle(label, cfg, chan) for label in cfg["waveforms"]]
+    assert len(bundles) == 6 and bundles[3].scheme == "afdm"
+    return bundles, dict(channel_cfg=chan, detector=cfg["detector"],
+                         snr_db_list=cfg["snr_db"], trials=cfg["trials"], seed=cfg["seed"],
+                         constellation=det.qam_constellation(cfg["constellation"]))
+
+
 class TestFactoredBerPath:
+    def test_desk_preset_is_error_free_at_high_snr(self):
+        # At 120 dB the loaded normal equations still decide every bit of
+        # these trials (cond(C) reaches 1.3e9); at 200 dB they no longer do.
+        bundles, run = desk_run(trials=3, seed=1, snr_db=[120.0])
+        for points in kpi.run_ber(bundles, **run):
+            assert [p.bit_errors for p in points] == [0]
+
     @pytest.mark.parametrize("label,geo,params", BER_BUNDLES)
     def test_worker_count_invariance_every_label(self, label, geo, params):
         c = det.qam_constellation(4)
@@ -197,6 +221,25 @@ CP_SCHEMES_1D = [(name, GEO_1D, params) for name, geo, params in SQUARE_SCHEMES
 
 
 class TestSharedSolve:
+    def test_shared_inputs_are_built_once_per_trial(self, monkeypatch):
+        # one bit count, one sample rate and one frame length: three streams,
+        # one realization; the cp schemes share one core channel, afdm has its own
+        bundles, run = desk_run(trials=2)
+        calls = {"realize": 0, "core_channel": 0, "derive_rng": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ch.ChannelConfig, "realize",
+                            counted("realize", ch.ChannelConfig.realize))
+        monkeypatch.setattr(kpi, "core_channel", counted("core_channel", kpi.core_channel))
+        monkeypatch.setattr(kpi, "derive_rng", counted("derive_rng", kpi.derive_rng))
+        kpi.run_ber(bundles, **run)
+        assert calls == {"realize": 2, "core_channel": 4, "derive_rng": 6}
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_bundle_gets_its_own_counts(self, workers):
         c = det.qam_constellation(4)
