@@ -320,20 +320,23 @@ def apply_channel(s: np.ndarray, real: ChannelRealization) -> np.ndarray:
     output[n] = sum_i h_i * s[n - l_i] * exp(2j*pi*nu_i*n/f_s)
 
     with s[.] = 0 outside its support; the wideband kind reads the warped
-    index of :func:`tap_columns` instead of n - l_i.
+    index of :func:`tap_columns` instead of n - l_i.  ``s`` may also be an
+    (R, N) stack of frames, one per row: each tap's phase and indices are
+    made once, and every row goes through the same operations in the same
+    order, so it equals the 1-D call on that row byte for byte.
     """
     s = np.asarray(s, dtype=complex)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("input frame must be a nonempty 1-D sequence")
-    L = s.size
+    if s.ndim not in (1, 2) or s.size == 0:
+        raise ValueError("input must be a nonempty 1-D frame or a 2-D stack of frames")
+    L = s.shape[-1]
     n = np.arange(L)
-    out = np.zeros(L, dtype=complex)
+    out = np.zeros(s.shape, dtype=complex)
     for t in real.taps:
         phase = np.exp(2j * np.pi * t.doppler_hz * n / real.sample_rate_hz)
         idx = tap_columns(real, t, n)
         valid = (idx >= 0) & (idx < L)
-        shifted = np.zeros(L, dtype=complex)
-        shifted[valid] = s[idx[valid]]
+        shifted = np.zeros(s.shape, dtype=complex)
+        shifted[..., valid] = s[..., idx[valid]]
         out += t.gain * shifted * phase
     return out
 

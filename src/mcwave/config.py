@@ -202,11 +202,19 @@ def validate_config(cfg: dict) -> ChannelConfig:
         raise ValidationError("snr_db must be nonempty")
     for snr in cfg["snr_db"]:
         try:
-            noise_variance(snr)
+            sigma2 = noise_variance(snr)
         except OverflowError:
             raise ValidationError(
                 f"snr_db: {snr} dB gives a noise variance beyond the float range"
             ) from None
+        # Below machine epsilon the rounding of the formed Gram matrix C^H C
+        # outweighs the MMSE's regularization, and the solve returns noise.
+        if exp in ("ber", "afdm-sweep") and cfg["detector"] == "mmse" and sigma2 < math.ulp(1.0):
+            raise ValidationError(
+                f"snr_db: {snr} dB gives a noise variance {sigma2:.3g} below machine "
+                f"epsilon, which the MMSE cannot resolve (at most "
+                f"{-10.0 * math.log10(math.ulp(1.0)):.1f} dB)"
+            )
     for w in cfg["waveforms"]:
         if w not in WAVEFORM_LABELS:
             raise ValidationError(f"waveforms: unknown label {w!r}")

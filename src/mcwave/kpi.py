@@ -96,15 +96,15 @@ def _ber_trial(
     the same streams, so each shared input is made once per distinct key:
     the bits and their symbols per bit count, the channel realization per
     sample rate, the noise shape per frame length and the core channel per
-    (sample rate, core length, prefix length, prefix rule, chirp rate).  The
-    channel is noiseless: each received frame is propagated once, and each
-    SNR point adds the shape scaled to its noise variance.  Frames are
-    modulated with the bundle's factored operator.  Block MMSE over square
-    unitary bundles equalizes in the time domain (:func:`time_domain_mmse`)
-    and never builds a dense matrix; bundles whose core channels are equal,
-    byte for byte, share one solve.  Other bundles and the single-tap
-    detector use the modulation-domain channel matrix, which reads the
-    dense reference.
+    (sample rate, core length, prefix length, prefix phase).  The channel is
+    noiseless: the frames of bundles that share a core channel are
+    propagated together in one call, and each SNR point adds the shape
+    scaled to its noise variance.  Frames are modulated with the bundle's
+    factored operator.  Block MMSE over square unitary bundles equalizes in
+    the time domain (:func:`time_domain_mmse`) and never builds a dense
+    matrix; bundles whose core channels are equal, byte for byte, share one
+    solve.  Other bundles and the single-tap detector use the
+    modulation-domain channel matrix, which reads the dense reference.
     """
     sigma2s = np.array([noise_variance(snr_db) for snr_db in snr_db_list])
     errors = np.empty((len(bundles), sigma2s.size), dtype=np.int64)
@@ -125,15 +125,19 @@ def _ber_trial(
             reals[fs] = channel_cfg.realize(fs, derive_rng(seed, trial, _STREAM_CHANNEL))
         return reals[fs]
 
-    def received(bundle: WaveformBundle) -> np.ndarray:
-        """The bundle's received frames, one row per SNR point."""
-        frame = bundle.transmit(bits_and_symbols(bundle)[1])
-        if frame.size not in shapes:
-            shapes[frame.size] = noise_shape(
-                frame.size, derive_rng(seed, trial, _STREAM_NOISE)
-            )
-        r0 = apply_channel(frame, realization(bundle))
-        return r0 + np.sqrt(sigma2s / 2.0)[:, None] * shapes[frame.size]
+    def received(group: list[WaveformBundle]):
+        """Each bundle's received frames, one row per SNR point, bundle by bundle.
+
+        The bundles share a sample rate and a frame length; their frames are
+        propagated in one stacked call, and each bundle's noisy frames are
+        made only when the caller reaches it.
+        """
+        frames = np.array([b.transmit(bits_and_symbols(b)[1]) for b in group])
+        size = frames.shape[1]
+        if size not in shapes:
+            shapes[size] = noise_shape(size, derive_rng(seed, trial, _STREAM_NOISE))
+        noise = np.sqrt(sigma2s / 2.0)[:, None] * shapes[size]
+        return (r0 + noise for r0 in apply_channel(frames, realization(group[0])))
 
     def count(i: int, soft: np.ndarray) -> None:
         """Bit errors of bundle i from soft, one row per SNR point."""
@@ -146,7 +150,7 @@ def _ber_trial(
     for i, bundle in enumerate(bundles):
         if detector == "mmse" and bundle.adjoint_pair:
             key = (bundle.geometry.sample_rate_hz, bundle.core_len,
-                   bundle.geometry.prefix_len, bundle.prefix_rule, bundle.cpp_c1)
+                   bundle.geometry.prefix_len, bundle.prefix_phase.tobytes())
             if key not in group_of:
                 core = core_channel(bundle, realization(bundle))
                 group = next((g for g in groups if _same_core(g[0], core)), None)
@@ -159,10 +163,10 @@ def _ber_trial(
         h_eff = effective_channel(bundle, realization(bundle))
         equalize = mmse_equalize if detector == "mmse" else single_tap_equalize
         count(i, np.array([equalize(bundle.receive(r), h_eff, sigma2)
-                           for r, sigma2 in zip(received(bundle), sigma2s)]))
+                           for r, sigma2 in zip(next(received([bundle])), sigma2s)]))
     for core, members in groups:
         shared = [bundles[i] for i in members]
-        soft = time_domain_mmse(core, shared, map(received, shared), sigma2s)
+        soft = time_domain_mmse(core, shared, received(shared), sigma2s)
         for i, rows in zip(members, soft):
             count(i, rows)
     return errors
@@ -186,13 +190,15 @@ def time_domain_mmse(core: CoreChannel, bundles, frames, sigma2s) -> np.ndarray:
     bundle's factored a_rx; no dense matrix is built.
 
     ``frames`` yields, bundle by bundle, the received frames (one per noise
-    level).  Their cores are stacked into one (R, Q, L) array, to which C^H
-    is applied once; the stack is dropped before the solve.  Returns
+    level).  Their cores are written into one (R, Q, L) right-hand side as
+    they come, so only one bundle's frames exist at a time; C^H is applied
+    to it once, and it is dropped before the solve.  Returns
     (len(bundles), len(sigma2s), n_symbols), written over the solution.
     """
-    rhs = core.adjoint(np.array([
-        remove_prefix(f, bundle.geometry.prefix_len) for bundle, f in zip(bundles, frames)
-    ]))
+    rhs = np.empty((len(bundles), len(sigma2s), core.diags.shape[0]), dtype=complex)
+    for r, f in enumerate(frames):  # run ``frames`` out, so it frees what it holds
+        rhs[r] = remove_prefix(f, bundles[r].geometry.prefix_len)
+    rhs = core.adjoint(rhs)
     z = solve_periodic_banded(core.gram_band(), sigma2s, rhs)
     for zr, bundle in zip(z, bundles):
         zr[...] = bundle.operator.rx(zr)

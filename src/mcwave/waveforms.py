@@ -237,6 +237,17 @@ class WaveformBundle:
             )
         return self.operator.rx(r_core)
 
+    @cached_property
+    def prefix_phase(self) -> np.ndarray:
+        """Factor on each prefix sample's copy of the core: the chirp phase, else 1.
+
+        Computed once per bundle; the core channel and the grouping of the
+        BER loop read it.
+        """
+        if self.prefix_rule == "cpp":
+            return _cpp_phase(self.core_len, self.geometry.prefix_len, self.cpp_c1)
+        return np.ones(self.geometry.prefix_len, dtype=complex)
+
     def transmit(self, x: np.ndarray) -> np.ndarray:
         """Modulate and attach the scheme's prefix."""
         return add_prefix(
@@ -252,8 +263,8 @@ def add_prefix(core: np.ndarray, rule: str, prefix_len: int, c1: float = 0.0) ->
     """Prepend a guard prefix to a core frame.
 
     "cp" copies the last ``prefix_len`` samples verbatim; "cpp" copies them
-    with the chirp phase exp(-2j*pi*c1*(L^2 + 2*L*l)) for l = -prefix_len..-1
-    (L the core length), which reduces to a plain copy when c1 = 0; "none"
+    times the chirp phase of :func:`_cpp_phase`, which is exactly 1 (a plain
+    copy) when c1 = k/(2L) with k*L even, L the core length; "none"
     requires prefix_len = 0.
     """
     core = np.asarray(core)
@@ -272,9 +283,25 @@ def add_prefix(core: np.ndarray, rule: str, prefix_len: int, c1: float = 0.0) ->
 
 
 def _cpp_phase(L: int, prefix_len: int, c1: float) -> np.ndarray:
-    """Chirp-periodic prefix phase exp(-2j*pi*c1*(L^2 + 2*L*l)), l = -prefix_len..-1."""
-    l = np.arange(-prefix_len, 0)
-    return np.exp(-2j * np.pi * c1 * (L**2 + 2.0 * L * l))
+    """Chirp-periodic prefix phase exp(-2j*pi*c1*(L^2 + 2*L*l)), l = -prefix_len..-1.
+
+    The argument is reduced in exact integer arithmetic before the
+    exponential: c1 is the binary fraction num/den, so c1*(L^2 + 2*L*l) is
+    k half turns plus a rest of at most a quarter turn, and the phase is
+    (-1)^k exp(-2j*pi*rest).  It is therefore exactly 1 or -1 whenever 2*L*c1
+    is an integer (1 when 2*L*c1*L is even: the prefix is then a cyclic
+    prefix), and elsewhere the exponential of a small, exact argument.
+    Raises for a non-finite c1.
+    """
+    if not np.isfinite(c1):
+        raise ConfigurationError(f"chirp rate c1 must be finite, got {c1}")
+    num, den = float(c1).as_integer_ratio()
+    odd, rest = [], []
+    for l in range(-prefix_len, 0):
+        k, m = divmod(2 * (num * (L * L + 2 * L * l) % den) + den // 2, den)
+        odd.append(k % 2)
+        rest.append((m - den // 2) / (2 * den))  # turns, in [-1/4, 1/4)
+    return np.where(odd, -1.0, 1.0) * np.exp(-2j * np.pi * np.array(rest))
 
 
 def remove_prefix(frame: np.ndarray, prefix_len: int) -> np.ndarray:
@@ -725,9 +752,6 @@ def core_channel(bundle: WaveformBundle, real: ChannelRealization) -> CoreChanne
         )
     if L_p > L:
         raise ConfigurationError(f"prefix {L_p} longer than core {L}")
-    prefix_phase = np.ones(L_p, dtype=complex)
-    if bundle.prefix_rule == "cpp":
-        prefix_phase = _cpp_phase(L, L_p, bundle.cpp_c1)
     n = np.arange(L)
     m = n + L_p  # row of the full frame
     rows, offsets, values = [], [], []
@@ -737,7 +761,7 @@ def core_channel(bundle: WaveformBundle, real: ChannelRealization) -> CoreChanne
         valid = (cols >= 0) & (cols < L + L_p)
         cols, phase = cols[valid], phase[valid]
         wrapped = cols < L_p  # lands in the prefix: a copy of the core's tail
-        phase[wrapped] *= prefix_phase[cols[wrapped]]
+        phase[wrapped] *= bundle.prefix_phase[cols[wrapped]]
         core_cols = np.where(wrapped, cols + L - L_p, cols - L_p)
         rows.append(n[valid])
         offsets.append((core_cols - n[valid] + L // 2) % L - L // 2)

@@ -171,7 +171,7 @@ class TestValidationGaps:
         # sigma2 = 10^(-snr_db / 10) passes the float range below about -3083 dB
         with pytest.raises(ValidationError, match="snr_db: -4000.0 dB"):
             validate_config(self._cfg(snr_db=[10.0, -4000.0]))
-        validate_config(self._cfg(snr_db=[-3080.0, 4000.0]))
+        validate_config(self._cfg(snr_db=[-3080.0, 150.0]))
         cfg_file = tmp_path / "snr.cfg"
         cfg_file.write_text(
             "experiment = ber\ntrials = 1\nwaveforms = ofdm\nframe.m_1d = 16\n"
@@ -180,6 +180,26 @@ class TestValidationGaps:
         assert "snr_db" in capsys.readouterr().err
         assert cli.main(["run", str(cfg_file)]) == 2
         assert "snr_db" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment", ["ber", "afdm-sweep"])
+    def test_snr_the_mmse_cannot_resolve_names_snr_db(self, tmp_path, capsys, experiment):
+        # sigma2 below machine epsilon (about 156.5 dB) is lost in the rounding
+        # of the formed Gram matrix; 4000 dB even underflows to a zero variance
+        for snr in (156.6, 200.0, 4000.0):
+            with pytest.raises(ValidationError, match=f"snr_db: {snr} dB .* machine epsilon"):
+                validate_config(self._cfg(experiment=experiment, waveforms=["afdm"],
+                                          snr_db=[10.0, snr]))
+        validate_config(self._cfg(experiment=experiment, waveforms=["afdm"], snr_db=[156.5]))
+        # the cap is the block MMSE's: the peak-power study never reads the SNR
+        validate_config(self._cfg(experiment="papr", waveforms=["ofdm"], snr_db=[4000.0]))
+        cfg_file = tmp_path / "snr.cfg"
+        cfg_file.write_text(
+            "experiment = {}\ntrials = 1\nwaveforms = afdm\nframe.m_1d = 16\n"
+            "snr_db = 10, 200\noutput_dir = {}\n".format(experiment, tmp_path / "out"))
+        for command in ("validate", "run"):
+            assert cli.main([command, str(cfg_file)]) == 2
+            assert "snr_db: 200.0 dB" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("waveform", ["ofdm", "afdm"])

@@ -125,6 +125,23 @@ class TestApplyChannel:
         with pytest.raises(ValueError):
             ch.apply_channel(np.array([]), real)
 
+    @pytest.mark.parametrize("kind", ch.CHANNEL_MODEL_KINDS)
+    def test_stack_equals_rows_byte_for_byte(self, kind):
+        # delayed, Doppler-shifted and (wideband) time-scaled taps
+        ps = ch.PathSet(paths=(
+            ch.Path(0.6 + 0.1j, 0.0, doppler_hz=1e4, scale=0.05),
+            ch.Path(0.5j, 3e-6, doppler_hz=-2e4, scale=-0.04),
+            ch.Path(-0.4, 6e-6, doppler_hz=3e3),
+        ))
+        real = ch.discretize(ps, 1e6, kind=kind)
+        rng = np.random.default_rng(5)
+        for rows, length in ((1, 40), (6, 263), (7, 1032)):
+            s = rng.standard_normal((rows, length)) + 1j * rng.standard_normal((rows, length))
+            out = ch.apply_channel(s, real)
+            assert out.shape == s.shape
+            for row, frame in zip(out, s):
+                assert row.tobytes() == ch.apply_channel(frame, real).tobytes()
+
     def test_wideband_time_scaling(self):
         # positive scale factor compresses the waveform: sample n reads the
         # input at round(n * (1 + a)).

@@ -4,8 +4,10 @@ Each case is a preset plus overrides, small enough that all of them run in
 seconds.  ``golden/digests.json`` holds the sha256 of every CSV a case
 writes and of its ``manifest.json``, which pins the ``derived`` block.
 Policy: outputs stay byte-identical; a change that moves a digest re-records
-the file with ``PYTHONPATH=src python tests/test_golden.py --record`` and
-names every moved digest and its cause in CHANGES.md (README, "Decisions").
+the file with ``PYTHONPATH=src python tests/test_golden.py --record``, which
+prints each moved entry (case, file, old -> new digest prefix) and the count
+of unchanged ones, and names every moved digest and its cause in CHANGES.md
+(README, "Decisions").
 Run as a script without ``--record``, or with any other argument, the module
 prints its usage, exits 2 and writes nothing.
 
@@ -112,10 +114,46 @@ def test_recording_needs_exactly_record(argv, capsys):
     assert DIGESTS.read_bytes() == before
 
 
+def digest_moves(old: dict, new: dict) -> tuple[list[str], int]:
+    """Entries whose digest differs, as "case file: old -> new", and the unchanged count.
+
+    Digests are shown by their first 12 hex digits, "-" for an entry on one
+    side only.
+    """
+    moves, unchanged = [], 0
+    for case in sorted(old.keys() | new.keys()):
+        before, after = old.get(case, {}), new.get(case, {})
+        for name in sorted(before.keys() | after.keys()):
+            if before.get(name) == after.get(name):
+                unchanged += 1
+            else:
+                moves.append(f"{case} {name}: {before.get(name, '-')[:12]} -> "
+                              f"{after.get(name, '-')[:12]}")
+    return moves, unchanged
+
+
+def test_digest_moves_lists_each_changed_entry():
+    old = {"a": {"x.csv": "1" * 64, "y.csv": "2" * 64}, "b": {"z.csv": "3" * 64}}
+    new = {"a": {"x.csv": "1" * 64, "y.csv": "4" * 64}, "c": {"z.csv": "3" * 64}}
+    assert digest_moves(old, new) == ([
+        f"a y.csv: {'2' * 12} -> {'4' * 12}",
+        f"b z.csv: {'3' * 12} -> -",
+        f"c z.csv: - -> {'3' * 12}",
+    ], 1)
+
+
 def record(out_root: Path) -> None:
-    """Rewrite ``golden/digests.json`` from runs of the code on ``sys.path``."""
+    """Rewrite ``golden/digests.json`` from runs of the code on ``sys.path``.
+
+    Prints every entry whose digest moved and the count of unchanged ones.
+    """
+    old = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
     digests = {name: run_case(name, out_root / name) for name in sorted(CASES)}
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    moves, unchanged = digest_moves(old, digests)
+    for line in moves:
+        print(line)
+    print(f"{len(moves)} moved, {unchanged} unchanged")
 
 
 USAGE = "usage: PYTHONPATH=src python tests/test_golden.py --record"

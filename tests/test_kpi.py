@@ -223,9 +223,12 @@ CP_SCHEMES_1D = [(name, GEO_1D, params) for name, geo, params in SQUARE_SCHEMES
 class TestSharedSolve:
     def test_shared_inputs_are_built_once_per_trial(self, monkeypatch):
         # one bit count, one sample rate and one frame length: three streams,
-        # one realization; the cp schemes share one core channel, afdm has its own
+        # one realization; afdm's chirp-periodic prefix is a cyclic prefix at
+        # its default c1, so all six schemes share one core channel, one solve
+        # and one propagation
         bundles, run = desk_run(trials=2)
-        calls = {"realize": 0, "core_channel": 0, "derive_rng": 0}
+        calls = dict.fromkeys(("realize", "core_channel", "derive_rng", "gram_band",
+                               "solve_periodic_banded", "apply_channel"), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -235,10 +238,13 @@ class TestSharedSolve:
 
         monkeypatch.setattr(ch.ChannelConfig, "realize",
                             counted("realize", ch.ChannelConfig.realize))
-        monkeypatch.setattr(kpi, "core_channel", counted("core_channel", kpi.core_channel))
-        monkeypatch.setattr(kpi, "derive_rng", counted("derive_rng", kpi.derive_rng))
+        monkeypatch.setattr(wf.CoreChannel, "gram_band",
+                            counted("gram_band", wf.CoreChannel.gram_band))
+        for name in ("core_channel", "derive_rng", "solve_periodic_banded", "apply_channel"):
+            monkeypatch.setattr(kpi, name, counted(name, getattr(kpi, name)))
         kpi.run_ber(bundles, **run)
-        assert calls == {"realize": 2, "core_channel": 4, "derive_rng": 6}
+        assert calls == {"realize": 2, "core_channel": 2, "derive_rng": 6, "gram_band": 2,
+                         "solve_periodic_banded": 2, "apply_channel": 2}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_bundle_gets_its_own_counts(self, workers):
@@ -252,12 +258,14 @@ class TestSharedSolve:
         alone = [kpi.run_ber([b], **run)[0] for b in bundles]
         assert together == alone
 
-    @pytest.mark.parametrize("with_afdm,solves", [(False, 1), (True, 2)])
-    def test_one_solve_per_core_channel(self, monkeypatch, with_afdm, solves):
+    # afdm at c1 = 3/64 (2 L c1 = 3, times L even) has a cyclic prefix and
+    # joins the solve; at c1 = 0.05 its prefix phase differs and it has its own.
+    @pytest.mark.parametrize("afdm_c1,solves", [(None, 1), (3 / 64, 1), (0.05, 2)])
+    def test_one_solve_per_core_channel(self, monkeypatch, afdm_c1, solves):
         bundles = [wf.build_waveform(*row) for row in CP_SCHEMES_1D]
         assert len(bundles) == 5
-        if with_afdm:  # its chirp-periodic prefix phase is 1 only up to rounding
-            bundles.append(wf.build_waveform("afdm", GEO_1D, {"c1": 3 / 64}))
+        if afdm_c1 is not None:
+            bundles.append(wf.build_waveform("afdm", GEO_1D, {"c1": afdm_c1}))
         calls = {"solve": 0, "gram": 0}
         solve, gram_band = kpi.solve_periodic_banded, wf.CoreChannel.gram_band
 

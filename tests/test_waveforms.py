@@ -1,12 +1,17 @@
 """Waveform bundle tests: operator chains, prefixes, filters, precoding."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mcwave import bench
 from mcwave import channel as ch
 from mcwave import transforms as tr
 from mcwave import waveforms as wf
+from mcwave.config import validate_config
+from mcwave.presets import preset_config
 
 import oracles
 
@@ -25,13 +30,23 @@ def geo_2d(m=16, n=8, prefix=4):
     return wf.FrameGeometry(m=m, n=n, delta_f_hz=60e3, prefix_len=prefix)
 
 
+def exact_cpp_phase(core_len, prefix_len, c1):
+    """Chirp-periodic prefix phase from the exact rational turns c1*(L^2 + 2Ll) mod 1.
+
+    Each turn count is taken to (-1/2, 1/2] before the exponential.
+    """
+    turns = [Fraction(c1) * (core_len * core_len + 2 * core_len * l) % 1
+             for l in range(-prefix_len, 0)]
+    return np.exp(-2j * np.pi * np.array([float(t - 1 if t > Fraction(1, 2) else t)
+                                           for t in turns]))
+
+
 def prefix_operator(rule, core_len, prefix_len, c1=0.0):
     """Matrix form of ``add_prefix``: (core_len + prefix_len) x core_len."""
     R = np.zeros((core_len + prefix_len, core_len), dtype=complex)
     R[prefix_len:, :] = np.eye(core_len)
     if rule == "cpp":
-        l = np.arange(-prefix_len, 0)
-        phase = np.exp(-2j * np.pi * c1 * (core_len**2 + 2.0 * core_len * l))
+        phase = exact_cpp_phase(core_len, prefix_len, c1)
     else:
         phase = np.ones(prefix_len)
     for j in range(prefix_len):
@@ -317,6 +332,33 @@ class TestPrefix:
         for rule, c1 in (("cp", 0.0), ("cpp", 0.11)):
             R = prefix_operator(rule, 10, 4, c1)
             assert_allclose(R @ core, wf.add_prefix(core, rule, 4, c1), atol=1e-14)
+
+    @pytest.mark.parametrize("preset,core_len", [
+        ("fig21-sweep", 128), ("tab5-ber-desk", 256), ("tab5-ber", 1024)])
+    def test_cpp_phase_is_one_at_the_default_c1(self, preset, core_len):
+        # c1 = (2a + 1)/(2L): the chirp-periodic prefix is a cyclic prefix
+        cfg = preset_config(preset)
+        b = bench.build_bundle("afdm", cfg, validate_config(cfg))
+        assert b.core_len == core_len and b.geometry.prefix_len > 0
+        assert np.array_equal(b.prefix_phase, np.ones(b.geometry.prefix_len))
+        assert np.array_equal(wf._cpp_phase(core_len, core_len, b.cpp_c1), np.ones(core_len))
+
+    @pytest.mark.parametrize("core_len", [1, 3, 15, 17])
+    @pytest.mark.parametrize("c1", [0.5, 1.5, -0.5])
+    def test_cpp_phase_is_minus_one_for_odd_half_turns(self, core_len, c1):
+        # 2 L c1 is an integer and 2 L c1 L is odd
+        phase = wf._cpp_phase(core_len, core_len, c1)
+        assert np.array_equal(phase, -np.ones(core_len))
+
+    @pytest.mark.parametrize("core_len,c1", [(32, 0.05), (128, 0.05), (1024, 0.05)] + [
+        (128, c1) for c1 in np.linspace(0.0, 1.0 / 256.0, 16)])  # the fig21-sweep grid
+    def test_cpp_phase_matches_the_rational_reference(self, core_len, c1):
+        phase = wf._cpp_phase(core_len, core_len, c1)
+        assert np.max(np.abs(phase - exact_cpp_phase(core_len, core_len, c1))) <= 1e-15
+
+    def test_cpp_phase_rejects_a_non_finite_c1(self):
+        with pytest.raises(wf.ConfigurationError, match="c1 must be finite"):
+            wf.add_prefix(np.ones(4), "cpp", 2, c1=float("inf"))
 
     def test_prefix_longer_than_core_rejected(self):
         with pytest.raises(wf.ConfigurationError):
