@@ -97,9 +97,9 @@ def _ber_trial(
     the bits and their symbols per bit count, the channel realization per
     sample rate, the noise shape per frame length and the core channel per
     (sample rate, core length, prefix length, prefix phase).  The channel is
-    noiseless: the frames of bundles that share a core channel are
-    propagated together in one call, and each SNR point adds the shape
-    scaled to its noise variance.  Frames are modulated with the bundle's
+    noiseless: the frames of bundles that share a core channel, a sample
+    rate and a frame length are propagated together in one call, and each
+    SNR point adds the shape scaled to its noise variance.  Frames are modulated with the bundle's
     factored operator.  Block MMSE over square unitary bundles equalizes in
     the time domain (:func:`time_domain_mmse`) and never builds a dense
     matrix; bundles whose core channels are equal, byte for byte, share one
@@ -108,7 +108,7 @@ def _ber_trial(
     """
     sigma2s = np.array([noise_variance(snr_db) for snr_db in snr_db_list])
     errors = np.empty((len(bundles), sigma2s.size), dtype=np.int64)
-    drawn, reals, shapes = {}, {}, {}
+    drawn, reals, noises = {}, {}, {}
 
     def bits_and_symbols(bundle: WaveformBundle) -> tuple[np.ndarray, np.ndarray]:
         """The trial's bits for the bundle and the symbols they map to."""
@@ -128,16 +128,24 @@ def _ber_trial(
     def received(group: list[WaveformBundle]):
         """Each bundle's received frames, one row per SNR point, bundle by bundle.
 
-        The bundles share a sample rate and a frame length; their frames are
-        propagated in one stacked call, and each bundle's noisy frames are
-        made only when the caller reaches it.
+        The frames of bundles with the same sample rate and frame length
+        are propagated in one stacked call through that rate's realization;
+        each bundle's noisy frames are made only when the caller reaches it.
         """
-        frames = np.array([b.transmit(bits_and_symbols(b)[1]) for b in group])
-        size = frames.shape[1]
-        if size not in shapes:
-            shapes[size] = noise_shape(size, derive_rng(seed, trial, _STREAM_NOISE))
-        noise = np.sqrt(sigma2s / 2.0)[:, None] * shapes[size]
-        return (r0 + noise for r0 in apply_channel(frames, realization(group[0])))
+        frames = [b.transmit(bits_and_symbols(b)[1]) for b in group]
+        stacks = {}  # (sample rate, frame length) -> positions in group
+        for j, (b, f) in enumerate(zip(group, frames)):
+            stacks.setdefault((b.geometry.sample_rate_hz, f.size), []).append(j)
+        for js in stacks.values():
+            r0 = apply_channel(np.array([frames[j] for j in js]), realization(group[js[0]]))
+            for j, row in zip(js, r0):
+                frames[j] = row
+        for j, r0 in enumerate(frames):
+            frames[j] = None  # the caller holds what it needs of this frame
+            if r0.size not in noises:
+                shape = noise_shape(r0.size, derive_rng(seed, trial, _STREAM_NOISE))
+                noises[r0.size] = np.sqrt(sigma2s / 2.0)[:, None] * shape
+            yield r0 + noises[r0.size]
 
     def count(i: int, soft: np.ndarray) -> None:
         """Bit errors of bundle i from soft, one row per SNR point."""

@@ -241,31 +241,35 @@ class WaveformBundle:
     def prefix_phase(self) -> np.ndarray:
         """Factor on each prefix sample's copy of the core: the chirp phase, else 1.
 
-        Computed once per bundle; the core channel and the grouping of the
-        BER loop read it.
+        Computed once per bundle; :meth:`transmit`, the core channel and the
+        grouping of the BER loop read it.
         """
         if self.prefix_rule == "cpp":
             return _cpp_phase(self.core_len, self.geometry.prefix_len, self.cpp_c1)
         return np.ones(self.geometry.prefix_len, dtype=complex)
 
     def transmit(self, x: np.ndarray) -> np.ndarray:
-        """Modulate and attach the scheme's prefix."""
-        return add_prefix(
-            self.modulate(x), self.prefix_rule, self.geometry.prefix_len, self.cpp_c1
-        )
+        """Modulate and attach the scheme's prefix, with its cached phase."""
+        return add_prefix(self.modulate(x), self.prefix_rule, self.geometry.prefix_len,
+                          phase=self.prefix_phase)
 
     def receive(self, frame: np.ndarray) -> np.ndarray:
         """Strip the prefix and demodulate."""
         return self.demodulate(remove_prefix(frame, self.geometry.prefix_len))
 
 
-def add_prefix(core: np.ndarray, rule: str, prefix_len: int, c1: float = 0.0) -> np.ndarray:
+def add_prefix(
+    core: np.ndarray, rule: str, prefix_len: int, c1: float = 0.0, *,
+    phase: np.ndarray | None = None,
+) -> np.ndarray:
     """Prepend a guard prefix to a core frame.
 
     "cp" copies the last ``prefix_len`` samples verbatim; "cpp" copies them
     times the chirp phase of :func:`_cpp_phase`, which is exactly 1 (a plain
     copy) when c1 = k/(2L) with k*L even, L the core length; "none"
-    requires prefix_len = 0.
+    requires prefix_len = 0.  ``phase``, if given, is that chirp phase
+    already computed (a bundle's :attr:`WaveformBundle.prefix_phase`), and
+    ``c1`` is then not read.
     """
     core = np.asarray(core)
     L = core.shape[0]
@@ -279,7 +283,9 @@ def add_prefix(core: np.ndarray, rule: str, prefix_len: int, c1: float = 0.0) ->
         return core.copy()
     if rule == "cp":
         return np.concatenate([core[-prefix_len:], core])
-    return np.concatenate([core[L - prefix_len:] * _cpp_phase(L, prefix_len, c1), core])
+    if phase is None:
+        phase = _cpp_phase(L, prefix_len, c1)
+    return np.concatenate([core[L - prefix_len:] * phase, core])
 
 
 def _cpp_phase(L: int, prefix_len: int, c1: float) -> np.ndarray:

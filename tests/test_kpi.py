@@ -258,6 +258,35 @@ class TestSharedSolve:
         alone = [kpi.run_ber([b], **run)[0] for b in bundles]
         assert together == alone
 
+    # Without Doppler C depends on neither the prefix length nor the sample
+    # rate, so one group can hold frames of two lengths (the cp schemes'
+    # 20-sample prefix, otfs/otsm's automatic 15) or of two rates (AWGN with
+    # the 2-D frame at half the rate): each (rate, length) is propagated as
+    # its own stack through its own realization.
+    @pytest.mark.parametrize("overrides", [
+        {"channel.velocity_kmh": 0.0, "frame.prefix_1d": 20},
+        {"channel.preset": "AWGN", "channel.velocity_kmh": 0.0, "frame.delta_f_2d_hz": 192e3},
+    ], ids=["prefix-lengths", "sample-rates"])
+    def test_one_solve_over_frames_of_two_shapes(self, monkeypatch, overrides):
+        bundles, run = desk_run(trials=2, **overrides)
+        assert len({(b.geometry.sample_rate_hz, b.geometry.prefix_len) for b in bundles}) == 2
+        calls = {"solve": 0, "apply": 0}
+        solve, apply = kpi.solve_periodic_banded, kpi.apply_channel
+
+        def counted_solve(*args):
+            calls["solve"] += 1
+            return solve(*args)
+
+        def counted_apply(*args):
+            calls["apply"] += 1
+            return apply(*args)
+
+        monkeypatch.setattr(kpi, "solve_periodic_banded", counted_solve)
+        monkeypatch.setattr(kpi, "apply_channel", counted_apply)
+        together = kpi.run_ber(bundles, **run)
+        assert calls == {"solve": 2, "apply": 4}
+        assert together == [kpi.run_ber([b], **run)[0] for b in bundles]
+
     # afdm at c1 = 3/64 (2 L c1 = 3, times L even) has a cyclic prefix and
     # joins the solve; at c1 = 0.05 its prefix phase differs and it has its own.
     @pytest.mark.parametrize("afdm_c1,solves", [(None, 1), (3 / 64, 1), (0.05, 2)])

@@ -356,6 +356,18 @@ class TestPrefix:
         phase = wf._cpp_phase(core_len, core_len, c1)
         assert np.max(np.abs(phase - exact_cpp_phase(core_len, core_len, c1))) <= 1e-15
 
+    def test_transmit_reads_the_cached_phase(self, monkeypatch):
+        b = wf.build_waveform("afdm", geo_1d(m=32, prefix=6), {"c1": 0.05})
+        x = rand_syms(32)
+        expected = wf.add_prefix(b.modulate(x), "cpp", 6, 0.05)
+        calls = []
+        cpp_phase = wf._cpp_phase
+        monkeypatch.setattr(wf, "_cpp_phase", lambda *a: calls.append(a) or cpp_phase(*a))
+        frames = [b.transmit(x) for _ in range(3)]
+        assert calls == [(32, 6, 0.05)]
+        for frame in frames:
+            assert frame.tobytes() == expected.tobytes()
+
     def test_cpp_phase_rejects_a_non_finite_c1(self):
         with pytest.raises(wf.ConfigurationError, match="c1 must be finite"):
             wf.add_prefix(np.ones(4), "cpp", 2, c1=float("inf"))
