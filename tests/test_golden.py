@@ -76,6 +76,14 @@ CASES = {
         "channel.preset": "EVA",
         "chanmat.models": ["tdc", "fdc", "narrowband", "wideband"],
     }),
+    # The same fold over FIG16's Doppler-shifted paths: the narrowband CSV
+    # differs from the tdc one.  The wideband CSV equals the narrowband one,
+    # because FIG16's time warp stays under half a sample over 128 samples.
+    "chanmat-afdm-c1-fig16": ("fig16-chanmat", {
+        "waveforms": ["afdm"],
+        "afdm.c1": 0.05,
+        "chanmat.models": ["tdc", "fdc", "narrowband", "wideband"],
+    }),
 }
 
 
