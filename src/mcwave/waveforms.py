@@ -1,17 +1,18 @@
 """Waveform bundles: modulation operator chains, prefixes and path precoding.
 
-Every scheme is an operator pair (``a_tx`` maps the modulation-domain symbol
-vector to core time samples, ``a_rx = a_tx^H`` maps received core samples
-back) plus a prefix rule.  Each scheme describes its operator once, as a
-product of factors: FFTs, diagonals, index maps and small dense matrices
-(:class:`FactoredOperator`).  The factors are the working path of
-modulation and demodulation; the dense ``a_tx`` / ``a_rx`` are built only on
-first access, by the scheme's dense builder, and stay the checkable
-reference.  All bundles are exactly unitary except the filter-bank scheme,
-whose orthogonality holds in the real field only.  2D delay-Doppler grids
-are vectorized delay-fastest (column-major) except where a scheme's
-canonical chain stacks delay blocks; the per-scheme builders note the layout
-they use.
+Every scheme is one modulation operator ``a_tx`` (the modulation-domain
+symbol vector to core time samples), demodulated by its adjoint
+``a_rx = a_tx^H``, plus a prefix rule.  Each scheme describes its operator
+as a product of factors: FFTs, diagonals, index maps and small dense
+matrices (:class:`FactoredOperator`).  The factors are the working path of
+modulation and demodulation.  The dense ``a_tx`` is built only on first
+access, by the scheme's dense builder, and stays the checkable reference;
+the dense ``a_rx`` is its conjugate transpose, never built apart.  All
+bundles are exactly unitary except the filter-bank scheme, whose
+orthogonality holds in the real field only.  2D delay-Doppler grids are
+vectorized delay-fastest (column-major) except where a scheme's canonical
+chain stacks delay blocks; the per-scheme builders note the layout they
+use.
 """
 
 from __future__ import annotations
@@ -176,9 +177,10 @@ class WaveformBundle:
     """A scheme's modulation/demodulation operators plus its prefix rule.
 
     ``operator`` is the factored a_tx that modulation and demodulation
-    apply.  The dense ``a_tx`` / ``a_rx`` are built on first access by the
-    scheme's dense builder (:attr:`Scheme.build`) and kept; they are the
-    reference the factors are checked against.
+    apply.  The dense ``a_tx`` is built on first access by the scheme's
+    dense builder (:attr:`Scheme.build`) and kept, and the dense ``a_rx`` is
+    its conjugate transpose; they are the reference the factors are checked
+    against.
     """
 
     scheme: str
@@ -202,24 +204,20 @@ class WaveformBundle:
     def adjoint_pair(self) -> bool:
         """Square and unitary in the complex field.
 
-        Every scheme row builds a_rx = a_tx^H, so a square complex-field
-        bundle is a unitary pair without comparing its matrices.
+        a_rx is a_tx^H by construction, so a square complex-field bundle is
+        a unitary pair without comparing its matrices.
         """
         return not self.real_field and self.core_len == self.n_symbols
 
     @cached_property
-    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
-        return SCHEMES[self.scheme].build(self.geometry, self.params)
-
-    @property
     def a_tx(self) -> np.ndarray:
         """Dense modulator (core_len x n_symbols), built on first access."""
-        return self._dense[0]
+        return SCHEMES[self.scheme].build(self.geometry, self.params)
 
-    @property
+    @cached_property
     def a_rx(self) -> np.ndarray:
-        """Dense demodulator (n_symbols x core_len), built on first access."""
-        return self._dense[1]
+        """Dense demodulator a_tx^H (n_symbols x core_len), a view made on first access."""
+        return self.a_tx.conj().T
 
     def modulate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -259,17 +257,15 @@ class WaveformBundle:
 
 
 def add_prefix(
-    core: np.ndarray, rule: str, prefix_len: int, c1: float = 0.0, *,
-    phase: np.ndarray | None = None,
+    core: np.ndarray, rule: str, prefix_len: int, *, phase: np.ndarray | None = None,
 ) -> np.ndarray:
     """Prepend a guard prefix to a core frame.
 
     "cp" copies the last ``prefix_len`` samples verbatim; "cpp" copies them
-    times the chirp phase of :func:`_cpp_phase`, which is exactly 1 (a plain
-    copy) when c1 = k/(2L) with k*L even, L the core length; "none"
-    requires prefix_len = 0.  ``phase``, if given, is that chirp phase
-    already computed (a bundle's :attr:`WaveformBundle.prefix_phase`), and
-    ``c1`` is then not read.
+    times ``phase``, the chirp phase of :func:`_cpp_phase` (a bundle's
+    :attr:`WaveformBundle.prefix_phase`), which it requires; that phase is
+    exactly 1 (a plain copy) when c1 = k/(2L) with k*L even, L the core
+    length.  "none" requires prefix_len = 0.
     """
     core = np.asarray(core)
     L = core.shape[0]
@@ -279,12 +275,12 @@ def add_prefix(
         raise ConfigurationError(f"unknown prefix rule {rule!r}")
     if rule == "none" and prefix_len:
         raise ConfigurationError("prefix_len must be 0 for rule 'none'")
+    if rule == "cpp" and phase is None:
+        raise ConfigurationError("a chirp-periodic prefix needs its phase")
     if prefix_len == 0:
         return core.copy()
     if rule == "cp":
         return np.concatenate([core[-prefix_len:], core])
-    if phase is None:
-        phase = _cpp_phase(L, prefix_len, c1)
     return np.concatenate([core[L - prefix_len:] * phase, core])
 
 
@@ -330,9 +326,10 @@ def afdm_default_c1(m: int, alpha_max_int: int) -> float:
 
 
 # Each scheme has a factored operator (``_factor_*``, the working path) and a
-# dense builder (``_build_*``, the reference, run only when a bundle's dense
-# matrices are read).  Both read the scheme's parameters through the same
-# helpers, so a bad parameter fails when the bundle is built.
+# dense builder of a_tx (``_build_*``, the reference, run only when a
+# bundle's dense matrices are read).  Both read the scheme's parameters
+# through the same helpers, so a bad parameter fails when the bundle is
+# built.
 
 
 def _factor_scm(geometry: FrameGeometry, params: dict):
@@ -340,13 +337,7 @@ def _factor_scm(geometry: FrameGeometry, params: dict):
 
 
 def _build_scm(geometry: FrameGeometry, params: dict):
-    eye = np.eye(geometry.m, dtype=complex)
-    return eye, eye.copy()
-
-
-def _inverse_pair(forward: np.ndarray):
-    """Modulate with the inverse of a unitary transform, demodulate with it."""
-    return forward.conj().T, forward
+    return np.eye(geometry.m, dtype=complex)
 
 
 def _chirped_fourier(pre: np.ndarray, post: np.ndarray) -> FactoredOperator:
@@ -360,7 +351,7 @@ def _factor_ofdm(geometry: FrameGeometry, params: dict):
 
 
 def _build_ofdm(geometry: FrameGeometry, params: dict):
-    return _inverse_pair(transforms.dft_matrix(geometry.m))
+    return transforms.dft_matrix(geometry.m).conj().T
 
 
 def _frft_order(params: dict) -> float:
@@ -374,7 +365,7 @@ def _factor_frft_ofdm(geometry: FrameGeometry, params: dict):
 
 
 def _build_frft_ofdm(geometry: FrameGeometry, params: dict):
-    return _inverse_pair(transforms.dfrft_matrix(geometry.m, _frft_order(params)))
+    return transforms.dfrft_matrix(geometry.m, _frft_order(params)).conj().T
 
 
 def _factor_ocdm(geometry: FrameGeometry, params: dict):
@@ -382,8 +373,7 @@ def _factor_ocdm(geometry: FrameGeometry, params: dict):
 
 
 def _build_ocdm(geometry: FrameGeometry, params: dict):
-    Phi = transforms.dfnt_matrix(geometry.m)
-    return Phi.conj().T, Phi
+    return transforms.dfnt_matrix(geometry.m).conj().T
 
 
 def _dfts_rows(geometry: FrameGeometry, params: dict) -> np.ndarray:
@@ -419,8 +409,7 @@ def _build_dft_s_ofdm(geometry: FrameGeometry, params: dict):
     P[rows, np.arange(width)] = 1.0
     Fm = transforms.dft_matrix(M)
     Fw = transforms.dft_matrix(width)
-    a_tx = Fm.conj().T @ P @ Fw
-    return a_tx, a_tx.conj().T
+    return Fm.conj().T @ P @ Fw
 
 
 def _ifdm_interleaver(geometry: FrameGeometry, params: dict) -> np.ndarray:
@@ -435,12 +424,11 @@ def _factor_ifdm(geometry: FrameGeometry, params: dict):
 
 
 def _build_ifdm(geometry: FrameGeometry, params: dict):
-    # Row and column indexing instead of the products Pi @ F^H and F @ Pi.T
-    # with the 0/1 interleaver Pi; adding 0.0 gives the +0.0 those products
-    # give, as in the otsm builder.
+    # Row indexing instead of the product Pi @ F^H with the 0/1 interleaver
+    # Pi; adding 0.0 gives the +0.0 that product gives, as in the otsm
+    # builder.
     perm = _ifdm_interleaver(geometry, params)
-    F = transforms.dft_matrix(geometry.m)
-    return F.conj().T[perm] + 0.0, F[:, perm] + 0.0
+    return transforms.dft_matrix(geometry.m).conj().T[perm] + 0.0
 
 
 def _afdm_chirp_rates(geometry: FrameGeometry, params: dict) -> tuple[float, float]:
@@ -458,8 +446,7 @@ def _factor_afdm(geometry: FrameGeometry, params: dict):
 
 def _build_afdm(geometry: FrameGeometry, params: dict):
     c1, c2 = _afdm_chirp_rates(geometry, params)
-    A = transforms.daft_matrix(geometry.m, c1, c2)
-    return A.conj().T, A
+    return transforms.daft_matrix(geometry.m, c1, c2).conj().T
 
 
 def _delay_major(m: int, n: int) -> np.ndarray:
@@ -475,7 +462,7 @@ def _factor_mc_otfs(geometry: FrameGeometry, params: dict):
 def _build_mc_otfs(geometry: FrameGeometry, params: dict):
     # Delay-fastest vectorization: s = kron(F_N^H, G_tx) x with G = I.
     Fn = transforms.dft_matrix(geometry.n)
-    return np.kron(Fn.conj().T, np.eye(geometry.m)), np.kron(Fn, np.eye(geometry.m))
+    return np.kron(Fn.conj().T, np.eye(geometry.m))
 
 
 # Delay-major symbols (delay blocks of Doppler symbols): symbol l*N + k is
@@ -487,8 +474,7 @@ def _factor_oddm(geometry: FrameGeometry, params: dict):
 
 
 def _build_oddm(geometry: FrameGeometry, params: dict):
-    a_tx = _build_mc_otfs(geometry, params)[0][:, _delay_major(geometry.m, geometry.n)]
-    return a_tx, a_tx.conj().T
+    return _build_mc_otfs(geometry, params)[:, _delay_major(geometry.m, geometry.n)]
 
 
 def _walsh(geometry: FrameGeometry, params: dict) -> np.ndarray:
@@ -511,14 +497,10 @@ def _factor_otsm(geometry: FrameGeometry, params: dict):
 def _build_otsm(geometry: FrameGeometry, params: dict):
     # Column indexing instead of the product with the 0/1 shuffle P; adding
     # 0.0 turns the -0.0 entries of the Kronecker factor into the +0.0 that
-    # product gives, so the bytes are those of kron(W, I) @ P.T and
-    # kron(I, W) @ P.
-    M, N = geometry.m, geometry.n
-    W = _walsh(geometry, params)
-    cols = _delay_major(M, N)
-    a_tx = np.kron(W, np.eye(M))[:, cols] + 0.0
-    a_rx = np.kron(np.eye(M), W)[:, np.argsort(cols)] + 0.0
-    return a_tx.astype(complex), a_rx.astype(complex)
+    # product gives, so the bytes are those of kron(W, I) @ P.T.
+    M = geometry.m
+    a_tx = np.kron(_walsh(geometry, params), np.eye(M))[:, _delay_major(M, geometry.n)] + 0.0
+    return a_tx.astype(complex)
 
 
 def _fbmc_prototype(geometry: FrameGeometry, params: dict) -> np.ndarray:
@@ -531,8 +513,7 @@ def _factor_fbmc(geometry: FrameGeometry, params: dict):
 
 
 def _build_fbmc(geometry: FrameGeometry, params: dict):
-    G = _fbmc_prototype(geometry, params)
-    return G, G.conj().T
+    return _fbmc_prototype(geometry, params)
 
 
 @dataclass(frozen=True)
@@ -542,9 +523,9 @@ class Scheme:
     ``label`` is the name configs and output files use; ``dim`` 1 schemes
     take a one-slot geometry, ``dim`` 2 schemes an m x n grid.  ``factor``
     maps (geometry, params) to the :class:`FactoredOperator` of a_tx and
-    ``build`` maps them to the dense reference (a_tx, a_rx), with
-    a_rx = a_tx^H in every row.  ``config_keys`` pairs
-    each parameter the experiment runner fills from a config with its key.
+    ``build`` maps them to the dense reference a_tx alone; the bundle takes
+    a_rx = a_tx^H from it.  ``config_keys`` pairs each parameter the
+    experiment runner fills from a config with its key.
     """
 
     name: str

@@ -611,6 +611,13 @@ class TestExperiments:
         header = (out / "af_points.csv").read_text().splitlines()[0]
         assert header == "scheme,axis,metric,value"
 
+    def test_af_cuts_read_a_tx_alone(self):
+        cfg = preset_config("tab8-unit")
+        cfg["frame.m_1d"] = 64
+        b = bench.build_bundle("ofdm", cfg, validate_config(cfg))
+        bench._af_cuts(b, cfg)
+        assert "a_tx" in vars(b) and "a_rx" not in vars(b)
+
     def test_chanmat_threshold_dump(self, tmp_path):
         cfg, out, manifest = _run(
             tmp_path, "fig16-chanmat",

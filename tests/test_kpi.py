@@ -211,7 +211,7 @@ class TestFactoredBerPath:
         b = wf.build_waveform(scheme, geo, params)
         kpi.run_ber([b], EVA_DOPPLER, "mmse", [10.0], trials=2, seed=1,
                     constellation=det.qam_constellation(4))
-        assert not {"a_tx", "a_rx", "_dense"} & set(vars(b))
+        assert not {"a_tx", "a_rx"} & set(vars(b))
 
 
 # The five plain-prefix schemes of the 1D geometry: every one sees the same
@@ -383,6 +383,11 @@ class TestPapr:
         assert samples.shape == (9,)
         assert samples[0] == kpi.derive_rng(4, 0).uniform()
         assert list(samples[1:3]) == [1.0, 2.0]
+
+    def test_bundle_source_reads_a_tx_alone(self):
+        b = wf.build_waveform("ofdm", wf.FrameGeometry(m=16))
+        kpi.qam_frame_source(b, det.qam_constellation(4), n_symbols=3)(kpi.derive_rng(1, 0))
+        assert "a_tx" in vars(b) and "a_rx" not in vars(b)
 
     def test_ddam_source_streams_the_frame(self):
         # one desk-size frame: 64 antennas x (51200 + 40) samples
