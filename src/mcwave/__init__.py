@@ -14,8 +14,6 @@ from .channel import (
     ChannelRealization,
     Path,
     PathSet,
-    apply_channel,
-    channel_matrix_full,
     channel_preset,
     discretize,
     draw_jakes_dopplers,
@@ -36,8 +34,6 @@ __all__ = [
     "ChannelRealization",
     "Path",
     "PathSet",
-    "apply_channel",
-    "channel_matrix_full",
     "channel_preset",
     "discretize",
     "draw_jakes_dopplers",

@@ -1,12 +1,12 @@
-"""Dispersive channel models: path sets, discretization and channel matrices.
+"""Dispersive channel models: path sets, discretization and tap index rules.
 
 A :class:`PathSet` carries continuous per-path (gain, delay, Doppler) triples;
 :func:`discretize` rounds delays onto the sample grid (Doppler is kept
-continuous) to produce an immutable :class:`ChannelRealization` that can be
-applied to time-domain frames or expanded into a full linear time-varying
-matrix.  The named presets embed the standard 3GPP extended power-delay
-profiles (EPA/EVA/ETU) plus the five-path high-mobility set used by the
-channel-matrix experiments.
+continuous) to produce an immutable :class:`ChannelRealization`, whose taps
+``waveforms.core_channel`` turns into the core channel that frames are
+propagated through.  The named presets embed the standard 3GPP extended
+power-delay profiles (EPA/EVA/ETU) plus the five-path high-mobility set used
+by the channel-matrix experiments.
 """
 
 from __future__ import annotations
@@ -312,55 +312,6 @@ def tap_columns(real: ChannelRealization, tap: Tap, n: np.ndarray) -> np.ndarray
     if real.kind == WIDEBAND_DDC:
         return np.round(n * (1.0 + tap.scale)).astype(int) - tap.delay_samples
     return n - tap.delay_samples
-
-
-def apply_channel(s: np.ndarray, real: ChannelRealization) -> np.ndarray:
-    """Propagate a full (prefixed) frame through the realization, noiselessly.
-
-    output[n] = sum_i h_i * s[n - l_i] * exp(2j*pi*nu_i*n/f_s)
-
-    with s[.] = 0 outside its support; the wideband kind reads the warped
-    index of :func:`tap_columns` instead of n - l_i.  ``s`` may also be an
-    (R, N) stack of frames, one per row: each tap's phase and indices are
-    made once, and every row goes through the same operations in the same
-    order, so it equals the 1-D call on that row byte for byte.
-    """
-    s = np.asarray(s, dtype=complex)
-    if s.ndim not in (1, 2) or s.size == 0:
-        raise ValueError("input must be a nonempty 1-D frame or a 2-D stack of frames")
-    L = s.shape[-1]
-    n = np.arange(L)
-    out = np.zeros(s.shape, dtype=complex)
-    for t in real.taps:
-        phase = np.exp(2j * np.pi * t.doppler_hz * n / real.sample_rate_hz)
-        idx = tap_columns(real, t, n)
-        valid = (idx >= 0) & (idx < L)
-        shifted = np.zeros(s.shape, dtype=complex)
-        shifted[..., valid] = s[..., idx[valid]]
-        out += t.gain * shifted * phase
-    return out
-
-
-def channel_matrix_full(real: ChannelRealization, length: int) -> np.ndarray:
-    """Dense linear time-varying matrix H with r = H s.
-
-    Row n accumulates h_i * exp(2j*pi*nu_i*n/f_s) at column n - l_i (or the
-    warped index for the wideband kind).  ``apply_channel`` equals H @ s by
-    construction.
-    """
-    length = int(length)
-    if length < real.max_delay_samples + 1:
-        raise ValueError(
-            f"length {length} too small for max delay {real.max_delay_samples}"
-        )
-    H = np.zeros((length, length), dtype=complex)
-    n = np.arange(length)
-    for t in real.taps:
-        phase = t.gain * np.exp(2j * np.pi * t.doppler_hz * n / real.sample_rate_hz)
-        cols = tap_columns(real, t, n)
-        valid = (cols >= 0) & (cols < length)
-        H[n[valid], cols[valid]] += phase[valid]
-    return H
 
 
 def sparsity_metrics(H: np.ndarray, threshold: float) -> dict:

@@ -175,7 +175,9 @@ def solve_periodic_banded(
     A[j, (j + d) % L] = band[j, w + d] for |d| <= w, ``band`` of shape
     (L, 2w + 1), with columns whose offsets coincide modulo L adding.
     ``shifts`` holds the Q loads and ``rhs`` is (R, Q, L): R right-hand
-    sides per load, which share every factorization; returns (R, Q, L).
+    sides per load, which share every factorization; returns (R, Q, L), a
+    view of the work array whose right-hand-side columns the solution is
+    written over.
 
     Bordered block elimination: the last block (the border) meets the first
     only through the wrap corners.  The interior blocks, each at least w
@@ -213,10 +215,13 @@ def solve_periodic_banded(
     U = _band_block(band, interior[:-1, :, None], interior[1:, None, :])
     E = _band_block(band, interior[:, :, None], border)  # interior rows, border columns
     load = shifts[:, None, None] * np.eye(b)
-    # Columns swept through the interior: the R right-hand sides, then E.
-    G = np.empty((Q, m, b, R + border.size), dtype=complex)
-    G[..., :R] = rhs[:, :, : m * b].reshape(R, Q, m, b).transpose(1, 2, 3, 0)
-    G[..., R:] = E
+    # Columns swept through the interior: the R right-hand sides, then E
+    # (the border rows hold their right-hand sides only).  The solution is
+    # written over the right-hand sides, so no result-sized array is made.
+    G = np.empty((Q, L, R + border.size), dtype=complex)
+    G[..., :R] = rhs.transpose(1, 2, 0)
+    G[:, : m * b, R:] = E.reshape(m * b, -1)
+    blocks = G[:, : m * b].reshape(Q, m, b, -1)  # the interior rows, block by block
     # KU[i] = S_i^{-1} U_i, S_i the running Schur complement of block i.  The
     # swept columns S_i^{-1} g_i are written over block i of G, which g_i has
     # already folded in, so only the b x b blocks KU are kept for the way back.
@@ -224,27 +229,26 @@ def solve_periodic_banded(
     # b + R + c right-hand sides, whose triangular solves dominate at these b.
     KU = []
     UH = U.conj().transpose(0, 2, 1)
-    S, g = D[0] + load, G[:, 0]
+    S, g = D[0] + load, blocks[:, 0]
     for i in range(m - 1):
         S_inv = np.linalg.inv(S)
         KU.append(S_inv @ U[i])
-        G[:, i] = S_inv @ g
-        S, g = D[i + 1] + load - UH[i] @ KU[-1], G[:, i + 1] - UH[i] @ G[:, i]
+        blocks[:, i] = S_inv @ g
+        S, g = D[i + 1] + load - UH[i] @ KU[-1], blocks[:, i + 1] - UH[i] @ blocks[:, i]
     # Back substitution turns G into the interior's inverse applied to [rhs | E].
-    G[:, m - 1] = np.linalg.solve(S, g)
+    blocks[:, m - 1] = np.linalg.solve(S, g)
     for i in range(m - 2, -1, -1):
-        G[:, i] -= KU.pop() @ G[:, i + 1]
-    y = G[..., :R].reshape(Q, m * b, R)
-    X = G[..., R:].reshape(Q, m * b, -1)
+        blocks[:, i] -= KU.pop() @ blocks[:, i + 1]
+    y = G[:, : m * b, :R]
+    X = G[:, : m * b, R:]
     E = E.reshape(m * b, -1)
     schur = (_band_block(band, border[:, None], border)
              + shifts[:, None, None] * np.eye(border.size) - E.conj().T @ X)
-    z_border = np.linalg.solve(schur, rhs[:, :, m * b :].transpose(1, 2, 0) - E.conj().T @ y)
-    y -= X @ z_border
-    z = np.empty((R, Q, L), dtype=complex)
-    z[:, :, : m * b] = y.transpose(2, 0, 1)
-    z[:, :, m * b :] = z_border.transpose(2, 0, 1)
-    return z
+    z_border = np.linalg.solve(schur, G[:, m * b :, :R] - E.conj().T @ y)
+    for q in range(Q):  # one load at a time, so the product's temporary stays small
+        y[q] -= X[q] @ z_border[q]
+    G[:, m * b :, :R] = z_border
+    return G[..., :R].transpose(2, 0, 1)
 
 
 def _band_block(band: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, apply_channel
+from .channel import ChannelConfig
 from .detection import (
     Constellation,
     bits_for_indices,
@@ -33,7 +33,6 @@ from .waveforms import (
     ddam_blocks,
     ddam_frame_length,
     effective_channel,
-    remove_prefix,
 )
 
 SENTINEL_DB = -350.0  # stands in for -inf when a cut has no sidelobe energy
@@ -95,20 +94,23 @@ def _ber_trial(
     Every bundle draws the trial's bits, channel and unit noise shape from
     the same streams, so each shared input is made once per distinct key:
     the bits and their symbols per bit count, the channel realization per
-    sample rate, the noise shape per frame length and the core channel per
-    (sample rate, core length, prefix length, prefix phase).  The channel is
-    noiseless: the frames of bundles that share a core channel, a sample
-    rate and a frame length are propagated together in one call, and each
-    SNR point adds the shape scaled to its noise variance.  Frames are modulated with the bundle's
-    factored operator.  Block MMSE over square unitary bundles equalizes in
-    the time domain (:func:`time_domain_mmse`) and never builds a dense
-    matrix; bundles whose core channels are equal, byte for byte, share one
-    solve.  Other bundles and the single-tap detector use the
-    modulation-domain channel matrix, which reads the dense reference.
+    sample rate, the noise shape per frame length and the core channel C
+    per (sample rate, core length, prefix length, prefix phase).  C, the
+    frame's channel with the prefix folded in (:func:`core_channel`), is
+    the only channel model of the trial: a bundle's noiseless received core
+    is C times its modulated core, and the modulated cores of bundles that
+    share C go through it in one call.  Each SNR point adds the core part
+    (the samples after the prefix) of the frame-length noise shape, scaled
+    to its noise variance.  Block MMSE over square unitary bundles
+    equalizes in the time domain (:func:`time_domain_mmse`) and never
+    builds a dense matrix; bundles whose core channels are equal, byte for
+    byte, share one solve.  Other bundles and the single-tap detector use
+    the modulation-domain channel matrix formed from C, which reads the
+    dense reference.
     """
     sigma2s = np.array([noise_variance(snr_db) for snr_db in snr_db_list])
     errors = np.empty((len(bundles), sigma2s.size), dtype=np.int64)
-    drawn, reals, noises = {}, {}, {}
+    drawn, reals, noises, cores = {}, {}, {}, {}
 
     def bits_and_symbols(bundle: WaveformBundle) -> tuple[np.ndarray, np.ndarray]:
         """The trial's bits for the bundle and the symbols they map to."""
@@ -118,34 +120,28 @@ def _ber_trial(
             drawn[n_bits] = bits, map_bits(bits, constellation)
         return drawn[n_bits]
 
-    def realization(bundle: WaveformBundle):
-        """The trial's channel realization at the bundle's sample rate."""
-        fs = bundle.geometry.sample_rate_hz
-        if fs not in reals:
-            reals[fs] = channel_cfg.realize(fs, derive_rng(seed, trial, _STREAM_CHANNEL))
-        return reals[fs]
+    def core_of(key, bundle: WaveformBundle) -> CoreChannel:
+        """The trial's core channel of the bundle, whose core channel key is ``key``."""
+        if key not in cores:
+            fs = bundle.geometry.sample_rate_hz
+            if fs not in reals:
+                reals[fs] = channel_cfg.realize(fs, derive_rng(seed, trial, _STREAM_CHANNEL))
+            cores[key] = core_channel(bundle, reals[fs])
+        return cores[key]
 
-    def received(group: list[WaveformBundle]):
-        """Each bundle's received frames, one row per SNR point, bundle by bundle.
+    def received(core: CoreChannel, group: list[WaveformBundle]):
+        """Each bundle's received cores, one row per SNR point, bundle by bundle.
 
-        The frames of bundles with the same sample rate and frame length
-        are propagated in one stacked call through that rate's realization;
-        each bundle's noisy frames are made only when the caller reaches it.
+        The group's modulated cores go through C in one call; each bundle's
+        noisy cores are made only when the caller reaches it.
         """
-        frames = [b.transmit(bits_and_symbols(b)[1]) for b in group]
-        stacks = {}  # (sample rate, frame length) -> positions in group
-        for j, (b, f) in enumerate(zip(group, frames)):
-            stacks.setdefault((b.geometry.sample_rate_hz, f.size), []).append(j)
-        for js in stacks.values():
-            r0 = apply_channel(np.array([frames[j] for j in js]), realization(group[js[0]]))
-            for j, row in zip(js, r0):
-                frames[j] = row
-        for j, r0 in enumerate(frames):
-            frames[j] = None  # the caller holds what it needs of this frame
-            if r0.size not in noises:
-                shape = noise_shape(r0.size, derive_rng(seed, trial, _STREAM_NOISE))
-                noises[r0.size] = np.sqrt(sigma2s / 2.0)[:, None] * shape
-            yield r0 + noises[r0.size]
+        r0 = core.apply(np.array([b.modulate(bits_and_symbols(b)[1]) for b in group]))
+        for b, r in zip(group, r0):
+            n = b.core_len + b.geometry.prefix_len
+            if n not in noises:
+                shape = noise_shape(n, derive_rng(seed, trial, _STREAM_NOISE))
+                noises[n] = np.sqrt(sigma2s / 2.0)[:, None] * shape
+            yield r + noises[n][:, b.geometry.prefix_len:]
 
     def count(i: int, soft: np.ndarray) -> None:
         """Bit errors of bundle i from soft, one row per SNR point."""
@@ -156,11 +152,11 @@ def _ber_trial(
     groups = []  # (core channel, indices of its bundles), one per distinct channel
     group_of = {}  # core channel key -> its group
     for i, bundle in enumerate(bundles):
+        key = (bundle.geometry.sample_rate_hz, bundle.core_len,
+               bundle.geometry.prefix_len, bundle.prefix_phase.tobytes())
+        core = core_of(key, bundle)
         if detector == "mmse" and bundle.adjoint_pair:
-            key = (bundle.geometry.sample_rate_hz, bundle.core_len,
-                   bundle.geometry.prefix_len, bundle.prefix_phase.tobytes())
             if key not in group_of:
-                core = core_channel(bundle, realization(bundle))
                 group = next((g for g in groups if _same_core(g[0], core)), None)
                 if group is None:
                     group = (core, [])
@@ -168,13 +164,14 @@ def _ber_trial(
                 group_of[key] = group
             group_of[key][1].append(i)
             continue
-        h_eff = effective_channel(bundle, realization(bundle))
+        h_eff = effective_channel(bundle, core)
         equalize = mmse_equalize if detector == "mmse" else single_tap_equalize
-        count(i, np.array([equalize(bundle.receive(r), h_eff, sigma2)
-                           for r, sigma2 in zip(next(received([bundle])), sigma2s)]))
+        (r,) = received(core, [bundle])
+        count(i, np.array([equalize(bundle.demodulate(row), h_eff, sigma2)
+                           for row, sigma2 in zip(r, sigma2s)]))
     for core, members in groups:
         shared = [bundles[i] for i in members]
-        soft = time_domain_mmse(core, shared, received(shared), sigma2s)
+        soft = time_domain_mmse(core, shared, received(core, shared), sigma2s)
         for i, rows in zip(members, soft):
             count(i, rows)
     return errors
@@ -185,7 +182,7 @@ def _same_core(a: CoreChannel, b: CoreChannel) -> bool:
     return a.offsets.tobytes() == b.offsets.tobytes() and a.diags.tobytes() == b.diags.tobytes()
 
 
-def time_domain_mmse(core: CoreChannel, bundles, frames, sigma2s) -> np.ndarray:
+def time_domain_mmse(core: CoreChannel, bundles, received, sigma2s) -> np.ndarray:
     """Block MMSE soft symbols of bundles that share one core channel.
 
     For a square bundle with a_rx = a_tx^H (unitary), the modulation-domain
@@ -197,15 +194,15 @@ def time_domain_mmse(core: CoreChannel, bundles, frames, sigma2s) -> np.ndarray:
     costs O(L w^2) for channel memory w plus one application of each
     bundle's factored a_rx; no dense matrix is built.
 
-    ``frames`` yields, bundle by bundle, the received frames (one per noise
-    level).  Their cores are written into one (R, Q, L) right-hand side as
-    they come, so only one bundle's frames exist at a time; C^H is applied
-    to it once, and it is dropped before the solve.  Returns
+    ``received`` yields, bundle by bundle, the received cores r_core (one
+    per noise level).  They are written into one (R, Q, L) right-hand side
+    as they come, so only one bundle's cores exist at a time; C^H is
+    applied to it once, and it is dropped before the solve.  Returns
     (len(bundles), len(sigma2s), n_symbols), written over the solution.
     """
     rhs = np.empty((len(bundles), len(sigma2s), core.diags.shape[0]), dtype=complex)
-    for r, f in enumerate(frames):  # run ``frames`` out, so it frees what it holds
-        rhs[r] = remove_prefix(f, bundles[r].geometry.prefix_len)
+    for r, r_core in enumerate(received):  # run it out, so it frees what it holds
+        rhs[r] = r_core
     rhs = core.adjoint(rhs)
     z = solve_periodic_banded(core.gram_band(), sigma2s, rhs)
     for zr, bundle in zip(z, bundles):

@@ -1,4 +1,4 @@
-"""Waveform bundles: modulation operator chains, prefixes and path precoding.
+"""Waveform bundles: modulation operator chains, core channels and path precoding.
 
 Every scheme is one modulation operator ``a_tx`` (the modulation-domain
 symbol vector to core time samples), demodulated by its adjoint
@@ -239,49 +239,12 @@ class WaveformBundle:
     def prefix_phase(self) -> np.ndarray:
         """Factor on each prefix sample's copy of the core: the chirp phase, else 1.
 
-        Computed once per bundle; :meth:`transmit`, the core channel and the
-        grouping of the BER loop read it.
+        Computed once per bundle; the core channel and the grouping of the
+        BER loop read it.
         """
         if self.prefix_rule == "cpp":
             return _cpp_phase(self.core_len, self.geometry.prefix_len, self.cpp_c1)
         return np.ones(self.geometry.prefix_len, dtype=complex)
-
-    def transmit(self, x: np.ndarray) -> np.ndarray:
-        """Modulate and attach the scheme's prefix, with its cached phase."""
-        return add_prefix(self.modulate(x), self.prefix_rule, self.geometry.prefix_len,
-                          phase=self.prefix_phase)
-
-    def receive(self, frame: np.ndarray) -> np.ndarray:
-        """Strip the prefix and demodulate."""
-        return self.demodulate(remove_prefix(frame, self.geometry.prefix_len))
-
-
-def add_prefix(
-    core: np.ndarray, rule: str, prefix_len: int, *, phase: np.ndarray | None = None,
-) -> np.ndarray:
-    """Prepend a guard prefix to a core frame.
-
-    "cp" copies the last ``prefix_len`` samples verbatim; "cpp" copies them
-    times ``phase``, the chirp phase of :func:`_cpp_phase` (a bundle's
-    :attr:`WaveformBundle.prefix_phase`), which it requires; that phase is
-    exactly 1 (a plain copy) when c1 = k/(2L) with k*L even, L the core
-    length.  "none" requires prefix_len = 0.
-    """
-    core = np.asarray(core)
-    L = core.shape[0]
-    if prefix_len > L:
-        raise ConfigurationError(f"prefix {prefix_len} longer than core {L}")
-    if rule not in ("cp", "cpp", "none"):
-        raise ConfigurationError(f"unknown prefix rule {rule!r}")
-    if rule == "none" and prefix_len:
-        raise ConfigurationError("prefix_len must be 0 for rule 'none'")
-    if rule == "cpp" and phase is None:
-        raise ConfigurationError("a chirp-periodic prefix needs its phase")
-    if prefix_len == 0:
-        return core.copy()
-    if rule == "cp":
-        return np.concatenate([core[-prefix_len:], core])
-    return np.concatenate([core[L - prefix_len:] * phase, core])
 
 
 def _cpp_phase(L: int, prefix_len: int, c1: float) -> np.ndarray:
@@ -304,14 +267,6 @@ def _cpp_phase(L: int, prefix_len: int, c1: float) -> np.ndarray:
         odd.append(k % 2)
         rest.append((m - den // 2) / (2 * den))  # turns, in [-1/4, 1/4)
     return np.where(odd, -1.0, 1.0) * np.exp(-2j * np.pi * np.array(rest))
-
-
-def remove_prefix(frame: np.ndarray, prefix_len: int) -> np.ndarray:
-    """Drop the first ``prefix_len`` samples of a frame (or of each row of frames)."""
-    frame = np.asarray(frame)
-    if prefix_len >= frame.shape[-1]:
-        raise ConfigurationError("prefix removal would consume the whole frame")
-    return frame[..., prefix_len:]
 
 
 def afdm_default_c1(m: int, alpha_max_int: int) -> float:
@@ -661,9 +616,13 @@ def fbmc_synthesis(geometry: FrameGeometry, overlap_factor: int = 6) -> tuple[np
     return G, n_samp
 
 
-def effective_channel(bundle: WaveformBundle, real: ChannelRealization) -> np.ndarray:
+def effective_channel(
+    bundle: WaveformBundle, channel: ChannelRealization | CoreChannel
+) -> np.ndarray:
     """Modulation-domain channel matrix a_rx C a_tx, C the bundle's core channel.
 
+    ``channel`` is a realization, whose core channel is built here, or the
+    bundle's core channel of one, already built (:func:`core_channel`).
     The result is (n_symbols x n_symbols) and satisfies y = H_eff x + noise
     for the bundle's end-to-end chain.  Raises for a real-field bundle and
     on the checks of :func:`core_channel`.
@@ -672,7 +631,9 @@ def effective_channel(bundle: WaveformBundle, real: ChannelRealization) -> np.nd
         raise ConfigurationError(
             "real-field bundles have no complex modulation-domain channel matrix"
         )
-    return bundle.a_rx @ core_channel(bundle, real).matrix() @ bundle.a_tx
+    if not isinstance(channel, CoreChannel):
+        channel = core_channel(bundle, channel)
+    return bundle.a_rx @ channel.matrix() @ bundle.a_tx
 
 
 @dataclass(frozen=True)
@@ -687,6 +648,13 @@ class CoreChannel:
 
     offsets: np.ndarray  # (K,) int
     diags: np.ndarray  # (L, K) complex
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """C x along the last axis of ``x``: the received cores of transmitted cores x."""
+        out = np.zeros(np.shape(x), dtype=complex)
+        for e, diag in zip(self.offsets, self.diags.T):
+            out += diag * np.roll(x, -e, axis=-1)
+        return out
 
     def adjoint(self, r: np.ndarray) -> np.ndarray:
         """C^H r along the last axis of ``r``."""

@@ -11,12 +11,13 @@ from math import erfc, sqrt
 
 import numpy as np
 
-from mcwave.channel import ChannelRealization, Path, PathSet
+from mcwave.channel import ChannelRealization, Path, PathSet, tap_columns
 from mcwave.detection import Constellation
 from mcwave.transforms import _check_size
 from mcwave.waveforms import (
     ConfigurationError,
     DdamConfig,
+    WaveformBundle,
     ddam_beamformers,
     ddam_blocks,
     ddam_frame_length,
@@ -27,6 +28,103 @@ def awgn_qpsk_ber(snr_db: float) -> float:
     """Closed-form Gray 4-QAM bit error rate over the pure-noise channel."""
     snr = 10.0 ** (snr_db / 10.0)
     return 0.5 * erfc(sqrt(snr) / sqrt(2.0))
+
+
+def apply_channel(s: np.ndarray, real: ChannelRealization) -> np.ndarray:
+    """Propagate a full (prefixed) frame through the realization, noiselessly.
+
+    output[n] = sum_i h_i * s[n - l_i] * exp(2j*pi*nu_i*n/f_s)
+
+    with s[.] = 0 outside its support; the wideband kind reads the warped
+    index of ``tap_columns`` instead of n - l_i.  ``s`` may also be an
+    (R, N) stack of frames, one per row: each tap's phase and indices are
+    made once, and every row goes through the same operations in the same
+    order, so it equals the 1-D call on that row byte for byte.  This is the
+    physical frame-level channel that the core channel is checked against.
+    """
+    s = np.asarray(s, dtype=complex)
+    if s.ndim not in (1, 2) or s.size == 0:
+        raise ValueError("input must be a nonempty 1-D frame or a 2-D stack of frames")
+    L = s.shape[-1]
+    n = np.arange(L)
+    out = np.zeros(s.shape, dtype=complex)
+    for t in real.taps:
+        phase = np.exp(2j * np.pi * t.doppler_hz * n / real.sample_rate_hz)
+        idx = tap_columns(real, t, n)
+        valid = (idx >= 0) & (idx < L)
+        shifted = np.zeros(s.shape, dtype=complex)
+        shifted[..., valid] = s[..., idx[valid]]
+        out += t.gain * shifted * phase
+    return out
+
+
+def channel_matrix_full(real: ChannelRealization, length: int) -> np.ndarray:
+    """Dense linear time-varying matrix H with r = H s.
+
+    Row n accumulates h_i * exp(2j*pi*nu_i*n/f_s) at column n - l_i (or the
+    warped index for the wideband kind).  ``apply_channel`` equals H @ s by
+    construction.
+    """
+    length = int(length)
+    if length < real.max_delay_samples + 1:
+        raise ValueError(
+            f"length {length} too small for max delay {real.max_delay_samples}"
+        )
+    H = np.zeros((length, length), dtype=complex)
+    n = np.arange(length)
+    for t in real.taps:
+        phase = t.gain * np.exp(2j * np.pi * t.doppler_hz * n / real.sample_rate_hz)
+        cols = tap_columns(real, t, n)
+        valid = (cols >= 0) & (cols < length)
+        H[n[valid], cols[valid]] += phase[valid]
+    return H
+
+
+def add_prefix(
+    core: np.ndarray, rule: str, prefix_len: int, *, phase: np.ndarray | None = None,
+) -> np.ndarray:
+    """Prepend a guard prefix to a core frame.
+
+    "cp" copies the last ``prefix_len`` samples verbatim; "cpp" copies them
+    times ``phase``, the chirp phase of ``waveforms._cpp_phase`` (a bundle's
+    ``WaveformBundle.prefix_phase``), which it requires; that phase is
+    exactly 1 (a plain copy) when c1 = k/(2L) with k*L even, L the core
+    length.  "none" requires prefix_len = 0.
+    """
+    core = np.asarray(core)
+    L = core.shape[0]
+    if prefix_len > L:
+        raise ConfigurationError(f"prefix {prefix_len} longer than core {L}")
+    if rule not in ("cp", "cpp", "none"):
+        raise ConfigurationError(f"unknown prefix rule {rule!r}")
+    if rule == "none" and prefix_len:
+        raise ConfigurationError("prefix_len must be 0 for rule 'none'")
+    if rule == "cpp" and phase is None:
+        raise ConfigurationError("a chirp-periodic prefix needs its phase")
+    if prefix_len == 0:
+        return core.copy()
+    if rule == "cp":
+        return np.concatenate([core[-prefix_len:], core])
+    return np.concatenate([core[L - prefix_len:] * phase, core])
+
+
+def remove_prefix(frame: np.ndarray, prefix_len: int) -> np.ndarray:
+    """Drop the first ``prefix_len`` samples of a frame (or of each row of frames)."""
+    frame = np.asarray(frame)
+    if prefix_len >= frame.shape[-1]:
+        raise ConfigurationError("prefix removal would consume the whole frame")
+    return frame[..., prefix_len:]
+
+
+def transmit(bundle: WaveformBundle, x: np.ndarray) -> np.ndarray:
+    """Modulate and attach the bundle's prefix, with its cached phase."""
+    return add_prefix(bundle.modulate(x), bundle.prefix_rule, bundle.geometry.prefix_len,
+                      phase=bundle.prefix_phase)
+
+
+def receive(bundle: WaveformBundle, frame: np.ndarray) -> np.ndarray:
+    """Strip the bundle's prefix and demodulate."""
+    return bundle.demodulate(remove_prefix(frame, bundle.geometry.prefix_len))
 
 
 def implied_path_set(real: ChannelRealization) -> PathSet:

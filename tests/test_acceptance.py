@@ -198,7 +198,7 @@ def test_criterion_06_structural_channel_properties():
     for j in range(M):
         e = np.zeros(M, dtype=complex)
         e[j] = 1.0
-        probe[:, j] = b.receive(ch.apply_channel(b.transmit(e), real))
+        probe[:, j] = oracles.receive(b, oracles.apply_channel(oracles.transmit(b, e), real))
     brute_ok = np.max(np.abs(He - probe)) <= 1e-12
 
     ok = diag_ok and sparsity_ok and brute_ok
@@ -227,7 +227,7 @@ def test_criterion_07_unitarity_loopback_suite():
             b = wf.build_waveform(scheme, geo, params)
             defect = np.max(np.abs(b.a_rx @ b.a_tx - np.eye(b.n_symbols)))
             x = rng.standard_normal(b.n_symbols) + 1j * rng.standard_normal(b.n_symbols)
-            loop = np.max(np.abs(b.receive(b.transmit(x)) - x))
+            loop = np.max(np.abs(oracles.receive(b, oracles.transmit(b, x)) - x))
             worst = max(worst, defect, loop)
             assert defect <= 1e-10 and loop <= 1e-10, (scheme, m, n, defect, loop)
     fbmc_worst = 0.0
@@ -270,7 +270,7 @@ def test_criterion_08_cross_formulation_equivalences(zak_tx):
          wf.build_waveform("scm", geo)),
     ]
     for b1, b2 in pairs:
-        worst = max(worst, np.max(np.abs(b1.transmit(x) - b2.transmit(x))))
+        worst = max(worst, np.max(np.abs(oracles.transmit(b1, x) - oracles.transmit(b2, x))))
 
     geo2 = wf.FrameGeometry(m=16, n=8, delta_f_hz=60e3, prefix_len=4)
     x2 = rng.standard_normal(128) + 1j * rng.standard_normal(128)

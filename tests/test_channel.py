@@ -1,4 +1,4 @@
-"""Channel model tests: presets, discretization, propagation, matrices."""
+"""Channel model tests: presets, discretization and the frame-level reference channel."""
 
 import numpy as np
 import pytest
@@ -102,12 +102,12 @@ class TestApplyChannel:
     def test_identity_path(self):
         real = ch.discretize(ch.channel_preset("AWGN"), 1e6)
         s = np.arange(8) + 1j
-        assert_allclose(ch.apply_channel(s, real), s, atol=1e-15)
+        assert_allclose(oracles.apply_channel(s, real), s, atol=1e-15)
 
     def test_pure_shift(self):
         ps = ch.PathSet(paths=(ch.Path(gain=1.0, delay_s=1e-6),))
         real = ch.discretize(ps, 1e6)
-        out = ch.apply_channel(np.array([1.0, 2.0, 3.0]), real)
+        out = oracles.apply_channel(np.array([1.0, 2.0, 3.0]), real)
         assert_allclose(out, [0.0, 1.0, 2.0], atol=1e-15)
 
     def test_fdc_is_phase_ramp(self):
@@ -117,13 +117,13 @@ class TestApplyChannel:
         rng = np.random.default_rng(0)
         s = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         n = np.arange(64)
-        assert_allclose(ch.apply_channel(s, real), s * np.exp(2j * np.pi * nu * n / 1e6),
+        assert_allclose(oracles.apply_channel(s, real), s * np.exp(2j * np.pi * nu * n / 1e6),
                         atol=1e-12)
 
     def test_empty_input_rejected(self):
         real = ch.discretize(ch.channel_preset("AWGN"), 1e6)
         with pytest.raises(ValueError):
-            ch.apply_channel(np.array([]), real)
+            oracles.apply_channel(np.array([]), real)
 
     @pytest.mark.parametrize("kind", ch.CHANNEL_MODEL_KINDS)
     def test_stack_equals_rows_byte_for_byte(self, kind):
@@ -137,10 +137,10 @@ class TestApplyChannel:
         rng = np.random.default_rng(5)
         for rows, length in ((1, 40), (6, 263), (7, 1032)):
             s = rng.standard_normal((rows, length)) + 1j * rng.standard_normal((rows, length))
-            out = ch.apply_channel(s, real)
+            out = oracles.apply_channel(s, real)
             assert out.shape == s.shape
             for row, frame in zip(out, s):
-                assert row.tobytes() == ch.apply_channel(frame, real).tobytes()
+                assert row.tobytes() == oracles.apply_channel(frame, real).tobytes()
 
     def test_wideband_time_scaling(self):
         # positive scale factor compresses the waveform: sample n reads the
@@ -149,7 +149,7 @@ class TestApplyChannel:
         ps = ch.PathSet(paths=(ch.Path(gain=1.0, delay_s=0.0, doppler_hz=0.0, scale=a),))
         real = ch.discretize(ps, 1e6, kind=ch.WIDEBAND_DDC)
         s = np.arange(16, dtype=complex)
-        out = ch.apply_channel(s, real)
+        out = oracles.apply_channel(s, real)
         expected = np.zeros(16, dtype=complex)
         for n in range(16):
             idx = round(n * (1 + a))
@@ -161,13 +161,13 @@ class TestApplyChannel:
 class TestChannelMatrix:
     def test_identity(self):
         real = ch.discretize(ch.channel_preset("AWGN"), 1e6)
-        assert_allclose(ch.channel_matrix_full(real, 8), np.eye(8), atol=1e-15)
+        assert_allclose(oracles.channel_matrix_full(real, 8), np.eye(8), atol=1e-15)
 
     def test_tdc_is_toeplitz(self):
         ps = ch.PathSet(paths=(ch.Path(gain=0.8, delay_s=0.0),
                                ch.Path(gain=0.6, delay_s=2e-6)))
         real = ch.discretize(ps, 1e6, kind=ch.TDC)
-        H = ch.channel_matrix_full(real, 16)
+        H = oracles.channel_matrix_full(real, 16)
         for d in range(16):
             diag = np.diag(H, -d)
             assert np.max(np.abs(diag - diag[0])) <= 1e-15 if diag.size else True
@@ -175,7 +175,7 @@ class TestChannelMatrix:
     def test_fdc_is_diagonal(self):
         ps = ch.PathSet(paths=(ch.Path(gain=1.0, delay_s=0.0, doppler_hz=500.0),))
         real = ch.discretize(ps, 1e6, kind=ch.FDC)
-        H = ch.channel_matrix_full(real, 12)
+        H = oracles.channel_matrix_full(real, 12)
         assert np.max(np.abs(H - np.diag(np.diag(H)))) == 0.0
 
     def test_matches_apply_channel(self):
@@ -183,8 +183,8 @@ class TestChannelMatrix:
         real = ch.discretize(ps, 3.072e6)
         rng = np.random.default_rng(1)
         s = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        H = ch.channel_matrix_full(real, 32)
-        assert np.max(np.abs(H @ s - ch.apply_channel(s, real))) <= 1e-12
+        H = oracles.channel_matrix_full(real, 32)
+        assert np.max(np.abs(H @ s - oracles.apply_channel(s, real))) <= 1e-12
 
     def test_matches_apply_channel_wideband(self):
         # scale factors exaggerated so the warped index actually moves
@@ -194,18 +194,18 @@ class TestChannelMatrix:
         real = ch.discretize(ch.PathSet(paths=paths), 1e6, kind=ch.WIDEBAND_DDC)
         rng = np.random.default_rng(2)
         s = rng.standard_normal(48) + 1j * rng.standard_normal(48)
-        H = ch.channel_matrix_full(real, 48)
-        out = ch.apply_channel(s, real)
+        H = oracles.channel_matrix_full(real, 48)
+        out = oracles.apply_channel(s, real)
         assert np.max(np.abs(H @ s - out)) <= 1e-12
         # the warp genuinely differs from the unwarped indexing
         nb = ch.discretize(oracles.implied_path_set(real), 1e6, kind=ch.NARROWBAND_DDC)
-        assert np.max(np.abs(out - ch.apply_channel(s, nb))) > 1e-3
+        assert np.max(np.abs(out - oracles.apply_channel(s, nb))) > 1e-3
 
     def test_too_short_rejected(self):
         ps = ch.PathSet(paths=(ch.Path(gain=1.0, delay_s=9e-6),))
         real = ch.discretize(ps, 1e6)
         with pytest.raises(ValueError):
-            ch.channel_matrix_full(real, 8)
+            oracles.channel_matrix_full(real, 8)
 
 
 class TestSparsity:

@@ -94,14 +94,14 @@ def dense_ber_errors(bundle, cfg, detector, snrs, trials, seed, c):
     errors = np.zeros(len(snrs), dtype=int)
     for t in range(trials):
         bits = kpi.derive_rng(seed, t, 0).integers(0, 2, bundle.n_symbols * c.bits_per_symbol)
-        frame = bundle.transmit(det.map_bits(bits, c))
+        frame = oracles.transmit(bundle, det.map_bits(bits, c))
         real = cfg.realize(bundle.geometry.sample_rate_hz, kpi.derive_rng(seed, t, 1))
         h_eff = wf.effective_channel(bundle, real)
         for i, snr in enumerate(snrs):
             sigma2 = 10.0 ** (-snr / 10.0)
             w = kpi.noise_shape(frame.size, kpi.derive_rng(seed, t, 2))
-            r = ch.apply_channel(frame, real) + np.sqrt(sigma2 / 2.0) * w
-            hard = det.hard_decide(equalize(bundle.receive(r), h_eff, sigma2), c)
+            r = oracles.apply_channel(frame, real) + np.sqrt(sigma2 / 2.0) * w
+            hard = det.hard_decide(equalize(oracles.receive(bundle, r), h_eff, sigma2), c)
             errors[i] += np.sum(det.bits_for_indices(hard, c) != bits)
     return errors
 
@@ -131,14 +131,16 @@ class TestTimeDomainMmse:
         assert b.adjoint_pair
         real = EVA_DOPPLER.realize(geo.sample_rate_hz, 3)
         rng = np.random.default_rng(99)
-        frame = b.transmit(rng.standard_normal(b.n_symbols) + 1j * rng.standard_normal(b.n_symbols))
+        x = rng.standard_normal(b.n_symbols) + 1j * rng.standard_normal(b.n_symbols)
+        frame = oracles.transmit(b, x)
         sigma2s = [1.0, 1e-2, 1e-3]
         w = kpi.noise_shape(frame.size, np.random.Generator(np.random.Philox(key=5)))
-        frames = [ch.apply_channel(frame, real) + np.sqrt(s / 2.0) * w for s in sigma2s]
-        soft = kpi.time_domain_mmse(wf.core_channel(b, real), [b], [frames], sigma2s)[0]
+        frames = [oracles.apply_channel(frame, real) + np.sqrt(s / 2.0) * w for s in sigma2s]
+        cores = oracles.remove_prefix(np.array(frames), geo.prefix_len)
+        soft = kpi.time_domain_mmse(wf.core_channel(b, real), [b], [cores], sigma2s)[0]
         h_eff = wf.effective_channel(b, real)
         for sq, r, s in zip(soft, frames, sigma2s):
-            ref = det.mmse_equalize(b.receive(r), h_eff, s)
+            ref = det.mmse_equalize(oracles.receive(b, r), h_eff, s)
             assert np.max(np.abs(sq - ref)) <= 1e-10
 
     @pytest.mark.parametrize("scheme,geo,params,detector,dense_calls", [
@@ -155,12 +157,21 @@ class TestTimeDomainMmse:
         cfg = EVA_DOPPLER if detector == "mmse" else ch.ChannelConfig(preset="EVA")
         snrs = [0.0, 10.0, 20.0]
         expected = dense_ber_errors(b, cfg, detector, snrs, 3, 7, c)
-        calls = []
-        monkeypatch.setattr(kpi, "effective_channel",
-                            lambda *a: calls.append(1) or wf.effective_channel(*a))
+        calls = {"effective_channel": 0, "core_channel": 0, "apply": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("effective_channel", "core_channel"):
+            monkeypatch.setattr(kpi, name, counted(name, getattr(kpi, name)))
+        monkeypatch.setattr(wf.CoreChannel, "apply", counted("apply", wf.CoreChannel.apply))
         pts = kpi.run_ber([b], cfg, detector, snrs, trials=3, seed=7, constellation=c)[0]
         assert [p.bit_errors for p in pts] == expected.tolist()
-        assert len(calls) == dense_calls
+        # one core channel and one propagation through it per trial on both paths
+        assert calls == {"effective_channel": dense_calls, "core_channel": 3, "apply": 3}
 
 
 # Every label of the bit-error experiments, the spread scheme narrower than
@@ -228,7 +239,7 @@ class TestSharedSolve:
         # and one propagation
         bundles, run = desk_run(trials=2)
         calls = dict.fromkeys(("realize", "core_channel", "derive_rng", "gram_band",
-                               "solve_periodic_banded", "apply_channel"), 0)
+                               "solve_periodic_banded", "apply"), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -238,13 +249,13 @@ class TestSharedSolve:
 
         monkeypatch.setattr(ch.ChannelConfig, "realize",
                             counted("realize", ch.ChannelConfig.realize))
-        monkeypatch.setattr(wf.CoreChannel, "gram_band",
-                            counted("gram_band", wf.CoreChannel.gram_band))
-        for name in ("core_channel", "derive_rng", "solve_periodic_banded", "apply_channel"):
+        for name in ("gram_band", "apply"):
+            monkeypatch.setattr(wf.CoreChannel, name, counted(name, getattr(wf.CoreChannel, name)))
+        for name in ("core_channel", "derive_rng", "solve_periodic_banded"):
             monkeypatch.setattr(kpi, name, counted(name, getattr(kpi, name)))
         kpi.run_ber(bundles, **run)
         assert calls == {"realize": 2, "core_channel": 2, "derive_rng": 6, "gram_band": 2,
-                         "solve_periodic_banded": 2, "apply_channel": 2}
+                         "solve_periodic_banded": 2, "apply": 2}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_bundle_gets_its_own_counts(self, workers):
@@ -261,8 +272,9 @@ class TestSharedSolve:
     # Without Doppler C depends on neither the prefix length nor the sample
     # rate, so one group can hold frames of two lengths (the cp schemes'
     # 20-sample prefix, otfs/otsm's automatic 15) or of two rates (AWGN with
-    # the 2-D frame at half the rate): each (rate, length) is propagated as
-    # its own stack through its own realization.
+    # the 2-D frame at half the rate).  Their cores have one length, so the
+    # group goes through C in one call per trial; each bundle takes the
+    # noise of its own frame length after its own prefix.
     @pytest.mark.parametrize("overrides", [
         {"channel.velocity_kmh": 0.0, "frame.prefix_1d": 20},
         {"channel.preset": "AWGN", "channel.velocity_kmh": 0.0, "frame.delta_f_2d_hz": 192e3},
@@ -271,7 +283,7 @@ class TestSharedSolve:
         bundles, run = desk_run(trials=2, **overrides)
         assert len({(b.geometry.sample_rate_hz, b.geometry.prefix_len) for b in bundles}) == 2
         calls = {"solve": 0, "apply": 0}
-        solve, apply = kpi.solve_periodic_banded, kpi.apply_channel
+        solve, apply = kpi.solve_periodic_banded, wf.CoreChannel.apply
 
         def counted_solve(*args):
             calls["solve"] += 1
@@ -282,9 +294,9 @@ class TestSharedSolve:
             return apply(*args)
 
         monkeypatch.setattr(kpi, "solve_periodic_banded", counted_solve)
-        monkeypatch.setattr(kpi, "apply_channel", counted_apply)
+        monkeypatch.setattr(wf.CoreChannel, "apply", counted_apply)
         together = kpi.run_ber(bundles, **run)
-        assert calls == {"solve": 2, "apply": 4}
+        assert calls == {"solve": 2, "apply": 2}
         assert together == [kpi.run_ber([b], **run)[0] for b in bundles]
 
     # afdm at c1 = 3/64 (2 L c1 = 3, times L even) has a cyclic prefix and

@@ -9,8 +9,6 @@ PUBLIC = [
     "ChannelRealization",
     "Path",
     "PathSet",
-    "apply_channel",
-    "channel_matrix_full",
     "channel_preset",
     "discretize",
     "draw_jakes_dopplers",

@@ -58,7 +58,7 @@ def dense_fold(b, real):
     """Core channel as the dense fold (H @ R)[Lp:] of the frame channel and prefix."""
     L, Lp = b.core_len, b.geometry.prefix_len
     R_add = prefix_operator(b.prefix_rule, L, Lp, b.cpp_c1)
-    return (ch.channel_matrix_full(real, L + Lp) @ R_add)[Lp:]
+    return (oracles.channel_matrix_full(real, L + Lp) @ R_add)[Lp:]
 
 
 UNITARY_CASES = [
@@ -85,7 +85,7 @@ class TestBundles:
         n = b.n_symbols
         assert np.max(np.abs(b.a_rx @ b.a_tx - np.eye(n))) <= 1e-10
         x = rand_syms(n)
-        assert np.max(np.abs(b.receive(b.transmit(x)) - x)) <= 1e-10
+        assert np.max(np.abs(oracles.receive(b, oracles.transmit(b, x)) - x)) <= 1e-10
 
     def test_ofdm_first_column(self):
         b = wf.build_waveform("ofdm", geo_1d(m=4, prefix=0))
@@ -98,7 +98,7 @@ class TestBundles:
         ba = wf.build_waveform("afdm", geo, {"c1": 0.0, "c2": 0.0})
         bo = wf.build_waveform("ofdm", geo)
         x = rand_syms(16)
-        fa, fo = ba.transmit(x), bo.transmit(x)
+        fa, fo = oracles.transmit(ba, x), oracles.transmit(bo, x)
         assert np.array_equal(fa, fo)  # bit-identical frames
 
     def test_spread_full_allocation_is_passthrough(self):
@@ -118,7 +118,7 @@ class TestBundles:
         bf = wf.build_waveform("frft-ofdm", geo, {"p": 1.0})
         bo = wf.build_waveform("ofdm", geo)
         x = rand_syms(16)
-        assert np.max(np.abs(bf.transmit(x) - bo.transmit(x))) <= 1e-12
+        assert np.max(np.abs(oracles.transmit(bf, x) - oracles.transmit(bo, x))) <= 1e-12
 
     def test_otfs_variants_agree(self, zak_tx):
         geo = geo_2d()
@@ -279,7 +279,7 @@ class TestFactoredOperators:
 
     def test_dense_matrices_are_built_on_first_read(self):
         b = wf.build_waveform("ocdm", geo_1d())
-        b.receive(b.transmit(rand_syms(16)))
+        oracles.receive(b, oracles.transmit(b, rand_syms(16)))
         assert not {"a_tx", "a_rx"} & set(vars(b))
         a_tx = b.a_tx
         assert "a_rx" not in vars(b)  # a_tx alone is built
@@ -305,18 +305,18 @@ class TestFactoredOperators:
 
 class TestPrefix:
     def test_cp_example(self):
-        out = wf.add_prefix(np.array([1.0, 2.0, 3.0, 4.0]), "cp", 2)
+        out = oracles.add_prefix(np.array([1.0, 2.0, 3.0, 4.0]), "cp", 2)
         assert_allclose(out, [3, 4, 1, 2, 3, 4])
 
     def test_cpp_zero_chirp_equals_cp(self):
         core = rand_syms(8)
-        assert_allclose(wf.add_prefix(core, "cpp", 3, phase=wf._cpp_phase(8, 3, 0.0)),
-                        wf.add_prefix(core, "cp", 3), atol=1e-15)
+        assert_allclose(oracles.add_prefix(core, "cpp", 3, phase=wf._cpp_phase(8, 3, 0.0)),
+                        oracles.add_prefix(core, "cp", 3), atol=1e-15)
 
     def test_cpp_phase_values(self):
         core = np.ones(8, dtype=complex)
         c1 = 3 / 16
-        out = wf.add_prefix(core, "cpp", 2, phase=wf._cpp_phase(8, 2, c1))
+        out = oracles.add_prefix(core, "cpp", 2, phase=wf._cpp_phase(8, 2, c1))
         l = np.arange(-2, 0)
         expected = np.exp(-2j * np.pi * c1 * (64 + 16 * l))
         assert_allclose(out[:2], expected, atol=1e-14)
@@ -324,14 +324,14 @@ class TestPrefix:
     def test_remove_inverts_add(self):
         core = rand_syms(12)
         for rule, c1 in (("cp", 0.0), ("cpp", 0.07)):
-            frame = wf.add_prefix(core, rule, 5, phase=wf._cpp_phase(12, 5, c1))
-            assert_allclose(wf.remove_prefix(frame, 5), core, atol=1e-15)
+            frame = oracles.add_prefix(core, rule, 5, phase=wf._cpp_phase(12, 5, c1))
+            assert_allclose(oracles.remove_prefix(frame, 5), core, atol=1e-15)
 
     def test_operator_matches_function(self):
         core = rand_syms(10)
         for rule, c1 in (("cp", 0.0), ("cpp", 0.11)):
             R = prefix_operator(rule, 10, 4, c1)
-            frame = wf.add_prefix(core, rule, 4, phase=wf._cpp_phase(10, 4, c1))
+            frame = oracles.add_prefix(core, rule, 4, phase=wf._cpp_phase(10, 4, c1))
             assert_allclose(R @ core, frame, atol=1e-14)
 
     @pytest.mark.parametrize("preset,core_len", [
@@ -360,11 +360,11 @@ class TestPrefix:
     def test_transmit_reads_the_cached_phase(self, monkeypatch):
         b = wf.build_waveform("afdm", geo_1d(m=32, prefix=6), {"c1": 0.05})
         x = rand_syms(32)
-        expected = wf.add_prefix(b.modulate(x), "cpp", 6, phase=wf._cpp_phase(32, 6, 0.05))
+        expected = oracles.add_prefix(b.modulate(x), "cpp", 6, phase=wf._cpp_phase(32, 6, 0.05))
         calls = []
         cpp_phase = wf._cpp_phase
         monkeypatch.setattr(wf, "_cpp_phase", lambda *a: calls.append(a) or cpp_phase(*a))
-        frames = [b.transmit(x) for _ in range(3)]
+        frames = [oracles.transmit(b, x) for _ in range(3)]
         assert calls == [(32, 6, 0.05)]
         for frame in frames:
             assert frame.tobytes() == expected.tobytes()
@@ -376,16 +376,16 @@ class TestPrefix:
     @pytest.mark.parametrize("prefix_len", [0, 2])
     def test_cpp_prefix_without_a_phase_rejected(self, prefix_len):
         with pytest.raises(wf.ConfigurationError, match="needs its phase"):
-            wf.add_prefix(np.ones(4), "cpp", prefix_len)
+            oracles.add_prefix(np.ones(4), "cpp", prefix_len)
 
     def test_prefix_longer_than_core_rejected(self):
         with pytest.raises(wf.ConfigurationError):
-            wf.add_prefix(np.ones(4), "cp", 5)
+            oracles.add_prefix(np.ones(4), "cp", 5)
 
     @pytest.mark.parametrize("prefix_len", [0, 2])
     def test_unknown_rule_rejected_at_any_length(self, prefix_len):
         with pytest.raises(wf.ConfigurationError, match="unknown prefix rule"):
-            wf.add_prefix(np.ones(4), "bogus", prefix_len)
+            oracles.add_prefix(np.ones(4), "bogus", prefix_len)
 
 
 class TestFbmc:
@@ -462,7 +462,7 @@ class TestEffectiveChannel:
         for j in range(M):
             e = np.zeros(M, dtype=complex)
             e[j] = 1.0
-            probe[:, j] = b.receive(ch.apply_channel(b.transmit(e), real))
+            probe[:, j] = oracles.receive(b, oracles.apply_channel(oracles.transmit(b, e), real))
         assert np.max(np.abs(He - probe)) <= 1e-12
 
     def test_prefix_too_short_rejected(self):
@@ -482,7 +482,7 @@ class TestEffectiveChannel:
         He = wf.effective_channel(b, real)
         rng = np.random.default_rng(11)
         x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        y = b.receive(ch.apply_channel(b.transmit(x), real))
+        y = oracles.receive(b, oracles.apply_channel(oracles.transmit(b, x), real))
         assert np.max(np.abs(He @ x - y)) <= 1e-11
 
 
@@ -517,6 +517,31 @@ class TestCoreChannel:
         assert np.max(np.abs(A - C.conj().T @ C)) <= 1e-14
         r = rand_syms(32)
         assert np.max(np.abs(core.adjoint(r) - C.conj().T @ r)) <= 1e-14
+        assert np.max(np.abs(core.apply(r) - C @ r)) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ch.CHANNEL_MODEL_KINDS)
+    @pytest.mark.parametrize("scheme,geo,params", [
+        ("ofdm", wf.FrameGeometry(m=32, n=1, delta_f_hz=96e3, prefix_len=6), {}),
+        ("afdm", wf.FrameGeometry(m=32, n=1, delta_f_hz=96e3, prefix_len=6), {"c1": 0.05}),
+        ("mc-otfs", wf.FrameGeometry(m=8, n=4, delta_f_hz=384e3, prefix_len=6), {}),
+    ])
+    def test_apply_matches_the_frame_channel(self, kind, scheme, geo, params):
+        # C x against the physical chain: prefix, frame channel, prefix removed
+        b = wf.build_waveform(scheme, geo, params)
+        Lp = geo.prefix_len
+        if b.prefix_rule == "cpp":
+            assert np.max(np.abs(b.prefix_phase - 1.0)) > 0.1
+        real = ch.discretize(self.PATHS, geo.sample_rate_hz, kind=kind)
+        core = wf.core_channel(b, real)
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((5, 32)) + 1j * rng.standard_normal((5, 32))
+        out = core.apply(x)
+        assert out.shape == x.shape
+        for row, xr in zip(out, x):
+            assert row.tobytes() == core.apply(xr).tobytes()
+            frame = oracles.add_prefix(xr, b.prefix_rule, Lp, phase=b.prefix_phase)
+            ref = oracles.remove_prefix(oracles.apply_channel(frame, real), Lp)
+            assert np.linalg.norm(row - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("kind", ch.CHANNEL_MODEL_KINDS)
     @pytest.mark.parametrize("scheme,geo,params", [
