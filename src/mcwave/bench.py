@@ -104,9 +104,8 @@ def _derived_info(cfg: dict, chan: channel.ChannelConfig) -> dict:
         "snr_convention": "symbol SNR Es/N0; sigma2 = 10^(-snr_db/10), unit-energy alphabet",
         "delay_rounding": "nearest sample: l = round(tau * f_s)",
         "doppler_quantization": "none (continuous per-path phase ramps)",
-        "pulse_shaping": "rectangular (identity pulse matrices); filter-bank prototype "
-        "and truncated root-Nyquist pulse train are the two exceptions "
-        "(edge pulses truncated, not wrapped)",
+        "pulse_shaping": "rectangular (identity pulse matrices); the filter-bank "
+        "prototype is the one exception (edge pulses truncated, not wrapped)",
         "gain_profile": "per-path circular Gaussians scaled by profile powers, "
         "renormalized to unit total power" if cfg["channel.random_gains"]
         else "deterministic preset gains",
@@ -137,7 +136,6 @@ def _ber_rows(tags: list[str], bundles: list[waveforms.WaveformBundle], cfg: dic
     results = kpi.run_ber(
         bundles,
         chan,
-        cfg["detector"],
         cfg["snr_db"],
         cfg["trials"],
         cfg["seed"],

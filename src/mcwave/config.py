@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .channel import CHANNEL_MODEL_KINDS, CHANNEL_PRESETS, ChannelConfig, doppler_from_velocity
 from .detection import QAM_ORDERS
-from .kpi import AF_CONVENTIONS, DETECTORS, PAPR_MIN_TAIL, noise_variance
+from .kpi import AF_CONVENTIONS, PAPR_MIN_TAIL, noise_variance
 from .waveforms import (
     BEAMFORMERS,
     DFTS_MAPPINGS,
@@ -49,7 +49,6 @@ CONFIG_SCHEMA: dict[str, Key] = {
                    "(results are worker-count invariant); papr and af run in one process"),
     "output_dir": Key("str", "", "output directory (default: $MCWAVE_OUTPUT_DIR or cwd)"),
     "constellation": Key("int", 4, "QAM order: " + "|".join(map(str, QAM_ORDERS))),
-    "detector": Key("str", "mmse", "|".join(DETECTORS)),
     "snr_db": Key("float_list", [0.0, 5.0, 10.0, 15.0, 20.0], "symbol-SNR grid in dB"),
     "waveforms": Key(
         "str_list",
@@ -197,7 +196,6 @@ def validate_config(cfg: dict) -> ChannelConfig:
     if cfg["workers"] < 1:
         raise ValidationError("workers must be >= 1")
     _check_choice(cfg, "constellation", QAM_ORDERS)
-    _check_choice(cfg, "detector", DETECTORS)
     if not cfg["snr_db"]:
         raise ValidationError("snr_db must be nonempty")
     for snr in cfg["snr_db"]:
@@ -209,7 +207,7 @@ def validate_config(cfg: dict) -> ChannelConfig:
             ) from None
         # Below machine epsilon the rounding of the formed Gram matrix C^H C
         # outweighs the MMSE's regularization, and the solve returns noise.
-        if exp in ("ber", "afdm-sweep") and cfg["detector"] == "mmse" and sigma2 < math.ulp(1.0):
+        if exp in ("ber", "afdm-sweep") and sigma2 < math.ulp(1.0):
             raise ValidationError(
                 f"snr_db: {snr} dB gives a noise variance {sigma2:.3g} below machine "
                 f"epsilon, which the MMSE cannot resolve (at most "
@@ -313,8 +311,6 @@ def validate_config(cfg: dict) -> ChannelConfig:
             raise ValidationError(f"{key} must be >= 0")
     if exp in ("ber", "chanmat", "afdm-sweep"):  # frames cross the channel
         _check_prefixes(cfg, chan)
-    if exp in ("ber", "afdm-sweep") and cfg["detector"] == "single-tap":
-        _check_single_tap(cfg, chan)
     return chan
 
 
@@ -368,12 +364,6 @@ def afdm_c1(cfg: dict, chan: ChannelConfig) -> float:
     return afdm_default_c1(cfg["frame.m_1d"], alpha)
 
 
-def _crossing_rows(cfg: dict) -> list[Scheme]:
-    """Scheme rows whose frames cross the channel in this experiment."""
-    labels = ["afdm"] if cfg["experiment"] == "afdm-sweep" else cfg["waveforms"]
-    return [SCHEMES_BY_LABEL[label] for label in labels]
-
-
 def _check_prefixes(cfg: dict, chan: ChannelConfig) -> None:
     """Each prefix in use must cover the channel memory and fit in the core frame.
 
@@ -381,7 +371,8 @@ def _check_prefixes(cfg: dict, chan: ChannelConfig) -> None:
     check; a Doppler-only channel has no delay spread to cover.
     """
     kinds = cfg["chanmat.models"] if cfg["experiment"] == "chanmat" else [cfg["channel.model"]]
-    rows = {row.dim: row for row in _crossing_rows(cfg) if row.prefix_rule != "none"}
+    labels = ["afdm"] if cfg["experiment"] == "afdm-sweep" else cfg["waveforms"]
+    rows = {r.dim: r for r in (SCHEMES_BY_LABEL[w] for w in labels) if r.prefix_rule != "none"}
     for d, row in sorted(rows.items()):
         key = f"frame.prefix_{d}d"
         geo = scheme_geometry(cfg, row, chan)
@@ -393,26 +384,3 @@ def _check_prefixes(cfg: dict, chan: ChannelConfig) -> None:
         if geo.prefix_len > geo.core_samples:
             raise ValidationError(
                 f"{key}: prefix {geo.prefix_len} longer than the core frame {geo.core_samples}")
-
-
-def _check_single_tap(cfg: dict, chan: ChannelConfig) -> None:
-    """The per-bin detector needs a diagonal effective channel for every draw.
-
-    That holds over a static channel (no path with a nonzero Doppler, no
-    wideband time warping) when the channel is flat (every path at zero
-    delay, at the scheme's sample rate) or the scheme is ofdm, whose prefix
-    turns a static delay spread into one gain per subcarrier.
-    """
-    model = cfg["channel.model"]
-    if model == "wideband" or (doppler_span_hz(chan) > 0 and model != "tdc"):
-        raise ValidationError(
-            "detector: single-tap needs a static channel (no Doppler, not wideband); "
-            "use mmse"
-        )
-    for row in _crossing_rows(cfg):
-        fs = scheme_geometry(cfg, row, chan).sample_rate_hz
-        if row.label != "ofdm" and model != "fdc" and chan.max_delay_samples(fs) > 0:
-            raise ValidationError(
-                f"detector: single-tap needs a flat channel for {row.label!r} (only ofdm "
-                "equalizes a static delay spread per subcarrier); use mmse"
-            )

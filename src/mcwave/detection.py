@@ -2,11 +2,10 @@
 
 Square QAM alphabets use per-axis Gray labeling; the 128-point alphabet is
 the usual cross layout with a documented quasi-Gray map (it only feeds peak
-power statistics, where the bit map is irrelevant).  Equalizers operate on
-the modulation-domain vector: a per-bin scalar stage for diagonal effective
-channels and a regularized least-squares block stage for coupled ones.  A
-periodic-banded solver, batched over noise levels and right-hand sides,
-serves the same block stage in the time domain.
+power statistics, where the bit map is irrelevant).  The equalizer is the
+block linear MMSE (regularized least squares) over the modulation-domain
+vector; a periodic-banded solver, batched over noise levels and right-hand
+sides, serves the same block stage in the time domain.
 """
 
 from __future__ import annotations
@@ -128,23 +127,6 @@ def bits_for_indices(indices: np.ndarray, constellation: Constellation) -> np.nd
     k = constellation.bits_per_symbol
     shifts = np.arange(k - 1, -1, -1)
     return ((labels[:, None] >> shifts[None, :]) & 1).reshape(-1)
-
-
-def single_tap_equalize(y: np.ndarray, h_diag: np.ndarray, sigma2: float) -> np.ndarray:
-    """Soft symbols of the per-bin scalar Wiener equalizer (diagonal channel).
-
-    x_hat_k = conj(h_k) y_k / (|h_k|^2 + sigma2).  ``h_diag`` may be the full
-    matrix, in which case it must actually be diagonal.
-    """
-    y = np.asarray(y, dtype=complex)
-    h = np.asarray(h_diag, dtype=complex)
-    if h.ndim == 2:
-        off = h - np.diag(np.diag(h))
-        peak = np.max(np.abs(h)) or 1.0
-        if np.max(np.abs(off)) > 1e-9 * peak:
-            raise ValueError("effective channel is not diagonal")
-        h = np.diag(h)
-    return np.conj(h) * y / (np.abs(h) ** 2 + sigma2)
 
 
 def mmse_equalize(y: np.ndarray, h_eff: np.ndarray, sigma2: float) -> np.ndarray:

@@ -21,7 +21,6 @@ from .detection import (
     hard_decide,
     map_bits,
     mmse_equalize,
-    single_tap_equalize,
     solve_periodic_banded,
 )
 from .waveforms import (
@@ -38,7 +37,6 @@ from .waveforms import (
 SENTINEL_DB = -350.0  # stands in for -inf when a cut has no sidelobe energy
 PAPR_MIN_TAIL = 10  # survivor points kept down to this many samples beyond them
 PAPR_BLOCK = 2048  # longest time block of a streamed per-branch PAPR (>= 128)
-DETECTORS = ("mmse", "single-tap")
 AF_CONVENTIONS = ("aperiodic", "cyclic")
 
 
@@ -85,7 +83,6 @@ def _ber_trial(
     channel_cfg: ChannelConfig,
     constellation: Constellation,
     snr_db_list: tuple,
-    detector: str,
     seed: int,
     trial: int,
 ) -> np.ndarray:
@@ -101,12 +98,12 @@ def _ber_trial(
     is C times its modulated core, and the modulated cores of bundles that
     share C go through it in one call.  Each SNR point adds the core part
     (the samples after the prefix) of the frame-length noise shape, scaled
-    to its noise variance.  Block MMSE over square unitary bundles
-    equalizes in the time domain (:func:`time_domain_mmse`) and never
-    builds a dense matrix; bundles whose core channels are equal, byte for
-    byte, share one solve.  Other bundles and the single-tap detector use
-    the modulation-domain channel matrix formed from C, which reads the
-    dense reference.
+    to its noise variance.  Every bundle is equalized by the block MMSE:
+    square unitary bundles in the time domain (:func:`time_domain_mmse`),
+    which never builds a dense matrix, and bundles whose core channels are
+    equal, byte for byte, share one solve; non-square bundles use the
+    modulation-domain channel matrix formed from C, which reads the dense
+    reference.
     """
     sigma2s = np.array([noise_variance(snr_db) for snr_db in snr_db_list])
     errors = np.empty((len(bundles), sigma2s.size), dtype=np.int64)
@@ -120,13 +117,16 @@ def _ber_trial(
             drawn[n_bits] = bits, map_bits(bits, constellation)
         return drawn[n_bits]
 
-    def core_of(key, bundle: WaveformBundle) -> CoreChannel:
-        """The trial's core channel of the bundle, whose core channel key is ``key``."""
+    def core_of(bundle: WaveformBundle) -> tuple[CoreChannel, tuple[bytes, bytes]]:
+        """The trial's core channel of the bundle and its bytes (offsets, diagonals)."""
+        key = (bundle.geometry.sample_rate_hz, bundle.core_len,
+               bundle.geometry.prefix_len, bundle.prefix_phase.tobytes())
         if key not in cores:
             fs = bundle.geometry.sample_rate_hz
             if fs not in reals:
                 reals[fs] = channel_cfg.realize(fs, derive_rng(seed, trial, _STREAM_CHANNEL))
-            cores[key] = core_channel(bundle, reals[fs])
+            core = core_channel(bundle, reals[fs])
+            cores[key] = core, (core.offsets.tobytes(), core.diags.tobytes())
         return cores[key]
 
     def received(core: CoreChannel, group: list[WaveformBundle]):
@@ -149,37 +149,22 @@ def _ber_trial(
         decided = bits_for_indices(hard, constellation).reshape(sigma2s.size, -1)
         errors[i] = np.sum(decided != bits_and_symbols(bundles[i])[0], axis=1)
 
-    groups = []  # (core channel, indices of its bundles), one per distinct channel
-    group_of = {}  # core channel key -> its group
+    groups = {}  # core channel bytes -> (core channel, indices of its bundles)
     for i, bundle in enumerate(bundles):
-        key = (bundle.geometry.sample_rate_hz, bundle.core_len,
-               bundle.geometry.prefix_len, bundle.prefix_phase.tobytes())
-        core = core_of(key, bundle)
-        if detector == "mmse" and bundle.adjoint_pair:
-            if key not in group_of:
-                group = next((g for g in groups if _same_core(g[0], core)), None)
-                if group is None:
-                    group = (core, [])
-                    groups.append(group)
-                group_of[key] = group
-            group_of[key][1].append(i)
+        core, core_bytes = core_of(bundle)
+        if bundle.adjoint_pair:
+            groups.setdefault(core_bytes, (core, []))[1].append(i)
             continue
         h_eff = effective_channel(bundle, core)
-        equalize = mmse_equalize if detector == "mmse" else single_tap_equalize
         (r,) = received(core, [bundle])
-        count(i, np.array([equalize(bundle.demodulate(row), h_eff, sigma2)
+        count(i, np.array([mmse_equalize(bundle.demodulate(row), h_eff, sigma2)
                            for row, sigma2 in zip(r, sigma2s)]))
-    for core, members in groups:
+    for core, members in groups.values():
         shared = [bundles[i] for i in members]
         soft = time_domain_mmse(core, shared, received(core, shared), sigma2s)
         for i, rows in zip(members, soft):
             count(i, rows)
     return errors
-
-
-def _same_core(a: CoreChannel, b: CoreChannel) -> bool:
-    """Whether two core channels are equal byte for byte."""
-    return a.offsets.tobytes() == b.offsets.tobytes() and a.diags.tobytes() == b.diags.tobytes()
 
 
 def time_domain_mmse(core: CoreChannel, bundles, received, sigma2s) -> np.ndarray:
@@ -213,7 +198,6 @@ def time_domain_mmse(core: CoreChannel, bundles, received, sigma2s) -> np.ndarra
 def run_ber(
     bundles: list[WaveformBundle],
     channel_cfg: ChannelConfig,
-    detector: str,
     snr_db_list,
     trials: int,
     seed: int,
@@ -231,15 +215,12 @@ def run_ber(
     summed over trials, making the result independent of worker count and
     scheduling.  Returns one list of points per bundle, in order.
     """
-    if detector not in DETECTORS:
-        raise ConfigurationError(f"unknown detector {detector!r}")
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
     bundles = tuple(bundles)
     snr_tuple = tuple(float(s) for s in snr_db_list)
     args = [
-        (bundles, channel_cfg, constellation, snr_tuple, detector, seed, t)
-        for t in range(trials)
+        (bundles, channel_cfg, constellation, snr_tuple, seed, t) for t in range(trials)
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

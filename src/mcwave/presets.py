@@ -144,14 +144,13 @@ _register(
 
 _register(
     "awgn-ber",
-    "Pure-noise sanity run: 4-QAM single-carrier frames, per-bin equalizer, "
-    "compared against the closed-form Gaussian-tail error rate.",
+    "Pure-noise sanity run: 4-QAM single-carrier frames, block MMSE (a scalar "
+    "under AWGN), compared against the closed-form Gaussian-tail error rate.",
     **{
         "experiment": "ber",
         "trials": 200,
         "snr_db": [0.0, 4.0, 8.0],
         "waveforms": ["scm"],
-        "detector": "single-tap",
         "frame.m_1d": 256,
         "frame.delta_f_1d_hz": 15e3,
         "channel.preset": "AWGN",

@@ -30,6 +30,24 @@ def awgn_qpsk_ber(snr_db: float) -> float:
     return 0.5 * erfc(sqrt(snr) / sqrt(2.0))
 
 
+def single_tap_equalize(y: np.ndarray, h_diag: np.ndarray, sigma2: float) -> np.ndarray:
+    """Soft symbols of the per-bin scalar Wiener equalizer (diagonal channel).
+
+    x_hat_k = conj(h_k) y_k / (|h_k|^2 + sigma2), the block MMSE of a
+    diagonal channel bin by bin.  ``h_diag`` may be the full matrix, in
+    which case it must actually be diagonal.
+    """
+    y = np.asarray(y, dtype=complex)
+    h = np.asarray(h_diag, dtype=complex)
+    if h.ndim == 2:
+        off = h - np.diag(np.diag(h))
+        peak = np.max(np.abs(h)) or 1.0
+        if np.max(np.abs(off)) > 1e-9 * peak:
+            raise ValueError("effective channel is not diagonal")
+        h = np.diag(h)
+    return np.conj(h) * y / (np.abs(h) ** 2 + sigma2)
+
+
 def apply_channel(s: np.ndarray, real: ChannelRealization) -> np.ndarray:
     """Propagate a full (prefixed) frame through the realization, noiselessly.
 

@@ -52,14 +52,17 @@ class TestConstellation:
 
 
 class TestSingleTap:
+    """The per-bin Wiener filter, kept as a test reference: on a diagonal
+    channel it equals the block MMSE, so BER runs need no one-tap detector."""
+
     def test_identity_noiseless(self):
         y = np.array([1 + 1j, -2.0, 0.5j])
-        out = det.single_tap_equalize(y, np.ones(3), 0.0)
+        out = oracles.single_tap_equalize(y, np.ones(3), 0.0)
         assert_allclose(out, y, atol=1e-15)
 
     def test_scalar_gain(self):
         y = np.array([4.0 + 0j])
-        out = det.single_tap_equalize(y, np.array([2.0 + 0j]), 0.0)
+        out = oracles.single_tap_equalize(y, np.array([2.0 + 0j]), 0.0)
         assert_allclose(out, [2.0], atol=1e-15)
 
     def test_matches_block_solver_on_diagonal(self):
@@ -67,14 +70,14 @@ class TestSingleTap:
         h = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         for s2 in (0.0, 0.3, 2.0):
-            a = det.single_tap_equalize(y, np.diag(h), s2)
+            a = oracles.single_tap_equalize(y, np.diag(h), s2)
             b = det.mmse_equalize(y, np.diag(h), s2)
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_non_diagonal_rejected(self):
         H = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            det.single_tap_equalize(np.ones(2), H, 0.1)
+            oracles.single_tap_equalize(np.ones(2), H, 0.1)
 
 
 class TestMmse:
