@@ -36,57 +36,66 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Key:
+    """A config key and the values it accepts (each item, for a list kind)."""
+
     kind: str  # int | float | str | bool | float_list | str_list
     default: object
     help: str
+    choices: tuple = ()
+    low: float = -math.inf  # excluded when low_open
+    low_open: bool = False
+    high: float = math.inf  # always excluded
 
 
 CONFIG_SCHEMA: dict[str, Key] = {
-    "experiment": Key("str", "ber", "experiment kind: " + "|".join(EXPERIMENT_KINDS)),
+    "experiment": Key("str", "ber", "experiment kind", choices=EXPERIMENT_KINDS),
     "seed": Key("int", 1, "master seed; every trial stream derives from it"),
-    "trials": Key("int", 100, "Monte-Carlo realizations"),
+    "trials": Key("int", 100, "Monte-Carlo realizations", low=1),
     "workers": Key("int", 1, "parallel trial workers, used by ber and afdm-sweep only "
-                   "(results are worker-count invariant); papr and af run in one process"),
+                   "(results are worker-count invariant); papr and af run in one process",
+                   low=1),
     "output_dir": Key("str", "", "output directory (default: $MCWAVE_OUTPUT_DIR or cwd)"),
-    "constellation": Key("int", 4, "QAM order: " + "|".join(map(str, QAM_ORDERS))),
+    "constellation": Key("int", 4, "QAM order", choices=QAM_ORDERS),
     "snr_db": Key("float_list", [0.0, 5.0, 10.0, 15.0, 20.0], "symbol-SNR grid in dB"),
-    "waveforms": Key(
-        "str_list",
-        ["scm", "ofdm", "ocdm", "afdm", "otfs", "otsm"],
-        "scheme labels to run",
-    ),
-    "frame.m_1d": Key("int", 256, "subcarriers for 1D schemes"),
-    "frame.delta_f_1d_hz": Key("float", 24e3, "1D subcarrier spacing"),
-    "frame.prefix_1d": Key("int", -1, "1D prefix samples; -1 = channel max delay"),
-    "frame.m_2d": Key("int", 16, "delay bins for 2D schemes"),
-    "frame.n_2d": Key("int", 16, "Doppler bins / slots for 2D schemes"),
-    "frame.delta_f_2d_hz": Key("float", 384e3, "2D subcarrier spacing"),
-    "frame.prefix_2d": Key("int", -1, "2D prefix samples; -1 = channel max delay"),
+    "waveforms": Key("str_list", ["scm", "ofdm", "ocdm", "afdm", "otfs", "otsm"],
+                     "scheme labels to run", choices=WAVEFORM_LABELS),
+    "frame.m_1d": Key("int", 256, "subcarriers for 1D schemes", low=1),
+    "frame.delta_f_1d_hz": Key("float", 24e3, "1D subcarrier spacing", low=0, low_open=True),
+    "frame.prefix_1d": Key("int", -1, "1D prefix samples; -1 = channel max delay", low=-1),
+    "frame.m_2d": Key("int", 16, "delay bins for 2D schemes", low=1),
+    "frame.n_2d": Key("int", 16, "Doppler bins / slots for 2D schemes", low=1),
+    "frame.delta_f_2d_hz": Key("float", 384e3, "2D subcarrier spacing", low=0, low_open=True),
+    "frame.prefix_2d": Key("int", -1, "2D prefix samples; -1 = channel max delay", low=-1),
     "channel.preset": Key("str", "EVA", "|".join(CHANNEL_PRESETS) + " or 'file'"),
-    "channel.model": Key("str", "narrowband", "|".join(CHANNEL_MODEL_KINDS)),
-    "channel.carrier_hz": Key("float", 24e9, "carrier frequency"),
-    "channel.velocity_kmh": Key("float", 540.0, "max speed for the Doppler draw"),
+    "channel.model": Key("str", "narrowband", "channel model of the run",
+                         choices=CHANNEL_MODEL_KINDS),
+    "channel.carrier_hz": Key("float", 24e9, "carrier frequency", low=0, low_open=True),
+    "channel.velocity_kmh": Key("float", 540.0, "max speed for the Doppler draw", low=0),
     "channel.jakes": Key("bool", True, "redraw per-path Doppler as nu_max*cos(U[-pi,pi])"),
     "channel.random_gains": Key("bool", True, "redraw gains as profile-scaled Gaussians"),
     "channel.profile_file": Key("str", "", "path profile file when channel.preset = file"),
     "afdm.c1": Key("float", -1.0, "first chirp rate; -1 = (2 ceil(alpha_max)+1)/(2M)"),
     "afdm.c2": Key("float", 0.0, "second chirp rate"),
-    "frft.p": Key("float", 0.5, "fractional transform order"),
-    "ifdm.seed": Key("int", 0, "interleaver key"),
+    "frft.p": Key("float", 0.5, "fractional transform order", low=0, low_open=True, high=2),
+    "ifdm.seed": Key("int", 0, "interleaver key", low=0),
     "dfts.width": Key("int", -1, "spread width; -1 = full allocation"),
-    "dfts.mapping": Key("str", "block-centered", "|".join(DFTS_MAPPINGS)),
-    "ddam.n_tx": Key("int", 64, "transmit antennas for path precoding"),
-    "ddam.beamformer": Key("str", "zf", "|".join(BEAMFORMERS)),
-    "papr.symbols": Key("int", 100, "time-domain symbols concatenated per realization"),
-    "af.convention": Key("str", "aperiodic", "ambiguity evaluation: " + "|".join(AF_CONVENTIONS)),
-    "af.doppler_span": Key("float", 0.9, "Doppler cut half-span in subcarrier spacings"),
-    "af.doppler_points": Key("int", 721, "Doppler cut grid points"),
-    "sweep.steps": Key("int", 16, "grid steps per chirp axis over [0, 1/(2M)]"),
-    "chanmat.threshold": Key("float", 1e-3, "relative magnitude dump threshold"),
-    "chanmat.models": Key("str_list", ["tdc", "fdc", "narrowband"], "channel kinds to dump"),
-    "overhead.l_max": Key("int", 8, "max normalized delay for pilot footprints"),
-    "overhead.alpha_max": Key("int", 4, "max normalized Doppler for pilot footprints"),
-    "overhead.xi_nu": Key("int", 0, "fractional-Doppler guard factor"),
+    "dfts.mapping": Key("str", "block-centered", "spread-block subcarrier mapping",
+                        choices=DFTS_MAPPINGS),
+    "ddam.n_tx": Key("int", 64, "transmit antennas for path precoding", low=1),
+    "ddam.beamformer": Key("str", "zf", "beamformer of the path precoding", choices=BEAMFORMERS),
+    "papr.symbols": Key("int", 100, "time-domain symbols concatenated per realization", low=1),
+    "af.convention": Key("str", "aperiodic", "ambiguity evaluation", choices=AF_CONVENTIONS),
+    "af.doppler_span": Key("float", 0.9, "Doppler cut half-span in subcarrier spacings",
+                           low=0, low_open=True),
+    "af.doppler_points": Key("int", 721, "Doppler cut grid points", low=3),
+    "sweep.steps": Key("int", 16, "grid steps per chirp axis over [0, 1/(2M)]", low=2),
+    "chanmat.threshold": Key("float", 1e-3, "relative magnitude dump threshold",
+                             low=0, low_open=True, high=1),
+    "chanmat.models": Key("str_list", ["tdc", "fdc", "narrowband"], "channel kinds to dump",
+                          choices=CHANNEL_MODEL_KINDS),
+    "overhead.l_max": Key("int", 8, "max normalized delay for pilot footprints", low=0),
+    "overhead.alpha_max": Key("int", 4, "max normalized Doppler for pilot footprints", low=0),
+    "overhead.xi_nu": Key("int", 0, "fractional-Doppler guard factor", low=0),
 }
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
@@ -162,19 +171,31 @@ def serialize_config(cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and n & (n - 1) == 0
-
-
-def _check_choice(cfg: dict, key: str, choices: tuple) -> None:
-    if cfg[key] not in choices:
-        raise ValidationError(
-            f"{key} must be one of {'|'.join(map(str, choices))}, got {cfg[key]!r}")
+def _check_domain(key: str, spec: Key, value) -> None:
+    """Reject an empty list, a non-finite float or a value outside the key's domain."""
+    items = value if spec.kind.endswith("_list") else (value,)
+    if not items:
+        raise ValidationError(f"{key} must be nonempty ({spec.help})")
+    for item in items:
+        if spec.choices:
+            if item in spec.choices:
+                continue
+            bad = "one of " + "|".join(map(str, spec.choices))
+        elif isinstance(item, str):
+            continue
+        elif isinstance(item, float) and not math.isfinite(item):
+            bad = "finite"
+        elif (spec.low < item if spec.low_open else spec.low <= item) and item < spec.high:
+            continue
+        else:
+            bad = f"in {'(' if spec.low_open else '['}{spec.low:g}, {spec.high:g})"
+        raise ValidationError(f"{key} must be {bad}, got {item!r} ({spec.help})")
 
 
 def validate_config(cfg: dict) -> ChannelConfig:
     """Semantic validation; raises :class:`ValidationError` naming the field.
 
+    After each key's own domain, the rules read several keys or the channel.
     Returns the channel the checks read, which is the channel the run uses.
     """
     unknown = set(cfg) - set(CONFIG_SCHEMA)
@@ -185,19 +206,9 @@ def validate_config(cfg: dict) -> ChannelConfig:
         raise ValidationError(f"missing keys: {sorted(missing)}")
 
     for key, spec in CONFIG_SCHEMA.items():
-        values = {"float": [cfg[key]], "float_list": cfg[key]}.get(spec.kind, [])
-        if not all(math.isfinite(v) for v in values):
-            raise ValidationError(f"{key} must be finite, got {cfg[key]!r}")
+        _check_domain(key, spec, cfg[key])
 
     exp = cfg["experiment"]
-    _check_choice(cfg, "experiment", EXPERIMENT_KINDS)
-    if cfg["trials"] < 1:
-        raise ValidationError("trials must be >= 1")
-    if cfg["workers"] < 1:
-        raise ValidationError("workers must be >= 1")
-    _check_choice(cfg, "constellation", QAM_ORDERS)
-    if not cfg["snr_db"]:
-        raise ValidationError("snr_db must be nonempty")
     for snr in cfg["snr_db"]:
         try:
             sigma2 = noise_variance(snr)
@@ -214,8 +225,6 @@ def validate_config(cfg: dict) -> ChannelConfig:
                 f"{-10.0 * math.log10(math.ulp(1.0)):.1f} dB)"
             )
     for w in cfg["waveforms"]:
-        if w not in WAVEFORM_LABELS:
-            raise ValidationError(f"waveforms: unknown label {w!r}")
         if w in SCHEMES_BY_LABEL and SCHEMES_BY_LABEL[w].real_field and exp in ("ber", "chanmat"):
             raise ValidationError(
                 f"waveforms: {w!r} is real-field and has no complex channel matrix, "
@@ -223,53 +232,32 @@ def validate_config(cfg: dict) -> ChannelConfig:
             )
     if "ddam" in cfg["waveforms"] and exp != "papr":
         raise ValidationError("waveforms: 'ddam' is only available in papr experiments")
-    for key in ("frame.m_1d", "frame.m_2d", "frame.n_2d"):
-        if cfg[key] < 1:
-            raise ValidationError(f"{key} must be >= 1")
-    for key in ("frame.delta_f_1d_hz", "frame.delta_f_2d_hz"):
-        if cfg[key] <= 0:
-            raise ValidationError(f"{key} must be positive")
-    for key in ("frame.prefix_1d", "frame.prefix_2d"):
-        if cfg[key] < -1:
-            raise ValidationError(f"{key} must be >= 0, or -1 for automatic")
-    if "otsm" in cfg["waveforms"] and not _is_pow2(cfg["frame.n_2d"]):
+    if "otsm" in cfg["waveforms"] and cfg["frame.n_2d"] & (cfg["frame.n_2d"] - 1):
         raise ValidationError(
             f"frame.n_2d: the sequency transform needs a power of two, got {cfg['frame.n_2d']}"
         )
-    _check_choice(cfg, "channel.model", CHANNEL_MODEL_KINDS)
     preset = cfg["channel.preset"].upper()
     if preset not in (*CHANNEL_PRESETS, "FILE"):
         raise ValidationError(f"channel.preset: unknown preset {cfg['channel.preset']!r}")
     if preset == "FILE" and not cfg["channel.profile_file"]:
         raise ValidationError("channel.profile_file required when channel.preset = file")
-    if cfg["channel.carrier_hz"] <= 0:
-        raise ValidationError("channel.carrier_hz must be positive")
     chan = channel_config(cfg)
     if preset == "FILE":  # every experiment reads it, if only for the manifest
         try:
             chan.path_set
         except (OSError, ValueError) as exc:
             raise ValidationError(f"channel.profile_file: {exc}") from exc
-    if cfg["channel.velocity_kmh"] < 0:
-        raise ValidationError("channel.velocity_kmh must be >= 0")
     if not math.isfinite(chan.nu_max_hz):
         raise ValidationError(
             f"channel.velocity_kmh: {cfg['channel.velocity_kmh']} km/h at "
             f"{cfg['channel.carrier_hz']} Hz gives a Doppler shift beyond the float range"
         )
-    if not 0.0 < cfg["frft.p"] < 2.0:
-        raise ValidationError("frft.p must lie in (0, 2)")
-    if cfg["ifdm.seed"] < 0:
-        raise ValidationError("ifdm.seed must be >= 0")
+    if cfg["afdm.c1"] < 0 and cfg["afdm.c1"] != -1:  # a sentinel no range can hold
+        raise ValidationError(f"afdm.c1 must be >= 0 or -1, got {cfg['afdm.c1']!r} "
+                              f"({CONFIG_SCHEMA['afdm.c1'].help})")
     width = cfg["dfts.width"]
     if "dft-s-ofdm" in cfg["waveforms"] and width != -1 and not 1 <= width <= cfg["frame.m_1d"]:
         raise ValidationError("dfts.width must be -1 (full allocation) or in 1..frame.m_1d")
-    _check_choice(cfg, "dfts.mapping", DFTS_MAPPINGS)
-    _check_choice(cfg, "ddam.beamformer", BEAMFORMERS)
-    if cfg["ddam.n_tx"] < 1:
-        raise ValidationError("ddam.n_tx must be >= 1")
-    if cfg["papr.symbols"] < 1:
-        raise ValidationError("papr.symbols must be >= 1")
     if "ddam" in cfg["waveforms"] and cfg["ddam.beamformer"] == "zf":
         paths = chan.path_set.count
         if cfg["ddam.n_tx"] < paths:
@@ -285,11 +273,6 @@ def validate_config(cfg: dict) -> ChannelConfig:
                 f"trials: {w!r} gets {samples} peak-power samples from {cfg['trials']} "
                 f"trials; its survivor curve needs more than {PAPR_MIN_TAIL}"
             )
-    _check_choice(cfg, "af.convention", AF_CONVENTIONS)
-    if cfg["af.doppler_points"] < 3:
-        raise ValidationError("af.doppler_points must be >= 3")
-    if cfg["af.doppler_span"] <= 0:
-        raise ValidationError("af.doppler_span must be positive")
     for w in cfg["waveforms"] if exp == "af" else ():
         # the delay cut of an L-sample core frame has 2L - 1 points and a cut
         # needs 3; fbmc's frame also carries the prototype's tails
@@ -299,16 +282,6 @@ def validate_config(cfg: dict) -> ChannelConfig:
             raise ValidationError(
                 f"{keys}: the {w!r} core frame has one sample; its ambiguity delay cut "
                 "needs at least 2")
-    if cfg["sweep.steps"] < 2:
-        raise ValidationError("sweep.steps must be >= 2")
-    if not 0.0 < cfg["chanmat.threshold"] < 1.0:
-        raise ValidationError("chanmat.threshold must lie in (0, 1)")
-    for m in cfg["chanmat.models"]:
-        if m not in CHANNEL_MODEL_KINDS:
-            raise ValidationError(f"chanmat.models: unknown kind {m!r}")
-    for key in ("overhead.l_max", "overhead.alpha_max", "overhead.xi_nu"):
-        if cfg[key] < 0:
-            raise ValidationError(f"{key} must be >= 0")
     if exp in ("ber", "chanmat", "afdm-sweep"):  # frames cross the channel
         _check_prefixes(cfg, chan)
     return chan

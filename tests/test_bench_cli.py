@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -329,6 +330,82 @@ class TestValidationGaps:
             with pytest.raises(ValidationError, match="dfts.width"):
                 validate_config(self._cfg(waveforms=["dft-s-ofdm"], **{"dfts.width": width}))
         validate_config(self._cfg(waveforms=["dft-s-ofdm"], **{"dfts.width": 256}))
+
+
+# The keys whose values no single-key domain bounds: free values, or values
+# that validate_config's rules check against other keys, the channel or a
+# sentinel.  A new key declares its domain, or joins this list on purpose.
+KEYS_WITHOUT_DOMAIN = {
+    "seed", "output_dir", "snr_db", "channel.preset", "channel.profile_file",
+    "channel.jakes", "channel.random_gains", "afdm.c1", "afdm.c2", "dfts.width",
+}
+
+
+def _has_domain(spec: config.Key) -> bool:
+    return bool(spec.choices) or spec.low > -math.inf or spec.high < math.inf
+
+
+def _outside_domains():
+    """(key, value) just outside each declared bound or choice set of each key.
+
+    A list key gets one bad item after its valid ones.
+    """
+    cases = []
+    for key, spec in CONFIG_SCHEMA.items():
+        bad = []
+        if spec.choices:
+            bad.append(max(spec.choices) + 1 if spec.kind == "int" else "bogus")
+        if spec.low > -math.inf:
+            below = spec.low - 1 if spec.kind == "int" else math.nextafter(spec.low, -math.inf)
+            bad.append(spec.low if spec.low_open else below)
+        if spec.high < math.inf:
+            bad.append(spec.high)
+        cases += [pytest.param(key, item, id=f"{key}={item}") for item in bad]
+    return cases
+
+
+class TestConfigDomains:
+    """Each key declares the values it accepts; one check enforces them all."""
+
+    def test_keys_without_a_domain_are_pinned(self):
+        assert {k for k, v in CONFIG_SCHEMA.items() if not _has_domain(v)} == KEYS_WITHOUT_DOMAIN
+
+    @pytest.mark.parametrize("key,item", _outside_domains())
+    def test_value_outside_the_domain_names_the_key(self, tmp_path, capsys, key, item):
+        cfg = preset_config("tab5-ber-desk")
+        spec = CONFIG_SCHEMA[key]
+        cfg[key] = [*cfg[key], item] if spec.kind.endswith("_list") else item
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(serialize_config(cfg))
+        assert cli.main(["validate", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {key} must be ") and f"({spec.help})" in err
+
+    @pytest.mark.parametrize("key", [k for k, v in CONFIG_SCHEMA.items()
+                                     if v.kind.endswith("_list")])
+    def test_empty_list_names_the_key(self, key):
+        with pytest.raises(ValidationError, match=f"{key} must be nonempty"):
+            validate_config(dict(preset_config("tab8-unit"), **{key: []}))
+
+    def test_empty_af_waveforms_exit_2(self, tmp_path, capsys):
+        # an ambiguity run over no scheme has no records to write
+        cfg_file = tmp_path / "af.cfg"
+        cfg_file.write_text("experiment = af\nwaveforms =\noutput_dir = {}\n".format(
+            tmp_path / "out"))
+        assert cli.main(["run", str(cfg_file)]) == 2
+        assert "waveforms" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_chirp_rate_is_automatic_or_nonnegative(self, tmp_path, capsys):
+        # any other negative c1 used to run as the automatic one
+        cfg = preset_config("tab5-ber-desk")
+        for c1 in (-0.01, -2.0, -1.0 + 1e-12):
+            cfg_file = tmp_path / "c1.cfg"
+            cfg_file.write_text(serialize_config(dict(cfg, **{"afdm.c1": c1})))
+            assert cli.main(["validate", str(cfg_file)]) == 2
+            assert "validation error: afdm.c1 must be >= 0 or -1" in capsys.readouterr().err
+        for c1 in (-1.0, 0.0, 0.01):
+            validate_config(dict(cfg, **{"afdm.c1": c1}))
 
 
 # Run-time failures that come from the numbers drawn, not from the config:

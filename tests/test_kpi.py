@@ -627,3 +627,42 @@ class TestOverheadFormulas:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             kpi.pilot_overhead("ofdm", 1, 1, 0, 64)
+
+
+class TestAnalyticAnchors:
+    """Closed forms that the run's numbers must meet, whatever their bytes."""
+
+    @pytest.mark.parametrize("label", ["scm", "afdm"])
+    def test_zero_delay_doppler_cut_is_the_dirichlet_kernel(self, label):
+        # A unit-modulus L-sample frame has |A(0, nu)| = |sin(pi nu L) / sin(pi nu)|,
+        # nu in cycles per sample; tab8-unit's afdm chirp is unit-modulus too.
+        cfg = preset_config("tab8-unit")
+        bundle = bench.build_bundle(label, cfg, validate_config(cfg))
+        core = bundle.a_tx @ np.ones(bundle.n_symbols, dtype=complex)
+        geo = bundle.geometry
+        fs, doppler_ref = geo.sample_rate_hz, geo.delta_f_hz / geo.n
+        span = cfg["af.doppler_span"]
+        nu_hz = np.linspace(-span, span, cfg["af.doppler_points"]) * doppler_ref
+        grid = kpi.ambiguity_grid(core, core, np.array([0.0]), nu_hz, fs,
+                                  convention=cfg["af.convention"], doppler_ref_hz=doppler_ref)
+        nu, L = nu_hz / fs, core.size
+        assert L == 1024
+        # sin(pi nu L) / (L sin(pi nu)) = sinc(nu L) / sinc(nu), finite at nu = 0
+        dirichlet = np.abs(np.sinc(nu * L) / np.sinc(nu))
+        np.testing.assert_allclose(grid.magnitudes[:, 0], dirichlet, rtol=0, atol=1e-12)
+
+    def test_ofdm_papr_ccdf_meets_the_gaussian_approximation(self):
+        # N independent complex-Gaussian samples exceed gamma times their mean
+        # power with probability 1 - (1 - e^-gamma)^N; at 1e-2 and N = 51 200
+        # that is 11.89 dB.  papr_ccdf keeps points down to 10/n, so 1000 frames.
+        cfg = dict(preset_config("tab6-papr-desk"), trials=1000)
+        n = cfg["frame.m_1d"] * cfg["papr.symbols"]
+        assert n == 51_200
+        bundle = bench.build_bundle("ofdm", cfg, validate_config(cfg))
+        source = kpi.qam_frame_source(bundle, det.qam_constellation(cfg["constellation"]),
+                                      n_symbols=cfg["papr.symbols"])
+        papr_db, ccdf = np.array(kpi.papr_ccdf(kpi.papr_samples(source, 1000, cfg["seed"]))).T
+        measured = float(np.interp(-1e-2, -ccdf, papr_db))  # ccdf decreasing
+        gaussian = 10.0 * np.log10(-np.log(-np.expm1(np.log1p(-1e-2) / n)))
+        assert gaussian == pytest.approx(11.89, abs=5e-3)
+        assert abs(measured - gaussian) <= 0.3, (measured, gaussian)
