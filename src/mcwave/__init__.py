@@ -17,7 +17,6 @@ from .channel import (
     channel_preset,
     discretize,
     draw_jakes_dopplers,
-    sparsity_metrics,
 )
 from .detection import Constellation, demap_hard, map_bits, mmse_equalize, qam_constellation
 from .kpi import BerPoint, ambiguity_grid, af_cut_metrics, papr, pilot_overhead, run_ber
@@ -37,7 +36,6 @@ __all__ = [
     "channel_preset",
     "discretize",
     "draw_jakes_dopplers",
-    "sparsity_metrics",
     "Constellation",
     "demap_hard",
     "map_bits",

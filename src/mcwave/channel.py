@@ -314,25 +314,6 @@ def tap_columns(real: ChannelRealization, tap: Tap, n: np.ndarray) -> np.ndarray
     return n - tap.delay_samples
 
 
-def sparsity_metrics(H: np.ndarray, threshold: float) -> dict:
-    """Support statistics of a matrix at a relative magnitude threshold.
-
-    Counts entries with |H_ij| >= threshold * max|H|; returns the fraction of
-    all entries in the support and the largest per-row support count.
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
-    mag = np.abs(np.asarray(H))
-    peak = mag.max()
-    if peak == 0:
-        return {"support_fraction": 0.0, "max_row_support": 0}
-    mask = mag >= threshold * peak
-    return {
-        "support_fraction": float(mask.sum() / mag.size),
-        "max_row_support": int(mask.sum(axis=1).max()),
-    }
-
-
 @dataclass(frozen=True)
 class ChannelConfig:
     """Declarative Monte-Carlo channel description used by the benchmarks.

@@ -9,6 +9,7 @@ overhead ratios.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -213,7 +214,9 @@ def run_ber(
     trial and key rather than per bundle, and bundles that see the same
     core channel share one block MMSE solve.  Error counts are integers
     summed over trials, making the result independent of worker count and
-    scheduling.  Returns one list of points per bundle, in order.
+    scheduling.  The trials run in min(workers, trials, CPU count) worker
+    processes, or in this process when that count is 1.  Returns one list of
+    points per bundle, in order.
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
@@ -222,6 +225,9 @@ def run_ber(
     args = [
         (bundles, channel_cfg, constellation, snr_tuple, seed, t) for t in range(trials)
     ]
+    # under fork the pool starts every worker up front, so it never asks for
+    # more than the trials or the host can use
+    workers = min(workers, trials, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(_ber_trial_star, args, chunksize=8))

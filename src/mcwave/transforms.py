@@ -127,30 +127,26 @@ def dfnt_matrix(M: int) -> np.ndarray:
     return np.diag(t2) @ dft_matrix(M) @ np.diag(t1)
 
 
-def wht_matrix(N: int, ordering: str = "sequency") -> np.ndarray:
-    """Orthonormal Walsh-Hadamard matrix of size N (N a power of two).
+def wht_matrix(N: int) -> np.ndarray:
+    """Orthonormal sequency-ordered Walsh matrix of size N (N a power of two).
 
-    ``ordering="sequency"`` sorts rows by their number of sign changes
-    (0, 1, ..., N-1), matching the sampled continuous Walsh functions; this
-    ordering is symmetric, so the matrix is its own inverse.
-    ``ordering="natural"`` returns the Sylvester (Hadamard) ordering.
+    Row k has k sign changes, matching the sampled continuous Walsh
+    functions; the matrix is symmetric, so it is its own inverse.  Entry
+    (k, j) is (-1)^popcount(r_k & j) / sqrt(N), r_k the bit-reversed Gray
+    code of k: row r_k of the Sylvester (Hadamard) matrix.
     """
     N = _check_size(N, "N")
     if N & (N - 1) != 0:
         raise ValueError(f"N must be a power of two, got {N}")
-    H = np.array([[1.0]])
-    while H.shape[0] < N:
-        H = np.block([[H, H], [H, -H]])
-    if ordering == "natural":
-        return H / np.sqrt(N)
-    if ordering != "sequency":
-        raise ValueError(f"unknown ordering {ordering!r}")
-    bits = max(N.bit_length() - 1, 0)
-    rows = np.empty(N, dtype=int)
-    for k in range(N):
-        gray = k ^ (k >> 1)
-        rows[k] = int(format(gray, f"0{bits}b")[::-1], 2) if bits else 0
-    return H[rows] / np.sqrt(N)
+    bits = N.bit_length() - 1
+    k = np.arange(N)
+    gray = k ^ (k >> 1)
+    rev = np.zeros(N, dtype=int)
+    odd = np.zeros(N, dtype=int)  # popcount(j) % 2
+    for b in range(bits):
+        rev |= ((gray >> b) & 1) << (bits - 1 - b)
+        odd ^= (k >> b) & 1
+    return np.where(odd, -1.0, 1.0)[rev[:, None] & k] / np.sqrt(N)
 
 
 def random_interleaver(M: int, seed: int) -> np.ndarray:

@@ -341,12 +341,7 @@ def _dfts_rows(geometry: FrameGeometry, params: dict) -> np.ndarray:
     if mapping not in DFTS_MAPPINGS:
         raise ConfigurationError(f"unknown mapping {mapping!r}")
     if mapping == "block-centered":
-        offset = int(params.get("offset", (M - width) // 2))
-        if not 0 <= offset <= M - width:
-            raise ConfigurationError(f"offset must be in 0..{M - width}")
-        return offset + np.arange(width)
-    if "offset" in params:
-        raise ConfigurationError("offset applies to block-centered mapping only")
+        return (M - width) // 2 + np.arange(width)
     return (np.arange(width) - width // 2) % M
 
 
@@ -387,11 +382,9 @@ def _build_ifdm(geometry: FrameGeometry, params: dict):
 
 
 def _afdm_chirp_rates(geometry: FrameGeometry, params: dict) -> tuple[float, float]:
-    if "c1" in params:
-        c1 = float(params["c1"])
-    else:
-        c1 = afdm_default_c1(geometry.m, int(params.get("alpha_max_int", 0)))
-    return c1, float(params.get("c2", 0.0))
+    # a c1 set from a channel comes from the caller (config.afdm_c1)
+    c1 = params["c1"] if "c1" in params else afdm_default_c1(geometry.m, 0)
+    return float(c1), float(params.get("c2", 0.0))
 
 
 def _factor_afdm(geometry: FrameGeometry, params: dict):
@@ -436,7 +429,7 @@ def _walsh(geometry: FrameGeometry, params: dict) -> np.ndarray:
     N = geometry.n
     if N & (N - 1) != 0:
         raise ConfigurationError(f"otsm needs a power-of-two slot count, got {N}")
-    return transforms.wht_matrix(N, ordering=params.get("ordering", "sequency"))
+    return transforms.wht_matrix(N)
 
 
 # Delay-major input x (delay blocks of sequency symbols): the shuffle P.T
@@ -458,17 +451,13 @@ def _build_otsm(geometry: FrameGeometry, params: dict):
     return a_tx.astype(complex)
 
 
-def _fbmc_prototype(geometry: FrameGeometry, params: dict) -> np.ndarray:
-    return fbmc_synthesis(geometry, int(params.get("overlap", 6)))[0]
-
-
 def _factor_fbmc(geometry: FrameGeometry, params: dict):
-    G = _fbmc_prototype(geometry, params)
+    G = fbmc_synthesis(geometry)[0]
     return FactoredOperator(G.shape, (Dense(G),))
 
 
 def _build_fbmc(geometry: FrameGeometry, params: dict):
-    return _fbmc_prototype(geometry, params)
+    return fbmc_synthesis(geometry)[0]
 
 
 @dataclass(frozen=True)
@@ -479,8 +468,9 @@ class Scheme:
     take a one-slot geometry, ``dim`` 2 schemes an m x n grid.  ``factor``
     maps (geometry, params) to the :class:`FactoredOperator` of a_tx and
     ``build`` maps them to the dense reference a_tx alone; the bundle takes
-    a_rx = a_tx^H from it.  ``config_keys`` pairs each parameter the
-    experiment runner fills from a config with its key.
+    a_rx = a_tx^H from it.  ``config_keys`` pairs each parameter with the
+    config key that sets it; they are the only parameters
+    :func:`build_waveform` accepts.
     """
 
     name: str
@@ -490,7 +480,6 @@ class Scheme:
     prefix_rule: str  # "cp" | "cpp" | "none"
     factor: Callable
     build: Callable
-    params: frozenset = frozenset()
     config_keys: tuple = ()
     real_field: bool = False
 
@@ -503,22 +492,20 @@ _TABLE = (
     Scheme("ofdm", "ofdm", 1, "frequency", "cp", _factor_ofdm, _build_ofdm),
     Scheme("dft-s-ofdm", "dft-s-ofdm", 1, "frequency", "cp",
            _factor_dft_s_ofdm, _build_dft_s_ofdm,
-           frozenset({"width", "mapping", "offset"}),
            (("width", "dfts.width"), ("mapping", "dfts.mapping"))),
     Scheme("frft-ofdm", "frft-ofdm", 1, "fractional-frequency", "cp",
-           _factor_frft_ofdm, _build_frft_ofdm, frozenset({"p"}), (("p", "frft.p"),)),
+           _factor_frft_ofdm, _build_frft_ofdm, (("p", "frft.p"),)),
     Scheme("ocdm", "ocdm", 1, "chirp", "cp", _factor_ocdm, _build_ocdm),
     Scheme("ifdm", "ifdm", 1, "interleave-frequency", "cp", _factor_ifdm, _build_ifdm,
-           frozenset({"seed"}), (("seed", "ifdm.seed"),)),
+           (("seed", "ifdm.seed"),)),
     Scheme("afdm", "afdm", 1, "daft", "cpp", _factor_afdm, _build_afdm,
-           frozenset({"c1", "c2", "alpha_max_int"})),
+           (("c1", "afdm.c1"), ("c2", "afdm.c2"))),
     Scheme("fbmc", "fbmc", 2, "time-frequency", "none", _factor_fbmc, _build_fbmc,
-           frozenset({"overlap"}), real_field=True),
+           real_field=True),
     Scheme("mc-otfs", "otfs", 2, "delay-doppler", "cp", _factor_mc_otfs, _build_mc_otfs),
     Scheme("zak-otfs", "zak-otfs", 2, "delay-doppler", "cp", _factor_mc_otfs, _build_mc_otfs),
     Scheme("oddm", "oddm", 2, "delay-doppler", "cp", _factor_oddm, _build_oddm),
-    Scheme("otsm", "otsm", 2, "delay-sequency", "cp", _factor_otsm, _build_otsm,
-           frozenset({"ordering"})),
+    Scheme("otsm", "otsm", 2, "delay-sequency", "cp", _factor_otsm, _build_otsm),
 )
 SCHEMES = {s.name: s for s in _TABLE}
 SCHEMES_BY_LABEL = {s.label: s for s in _TABLE}
@@ -527,18 +514,17 @@ SCHEMES_BY_LABEL = {s.label: s for s in _TABLE}
 def build_waveform(scheme: str, geometry: FrameGeometry, params: dict | None = None) -> WaveformBundle:
     """Assemble the operator bundle for one scheme.
 
-    Scheme-specific ``params``:
+    ``params`` takes exactly the parameters of the scheme row's
+    ``config_keys``; any other name raises:
 
     * ``dft-s-ofdm``: ``width`` (data size <= m, default m) and ``mapping``
-      ("block-centered" places the data on a contiguous band starting at
-      ``offset``, default (m - width) // 2, which is the identity for full
-      allocation; "dc-centered" wraps the band around bin 0).
+      ("block-centered" places the data on the contiguous band starting at
+      (m - width) // 2, which is the identity for full allocation;
+      "dc-centered" wraps the band around bin 0).
     * ``frft-ofdm``: fractional order ``p``.
     * ``ifdm``: interleaver ``seed``.
-    * ``afdm``: chirp rates ``c1``/``c2``, or ``alpha_max_int`` from which the
-      default c1 is derived; c2 defaults to 0.
-    * ``otsm``: Walsh row ``ordering`` ("sequency" or "natural").
-    * ``fbmc``: ``overlap`` factor for the prototype truncation.
+    * ``afdm``: chirp rates ``c1`` (default ``afdm_default_c1(m, 0)``) and
+      ``c2`` (default 0).
 
     Rectangular pulses are used throughout (identity pulse matrices); the
     filter-bank scheme's prototype is the one exception, and its bundle is
@@ -551,7 +537,7 @@ def build_waveform(scheme: str, geometry: FrameGeometry, params: dict | None = N
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     if row.dim == 1 and geometry.n != 1:
         raise ConfigurationError(f"{scheme} is a 1D scheme; use n=1 (got n={geometry.n})")
-    unknown = set(params) - row.params
+    unknown = set(params) - {p for p, _ in row.config_keys}
     if unknown:
         raise ConfigurationError(f"unknown {scheme} parameters: {sorted(unknown)}")
     op = row.factor(geometry, params)
@@ -588,19 +574,20 @@ def hermite_prototype(t_over_t0: np.ndarray) -> np.ndarray:
     return np.exp(-2.0 * np.pi * t**2) * hermval(2.0 * np.sqrt(np.pi) * t, coeffs)
 
 
-def fbmc_synthesis(geometry: FrameGeometry, overlap_factor: int = 6) -> tuple[np.ndarray, int]:
+FBMC_OVERLAP = 6
+
+
+def fbmc_synthesis(geometry: FrameGeometry) -> tuple[np.ndarray, int]:
     """Offset-QAM filter-bank synthesis matrix.
 
     Columns are sampled basis pulses g_{l,k}: the prototype shifted to time
     position k * T0/2 and subcarrier l (spacing 1/T0), with the phase factor
-    exp(1j*pi*(l+k)/2).  The prototype is truncated to ±overlap_factor*T0/2
+    exp(1j*pi*(l+k)/2).  The prototype is truncated to ±FBMC_OVERLAP*T0/2
     and normalized to unit sampled energy.  Returns (G, sample_count) with G
     of shape (sample_count, m*n); m*n real-valued symbols enter per frame.
     """
-    if overlap_factor < 4:
-        raise ConfigurationError("overlap factor must be >= 4")
     M, N = geometry.m, geometry.n
-    half = overlap_factor / 2.0  # prototype support: |t| <= half * T0
+    half = FBMC_OVERLAP / 2.0  # prototype support: |t| <= half * T0
     dt = 1.0 / M  # in units of T0 (critical sampling, f_s = M / T0)
     n_samp = int(round((half * 2 + (N - 1) * 0.5) / dt)) + 1
     t = -half + dt * np.arange(n_samp)  # t / T0

@@ -213,6 +213,24 @@ def structured_permutation(kind: str, M: int, N: int) -> np.ndarray:
     return P
 
 
+def sequency_walsh(N: int) -> np.ndarray:
+    """Sequency-ordered Walsh matrix built from the Sylvester recursion.
+
+    H_2N = [[H_N, H_N], [H_N, -H_N]], then row k of the result is row
+    bit-reverse(gray(k)) of H_N, divided by sqrt(N).
+    """
+    N = _check_size(N, "N")
+    H = np.array([[1.0]])
+    while H.shape[0] < N:
+        H = np.block([[H, H], [H, -H]])
+    bits = max(N.bit_length() - 1, 0)
+    rows = np.empty(N, dtype=int)
+    for k in range(N):
+        gray = k ^ (k >> 1)
+        rows[k] = int(format(gray, f"0{bits}b")[::-1], 2) if bits else 0
+    return H[rows] / np.sqrt(N)
+
+
 _ML_MAX_SYMBOLS = 8
 _ML_MAX_CANDIDATES = 1 << 20
 
@@ -313,3 +331,22 @@ def ddam_receive(
     if n_symbols is not None:
         out = out[:n_symbols]
     return out / composite_gain
+
+
+def sparsity_metrics(H: np.ndarray, threshold: float) -> dict:
+    """Support statistics of a matrix at a relative magnitude threshold.
+
+    Counts entries with |H_ij| >= threshold * max|H|; returns the fraction of
+    all entries in the support and the largest per-row support count.
+    """
+    if not 0.0 < threshold < 1.0:
+        raise ValueError("threshold must lie in (0, 1)")
+    mag = np.abs(np.asarray(H))
+    peak = mag.max()
+    if peak == 0:
+        return {"support_fraction": 0.0, "max_row_support": 0}
+    mask = mag >= threshold * peak
+    return {
+        "support_fraction": float(mask.sum() / mag.size),
+        "max_row_support": int(mask.sum(axis=1).max()),
+    }

@@ -180,7 +180,7 @@ def test_criterion_06_structural_channel_properties():
     geo = wf.FrameGeometry(m=M, n=1, delta_f_hz=1e3, prefix_len=3)
     fs = geo.sample_rate_hz
     alpha_max = 2
-    b = wf.build_waveform("afdm", geo, {"alpha_max_int": alpha_max})
+    b = wf.build_waveform("afdm", geo, {"c1": wf.afdm_default_c1(M, alpha_max)})
     df = fs / M
     paths = (
         ch.Path(0.7, 0.0, doppler_hz=0.0),

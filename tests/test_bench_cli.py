@@ -546,6 +546,14 @@ class TestBuildBundle:
         cfg.update({"afdm.c1": 0.01, "afdm.c2": -0.002})
         assert bench.build_bundle("afdm", cfg, chan).params == {"c1": 0.01, "c2": -0.002}
 
+    @pytest.mark.parametrize("label", sorted(wf.SCHEMES_BY_LABEL))
+    def test_bundle_params_are_the_row_config_keys(self, label):
+        cfg = preset_config("tab5-ber-desk")
+        cfg["dfts.width"] = 64  # -1 (full allocation) would leave the width to the builder
+        row = wf.SCHEMES_BY_LABEL[label]
+        bundle = bench.build_bundle(label, cfg, channel_config(cfg))
+        assert set(bundle.params) == {p for p, _ in row.config_keys}
+
     @pytest.mark.parametrize("name", preset_names())
     def test_geometry_is_the_validated_one(self, name, monkeypatch):
         cfg = preset_config(name)

@@ -210,18 +210,18 @@ class TestChannelMatrix:
 
 class TestSparsity:
     def test_identity_support(self):
-        m = ch.sparsity_metrics(np.eye(16), threshold=0.5)
+        m = oracles.sparsity_metrics(np.eye(16), threshold=0.5)
         assert m["support_fraction"] == pytest.approx(1 / 16)
         assert m["max_row_support"] == 1
 
     def test_all_equal_support(self):
-        m = ch.sparsity_metrics(np.ones((4, 4)), threshold=0.5)
+        m = oracles.sparsity_metrics(np.ones((4, 4)), threshold=0.5)
         assert m["support_fraction"] == 1.0
         assert m["max_row_support"] == 4
 
     def test_threshold_bounds(self):
         with pytest.raises(ValueError):
-            ch.sparsity_metrics(np.eye(4), threshold=0.0)
+            oracles.sparsity_metrics(np.eye(4), threshold=0.0)
 
 
 class TestProfileFile:

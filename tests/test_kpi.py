@@ -1,6 +1,7 @@
 """KPI tests: Monte-Carlo error rates, peak power, ambiguity metrics, overheads."""
 
 import inspect
+import os
 import tracemalloc
 import warnings
 
@@ -67,6 +68,37 @@ class TestRunBer:
                                constellation=c, workers=2)[0]
         assert [(p.bit_errors, p.bits) for p in serial] == \
                [(p.bit_errors, p.bits) for p in parallel]
+
+    @pytest.mark.parametrize("cpus,pool_size", [(4, 3), (2, 2), (1, None), (None, None)])
+    def test_pool_never_exceeds_trials_or_cpus(self, monkeypatch, cpus, pool_size):
+        # A recording fake stands in for the pool, so no process starts
+        # whatever the worker count asks for.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize=1):
+                return map(fn, args)
+
+        monkeypatch.setattr(kpi, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        c = det.qam_constellation(4)
+        cfg = ch.ChannelConfig(preset="EVA", nu_max_hz=500.0, random_gains=True, jakes=True)
+        b = wf.build_waveform("ofdm", wf.FrameGeometry(m=32, n=1, delta_f_hz=96e3,
+                                                       prefix_len=8))
+        run = dict(channel_cfg=cfg, snr_db_list=[5.0, 10.0], trials=3, seed=5,
+                   constellation=c)
+        pooled = kpi.run_ber([b], **run, workers=100000)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert pooled == kpi.run_ber([b], **run, workers=1)
 
     def test_noise_variance_scaling(self):
         w = np.sqrt(0.25 / 2.0) * kpi.noise_shape(4096, kpi.derive_rng(5))

@@ -12,7 +12,6 @@ PUBLIC = [
     "channel_preset",
     "discretize",
     "draw_jakes_dopplers",
-    "sparsity_metrics",
     "Constellation",
     "demap_hard",
     "map_bits",

@@ -117,9 +117,9 @@ class TestWht:
             W = tr.wht_matrix(N)
             assert np.max(np.abs(W @ W - np.eye(N))) <= 1e-12
 
-    def test_natural_ordering_orthonormal(self):
-        W = tr.wht_matrix(8, ordering="natural")
-        assert np.max(np.abs(W @ W.T - np.eye(8))) <= 1e-12
+    @pytest.mark.parametrize("N", [2**e for e in range(9)])
+    def test_closed_form_keeps_the_recursion_bytes(self, N):
+        assert tr.wht_matrix(N).tobytes() == oracles.sequency_walsh(N).tobytes()
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):

@@ -106,12 +106,10 @@ class TestBundles:
         assert np.max(np.abs(b.a_tx - np.eye(16))) <= 1e-10
 
     def test_spread_mapping_offset(self):
-        b = wf.build_waveform("dft-s-ofdm", geo_1d(), {"width": 4, "offset": 6})
+        b = wf.build_waveform("dft-s-ofdm", geo_1d(), {"width": 4})
         # the band occupies IDFT bins 6..9: demodulating a pure bin-6 tone
         # recovers the first spread symbol's transform component
         assert np.max(np.abs(b.a_rx @ b.a_tx - np.eye(4))) <= 1e-10
-        with pytest.raises(wf.ConfigurationError):
-            wf.build_waveform("dft-s-ofdm", geo_1d(), {"width": 4, "offset": 13})
 
     def test_fractional_order_one_is_plain_multicarrier(self):
         geo = geo_1d()
@@ -206,7 +204,15 @@ class TestBundles:
             b = wf.build_waveform(row.name, geo)
             assert (b.domain, b.prefix_rule, b.real_field) == (
                 row.domain, row.prefix_rule, row.real_field)
-            assert row.params >= {p for p, _ in row.config_keys}
+
+    # parameters that no config key sets: the builder refuses them
+    @pytest.mark.parametrize("scheme,param,value", [
+        ("dft-s-ofdm", "offset", 6), ("otsm", "ordering", "natural"),
+        ("afdm", "alpha_max_int", 2), ("fbmc", "overlap", 6)])
+    def test_only_config_key_parameters_are_accepted(self, scheme, param, value):
+        geo = geo_1d() if wf.SCHEMES[scheme].dim == 1 else geo_2d(m=4, n=2, prefix=0)
+        with pytest.raises(wf.ConfigurationError, match=param):
+            wf.build_waveform(scheme, geo, {param: value})
 
     @pytest.mark.parametrize("M,N", [(4, 3), (16, 8)])
     def test_oddm_matches_interleaved_chain(self, M, N):
@@ -287,11 +293,10 @@ class TestFactoredOperators:
         assert b.a_tx is a_tx and b.a_rx is a_rx  # one build each, kept
 
     @pytest.mark.parametrize("M,N", [(16, 16), (32, 32), (32, 16), (8, 4), (4, 8), (64, 8)])
-    @pytest.mark.parametrize("ordering", ["sequency", "natural"])
-    def test_otsm_dense_reference_keeps_the_shuffle_product_bytes(self, M, N, ordering):
-        W = tr.wht_matrix(N, ordering=ordering)
+    def test_otsm_dense_reference_keeps_the_shuffle_product_bytes(self, M, N):
+        W = tr.wht_matrix(N)
         P = oracles.structured_permutation("shuffle", M, N)
-        b = wf.build_waveform("otsm", wf.FrameGeometry(m=M, n=N), {"ordering": ordering})
+        b = wf.build_waveform("otsm", wf.FrameGeometry(m=M, n=N))
         assert b.a_tx.tobytes() == (np.kron(W, np.eye(M)) @ P.T).astype(complex).tobytes()
 
     @pytest.mark.parametrize("M", [4, 8, 16, 17, 32, 64, 100, 256])
@@ -403,7 +408,7 @@ class TestFbmc:
 
     def test_real_field_orthogonality(self):
         geo = wf.FrameGeometry(m=16, n=8, delta_f_hz=15e3, prefix_len=0)
-        G, n_samp = wf.fbmc_synthesis(geo, overlap_factor=6)
+        G, n_samp = wf.fbmc_synthesis(geo)
         assert G.shape == (n_samp, 16 * 8)
         R = (G.conj().T @ G).real
         assert np.max(np.abs(R - np.eye(16 * 8))) <= 1e-3
@@ -414,11 +419,6 @@ class TestFbmc:
         x = np.random.default_rng(3).choice([-1.0, 1.0], size=b.n_symbols)
         y = b.demodulate(b.modulate(x))
         assert np.max(np.abs(y.real - x)) <= 1e-3
-
-    def test_overlap_factor_floor(self):
-        geo = wf.FrameGeometry(m=8, n=2, prefix_len=0)
-        with pytest.raises(wf.ConfigurationError):
-            wf.fbmc_synthesis(geo, overlap_factor=3)
 
 
 class TestEffectiveChannel:
