@@ -159,6 +159,9 @@ def _run_papr_experiment(cfg: dict, chan: channel.ChannelConfig):
     const = detection.qam_constellation(cfg["constellation"])
     for label in cfg["waveforms"]:
         if label == "ddam":
+            # a frame per usable CPU; frames that share the cores cut their
+            # products small enough to stay on their thread
+            threads = min(cfg["trials"], kpi.usable_cpus())
             fs = cfg["frame.m_1d"] * cfg["frame.delta_f_1d_hz"]
             source = kpi.ddam_frame_source(
                 chan,
@@ -167,12 +170,14 @@ def _run_papr_experiment(cfg: dict, chan: channel.ChannelConfig):
                 const,
                 n_samples=cfg["frame.m_1d"] * cfg["papr.symbols"],
                 sample_rate_hz=fs,
+                concurrent=threads > 1,
             )
         else:
             source = kpi.qam_frame_source(
                 build_bundle(label, cfg, chan), const, n_symbols=cfg["papr.symbols"]
             )
-        samples = kpi.papr_samples(source, cfg["trials"], cfg["seed"])
+            threads = 1  # the dense a_tx products already use every core through BLAS
+        samples = kpi.papr_samples(source, cfg["trials"], cfg["seed"], threads=threads)
         records = [(label, v, c) for v, c in kpi.papr_ccdf(samples)]
         yield _csv_name("papr", label), "papr", records
 

@@ -52,7 +52,8 @@ CONFIG_SCHEMA: dict[str, Key] = {
     "seed": Key("int", 1, "master seed; every trial stream derives from it"),
     "trials": Key("int", 100, "Monte-Carlo realizations", low=1),
     "workers": Key("int", 1, "parallel trial workers, used by ber and afdm-sweep only "
-                   "(results are worker-count invariant); papr and af run in one process",
+                   "(results are worker-count invariant); papr and af run in one process, "
+                   "and papr runs its ddam frames on that process's threads, one per usable CPU",
                    low=1),
     "output_dir": Key("str", "", "output directory (default: $MCWAVE_OUTPUT_DIR or cwd)"),
     "constellation": Key("int", 4, "QAM order", choices=QAM_ORDERS),

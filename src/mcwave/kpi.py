@@ -10,7 +10,7 @@ overhead ratios.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,6 +196,13 @@ def time_domain_mmse(core: CoreChannel, bundles, received, sigma2s) -> np.ndarra
     return z
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_ber(
     bundles: list[WaveformBundle],
     channel_cfg: ChannelConfig,
@@ -214,7 +221,7 @@ def run_ber(
     trial and key rather than per bundle, and bundles that see the same
     core channel share one block MMSE solve.  Error counts are integers
     summed over trials, making the result independent of worker count and
-    scheduling.  The trials run in min(workers, trials, CPU count) worker
+    scheduling.  The trials run in min(workers, trials, usable_cpus()) worker
     processes, or in this process when that count is 1.  Returns one list of
     points per bundle, in order.
     """
@@ -226,8 +233,8 @@ def run_ber(
         (bundles, channel_cfg, constellation, snr_tuple, seed, t) for t in range(trials)
     ]
     # under fork the pool starts every worker up front, so it never asks for
-    # more than the trials or the host can use
-    workers = min(workers, trials, os.cpu_count() or 1)
+    # more than the trials or the process's CPUs can use
+    workers = min(workers, trials, usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(_ber_trial_star, args, chunksize=8))
@@ -319,19 +326,30 @@ def branch_papr(length: int, blocks) -> np.ndarray:
     return _papr_db(peak, mean)
 
 
-def papr_samples(frame_source, trials: int, seed: int) -> np.ndarray:
+def papr_samples(frame_source, trials: int, seed: int, threads: int = 1) -> np.ndarray:
     """Peak-to-average ratios in dB over random frames.
 
     ``frame_source(rng)`` returns the PAPR samples of one frame: one for a
     single-branch frame, one per branch for a multi-antenna frame (each
-    branch being a physically separate amplifier input).
+    branch being a physically separate amplifier input).  Frame t draws
+    from ``derive_rng(seed, t)``; with ``threads`` > 1 the frames run on a
+    pool of that many threads, and the samples still come in frame order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    out = []
-    for t in range(trials):
-        out.extend(frame_source(derive_rng(seed, t)))
-    return np.array(out)
+
+    def frame(t: int):
+        return frame_source(derive_rng(seed, t))
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            per_frame = list(pool.map(frame, range(trials)))
+    else:
+        # on this thread: the benchmark's QAM frame sources read 3 % more
+        # wall time and 1-3 % more peak RSS on a one-thread pool (part of
+        # the RSS is the pool thread's own malloc arena)
+        per_frame = map(frame, range(trials))
+    return np.array([v for samples in per_frame for v in samples])
 
 
 def papr_ccdf(samples: np.ndarray) -> list[tuple[float, float]]:
@@ -383,6 +401,7 @@ def ddam_frame_source(
     constellation: Constellation,
     n_samples: int,
     sample_rate_hz: float,
+    concurrent: bool = False,
 ):
     """Per-antenna PAPR of path-precoded multi-antenna frames.
 
@@ -390,7 +409,9 @@ def ddam_frame_source(
     channel config), draw independent circular-Gaussian steering vectors for
     its paths, precode a random symbol stream, and return the PAPR of each
     antenna branch.  The (n_tx x time) transmit matrix is streamed in time
-    blocks (:func:`branch_papr`), never built whole.
+    blocks (:func:`branch_papr`), never built whole.  Set ``concurrent``
+    when frames run on several threads at once: each block's product is then
+    cut into pieces that BLAS keeps on the calling thread (:func:`ddam_blocks`).
     """
 
     def source(rng: np.random.Generator) -> np.ndarray:
@@ -401,7 +422,8 @@ def ddam_frame_source(
         cfg = DdamConfig(steering=steering, beamformer=beamformer)
         x = constellation.points[rng.integers(0, constellation.order, n_samples)]
         return branch_papr(
-            ddam_frame_length(x.size, real), lambda spans: ddam_blocks(x, cfg, real, spans)
+            ddam_frame_length(x.size, real),
+            lambda spans: ddam_blocks(x, cfg, real, spans, concurrent),
         )
 
     return source

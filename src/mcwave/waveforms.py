@@ -187,7 +187,6 @@ class WaveformBundle:
     geometry: FrameGeometry
     operator: FactoredOperator
     prefix_rule: str  # "cp" | "cpp" | "none"
-    domain: str
     cpp_c1: float = 0.0
     real_field: bool = False
     params: dict = field(default_factory=dict)
@@ -476,7 +475,6 @@ class Scheme:
     name: str
     label: str
     dim: int
-    domain: str
     prefix_rule: str  # "cp" | "cpp" | "none"
     factor: Callable
     build: Callable
@@ -488,24 +486,22 @@ class Scheme:
 # delay-Doppler schemes are the multicarrier one: zak-otfs is the same
 # operator and oddm takes its symbols delay-major.
 _TABLE = (
-    Scheme("scm", "scm", 1, "time", "cp", _factor_scm, _build_scm),
-    Scheme("ofdm", "ofdm", 1, "frequency", "cp", _factor_ofdm, _build_ofdm),
-    Scheme("dft-s-ofdm", "dft-s-ofdm", 1, "frequency", "cp",
-           _factor_dft_s_ofdm, _build_dft_s_ofdm,
+    Scheme("scm", "scm", 1, "cp", _factor_scm, _build_scm),
+    Scheme("ofdm", "ofdm", 1, "cp", _factor_ofdm, _build_ofdm),
+    Scheme("dft-s-ofdm", "dft-s-ofdm", 1, "cp", _factor_dft_s_ofdm, _build_dft_s_ofdm,
            (("width", "dfts.width"), ("mapping", "dfts.mapping"))),
-    Scheme("frft-ofdm", "frft-ofdm", 1, "fractional-frequency", "cp",
-           _factor_frft_ofdm, _build_frft_ofdm, (("p", "frft.p"),)),
-    Scheme("ocdm", "ocdm", 1, "chirp", "cp", _factor_ocdm, _build_ocdm),
-    Scheme("ifdm", "ifdm", 1, "interleave-frequency", "cp", _factor_ifdm, _build_ifdm,
+    Scheme("frft-ofdm", "frft-ofdm", 1, "cp", _factor_frft_ofdm, _build_frft_ofdm,
+           (("p", "frft.p"),)),
+    Scheme("ocdm", "ocdm", 1, "cp", _factor_ocdm, _build_ocdm),
+    Scheme("ifdm", "ifdm", 1, "cp", _factor_ifdm, _build_ifdm,
            (("seed", "ifdm.seed"),)),
-    Scheme("afdm", "afdm", 1, "daft", "cpp", _factor_afdm, _build_afdm,
+    Scheme("afdm", "afdm", 1, "cpp", _factor_afdm, _build_afdm,
            (("c1", "afdm.c1"), ("c2", "afdm.c2"))),
-    Scheme("fbmc", "fbmc", 2, "time-frequency", "none", _factor_fbmc, _build_fbmc,
-           real_field=True),
-    Scheme("mc-otfs", "otfs", 2, "delay-doppler", "cp", _factor_mc_otfs, _build_mc_otfs),
-    Scheme("zak-otfs", "zak-otfs", 2, "delay-doppler", "cp", _factor_mc_otfs, _build_mc_otfs),
-    Scheme("oddm", "oddm", 2, "delay-doppler", "cp", _factor_oddm, _build_oddm),
-    Scheme("otsm", "otsm", 2, "delay-sequency", "cp", _factor_otsm, _build_otsm),
+    Scheme("fbmc", "fbmc", 2, "none", _factor_fbmc, _build_fbmc, real_field=True),
+    Scheme("mc-otfs", "otfs", 2, "cp", _factor_mc_otfs, _build_mc_otfs),
+    Scheme("zak-otfs", "zak-otfs", 2, "cp", _factor_mc_otfs, _build_mc_otfs),
+    Scheme("oddm", "oddm", 2, "cp", _factor_oddm, _build_oddm),
+    Scheme("otsm", "otsm", 2, "cp", _factor_otsm, _build_otsm),
 )
 SCHEMES = {s.name: s for s in _TABLE}
 SCHEMES_BY_LABEL = {s.label: s for s in _TABLE}
@@ -545,7 +541,7 @@ def build_waveform(scheme: str, geometry: FrameGeometry, params: dict | None = N
     cpp_c1 = _afdm_chirp_rates(geometry, params)[0] if row.prefix_rule == "cpp" else 0.0
     return WaveformBundle(
         scheme=scheme, geometry=geometry, operator=op, prefix_rule=row.prefix_rule,
-        domain=row.domain, cpp_c1=cpp_c1, real_field=row.real_field, params=params,
+        cpp_c1=cpp_c1, real_field=row.real_field, params=params,
     )
 
 
@@ -782,7 +778,43 @@ def ddam_frame_length(n_symbols: int, real: ChannelRealization) -> int:
     return n_symbols + real.max_delay_samples - min(t.delay_samples for t in real.taps)
 
 
-def ddam_blocks(x: np.ndarray, cfg: DdamConfig, real: ChannelRealization, spans):
+# Multiply-adds of one precoding product piece.  OpenBLAS keeps a complex
+# product of at most about 65 536 multiply-adds on the calling thread and
+# threads a larger one itself, which then contends with the frame threads of
+# kpi.papr_samples.  100 frames of 64 antennas and 5 paths in blocks of up
+# to 2048 columns, on two threads (2-vCPU Xeon, OpenBLAS 0.3.31): pieces of
+# 64 000 multiply-adds 0.77 s, of 130 560 1.46 s; whole blocks 1.26 s on two
+# threads and 1.07 s on one.  On one thread the pieces cost more than BLAS's
+# own threads save (1.27-1.30 s), so serial frames keep the whole product.
+PRODUCT_MACS = 65536
+
+
+def _product_pieces(width: int, n_tx: int, n_paths: int) -> list[slice]:
+    """Column slices of a (n_tx x width) precoding product, in order.
+
+    Each piece but the last is a multiple of 8 columns and, unless 8 columns
+    already exceed it, at most ``PRODUCT_MACS`` multiply-adds.
+    """
+    step = 8 * max(1, PRODUCT_MACS // (8 * n_tx * n_paths))
+    return [slice(c, min(c + step, width)) for c in range(0, width, step)]
+
+
+def _precode(F: np.ndarray, streams: np.ndarray) -> np.ndarray:
+    """``F.T @ streams`` computed in :func:`_product_pieces`, equal bit for bit.
+
+    Every piece but the last is a multiple of 8 columns, so each column goes
+    through the same BLAS kernel as in the whole product.
+    """
+    n_paths, n_tx = F.shape
+    out = np.empty((n_tx, streams.shape[1]), dtype=complex)
+    for piece in _product_pieces(streams.shape[1], n_tx, n_paths):
+        np.matmul(F.T, streams[:, piece], out=out[:, piece])
+    return out
+
+
+def ddam_blocks(
+    x: np.ndarray, cfg: DdamConfig, real: ChannelRealization, spans, concurrent: bool = False
+):
     """Per-path delay/Doppler pre-compensated transmit signal, block by block.
 
     Each path i carries a copy of the stream delayed by kappa_i = l_max - l_i
@@ -796,9 +828,13 @@ def ddam_blocks(x: np.ndarray, cfg: DdamConfig, real: ChannelRealization, spans)
     so the whole signal never needs to exist.  The beamformers are computed
     (and the arguments checked) once, before the first block.  A tap with
     zero Doppler is not rotated: exp(-0j) would change only signs of zeros.
-    Blocks equal the whole signal's columns bit for bit when every span but
-    the last is a multiple of 8 samples long: the BLAS product computes the
-    last few columns of a block with separate kernels.
+    With ``concurrent`` set (frames running on several threads at once),
+    each block's product is cut into pieces small enough for BLAS to keep on
+    the calling thread (:func:`_precode`); otherwise it is one product, which
+    BLAS may thread itself.  Blocks equal the whole signal's columns bit for
+    bit when every span but the last is a multiple of 8 samples long: the
+    BLAS product computes the last few columns of a block with separate
+    kernels.
     """
     x = np.asarray(x, dtype=complex)
     if x.ndim != 1 or x.size == 0:
@@ -823,6 +859,6 @@ def ddam_blocks(x: np.ndarray, cfg: DdamConfig, real: ChannelRealization, spans)
                 if tap.doppler_hz != 0:
                     seg = seg * np.exp(-2j * np.pi * tap.doppler_hz * np.arange(a, b) / fs)
                 streams[i, a - lo : b - lo] = seg
-            yield F.T @ streams
+            yield _precode(F, streams) if concurrent else F.T @ streams
 
     return blocks()

@@ -681,6 +681,34 @@ class TestExperiments:
         assert header == "scheme,papr_db,ccdf"
         assert (out / "papr_ddam.csv").exists()
 
+    def test_papr_threads_ddam_frames_only(self, tmp_path, monkeypatch):
+        # path precoding runs its frames on a thread per usable CPU, cutting
+        # its products only when frames share the cores; the QAM sources'
+        # dense products already use every core through BLAS
+        calls, concurrent = [], []
+        papr_samples, ddam_frame_source = kpi.papr_samples, kpi.ddam_frame_source
+
+        def recording(source, trials, seed, threads=1):
+            calls.append(threads)
+            return papr_samples(source, trials, seed, threads=threads)
+
+        def recording_source(*args, **kwargs):
+            concurrent.append(kwargs["concurrent"])
+            return ddam_frame_source(*args, **kwargs)
+
+        monkeypatch.setattr(kpi, "papr_samples", recording)
+        monkeypatch.setattr(kpi, "ddam_frame_source", recording_source)
+        for cpus, trials, labels, expected in ((4, 12, ["ofdm", "ddam"], [1, 4]),
+                                               (4, 2, ["ddam"], [2]),
+                                               (1, 12, ["ofdm", "ddam"], [1, 1])):
+            monkeypatch.setattr(kpi, "usable_cpus", lambda: cpus)
+            calls.clear()
+            concurrent.clear()
+            _run(tmp_path, "tab6-papr-desk", trials=trials,
+                 **{"frame.m_1d": 64, "ddam.n_tx": 8, "papr.symbols": 2, "waveforms": labels})
+            assert calls == expected
+            assert concurrent == [expected[-1] > 1]
+
     def test_af_metrics_columns(self, tmp_path):
         cfg, out, _ = _run(
             tmp_path, "tab8-unit",

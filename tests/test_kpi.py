@@ -2,6 +2,9 @@
 
 import inspect
 import os
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -89,6 +92,7 @@ class TestRunBer:
                 return map(fn, args)
 
         monkeypatch.setattr(kpi, "ProcessPoolExecutor", FakePool)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         c = det.qam_constellation(4)
         cfg = ch.ChannelConfig(preset="EVA", nu_max_hz=500.0, random_gains=True, jakes=True)
@@ -99,6 +103,14 @@ class TestRunBer:
         pooled = kpi.run_ber([b], **run, workers=100000)
         assert sizes == ([] if pool_size is None else [pool_size])
         assert pooled == kpi.run_ber([b], **run, workers=1)
+
+    def test_usable_cpus_is_the_affinity_set(self, monkeypatch):
+        # a process pinned to fewer CPUs than the host has gets a pool that size
+        if hasattr(os, "sched_getaffinity"):
+            assert kpi.usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert kpi.usable_cpus() == 2
 
     def test_noise_variance_scaling(self):
         w = np.sqrt(0.25 / 2.0) * kpi.noise_shape(4096, kpi.derive_rng(5))
@@ -434,6 +446,53 @@ class TestPapr:
         assert samples.shape == (9,)
         assert samples[0] == kpi.derive_rng(4, 0).uniform()
         assert list(samples[1:3]) == [1.0, 2.0]
+
+    @pytest.mark.parametrize("beamformer", ["zf", "mrt"])
+    @pytest.mark.parametrize("nu_max_hz", [0.0, 900.0])
+    def test_threaded_ddam_frames_equal_the_serial_run(self, nu_max_hz, beamformer):
+        chan = ch.ChannelConfig(preset="EVA", carrier_hz=3e9, nu_max_hz=nu_max_hz,
+                                random_gains=True, jakes=nu_max_hz > 0)
+        sources = {concurrent: kpi.ddam_frame_source(
+            chan, 12, beamformer, det.qam_constellation(16), n_samples=3000,
+            sample_rate_hz=30.72e6, concurrent=concurrent) for concurrent in (False, True)}
+        # more threads than cores, switching often, and the config's path set
+        # first read by concurrent frames
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = kpi.papr_samples(sources[True], 6, seed=7, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        serial = kpi.papr_samples(sources[False], 6, seed=7)
+        assert serial.shape == (6 * 12,)
+        assert np.array_equal(threaded, serial)
+        assert np.array_equal(kpi.papr_samples(sources[True], 6, seed=7, threads=2), serial)
+
+    def test_threaded_frames_keep_frame_order(self):
+        def source(rng):
+            t = int(rng.integers(0, 1000))
+            if t % 2 == 0:
+                time.sleep(0.01)  # even draws finish after their odd successors
+            return [t, -t]
+
+        expected = kpi.papr_samples(source, 8, seed=2)
+        assert {int(t) % 2 for t in expected[::2]} == {0, 1}
+        before = threading.active_count()
+        assert np.array_equal(kpi.papr_samples(source, 8, seed=2, threads=3), expected)
+        assert threading.active_count() == before  # the pool ends with the call
+
+    def test_threaded_frame_error_is_the_serial_one(self):
+        def source(rng):
+            if rng.uniform() < 0.5:
+                raise ConnectionError("frame failed")
+            return [1.0]
+
+        with pytest.raises(ConnectionError):
+            kpi.papr_samples(source, 20, seed=1)
+        before = threading.active_count()
+        with pytest.raises(ConnectionError):
+            kpi.papr_samples(source, 20, seed=1, threads=2)
+        assert threading.active_count() == before
 
     def test_bundle_source_reads_a_tx_alone(self):
         b = wf.build_waveform("ofdm", wf.FrameGeometry(m=16))

@@ -202,8 +202,7 @@ class TestBundles:
             assert label == ("otfs" if row.name == "mc-otfs" else row.name)
             geo = geo_1d(prefix=0) if row.dim == 1 else geo_2d(m=4, n=2, prefix=0)
             b = wf.build_waveform(row.name, geo)
-            assert (b.domain, b.prefix_rule, b.real_field) == (
-                row.domain, row.prefix_rule, row.real_field)
+            assert (b.prefix_rule, b.real_field) == (row.prefix_rule, row.real_field)
 
     # parameters that no config key sets: the builder refuses them
     @pytest.mark.parametrize("scheme,param,value", [
@@ -633,9 +632,32 @@ class TestDdam:
         # block apart, so other spans may differ from the whole in the last bit
         for spans in ([(0, 8), (8, 40), (40, 2048), (2048, L)],
                       [(lo, min(L, lo + 1000)) for lo in range(0, L, 1000)]):
-            blocks = list(wf.ddam_blocks(x, cfg, real, spans))
-            assert [b.shape for b in blocks] == [(cfg.n_tx, hi - lo) for lo, hi in spans]
-            assert np.array_equal(np.concatenate(blocks, axis=1), dense)
+            for concurrent in (False, True):
+                blocks = list(wf.ddam_blocks(x, cfg, real, spans, concurrent))
+                assert [b.shape for b in blocks] == [(cfg.n_tx, hi - lo) for lo, hi in spans]
+                assert np.array_equal(np.concatenate(blocks, axis=1), dense)
+
+    @pytest.mark.parametrize("n_paths", [1, 5, 9])
+    @pytest.mark.parametrize("n_tx", [1, 5, 13, 64, 256])
+    def test_pieces_equal_the_whole_product(self, n_tx, n_paths):
+        rng = np.random.default_rng(100 * n_tx + n_paths)
+        F = rng.standard_normal((n_paths, n_tx)) + 1j * rng.standard_normal((n_paths, n_tx))
+        for width in (1, 7, 8, 9, 1600, 1608, 2048):
+            streams = (rng.standard_normal((n_paths, width))
+                       + 1j * rng.standard_normal((n_paths, width)))
+            assert wf._precode(F, streams).tobytes() == (F.T @ streams).tobytes()
+
+    @pytest.mark.parametrize("n_paths", [1, 5, 9])
+    @pytest.mark.parametrize("n_tx", [1, 5, 13, 64, 256, 2048])
+    def test_pieces_tile_the_block_within_the_budget(self, n_tx, n_paths):
+        # 8 columns is the smallest piece, even where it exceeds the budget
+        budget = max(wf.PRODUCT_MACS, 8 * n_tx * n_paths)
+        for width in (1, 7, 8, 9, 1600, 1608, 2048):
+            pieces = wf._product_pieces(width, n_tx, n_paths)
+            assert [p.start for p in pieces] == [0] + [p.stop for p in pieces[:-1]]
+            assert pieces[-1].stop == width
+            assert all((p.stop - p.start) % 8 == 0 for p in pieces[:-1])
+            assert all((p.stop - p.start) * n_tx * n_paths <= budget for p in pieces)
 
     def test_blocks_check_arguments_before_the_first_block(self):
         x, cfg, real = self._setup((0.0, 10.0), "zf")
