@@ -312,13 +312,20 @@ def branch_papr(length: int, blocks) -> np.ndarray:
     :func:`_pairwise_half` and adds the halves, so the spans are the nodes of
     this tree no longer than ``PAPR_BLOCK``; numpy sums each one exactly as
     inside the row, and the node sums are added back in the tree's order.
-    Every span but the last is a multiple of 8 samples long.
+    Every span but the last is a multiple of 8 samples long.  The powers of
+    every block are written into one buffer, sized to the widest span.
     """
     if length < 1:
         raise ValueError("signal must be nonempty")
-    peak, sums = None, []
-    for block in blocks(_pairwise_spans(0, length)):
-        power = np.abs(block) ** 2
+    spans = _pairwise_spans(0, length)
+    widest = max(hi - lo for lo, hi in spans)
+    peak, sums, buf = None, [], None
+    for block in blocks(spans):
+        if buf is None:
+            buf = np.empty(block.shape[0] * widest)
+        power = buf[: block.size].reshape(block.shape)
+        np.abs(block, out=power)
+        np.square(power, out=power)  # what ``** 2`` runs
         top = power.max(axis=1)
         peak = top if peak is None else np.maximum(peak, top)
         sums.append(power.sum(axis=1))

@@ -782,34 +782,49 @@ def ddam_frame_length(n_symbols: int, real: ChannelRealization) -> int:
 # product of at most about 65 536 multiply-adds on the calling thread and
 # threads a larger one itself, which then contends with the frame threads of
 # kpi.papr_samples.  100 frames of 64 antennas and 5 paths in blocks of up
-# to 2048 columns, on two threads (2-vCPU Xeon, OpenBLAS 0.3.31): pieces of
-# 64 000 multiply-adds 0.77 s, of 130 560 1.46 s; whole blocks 1.26 s on two
-# threads and 1.07 s on one.  On one thread the pieces cost more than BLAS's
-# own threads save (1.27-1.30 s), so serial frames keep the whole product.
+# to 2048 columns (2-vCPU Xeon, OpenBLAS 0.3.31): on two threads, pieces of
+# 64 000 multiply-adds 0.65 s, of 130 560 1.39-1.46 s, whole blocks
+# 1.18-1.28 s; on one thread, whole blocks 1.06 s and pieces 1.21 s (40
+# frames of 256 antennas: 1.54 s and 1.95 s), so serial frames keep the
+# whole product.
 PRODUCT_MACS = 65536
 
 
-def _product_pieces(width: int, n_tx: int, n_paths: int) -> list[slice]:
-    """Column slices of a (n_tx x width) precoding product, in order.
+def _product_pieces(width: int, n_tx: int, n_paths: int) -> tuple[int, int]:
+    """(step, count): a (n_tx x width) precoding product's leading pieces.
 
-    Each piece but the last is a multiple of 8 columns and, unless 8 columns
-    already exceed it, at most ``PRODUCT_MACS`` multiply-adds.
+    ``count`` pieces of ``step`` columns, a multiple of 8 and, unless 8
+    columns already exceed it, at most ``PRODUCT_MACS`` multiply-adds; the
+    rest of the width is one more piece.  That piece is never one column
+    wide where a piece precedes it: numpy would send a one-column product
+    to ZGEMV, whose bytes differ from the whole product's ZGEMM, so such a
+    column joins the piece before it.
     """
     step = 8 * max(1, PRODUCT_MACS // (8 * n_tx * n_paths))
-    return [slice(c, min(c + step, width)) for c in range(0, width, step)]
+    count = width // step
+    if count and width - count * step == 1:
+        count -= 1
+    return step, count
 
 
-def _precode(F: np.ndarray, streams: np.ndarray) -> np.ndarray:
-    """``F.T @ streams`` computed in :func:`_product_pieces`, equal bit for bit.
+def _precode(F: np.ndarray, streams: np.ndarray, out: np.ndarray) -> None:
+    """``F.T @ streams`` into ``out`` in :func:`_product_pieces`, equal bit for bit.
 
-    Every piece but the last is a multiple of 8 columns, so each column goes
-    through the same BLAS kernel as in the whole product.
+    The leading pieces go to BLAS in one stacked call, one ZGEMM per piece
+    on the calling thread; the rest takes one more call.  Every piece but
+    the last is a multiple of 8 columns, so each column goes through the
+    same BLAS kernel as in the whole product.
     """
     n_paths, n_tx = F.shape
-    out = np.empty((n_tx, streams.shape[1]), dtype=complex)
-    for piece in _product_pieces(streams.shape[1], n_tx, n_paths):
-        np.matmul(F.T, streams[:, piece], out=out[:, piece])
-    return out
+    step, count = _product_pieces(streams.shape[1], n_tx, n_paths)
+    w = step * count
+    if count:
+        # copy=False: a reshape that copied would leave ``out`` unwritten
+        np.matmul(F.T, streams[:, :w].reshape(n_paths, count, step, copy=False)
+                  .transpose(1, 0, 2),
+                  out=out[:, :w].reshape(n_tx, count, step, copy=False).transpose(1, 0, 2))
+    if w < streams.shape[1]:
+        np.matmul(F.T, streams[:, w:], out=out[:, w:])
 
 
 def ddam_blocks(
@@ -825,7 +840,9 @@ def ddam_blocks(
 
     The full signal is (n_tx, ddam_frame_length(len(x), real)); this yields
     its columns lo:hi, one (n_tx, hi - lo) block per (lo, hi) of ``spans``,
-    so the whole signal never needs to exist.  The beamformers are computed
+    so the whole signal never needs to exist.  The blocks are views of one
+    buffer, sized to the widest span: a block is valid until the next one is
+    requested, so keep a copy to hold it longer.  The beamformers are computed
     (and the arguments checked) once, before the first block.  A tap with
     zero Doppler is not rotated: exp(-0j) would change only signs of zeros.
     With ``concurrent`` set (frames running on several threads at once),
@@ -846,8 +863,10 @@ def ddam_blocks(
     F = ddam_beamformers(cfg)
     l_max = real.max_delay_samples
     fs = real.sample_rate_hz
+    spans = list(spans)
 
     def blocks():
+        buf = np.empty(cfg.n_tx * max((hi - lo for lo, hi in spans), default=0), dtype=complex)
         for lo, hi in spans:
             streams = np.zeros((cfg.n_paths, hi - lo), dtype=complex)  # shifted copies
             for i, tap in enumerate(real.taps):
@@ -859,6 +878,11 @@ def ddam_blocks(
                 if tap.doppler_hz != 0:
                     seg = seg * np.exp(-2j * np.pi * tap.doppler_hz * np.arange(a, b) / fs)
                 streams[i, a - lo : b - lo] = seg
-            yield _precode(F, streams) if concurrent else F.T @ streams
+            block = buf[: cfg.n_tx * (hi - lo)].reshape(cfg.n_tx, hi - lo)
+            if concurrent:
+                _precode(F, streams, block)
+            else:
+                np.matmul(F.T, streams, out=block)
+            yield block
 
     return blocks()

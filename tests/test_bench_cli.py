@@ -709,6 +709,17 @@ class TestExperiments:
             assert calls == expected
             assert concurrent == [expected[-1] > 1]
 
+    def test_ddam_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+        # 372 + 29 = 401 samples: one block, two 200-column product pieces at
+        # 64 antennas and 5 paths, and one column that must not stand alone
+        digests = set()
+        for cpus in (1, 2):
+            monkeypatch.setattr(kpi, "usable_cpus", lambda: cpus)
+            _, out, _ = _run(tmp_path / str(cpus), "tab6-papr-desk", trials=200, seed=1,
+                             waveforms=["ddam"], **{"frame.m_1d": 372, "papr.symbols": 1})
+            digests.add(hashlib.sha256((out / "papr_ddam.csv").read_bytes()).hexdigest())
+        assert len(digests) == 1
+
     def test_af_metrics_columns(self, tmp_path):
         cfg, out, _ = _run(
             tmp_path, "tab8-unit",

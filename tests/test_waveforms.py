@@ -633,31 +633,47 @@ class TestDdam:
         for spans in ([(0, 8), (8, 40), (40, 2048), (2048, L)],
                       [(lo, min(L, lo + 1000)) for lo in range(0, L, 1000)]):
             for concurrent in (False, True):
-                blocks = list(wf.ddam_blocks(x, cfg, real, spans, concurrent))
+                blocks, previous = [], None
+                for b in wf.ddam_blocks(x, cfg, real, spans, concurrent):
+                    # each block is a view of the one buffer the frame reuses
+                    assert previous is None or np.shares_memory(b, previous)
+                    previous = b
+                    blocks.append(b.copy())
                 assert [b.shape for b in blocks] == [(cfg.n_tx, hi - lo) for lo, hi in spans]
                 assert np.array_equal(np.concatenate(blocks, axis=1), dense)
 
+    @staticmethod
+    def _piece_widths(n_tx, n_paths):
+        """Widths about one and two pieces, where a last piece of one column falls."""
+        step, _ = wf._product_pieces(0, n_tx, n_paths)
+        edges = (step - 1, step, step + 1, 2 * step + 1)
+        return sorted({1, 7, 8, 9, 1600, 1608, 2048} | {w for w in edges if 0 < w <= 2048})
+
     @pytest.mark.parametrize("n_paths", [1, 5, 9])
-    @pytest.mark.parametrize("n_tx", [1, 5, 13, 64, 256])
+    @pytest.mark.parametrize("n_tx", [1, 5, 13, 64, 256, 1024, 2048])
     def test_pieces_equal_the_whole_product(self, n_tx, n_paths):
         rng = np.random.default_rng(100 * n_tx + n_paths)
         F = rng.standard_normal((n_paths, n_tx)) + 1j * rng.standard_normal((n_paths, n_tx))
-        for width in (1, 7, 8, 9, 1600, 1608, 2048):
+        for width in self._piece_widths(n_tx, n_paths):
             streams = (rng.standard_normal((n_paths, width))
                        + 1j * rng.standard_normal((n_paths, width)))
-            assert wf._precode(F, streams).tobytes() == (F.T @ streams).tobytes()
+            out = np.empty((n_tx, width), dtype=complex)
+            wf._precode(F, streams, out)
+            assert out.tobytes() == (F.T @ streams).tobytes(), width
 
     @pytest.mark.parametrize("n_paths", [1, 5, 9])
     @pytest.mark.parametrize("n_tx", [1, 5, 13, 64, 256, 2048])
     def test_pieces_tile_the_block_within_the_budget(self, n_tx, n_paths):
         # 8 columns is the smallest piece, even where it exceeds the budget
         budget = max(wf.PRODUCT_MACS, 8 * n_tx * n_paths)
-        for width in (1, 7, 8, 9, 1600, 1608, 2048):
-            pieces = wf._product_pieces(width, n_tx, n_paths)
-            assert [p.start for p in pieces] == [0] + [p.stop for p in pieces[:-1]]
-            assert pieces[-1].stop == width
-            assert all((p.stop - p.start) % 8 == 0 for p in pieces[:-1])
-            assert all((p.stop - p.start) * n_tx * n_paths <= budget for p in pieces)
+        for width in self._piece_widths(n_tx, n_paths):
+            step, count = wf._product_pieces(width, n_tx, n_paths)
+            rest = width - step * count
+            assert step % 8 == 0 and step * n_tx * n_paths <= budget
+            # the last piece is shorter than a step, or a step and the one
+            # column that would otherwise stand alone
+            assert 0 <= rest < step or rest == step + 1
+            assert rest != 1 or width == 1
 
     def test_blocks_check_arguments_before_the_first_block(self):
         x, cfg, real = self._setup((0.0, 10.0), "zf")
