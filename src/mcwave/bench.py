@@ -159,8 +159,8 @@ def _run_papr_experiment(cfg: dict, chan: channel.ChannelConfig):
     const = detection.qam_constellation(cfg["constellation"])
     for label in cfg["waveforms"]:
         if label == "ddam":
-            # a frame per usable CPU; frames that share the cores cut their
-            # products small enough to stay on their thread
+            # a frame per usable CPU; each frame cuts its products small
+            # enough to stay on its thread
             threads = min(cfg["trials"], kpi.usable_cpus())
             fs = cfg["frame.m_1d"] * cfg["frame.delta_f_1d_hz"]
             source = kpi.ddam_frame_source(
@@ -170,7 +170,6 @@ def _run_papr_experiment(cfg: dict, chan: channel.ChannelConfig):
                 const,
                 n_samples=cfg["frame.m_1d"] * cfg["papr.symbols"],
                 sample_rate_hz=fs,
-                concurrent=threads > 1,
             )
         else:
             source = kpi.qam_frame_source(

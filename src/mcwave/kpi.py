@@ -408,7 +408,6 @@ def ddam_frame_source(
     constellation: Constellation,
     n_samples: int,
     sample_rate_hz: float,
-    concurrent: bool = False,
 ):
     """Per-antenna PAPR of path-precoded multi-antenna frames.
 
@@ -416,9 +415,9 @@ def ddam_frame_source(
     channel config), draw independent circular-Gaussian steering vectors for
     its paths, precode a random symbol stream, and return the PAPR of each
     antenna branch.  The (n_tx x time) transmit matrix is streamed in time
-    blocks (:func:`branch_papr`), never built whole.  Set ``concurrent``
-    when frames run on several threads at once: each block's product is then
-    cut into pieces that BLAS keeps on the calling thread (:func:`ddam_blocks`).
+    blocks (:func:`branch_papr`), never built whole, and each block's
+    product runs in pieces that BLAS keeps on the calling thread
+    (:func:`ddam_blocks`), so frames may share the cores.
     """
 
     def source(rng: np.random.Generator) -> np.ndarray:
@@ -430,7 +429,7 @@ def ddam_frame_source(
         x = constellation.points[rng.integers(0, constellation.order, n_samples)]
         return branch_papr(
             ddam_frame_length(x.size, real),
-            lambda spans: ddam_blocks(x, cfg, real, spans, concurrent),
+            lambda spans: ddam_blocks(x, cfg, real, spans),
         )
 
     return source
@@ -440,17 +439,13 @@ def ddam_frame_source(
 class AfGrid:
     """Peak-normalized ambiguity magnitudes on a delay/Doppler grid.
 
-    Axes carry both physical units and normalized copies (delay over the
-    reference duration, Doppler over the reference spacing); the convention
-    tag records aperiodic vs cyclic evaluation.
+    Axes are normalized: delay over the reference duration, Doppler over the
+    reference spacing.
     """
 
-    delay_s: np.ndarray
     delay_norm: np.ndarray
-    doppler_hz: np.ndarray
     doppler_norm: np.ndarray
     magnitudes: np.ndarray  # (n_doppler, n_delay), peak == 1
-    convention: str
     peak_raw: float
 
 
@@ -506,12 +501,9 @@ def ambiguity_grid(
     delay_ref = L / sample_rate_hz
     doppler_ref = doppler_ref_hz if doppler_ref_hz else sample_rate_hz / L
     return AfGrid(
-        delay_s=tau_s,
         delay_norm=tau_s / delay_ref,
-        doppler_hz=nu_hz,
         doppler_norm=nu_hz / doppler_ref,
         magnitudes=mags / peak,
-        convention=convention,
         peak_raw=peak,
     )
 

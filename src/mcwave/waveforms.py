@@ -781,12 +781,13 @@ def ddam_frame_length(n_symbols: int, real: ChannelRealization) -> int:
 # Multiply-adds of one precoding product piece.  OpenBLAS keeps a complex
 # product of at most about 65 536 multiply-adds on the calling thread and
 # threads a larger one itself, which then contends with the frame threads of
-# kpi.papr_samples.  100 frames of 64 antennas and 5 paths in blocks of up
-# to 2048 columns (2-vCPU Xeon, OpenBLAS 0.3.31): on two threads, pieces of
-# 64 000 multiply-adds 0.65 s, of 130 560 1.39-1.46 s, whole blocks
-# 1.18-1.28 s; on one thread, whole blocks 1.06 s and pieces 1.21 s (40
-# frames of 256 antennas: 1.54 s and 1.95 s), so serial frames keep the
-# whole product.
+# kpi.papr_samples and, on kernels whose threaded ZGEMM splits the sum
+# differently, makes the bytes depend on the CPU count.  100 frames of 64
+# antennas and 5 paths in blocks of up to 2048 columns (2-vCPU Xeon,
+# OpenBLAS 0.3.31): on two threads, pieces of 64 000 multiply-adds 0.65 s,
+# of 130 560 1.39-1.46 s, whole blocks 1.18-1.28 s.  Once 8 columns exceed
+# the budget (8 * n_tx * n_paths > PRODUCT_MACS, e.g. 911 antennas over 9
+# paths) a piece is over it and BLAS may thread it again.
 PRODUCT_MACS = 65536
 
 
@@ -827,9 +828,7 @@ def _precode(F: np.ndarray, streams: np.ndarray, out: np.ndarray) -> None:
         np.matmul(F.T, streams[:, w:], out=out[:, w:])
 
 
-def ddam_blocks(
-    x: np.ndarray, cfg: DdamConfig, real: ChannelRealization, spans, concurrent: bool = False
-):
+def ddam_blocks(x: np.ndarray, cfg: DdamConfig, real: ChannelRealization, spans):
     """Per-path delay/Doppler pre-compensated transmit signal, block by block.
 
     Each path i carries a copy of the stream delayed by kappa_i = l_max - l_i
@@ -845,13 +844,12 @@ def ddam_blocks(
     requested, so keep a copy to hold it longer.  The beamformers are computed
     (and the arguments checked) once, before the first block.  A tap with
     zero Doppler is not rotated: exp(-0j) would change only signs of zeros.
-    With ``concurrent`` set (frames running on several threads at once),
-    each block's product is cut into pieces small enough for BLAS to keep on
-    the calling thread (:func:`_precode`); otherwise it is one product, which
-    BLAS may thread itself.  Blocks equal the whole signal's columns bit for
-    bit when every span but the last is a multiple of 8 samples long: the
-    BLAS product computes the last few columns of a block with separate
-    kernels.
+    Each block's product is cut into pieces small enough for BLAS to keep on
+    the calling thread (:func:`_precode`), so while 8 columns fit in
+    ``PRODUCT_MACS`` its bytes do not depend on the CPU count or on how many
+    frames run at once.  Blocks equal the whole signal's columns bit for bit
+    when every span but the last is a multiple of 8 samples long: the BLAS
+    product computes the last few columns of a block with separate kernels.
     """
     x = np.asarray(x, dtype=complex)
     if x.ndim != 1 or x.size == 0:
@@ -879,10 +877,7 @@ def ddam_blocks(
                     seg = seg * np.exp(-2j * np.pi * tap.doppler_hz * np.arange(a, b) / fs)
                 streams[i, a - lo : b - lo] = seg
             block = buf[: cfg.n_tx * (hi - lo)].reshape(cfg.n_tx, hi - lo)
-            if concurrent:
-                _precode(F, streams, block)
-            else:
-                np.matmul(F.T, streams, out=block)
+            _precode(F, streams, block)
             yield block
 
     return blocks()

@@ -682,32 +682,24 @@ class TestExperiments:
         assert (out / "papr_ddam.csv").exists()
 
     def test_papr_threads_ddam_frames_only(self, tmp_path, monkeypatch):
-        # path precoding runs its frames on a thread per usable CPU, cutting
-        # its products only when frames share the cores; the QAM sources'
-        # dense products already use every core through BLAS
-        calls, concurrent = [], []
-        papr_samples, ddam_frame_source = kpi.papr_samples, kpi.ddam_frame_source
+        # path precoding runs its frames on a thread per usable CPU; the QAM
+        # sources' dense products already use every core through BLAS
+        calls = []
+        papr_samples = kpi.papr_samples
 
         def recording(source, trials, seed, threads=1):
             calls.append(threads)
             return papr_samples(source, trials, seed, threads=threads)
 
-        def recording_source(*args, **kwargs):
-            concurrent.append(kwargs["concurrent"])
-            return ddam_frame_source(*args, **kwargs)
-
         monkeypatch.setattr(kpi, "papr_samples", recording)
-        monkeypatch.setattr(kpi, "ddam_frame_source", recording_source)
         for cpus, trials, labels, expected in ((4, 12, ["ofdm", "ddam"], [1, 4]),
                                                (4, 2, ["ddam"], [2]),
                                                (1, 12, ["ofdm", "ddam"], [1, 1])):
             monkeypatch.setattr(kpi, "usable_cpus", lambda: cpus)
             calls.clear()
-            concurrent.clear()
             _run(tmp_path, "tab6-papr-desk", trials=trials,
                  **{"frame.m_1d": 64, "ddam.n_tx": 8, "papr.symbols": 2, "waveforms": labels})
             assert calls == expected
-            assert concurrent == [expected[-1] > 1]
 
     def test_ddam_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
         # 372 + 29 = 401 samples: one block, two 200-column product pieces at
@@ -719,6 +711,36 @@ class TestExperiments:
                              waveforms=["ddam"], **{"frame.m_1d": 372, "papr.symbols": 1})
             digests.add(hashlib.sha256((out / "papr_ddam.csv").read_bytes()).hexdigest())
         assert len(digests) == 1
+
+    @pytest.mark.skipif(
+        not np._core._multiarray_umath.__cpu_features__.get("AVX2"),
+        reason="OpenBLAS's Haswell kernel needs AVX2")
+    def test_ddam_bytes_do_not_depend_on_the_cpu_count_on_haswell(self, tmp_path):
+        # The same 401-sample run under the kernel an AVX2-only host gets,
+        # whose threaded ZGEMM sums a whole block's product apart from the
+        # one-thread kernel.  OpenBLAS reads its kernel choice at load time,
+        # so the runs go to a child process.
+        code = (
+            "import hashlib, sys\n"
+            "from mcwave import bench, kpi\n"
+            "from mcwave.presets import preset_config\n"
+            "for cpus in (1, 2):\n"
+            "    kpi.usable_cpus = lambda: cpus\n"
+            "    cfg = preset_config('tab6-papr-desk')\n"
+            "    cfg.update({'trials': 200, 'seed': 1, 'waveforms': ['ddam'],\n"
+            "                'frame.m_1d': 372, 'papr.symbols': 1})\n"
+            "    out = f'{sys.argv[1]}/{cpus}'\n"
+            "    bench.run_experiment(cfg, out)\n"
+            "    print(hashlib.sha256(open(out + '/papr_ddam.csv', 'rb').read()).hexdigest())\n"
+        )
+        src = Path(bench.__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests = proc.stdout.split()
+        assert len(digests) == 2 and len(set(digests)) == 1, digests
 
     def test_af_metrics_columns(self, tmp_path):
         cfg, out, _ = _run(

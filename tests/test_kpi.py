@@ -464,23 +464,21 @@ class TestPapr:
     def test_threaded_ddam_frames_equal_the_serial_run(self, geometry, beamformer):
         chan_kw, n_tx, order, n_samples, fs, frames, seed = geometry
         chan = ch.ChannelConfig(**chan_kw)
-        sources = {concurrent: kpi.ddam_frame_source(
+        source = kpi.ddam_frame_source(
             chan, n_tx, beamformer, det.qam_constellation(order),
-            n_samples=n_samples, sample_rate_hz=fs, concurrent=concurrent)
-            for concurrent in (False, True)}
+            n_samples=n_samples, sample_rate_hz=fs)
         # more threads than cores, switching often, and the config's path set
         # first read by concurrent frames
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            threaded = kpi.papr_samples(sources[True], frames, seed=seed, threads=4)
+            threaded = kpi.papr_samples(source, frames, seed=seed, threads=4)
         finally:
             sys.setswitchinterval(interval)
-        serial = kpi.papr_samples(sources[False], frames, seed=seed)
+        serial = kpi.papr_samples(source, frames, seed=seed, threads=1)
         assert serial.shape == (frames * n_tx,)
         assert np.array_equal(threaded, serial)
-        assert np.array_equal(kpi.papr_samples(sources[True], frames, seed=seed, threads=2),
-                              serial)
+        assert np.array_equal(kpi.papr_samples(source, frames, seed=seed, threads=2), serial)
 
     def test_threaded_frames_keep_frame_order(self):
         def source(rng):

@@ -632,15 +632,14 @@ class TestDdam:
         # block apart, so other spans may differ from the whole in the last bit
         for spans in ([(0, 8), (8, 40), (40, 2048), (2048, L)],
                       [(lo, min(L, lo + 1000)) for lo in range(0, L, 1000)]):
-            for concurrent in (False, True):
-                blocks, previous = [], None
-                for b in wf.ddam_blocks(x, cfg, real, spans, concurrent):
-                    # each block is a view of the one buffer the frame reuses
-                    assert previous is None or np.shares_memory(b, previous)
-                    previous = b
-                    blocks.append(b.copy())
-                assert [b.shape for b in blocks] == [(cfg.n_tx, hi - lo) for lo, hi in spans]
-                assert np.array_equal(np.concatenate(blocks, axis=1), dense)
+            blocks, previous = [], None
+            for b in wf.ddam_blocks(x, cfg, real, spans):
+                # each block is a view of the one buffer the frame reuses
+                assert previous is None or np.shares_memory(b, previous)
+                previous = b
+                blocks.append(b.copy())
+            assert [b.shape for b in blocks] == [(cfg.n_tx, hi - lo) for lo, hi in spans]
+            assert np.array_equal(np.concatenate(blocks, axis=1), dense)
 
     @staticmethod
     def _piece_widths(n_tx, n_paths):
