@@ -186,9 +186,7 @@ def _af_cuts(bundle: waveforms.WaveformBundle, cfg: dict):
 
     The Doppler cut spans +-``af.doppler_span`` Doppler bins of delta_f / n.
     """
-    # The dense product pins the AF bytes; the factored apply differs in
-    # last bits, so it waits for a declared numerics move.
-    core = bundle.a_tx @ np.ones(bundle.n_symbols, dtype=complex)
+    core = bundle.operator.tx(np.ones(bundle.n_symbols))
     geo = bundle.geometry
     fs, doppler_ref = geo.sample_rate_hz, geo.delta_f_hz / geo.n
     L = core.size

@@ -186,7 +186,7 @@ def load_profile_file(path: str, carrier_hz: float = 0.0) -> PathSet:
     unless a header line ``# units: velocity_kmh`` appears, in which case it
     is a velocity converted via ``carrier_hz``.  Gains are the square roots
     of the normalized linear powers.  Raises ``ValueError`` naming the line
-    for a non-finite field or linear power, and when the powers sum to 0.
+    for a non-numeric or non-finite field or power, and when the powers sum to 0.
     """
     velocity_units = False
     rows = []
@@ -201,7 +201,10 @@ def load_profile_file(path: str, carrier_hz: float = 0.0) -> PathSet:
             parts = [p for p in line.replace(",", " ").split() if p]
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 3 fields, got {line!r}")
-            db, delay_s, third = (float(p) for p in parts)
+            try:
+                db, delay_s, third = (float(p) for p in parts)
+            except ValueError:
+                raise ValueError(f"line {lineno}: fields must be numbers, got {line!r}") from None
             try:
                 power = 10.0 ** (db / 10.0)
             except OverflowError:

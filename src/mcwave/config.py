@@ -172,13 +172,22 @@ def serialize_config(cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Each kind's item types: a bool is never an int, and an int is accepted for a float.
+_ITEM_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
 def _check_domain(key: str, spec: Key, value) -> None:
-    """Reject an empty list, a non-finite float or a value outside the key's domain."""
-    items = value if spec.kind.endswith("_list") else (value,)
+    """Reject a wrong-typed item, an empty list, a non-finite float or a value off the domain."""
+    kind, listed = spec.kind.removesuffix("_list"), spec.kind.endswith("_list")
+    if listed and not isinstance(value, list):
+        raise ValidationError(f"{key} must be a list, got {value!r} ({spec.help})")
+    items = value if listed else (value,)
     if not items:
         raise ValidationError(f"{key} must be nonempty ({spec.help})")
     for item in items:
-        if spec.choices:
+        if not isinstance(item, _ITEM_TYPES[kind]) or (item.__class__ is bool and kind != "bool"):
+            bad = f"of kind {kind}"
+        elif spec.choices:
             if item in spec.choices:
                 continue
             bad = "one of " + "|".join(map(str, spec.choices))

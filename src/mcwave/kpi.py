@@ -103,8 +103,8 @@ def _ber_trial(
     square unitary bundles in the time domain (:func:`time_domain_mmse`),
     which never builds a dense matrix, and bundles whose core channels are
     equal, byte for byte, share one solve; non-square bundles use the
-    modulation-domain channel matrix formed from C, which reads the dense
-    reference.
+    modulation-domain channel matrix formed from C and the factors
+    (:func:`effective_channel`).
     """
     sigma2s = np.array([noise_variance(snr_db) for snr_db in snr_db_list])
     errors = np.empty((len(bundles), sigma2s.size), dtype=np.int64)
@@ -369,13 +369,9 @@ def papr_ccdf(samples: np.ndarray) -> list[tuple[float, float]]:
     n = v.size
     if n == 0:
         raise ValueError("no samples")
-    floor = PAPR_MIN_TAIL / n
-    pts = []
-    for i, x in enumerate(v):
-        ccdf = (n - i - 1) / n
-        if ccdf >= floor:
-            pts.append((float(x), float(ccdf)))
-    return pts
+    ccdf = (n - 1 - np.arange(n)) / n
+    keep = ccdf >= PAPR_MIN_TAIL / n
+    return list(zip(v[keep].tolist(), ccdf[keep].tolist()))
 
 
 def qam_frame_source(

@@ -5,11 +5,10 @@ symbol vector to core time samples), demodulated by its adjoint
 ``a_rx = a_tx^H``, plus a prefix rule.  Each scheme describes its operator
 as a product of factors: FFTs, diagonals, index maps and small dense
 matrices (:class:`FactoredOperator`).  The factors are the working path of
-modulation and demodulation.  The dense ``a_tx`` is built only on first
-access, by the scheme's dense builder, and stays the checkable reference;
-the dense ``a_rx`` is its conjugate transpose, never built apart.  All
-bundles are exactly unitary except the filter-bank scheme, whose
-orthogonality holds in the real field only.  2D delay-Doppler grids are
+modulation, demodulation and the effective channel.  The dense ``a_tx`` is
+built only on first access, by the scheme's dense builder, and stays the
+checkable reference.  All bundles are exactly unitary except the
+filter-bank scheme, whose orthogonality holds in the real field only.  2D delay-Doppler grids are
 vectorized delay-fastest (column-major) except where a scheme's canonical
 chain stacks delay blocks; the per-scheme builders note the layout they
 use.
@@ -178,9 +177,8 @@ class WaveformBundle:
 
     ``operator`` is the factored a_tx that modulation and demodulation
     apply.  The dense ``a_tx`` is built on first access by the scheme's
-    dense builder (:attr:`Scheme.build`) and kept, and the dense ``a_rx`` is
-    its conjugate transpose; they are the reference the factors are checked
-    against.
+    dense builder (:attr:`Scheme.build`) and kept; it is the reference the
+    factors are checked against.
     """
 
     scheme: str
@@ -212,11 +210,6 @@ class WaveformBundle:
     def a_tx(self) -> np.ndarray:
         """Dense modulator (core_len x n_symbols), built on first access."""
         return SCHEMES[self.scheme].build(self.geometry, self.params)
-
-    @cached_property
-    def a_rx(self) -> np.ndarray:
-        """Dense demodulator a_tx^H (n_symbols x core_len), a view made on first access."""
-        return self.a_tx.conj().T
 
     def modulate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -281,7 +274,7 @@ def afdm_default_c1(m: int, alpha_max_int: int) -> float:
 
 # Each scheme has a factored operator (``_factor_*``, the working path) and a
 # dense builder of a_tx (``_build_*``, the reference, run only when a
-# bundle's dense matrices are read).  Both read the scheme's parameters
+# bundle's dense a_tx is read).  Both read the scheme's parameters
 # through the same helpers, so a bad parameter fails when the bundle is
 # built.
 
@@ -466,10 +459,9 @@ class Scheme:
     ``label`` is the name configs and output files use; ``dim`` 1 schemes
     take a one-slot geometry, ``dim`` 2 schemes an m x n grid.  ``factor``
     maps (geometry, params) to the :class:`FactoredOperator` of a_tx and
-    ``build`` maps them to the dense reference a_tx alone; the bundle takes
-    a_rx = a_tx^H from it.  ``config_keys`` pairs each parameter with the
-    config key that sets it; they are the only parameters
-    :func:`build_waveform` accepts.
+    ``build`` maps them to the dense reference a_tx.  ``config_keys`` pairs
+    each parameter with the config key that sets it; they are the only
+    parameters :func:`build_waveform` accepts.
     """
 
     name: str
@@ -525,7 +517,7 @@ def build_waveform(scheme: str, geometry: FrameGeometry, params: dict | None = N
     Rectangular pulses are used throughout (identity pulse matrices); the
     filter-bank scheme's prototype is the one exception, and its bundle is
     orthogonal in the real field only.  Only the factored operator is built
-    here; the dense matrices wait for their first reader.
+    here; the dense a_tx waits for its first reader.
     """
     params = dict(params or {})
     row = SCHEMES.get(scheme)
@@ -602,11 +594,13 @@ def fbmc_synthesis(geometry: FrameGeometry) -> tuple[np.ndarray, int]:
 def effective_channel(
     bundle: WaveformBundle, channel: ChannelRealization | CoreChannel
 ) -> np.ndarray:
-    """Modulation-domain channel matrix a_rx C a_tx, C the bundle's core channel.
+    """Modulation-domain channel matrix a_tx^H C a_tx, C the bundle's core channel.
 
     ``channel`` is a realization, whose core channel is built here, or the
     bundle's core channel of one, already built (:func:`core_channel`).
-    The result is (n_symbols x n_symbols) and satisfies y = H_eff x + noise
+    The factors modulate, C propagates and the factors demodulate every
+    column of the identity in one batch; no dense matrix is built.  The
+    result is (n_symbols x n_symbols) and satisfies y = H_eff x + noise
     for the bundle's end-to-end chain.  Raises for a real-field bundle and
     on the checks of :func:`core_channel`.
     """
@@ -616,7 +610,7 @@ def effective_channel(
         )
     if not isinstance(channel, CoreChannel):
         channel = core_channel(bundle, channel)
-    return bundle.a_rx @ channel.matrix() @ bundle.a_tx
+    return bundle.operator.rx(channel.apply(bundle.operator.tx(np.eye(bundle.n_symbols)))).T
 
 
 @dataclass(frozen=True)
@@ -659,14 +653,6 @@ class CoreChannel:
             # row n holds C[n, n + e]^* C[n, n + e2]: entry (n + e, n + e2) of A
             band[:, w + self.offsets - e] += np.roll(diag.conj()[:, None] * self.diags, e, axis=0)
         return band
-
-    def matrix(self) -> np.ndarray:
-        """Dense L x L core channel: C[n, (n + offsets) % L] = diags."""
-        L = self.diags.shape[0]
-        n = np.arange(L)[:, None]
-        C = np.zeros((L, L), dtype=complex)
-        C[n, (n + self.offsets) % L] = self.diags
-        return C
 
 
 def core_channel(bundle: WaveformBundle, real: ChannelRealization) -> CoreChannel:

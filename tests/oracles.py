@@ -16,6 +16,7 @@ from mcwave.detection import Constellation
 from mcwave.transforms import _check_size
 from mcwave.waveforms import (
     ConfigurationError,
+    CoreChannel,
     DdamConfig,
     WaveformBundle,
     ddam_beamformers,
@@ -96,6 +97,15 @@ def channel_matrix_full(real: ChannelRealization, length: int) -> np.ndarray:
         valid = (cols >= 0) & (cols < length)
         H[n[valid], cols[valid]] += phase[valid]
     return H
+
+
+def core_matrix(core: CoreChannel) -> np.ndarray:
+    """Dense L x L core channel, entry by entry: C[n, (n + offsets) % L] = diags."""
+    L = core.diags.shape[0]
+    n = np.arange(L)[:, None]
+    C = np.zeros((L, L), dtype=complex)
+    C[n, (n + core.offsets) % L] = core.diags
+    return C
 
 
 def add_prefix(

@@ -256,6 +256,12 @@ class TestProfileFile:
         with pytest.raises(ValueError, match=f"line 3: .*{line!r}"):
             ch.load_profile_file(str(p))
 
+    def test_non_numeric_field_names_the_line(self, tmp_path):
+        p = tmp_path / "prof.txt"
+        p.write_text("0 0 0\nx 1e-6 0\n")
+        with pytest.raises(ValueError, match="line 2: .*'x 1e-6 0'"):
+            ch.load_profile_file(str(p))
+
     def test_powers_that_sum_to_zero_rejected(self, tmp_path):
         p = tmp_path / "prof.txt"
         p.write_text("-4000 0 0\n-5000 1e-6 0\n")

@@ -20,9 +20,12 @@ ambiguity experiments.
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mcwave import bench
@@ -101,6 +104,41 @@ def run_case(name: str, out: Path) -> dict:
 def test_golden_digests(name, tmp_path):
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
     assert run_case(name, tmp_path) == expected
+
+
+# The cases whose float outputs are channel matrices and ambiguity cuts.
+FACTOR_CASES = ["chanmat-afdm-c1", "chanmat-afdm-c1-fig16", "chanmat-variants",
+                "fig16-chanmat", "tab8-unit"]
+
+
+@pytest.mark.skipif(
+    not np._core._multiarray_umath.__cpu_features__.get("AVX2")
+    or not hasattr(os, "sched_setaffinity"),
+    reason="OpenBLAS's Haswell kernel needs AVX2; the one-CPU run needs sched_setaffinity")
+@pytest.mark.parametrize("one_cpu", [True, False], ids=["one-cpu", "all-cpus"])
+def test_factor_cases_do_not_depend_on_the_blas_kernel(one_cpu, tmp_path):
+    # Under the kernel an AVX2-only host gets, on one CPU and on all of the
+    # process's CPUs, the cases write the recorded bytes.  OpenBLAS reads its
+    # kernel and its thread count when it loads, so the runs go to a child
+    # process that cuts its affinity before it imports numpy.
+    code = (
+        "import json, os, sys\n"
+        "if sys.argv[2] == 'one':\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from pathlib import Path\n"
+        "import test_golden\n"
+        "out = Path(sys.argv[1])\n"
+        "print(json.dumps({n: test_golden.run_case(n, out / n) for n in sys.argv[3:]}))\n"
+    )
+    src, tests = Path(bench.__file__).resolve().parents[1], Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), str(tests), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path), "one" if one_cpu else "all", *FACTOR_CASES],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert json.loads(proc.stdout) == {name: expected[name] for name in FACTOR_CASES}
 
 
 def test_cases_use_every_label():

@@ -221,8 +221,12 @@ class TestTimeDomainMmse:
         monkeypatch.setattr(wf.CoreChannel, "apply", counted("apply", wf.CoreChannel.apply))
         pts = kpi.run_ber([b], cfg, snrs, trials=3, seed=7, constellation=c)[0]
         assert [p.bit_errors for p in pts] == expected.tolist()
-        # one core channel and one propagation through it per trial on both paths
-        assert calls == {"effective_channel": dense_calls, "core_channel": 3, "apply": 3}
+        # one core channel and one propagation through it per trial on both
+        # paths; each effective channel applies C once more, to the modulated
+        # identity, and no path builds the dense modulator
+        assert calls == {"effective_channel": dense_calls, "core_channel": 3,
+                         "apply": 3 + dense_calls}
+        assert "a_tx" not in vars(b)
 
 
 # Every label of the bit-error experiments, the spread scheme narrower than
@@ -509,7 +513,7 @@ class TestPapr:
     def test_bundle_source_reads_a_tx_alone(self):
         b = wf.build_waveform("ofdm", wf.FrameGeometry(m=16))
         kpi.qam_frame_source(b, det.qam_constellation(4), n_symbols=3)(kpi.derive_rng(1, 0))
-        assert "a_tx" in vars(b) and "a_rx" not in vars(b)
+        assert "a_tx" in vars(b)
 
     def test_ddam_source_streams_the_frame(self):
         # one desk-size frame: 64 antennas x (51200 + 40) samples
