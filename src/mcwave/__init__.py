@@ -19,7 +19,7 @@ from .channel import (
     draw_jakes_dopplers,
 )
 from .detection import Constellation, demap_hard, map_bits, mmse_equalize, qam_constellation
-from .kpi import BerPoint, ambiguity_grid, af_cut_metrics, papr, pilot_overhead, run_ber
+from .kpi import BerPoint, af_cut_metrics, af_delay_cut, af_doppler_cut, papr, pilot_overhead, run_ber
 from .waveforms import (
     FrameGeometry,
     WaveformBundle,
@@ -42,7 +42,8 @@ __all__ = [
     "mmse_equalize",
     "qam_constellation",
     "BerPoint",
-    "ambiguity_grid",
+    "af_delay_cut",
+    "af_doppler_cut",
     "af_cut_metrics",
     "papr",
     "pilot_overhead",

@@ -184,26 +184,19 @@ def _run_papr_experiment(cfg: dict, chan: channel.ChannelConfig):
 def _af_cuts(bundle: waveforms.WaveformBundle, cfg: dict):
     """Delay- and Doppler-cut metrics of the self-ambiguity of an all-one frame.
 
-    The Doppler cut spans +-``af.doppler_span`` Doppler bins of delta_f / n.
+    The delay axis is the lag over the frame length; the Doppler cut spans
+    +-``af.doppler_span`` Doppler bins of delta_f / n.
     """
     core = bundle.operator.tx(np.ones(bundle.n_symbols))
     geo = bundle.geometry
-    fs, doppler_ref = geo.sample_rate_hz, geo.delta_f_hz / geo.n
     L = core.size
-    tau = np.arange(-(L - 1), L) / fs
-    delay_grid = kpi.ambiguity_grid(
-        core, core, tau, np.array([0.0]), fs, convention=cfg["af.convention"],
-        doppler_ref_hz=doppler_ref,
-    )
-    delay_cut = kpi.af_cut_metrics(delay_grid.magnitudes[0], delay_grid.delay_norm)
+    delay = np.abs(kpi.af_delay_cut(core, cfg["af.convention"]))
     span = cfg["af.doppler_span"]
-    nu = np.linspace(-span, span, cfg["af.doppler_points"]) * doppler_ref
-    dop_grid = kpi.ambiguity_grid(
-        core, core, np.array([0.0]), nu, fs, convention=cfg["af.convention"],
-        doppler_ref_hz=doppler_ref,
-    )
-    dop_cut = kpi.af_cut_metrics(dop_grid.magnitudes[:, 0], dop_grid.doppler_norm)
-    return delay_cut, dop_cut
+    bins = np.linspace(-span, span, cfg["af.doppler_points"])
+    # a bin of delta_f / n at m * delta_f samples per second is 1 / (m n) cycles per sample
+    doppler = np.abs(kpi.af_doppler_cut(core, bins / geo.core_samples))
+    return (kpi.af_cut_metrics(delay, np.arange(1 - L, L) / L),
+            kpi.af_cut_metrics(doppler, bins))
 
 
 def _run_af_experiment(cfg: dict, chan: channel.ChannelConfig):

@@ -28,7 +28,11 @@ def _resolve_config(arg: str) -> tuple[dict, str | None]:
     """
     path = Path(arg)
     if path.exists():
-        return parse_config(path.read_text(encoding="utf-8")), None
+        try:  # a directory, an unreadable file or one that is not UTF-8
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"{arg!r} is not a readable UTF-8 config file: {exc}") from exc
+        return parse_config(text), None
     if arg in preset_names():
         return preset_config(arg), arg
     raise ValidationError(f"{arg!r} is neither a config file nor a known preset")

@@ -163,12 +163,25 @@ def parse_config(text: str) -> dict:
 
 
 def serialize_config(cfg: dict) -> str:
-    """Render a config dict back to the text format (sorted, lossless)."""
+    """Render a config dict back to the text format (sorted, lossless).
+
+    A string the format cannot hold is rejected, naming its key: a ``#``
+    starts a comment, a line break ends the pair, a value loses its outer
+    whitespace and a list splits at ``,`` and drops empty items.
+    """
     lines = []
     for key in sorted(cfg):
         if key not in CONFIG_SCHEMA:
             raise ValidationError(f"unknown key {key!r}")
-        lines.append(f"{key} = {_format_value(CONFIG_SCHEMA[key].kind, cfg[key])}")
+        kind = CONFIG_SCHEMA[key].kind
+        items = cfg[key] if kind == "str_list" else [cfg[key]] if kind == "str" else []
+        for item in items:
+            # splitlines drops every character at which the parser breaks a line
+            broken = "".join(item.splitlines()) != item
+            if ("#" in item or broken or item != item.strip()
+                    or (kind == "str_list" and ("," in item or not item))):
+                raise ValidationError(f"{key}: {item!r} cannot be written to a config file")
+        lines.append(f"{key} = {_format_value(kind, cfg[key])}")
     return "\n".join(lines) + "\n"
 
 

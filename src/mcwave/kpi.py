@@ -2,13 +2,14 @@
 
 Monte-Carlo bit error rates (with per-trial seed derivation so different
 waveforms see identical bitstreams, channel draws and noise shapes), peak-to-
-average power statistics and their empirical survivor curves, discrete
-ambiguity functions with mainlobe/sidelobe cut metrics, and the closed-form
-overhead ratios.
+average power statistics and their empirical survivor curves, the delay and
+Doppler cuts of the discrete self-ambiguity with their mainlobe/sidelobe
+metrics, and the closed-form overhead ratios.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -431,77 +432,37 @@ def ddam_frame_source(
     return source
 
 
-@dataclass(frozen=True)
-class AfGrid:
-    """Peak-normalized ambiguity magnitudes on a delay/Doppler grid.
+def af_delay_cut(a: np.ndarray, convention: str = "aperiodic") -> np.ndarray:
+    """Zero-Doppler cut of the self-ambiguity, sum_n a[n] a*[n - k], k = -(L-1)..L-1.
 
-    Axes are normalized: delay over the reference duration, Doppler over the
-    reference spacing.
-    """
-
-    delay_norm: np.ndarray
-    doppler_norm: np.ndarray
-    magnitudes: np.ndarray  # (n_doppler, n_delay), peak == 1
-    peak_raw: float
-
-
-def ambiguity_grid(
-    a: np.ndarray,
-    b: np.ndarray,
-    tau_s: np.ndarray,
-    nu_hz: np.ndarray,
-    sample_rate_hz: float,
-    convention: str = "aperiodic",
-    doppler_ref_hz: float | None = None,
-) -> AfGrid:
-    """Discrete-sum ambiguity surface A(tau, nu) = sum_n a[n] b*[n - lag] e^{-2j pi nu n / fs}.
-
-    Delay grid values must land on the sample raster of ``sample_rate_hz``
-    (pass oversampled signals for finer lags); Doppler is continuous.  The
-    aperiodic convention treats b as zero outside its support, the cyclic
-    one wraps it (requiring equal lengths).  Magnitudes are normalized to a
-    unit peak; the raw peak is retained.
+    The aperiodic convention treats a as zero outside its support, the
+    cyclic one wraps it.  One slice product and sum per lag: no lag matrix.
     """
     a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    tau_s = np.atleast_1d(np.asarray(tau_s, dtype=float))
-    nu_hz = np.atleast_1d(np.asarray(nu_hz, dtype=float))
-    if tau_s.size == 0 or nu_hz.size == 0:
-        raise ValueError("delay and Doppler grids must be nonempty")
-    if np.any(np.diff(tau_s) <= 0) or np.any(np.diff(nu_hz) <= 0):
-        raise ValueError("grid axes must be strictly increasing")
     if convention not in AF_CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    lags_f = tau_s * sample_rate_hz
-    lags = np.round(lags_f).astype(int)
-    if np.max(np.abs(lags_f - lags)) > 1e-6:
-        raise ValueError("delay grid must align with the sample raster")
     L = a.size
-    if convention == "cyclic" and b.size != L:
-        raise ValueError("cyclic evaluation needs equal-length signals")
-    shifted = np.zeros((lags.size, L), dtype=complex)
-    for i, lag in enumerate(lags):
+    cut = np.empty(2 * L - 1, dtype=complex)
+    for k in range(1 - L, L):
         if convention == "cyclic":
-            shifted[i] = np.roll(b, lag)
+            cut[k + L - 1] = np.sum(a * np.roll(a, k).conj())
+        elif k >= 0:
+            cut[k + L - 1] = np.sum(a[k:] * a[: L - k].conj())
         else:
-            lo, hi = max(0, lag), min(L, b.size + lag)
-            if lo < hi:
-                shifted[i, lo:hi] = b[lo - lag : hi - lag]
-    n = np.arange(L)
-    phases = np.exp(-2j * np.pi * np.outer(nu_hz, n) / sample_rate_hz)
-    surface = phases @ (a[None, :] * shifted.conj()).T  # (n_nu, n_lags)
-    mags = np.abs(surface)
-    peak = float(mags.max())
-    if peak == 0:
-        raise ValueError("ambiguity surface is identically zero")
-    delay_ref = L / sample_rate_hz
-    doppler_ref = doppler_ref_hz if doppler_ref_hz else sample_rate_hz / L
-    return AfGrid(
-        delay_norm=tau_s / delay_ref,
-        doppler_norm=nu_hz / doppler_ref,
-        magnitudes=mags / peak,
-        peak_raw=peak,
-    )
+            cut[k + L - 1] = np.sum(a[: L + k] * a[-k:].conj())
+    return cut
+
+
+def af_doppler_cut(a: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Zero-delay cut of the self-ambiguity, sum_n |a[n]|^2 e^{-2j pi nu n}.
+
+    ``nu`` is in cycles per sample; the cut is the same under both
+    conventions.  One phase vector and sum per nu: no phase matrix.
+    """
+    a = np.asarray(a, dtype=complex)
+    power = a.real**2 + a.imag**2
+    n = np.arange(a.size)
+    return np.array([np.sum(power * np.exp(-2j * np.pi * v * n)) for v in np.atleast_1d(nu)])
 
 
 @dataclass(frozen=True)
@@ -569,10 +530,11 @@ def af_cut_metrics(cut: np.ndarray, axis: np.ndarray) -> AfCutMetrics:
     side = np.concatenate([cut[:lo], cut[hi + 1 :]])
     main = cut[lo : hi + 1]
     side_peak = side.max() if side.size else 0.0
-    pslr = 20.0 * np.log10(side_peak / peak_val) if side_peak > 0 else SENTINEL_DB
+    # math.log10, not np.log10: numpy's AVX-512 loop rounds unlike every other host's
+    pslr = 20.0 * math.log10(side_peak / peak_val) if side_peak > 0 else SENTINEL_DB
     side_energy = float(np.sum(side**2))
     main_energy = float(np.sum(main**2))
-    islr = 10.0 * np.log10(side_energy / main_energy) if side_energy > 0 else SENTINEL_DB
+    islr = 10.0 * math.log10(side_energy / main_energy) if side_energy > 0 else SENTINEL_DB
     return AfCutMetrics(
         width_3db=width,
         pslr_db=max(float(pslr), SENTINEL_DB),

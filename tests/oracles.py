@@ -360,3 +360,31 @@ def sparsity_metrics(H: np.ndarray, threshold: float) -> dict:
         "support_fraction": float(mask.sum() / mag.size),
         "max_row_support": int(mask.sum(axis=1).max()),
     }
+
+
+def ambiguity_grid(
+    a: np.ndarray, b: np.ndarray, lags: np.ndarray, nu: np.ndarray, convention: str = "aperiodic"
+) -> np.ndarray:
+    """Discrete ambiguity surface A[nu, k] = sum_n a[n] b*[n - k] e^{-2j pi nu n}.
+
+    The whole (n_nu, n_lags) surface from a shifted-copy matrix and a phase
+    matrix, the general construction the run's two cuts are checked against.
+    Lags are in samples and ``nu`` in cycles per sample.  The aperiodic
+    convention treats b as zero outside its support, the cyclic one wraps it
+    (requiring equal lengths).
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    L = a.size
+    if convention == "cyclic" and b.size != L:
+        raise ValueError("cyclic evaluation needs equal-length signals")
+    shifted = np.zeros((len(lags), L), dtype=complex)
+    for i, lag in enumerate(lags):
+        if convention == "cyclic":
+            shifted[i] = np.roll(b, lag)
+        else:
+            lo, hi = max(0, lag), min(L, b.size + lag)
+            if lo < hi:
+                shifted[i, lo:hi] = b[lo - lag : hi - lag]
+    phases = np.exp(-2j * np.pi * np.outer(nu, np.arange(L)))
+    return phases @ (a[None, :] * shifted.conj()).T

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -40,6 +41,29 @@ class TestConfigFormat:
         assert parse_config(text) == cfg
         # and a second trip is byte-stable
         assert serialize_config(parse_config(text)) == text
+
+    def test_round_trip_keeps_every_writable_string(self):
+        for name in preset_names():
+            cfg = dict(preset_config(name), output_dir="runs 1/a=b;c", **{
+                "channel.profile_file": "profiles/eva (x).txt"})
+            assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("key, value", [
+        ("output_dir", "runs#1"),
+        ("output_dir", "runs\n1"),
+        ("channel.profile_file", "a\rb"),
+        ("channel.profile_file", "a\u2028b"),
+        ("waveforms", ["ofdm,afdm"]),
+        ("chanmat.models", ["tdc#"]),
+        ("output_dir", " runs"),
+        ("waveforms", ["ofdm", ""]),
+    ])
+    def test_serialize_rejects_what_would_not_parse_back(self, key, value):
+        # a '#' starts a comment, a line break ends the pair, a value is
+        # stripped, a ',' splits a list and an empty item is dropped
+        cfg = dict(preset_config("awgn-ber"), **{key: value})
+        with pytest.raises(ValidationError, match=key):
+            serialize_config(cfg)
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# comment\n\ntrials = 7  # inline\nseed = 3\n")
@@ -774,6 +798,20 @@ class TestExperiments:
         bench._af_cuts(b, cfg)
         assert not {"a_tx", "a_rx"} & set(vars(b))
 
+    def test_af_cuts_trace_under_two_megabytes(self):
+        # Each cut is one slice sum per lag or Doppler point: no (2L - 1) x L
+        # lag matrix, which alone is 33.5 MB at tab8-unit's L = 1024.
+        cfg = preset_config("tab8-unit")
+        b = bench.build_bundle("afdm", cfg, validate_config(cfg))
+        assert b.n_symbols == 1024
+        tracemalloc.start()
+        try:
+            bench._af_cuts(b, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
+
     def test_chanmat_threshold_dump(self, tmp_path):
         cfg, out, manifest = _run(
             tmp_path, "fig16-chanmat",
@@ -850,6 +888,18 @@ class TestCli:
         bad.write_text("trials = -1\n")
         assert cli.main(["validate", str(bad)]) == 2
         assert "trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "validate", "show"])
+    @pytest.mark.parametrize("unreadable", ["directory", "utf-16"])
+    def test_unreadable_config_path_exit_2(self, tmp_path, capsys, command, unreadable):
+        path = tmp_path / "cfg"
+        if unreadable == "directory":
+            path.mkdir()
+        else:  # a byte-order mark no UTF-8 text starts with
+            path.write_bytes(b"\xff\xfe" + "trials = 3\n".encode("utf-16-le"))
+        assert cli.main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and str(path) in err
 
     def test_unknown_name_exit_2(self, capsys):
         assert cli.main(["run", "no-such-preset"]) == 2

@@ -107,20 +107,29 @@ def test_golden_digests(name, tmp_path):
 
 
 # The cases whose float outputs are channel matrices and ambiguity cuts.
-FACTOR_CASES = ["chanmat-afdm-c1", "chanmat-afdm-c1-fig16", "chanmat-variants",
+FACTOR_CASES = ["af-fbmc", "chanmat-afdm-c1", "chanmat-afdm-c1-fig16", "chanmat-variants",
                 "fig16-chanmat", "tab8-unit"]
 
+_CPU_FEATURES = np._core._multiarray_umath.__cpu_features__
+_HASWELL = pytest.mark.skipif(not _CPU_FEATURES.get("AVX2"),
+                              reason="OpenBLAS's Haswell kernel needs AVX2")
 
-@pytest.mark.skipif(
-    not np._core._multiarray_umath.__cpu_features__.get("AVX2")
-    or not hasattr(os, "sched_setaffinity"),
-    reason="OpenBLAS's Haswell kernel needs AVX2; the one-CPU run needs sched_setaffinity")
-@pytest.mark.parametrize("one_cpu", [True, False], ids=["one-cpu", "all-cpus"])
-def test_factor_cases_do_not_depend_on_the_blas_kernel(one_cpu, tmp_path):
-    # Under the kernel an AVX2-only host gets, on one CPU and on all of the
-    # process's CPUs, the cases write the recorded bytes.  OpenBLAS reads its
-    # kernel and its thread count when it loads, so the runs go to a child
-    # process that cuts its affinity before it imports numpy.
+
+@pytest.mark.parametrize("env, one_cpu", [
+    pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, True, id="one-cpu", marks=[
+        _HASWELL, pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                                     reason="the one-CPU run needs sched_setaffinity")]),
+    pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, False, id="all-cpus", marks=_HASWELL),
+    pytest.param({"NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"}, False,
+                 id="avx512-off", marks=pytest.mark.skipif(
+                     not _CPU_FEATURES.get("AVX512F"), reason="the host has no AVX-512 to turn off")),
+])
+def test_factor_cases_do_not_depend_on_cpu_dispatch(env, one_cpu, tmp_path):
+    # Under the BLAS kernel an AVX2-only host gets, on one CPU and on all of
+    # the process's CPUs, and under numpy's loops without AVX-512, the cases
+    # write the recorded bytes.  OpenBLAS reads its kernel and its thread
+    # count, and numpy its CPU features, when they load, so the runs go to a
+    # child process that cuts its affinity before it imports numpy.
     code = (
         "import json, os, sys\n"
         "if sys.argv[2] == 'one':\n"
@@ -131,7 +140,7 @@ def test_factor_cases_do_not_depend_on_the_blas_kernel(one_cpu, tmp_path):
         "print(json.dumps({n: test_golden.run_case(n, out / n) for n in sys.argv[3:]}))\n"
     )
     src, tests = Path(bench.__file__).resolve().parents[1], Path(__file__).resolve().parent
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), str(tests), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path), "one" if one_cpu else "all", *FACTOR_CASES],

@@ -567,94 +567,60 @@ class TestPapr:
 
 
 class TestAmbiguity:
+    @staticmethod
+    def _random_frame(seed, size=64):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
     def test_origin_value_is_signal_energy(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        g = kpi.ambiguity_grid(a, a, np.array([0.0]), np.array([0.0]), 1e6)
-        assert g.peak_raw == pytest.approx(np.sum(np.abs(a) ** 2))
-
-    def test_matched_shift_peak_location(self):
-        rng = np.random.default_rng(2)
-        fs = 1e6
-        a = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        l0, nu0 = 5, 2e3
-        n = np.arange(128)
-        b = np.roll(a, l0) * 0  # aperiodic delayed copy with zero fill
-        b[l0:] = a[:-l0]
-        b = b * np.exp(2j * np.pi * nu0 * n / fs)
-        tau = np.arange(-8, 9) / fs
-        nu = np.linspace(-4e3, 4e3, 41)
-        g = kpi.ambiguity_grid(b, a, tau, nu, fs)
-        i, j = np.unravel_index(np.argmax(g.magnitudes), g.magnitudes.shape)
-        assert tau[j] == pytest.approx(l0 / fs)
-        assert nu[i] == pytest.approx(nu0, abs=nu[1] - nu[0])
-
-    def test_two_path_superposition_identity(self):
-        # The matched-filter surface of a two-path received signal equals the
-        # shifted/scaled sum of the transmit self-ambiguity:
-        # sum_i h_i e^{-2j pi (nu - nu_i) tau_i} A(tau - tau_i, nu - nu_i).
-        rng = np.random.default_rng(3)
-        fs = 1e6
-        L = 96
-        a = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-        taps = [(0.8 - 0.1j, 2, 1.5e3), (-0.3 + 0.4j, 7, -3e3)]
-        n = np.arange(L + 7)
-        r = np.zeros(L + 7, dtype=complex)
-        for h, l, nu in taps:
-            seg = np.zeros(L + 7, dtype=complex)
-            seg[l : l + L] = a
-            r += h * seg * np.exp(2j * np.pi * nu * n / fs)
-        tau = np.arange(0, 12) / fs
-        nu_grid = np.linspace(-5e3, 5e3, 21)
-        caf = kpi.ambiguity_grid(r, np.concatenate([a, np.zeros(7)]), tau, nu_grid, fs)
-        # oracle: direct evaluation of the superposition formula
-        a_pad = np.concatenate([a, np.zeros(7)])
-        direct = np.zeros((nu_grid.size, tau.size), dtype=complex)
-        for h, l, nu_i in taps:
-            for ii, nu_v in enumerate(nu_grid):
-                for jj, t_v in enumerate(tau):
-                    lag = int(round((t_v - l / fs) * fs))
-                    shifted = np.zeros(L + 7, dtype=complex)
-                    lo, hi = max(0, lag), min(L + 7, L + 7 + lag)
-                    if lo < hi:
-                        shifted[lo:hi] = a_pad[lo - lag : hi - lag]
-                    term = np.sum(a_pad * np.conj(shifted)
-                                  * np.exp(-2j * np.pi * (nu_v - nu_i) * np.arange(L + 7) / fs))
-                    direct[ii, jj] += (h * np.exp(-2j * np.pi * (nu_v - nu_i) * l / fs)
-                                       * term)
-        assert np.max(np.abs(np.abs(direct) / np.max(np.abs(direct))
-                             - caf.magnitudes)) <= 1e-10
+        a = self._random_frame(1)
+        energy = np.sum(np.abs(a) ** 2)
+        assert kpi.af_delay_cut(a)[a.size - 1] == pytest.approx(energy)
+        assert kpi.af_doppler_cut(a, [0.0])[0] == pytest.approx(energy)
 
     def test_magnitudes_invariant_under_global_phase(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        tau = np.arange(-5, 6) / 1e6
-        nu = np.linspace(-2e3, 2e3, 11)
-        g1 = kpi.ambiguity_grid(a, a, tau, nu, 1e6)
-        g2 = kpi.ambiguity_grid(a * np.exp(0.7j), a * np.exp(0.7j), tau, nu, 1e6)
-        assert np.max(np.abs(g1.magnitudes - g2.magnitudes)) <= 1e-12
+        a = self._random_frame(4)
+        b = a * np.exp(0.7j)
+        nu = np.linspace(-2e-3, 2e-3, 11)
+        peak = np.sum(np.abs(a) ** 2)
+        for cut in (kpi.af_delay_cut, lambda x: kpi.af_doppler_cut(x, nu)):
+            assert np.max(np.abs(np.abs(cut(a)) - np.abs(cut(b)))) <= 1e-12 * peak
 
     def test_self_ambiguity_peaks_at_origin(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        tau = np.arange(-16, 17) / 1e6
-        nu = np.linspace(-3e3, 3e3, 31)
-        g = kpi.ambiguity_grid(a, a, tau, nu, 1e6)
-        i, j = np.unravel_index(np.argmax(g.magnitudes), g.magnitudes.shape)
-        assert tau[j] == 0.0 and nu[i] == pytest.approx(0.0)
+        a = self._random_frame(5)
+        nu = np.linspace(-3e-3, 3e-3, 31)
+        assert np.argmax(np.abs(kpi.af_delay_cut(a))) == a.size - 1
+        assert nu[np.argmax(np.abs(kpi.af_doppler_cut(a, nu)))] == pytest.approx(0.0)
 
     def test_cyclic_wraps(self):
         a = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-        tau = np.array([1.0 / 1e6])
-        g = kpi.ambiguity_grid(a, a, tau, np.array([0.0]), 1e6, convention="cyclic")
         # cyclic lag-1 correlation of (1,2,3,4)
         expected = abs(np.sum(a * np.conj(np.roll(a, 1))))
-        assert g.peak_raw * g.magnitudes[0, 0] == pytest.approx(expected)
+        assert abs(kpi.af_delay_cut(a, "cyclic")[a.size]) == pytest.approx(expected)
+        aperiodic = abs(np.sum(a[1:] * np.conj(a[:-1])))
+        assert abs(kpi.af_delay_cut(a)[a.size]) == pytest.approx(aperiodic)
 
-    def test_misaligned_grid_rejected(self):
-        a = np.ones(8, dtype=complex)
-        with pytest.raises(ValueError):
-            kpi.ambiguity_grid(a, a, np.array([0.4 / 1e6]), np.array([0.0]), 1e6)
+    def test_unknown_convention_rejected(self):
+        with pytest.raises(ValueError, match="convention"):
+            kpi.af_delay_cut(np.ones(4), "periodic")
+
+    @pytest.mark.parametrize("convention", kpi.AF_CONVENTIONS)
+    @pytest.mark.parametrize("label", [*preset_config("tab8-unit")["waveforms"], "fbmc"])
+    def test_cuts_are_the_oracle_surface_through_the_origin(self, label, convention):
+        # tab8-unit's all-one frames, and fbmc's on the af-fbmc golden case's grid
+        cfg = dict(preset_config("tab8-unit"), **{"af.convention": convention})
+        if label == "fbmc":
+            cfg.update({"frame.m_2d": 16, "frame.n_2d": 8})
+        bundle = bench.build_bundle(label, cfg, validate_config(cfg))
+        core = bundle.operator.tx(np.ones(bundle.n_symbols))
+        L = core.size
+        span = cfg["af.doppler_span"]
+        nu = np.linspace(-span, span, cfg["af.doppler_points"]) / bundle.geometry.core_samples
+        row = oracles.ambiguity_grid(core, core, np.arange(1 - L, L), [0.0], convention)[0]
+        column = oracles.ambiguity_grid(core, core, [0], nu, convention)[:, 0]
+        peak = np.abs(row).max()
+        assert np.max(np.abs(kpi.af_delay_cut(core, convention) - row)) <= 1e-13 * peak
+        assert np.max(np.abs(kpi.af_doppler_cut(core, nu) - column)) <= 1e-13 * peak
 
 
 class TestAfCutMetrics:
@@ -748,18 +714,15 @@ class TestAnalyticAnchors:
         # nu in cycles per sample; tab8-unit's afdm chirp is unit-modulus too.
         cfg = preset_config("tab8-unit")
         bundle = bench.build_bundle(label, cfg, validate_config(cfg))
-        core = bundle.a_tx @ np.ones(bundle.n_symbols, dtype=complex)
-        geo = bundle.geometry
-        fs, doppler_ref = geo.sample_rate_hz, geo.delta_f_hz / geo.n
+        core = bundle.operator.tx(np.ones(bundle.n_symbols))
+        L = core.size
         span = cfg["af.doppler_span"]
-        nu_hz = np.linspace(-span, span, cfg["af.doppler_points"]) * doppler_ref
-        grid = kpi.ambiguity_grid(core, core, np.array([0.0]), nu_hz, fs,
-                                  convention=cfg["af.convention"], doppler_ref_hz=doppler_ref)
-        nu, L = nu_hz / fs, core.size
+        nu = np.linspace(-span, span, cfg["af.doppler_points"]) / L  # cycles per sample
+        cut = np.abs(kpi.af_doppler_cut(core, nu))
         assert L == 1024
         # sin(pi nu L) / (L sin(pi nu)) = sinc(nu L) / sinc(nu), finite at nu = 0
         dirichlet = np.abs(np.sinc(nu * L) / np.sinc(nu))
-        np.testing.assert_allclose(grid.magnitudes[:, 0], dirichlet, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cut / cut.max(), dirichlet, rtol=0, atol=1e-12)
 
     def test_ofdm_papr_ccdf_meets_the_gaussian_approximation(self):
         # N independent complex-Gaussian samples exceed gamma times their mean

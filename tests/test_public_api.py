@@ -18,7 +18,8 @@ PUBLIC = [
     "mmse_equalize",
     "qam_constellation",
     "BerPoint",
-    "ambiguity_grid",
+    "af_delay_cut",
+    "af_doppler_cut",
     "af_cut_metrics",
     "papr",
     "pilot_overhead",
