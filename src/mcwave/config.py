@@ -10,6 +10,7 @@ checks are :func:`validate_config`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .channel import CHANNEL_MODEL_KINDS, CHANNEL_PRESETS, ChannelConfig, doppler_from_velocity
@@ -86,8 +87,9 @@ CONFIG_SCHEMA: dict[str, Key] = {
     "ddam.beamformer": Key("str", "zf", "beamformer of the path precoding", choices=BEAMFORMERS),
     "papr.symbols": Key("int", 100, "time-domain symbols concatenated per realization", low=1),
     "af.convention": Key("str", "aperiodic", "ambiguity evaluation", choices=AF_CONVENTIONS),
+    # below the high end the cut's largest phase, 2 pi span, stays in the float range
     "af.doppler_span": Key("float", 0.9, "Doppler cut half-span in subcarrier spacings",
-                           low=0, low_open=True),
+                           low=0, low_open=True, high=sys.float_info.max / (2 * math.pi)),
     "af.doppler_points": Key("int", 721, "Doppler cut grid points", low=3),
     "sweep.steps": Key("int", 16, "grid steps per chirp axis over [0, 1/(2M)]", low=2),
     "chanmat.threshold": Key("float", 1e-3, "relative magnitude dump threshold",
@@ -230,6 +232,11 @@ def validate_config(cfg: dict) -> ChannelConfig:
 
     for key, spec in CONFIG_SCHEMA.items():
         _check_domain(key, spec, cfg[key])
+    for d in ("1d", "2d"):  # every run's manifest records both sample rates
+        m, delta_f = cfg[f"frame.m_{d}"], cfg[f"frame.delta_f_{d}_hz"]
+        if m > sys.float_info.max or not math.isfinite(m * delta_f):
+            raise ValidationError(f"frame.delta_f_{d}_hz: times frame.m_{d} it gives a "
+                                  "sample rate beyond the float range")
 
     exp = cfg["experiment"]
     for snr in cfg["snr_db"]:

@@ -490,6 +490,8 @@ def af_cut_metrics(cut: np.ndarray, axis: np.ndarray) -> AfCutMetrics:
     axis = np.asarray(axis, dtype=float)
     if cut.size != axis.size or cut.size < 3:
         raise ValueError("cut and axis must match and hold at least 3 points")
+    if not (np.isfinite(cut).all() and np.isfinite(axis).all()):
+        raise ValueError("cut and axis must be finite")
     peak_val = cut.max()
     if peak_val <= 0:
         raise ValueError("cut is identically zero")

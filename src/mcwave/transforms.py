@@ -1,12 +1,9 @@
 """Unitary transform matrices, their diagonal factors and the random interleaver.
 
-The ``*_matrix`` builders form each transform densely as a ``complex128``
-matrix: that is the checkable reference every fast path is held against.
-The chirp transforms are a DFT between two unit-modulus diagonals, and the
-diagonals come from one function each (``daft_chirps``, ``dfrft_chirp``,
-``dfnt_diagonals``), so the dense matrix and the factored operator of a
-waveform (an FFT between the same diagonals) share their entries.  All
-builders are pure functions of their arguments.
+The chirp transforms are a DFT between two unit-modulus diagonals, which
+come from one function each (``daft_chirps``, ``dfrft_chirp``,
+``dfnt_diagonals``); a waveform's factored operator is an FFT between them.
+All functions are pure functions of their arguments.
 """
 
 from __future__ import annotations
@@ -16,9 +13,7 @@ import numpy as np
 __all__ = [
     "dft_matrix",
     "daft_chirps",
-    "daft_matrix",
     "dfrft_chirp",
-    "dfrft_matrix",
     "dfnt_diagonals",
     "dfnt_matrix",
     "wht_matrix",
@@ -44,25 +39,22 @@ def dft_matrix(M: int) -> np.ndarray:
 
 
 def daft_chirps(M: int, c1: float, c2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals ``(lam1, lam2)`` of :func:`daft_matrix`, lam_c[l] = exp(-2j*pi*c*l^2)."""
+    """Diagonals ``(lam1, lam2)`` of the affine Fourier transform ``diag(lam2) F diag(lam1)``.
+
+    lam_c[l] = exp(-2j*pi*c*l^2) for l = 0..M-1; c1 = c2 = 0 gives the DFT.
+    """
     M = _check_size(M)
     l = np.arange(M)
     return np.exp(-2j * np.pi * c1 * l**2), np.exp(-2j * np.pi * c2 * l**2)
 
 
-def daft_matrix(M: int, c1: float, c2: float) -> np.ndarray:
-    """Forward discrete affine Fourier transform ``A = L_c2 @ F @ L_c1``.
-
-    ``L_c = diag(exp(-2j*pi*c*l^2))`` for l = 0..M-1.  With c1 = c2 = 0 the
-    result reduces to :func:`dft_matrix`.  The inverse transform is ``A^H``.
-    """
-    lam1, lam2 = daft_chirps(M, c1, c2)
-    return lam2[:, None] * dft_matrix(M) * lam1[None, :]
-
-
 def dfrft_chirp(M: int, p: float) -> tuple[complex, np.ndarray]:
-    """Scale and chirp of :func:`dfrft_matrix`: the kernel is
-    ``scale * chirp[k] * exp(-2j*pi*k*l/M) * chirp[l]``.
+    """Scale and chirp of the fractional Fourier kernel of order ``p`` (rotation p*pi/2).
+
+    The kernel is ``scale * chirp[k] * exp(-2j*pi*k*l/M) * chirp[l]``, and
+    ``p = 1`` gives the DFT.  The sampling intervals of the fractional and
+    time axes are only constrained through their product
+    ``du * ts = 2*pi*|sin(a)| / M``; the symmetric split ``du = ts`` is used.
 
     Raises:
         ValueError: if the rotation is degenerate (p*pi/2 in {0, pi}), where
@@ -82,20 +74,6 @@ def dfrft_chirp(M: int, p: float) -> tuple[complex, np.ndarray]:
     scale = np.sqrt((np.sin(alpha) - 1j * np.cos(alpha)) / M)
     k = np.arange(M)
     return scale, np.exp(0.5j * k**2 * cot * du_sq)
-
-
-def dfrft_matrix(M: int, p: float) -> np.ndarray:
-    """Discrete fractional Fourier kernel of order ``p`` (rotation p*pi/2).
-
-    The sampling intervals of the fractional and time axes are only
-    constrained through their product ``du * ts = 2*pi*|sin(a)| / M``; the
-    symmetric split ``du = ts = sqrt(2*pi*|sin(a)|/M)`` is used so the kernel
-    has a single free parameter.  ``p = 1`` reproduces :func:`dft_matrix`.
-    Raises ``ValueError`` for a degenerate rotation (:func:`dfrft_chirp`).
-    """
-    scale, chirp = dfrft_chirp(M, p)
-    k = np.arange(chirp.size)
-    return scale * chirp[:, None] * np.exp(-2j * np.pi * np.outer(k, k) / k.size) * chirp[None, :]
 
 
 def dfnt_diagonals(M: int) -> tuple[np.ndarray, np.ndarray]:

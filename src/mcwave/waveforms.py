@@ -3,15 +3,14 @@
 Every scheme is one modulation operator ``a_tx`` (the modulation-domain
 symbol vector to core time samples), demodulated by its adjoint
 ``a_rx = a_tx^H``, plus a prefix rule.  Each scheme describes its operator
-as a product of factors: FFTs, diagonals, index maps and small dense
+once, as a product of factors: FFTs, diagonals, index maps and small dense
 matrices (:class:`FactoredOperator`).  The factors are the working path of
-modulation, demodulation and the effective channel.  The dense ``a_tx`` is
-built only on first access, by the scheme's dense builder, and stays the
-checkable reference.  All bundles are exactly unitary except the
-filter-bank scheme, whose orthogonality holds in the real field only.  2D delay-Doppler grids are
-vectorized delay-fastest (column-major) except where a scheme's canonical
-chain stacks delay blocks; the per-scheme builders note the layout they
-use.
+modulation, demodulation and the effective channel; the dense ``a_tx`` is
+composed from them only on first access.  All bundles are exactly unitary
+except the filter-bank scheme, whose orthogonality holds in the real field
+only.  2D delay-Doppler grids are vectorized delay-fastest (column-major)
+except where a scheme's canonical chain stacks delay blocks; the per-scheme
+factor functions note the layout they use.
 """
 
 from __future__ import annotations
@@ -107,6 +106,11 @@ class Dft:
         grid = x.reshape(*x.shape[:-1], -1, self.stride)
         return fft(grid, axis=-2, norm="ortho").reshape(x.shape)
 
+    def matrix(self, size: int) -> np.ndarray:
+        """The dense factor for vectors of ``size`` entries."""
+        f = transforms.dft_matrix(size // self.stride)
+        return Dense(f.conj().T if self.inverse else f, self.stride).matrix(size)
+
 
 @dataclass(frozen=True, eq=False)
 class Embed:
@@ -145,6 +149,11 @@ class Dense:
         grid = x.reshape(*x.shape[:-1], -1, self.stride)
         return (a @ grid).reshape(*x.shape[:-1], -1)
 
+    def matrix(self, size: int) -> np.ndarray:
+        """The dense factor (``size`` is implied by ``a``)."""
+        # no Kronecker product with I_1: it would flip signs of zeros
+        return self.a if self.stride == 1 else np.kron(self.a, np.eye(self.stride))
+
 
 @dataclass(frozen=True)
 class FactoredOperator:
@@ -170,15 +179,46 @@ class FactoredOperator:
             r = f.adjoint(r)
         return r
 
+    def dense(self) -> np.ndarray:
+        """The dense a_tx, composed from the factors in application order.
+
+        A leading :class:`Diag` scales the first matrix factor's columns
+        (``d[None, :] * A``) and a later one the product's rows
+        (``A * d[:, None]``), so a chirped a_tx has the bytes of the
+        conjugate transpose of its transform's elementwise product
+        ``(d2[:, None] * F) * d1[None, :]``.  An :class:`Embed` places the
+        rows into zeros; a :class:`Dft` or :class:`Dense` factor
+        left-multiplies.
+        """
+        a, lead = None, None  # a is None while the product is diag(lead), or I
+        for f in self.factors:
+            if isinstance(f, Diag):
+                if a is None:
+                    lead = f.d if lead is None else f.d * lead
+                else:
+                    a = a * f.d[:, None]
+            elif isinstance(f, Embed):
+                if a is None:
+                    a = np.eye(self.shape[1]) if lead is None else np.diag(lead)
+                placed = np.zeros((f.size, a.shape[1]), dtype=a.dtype)
+                placed[f.rows] = a
+                a = placed
+            elif a is None:
+                a = f.matrix(self.shape[1])
+                a = a if lead is None else lead[None, :] * a
+            else:
+                a = f.matrix(a.shape[0]) @ a
+        if a is None:
+            a = np.eye(self.shape[0]) if lead is None else np.diag(lead)
+        return a.astype(complex, copy=False)
+
 
 @dataclass(frozen=True)
 class WaveformBundle:
     """A scheme's modulation/demodulation operators plus its prefix rule.
 
     ``operator`` is the factored a_tx that modulation and demodulation
-    apply.  The dense ``a_tx`` is built on first access by the scheme's
-    dense builder (:attr:`Scheme.build`) and kept; it is the reference the
-    factors are checked against.
+    apply.  The dense ``a_tx`` is composed from it on first access and kept.
     """
 
     scheme: str
@@ -208,8 +248,9 @@ class WaveformBundle:
 
     @cached_property
     def a_tx(self) -> np.ndarray:
-        """Dense modulator (core_len x n_symbols), built on first access."""
-        return SCHEMES[self.scheme].build(self.geometry, self.params)
+        """Dense modulator (core_len x n_symbols): the row's ``dense`` override, else composed."""
+        override = SCHEMES[self.scheme].dense
+        return override(self.geometry) if override else self.operator.dense()
 
     def modulate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -272,19 +313,8 @@ def afdm_default_c1(m: int, alpha_max_int: int) -> float:
     return (2 * alpha_max_int + 1) / (2.0 * m)
 
 
-# Each scheme has a factored operator (``_factor_*``, the working path) and a
-# dense builder of a_tx (``_build_*``, the reference, run only when a
-# bundle's dense a_tx is read).  Both read the scheme's parameters
-# through the same helpers, so a bad parameter fails when the bundle is
-# built.
-
-
 def _factor_scm(geometry: FrameGeometry, params: dict):
     return FactoredOperator((geometry.m, geometry.m))
-
-
-def _build_scm(geometry: FrameGeometry, params: dict):
-    return np.eye(geometry.m, dtype=complex)
 
 
 def _chirped_fourier(pre: np.ndarray, post: np.ndarray) -> FactoredOperator:
@@ -297,29 +327,20 @@ def _factor_ofdm(geometry: FrameGeometry, params: dict):
     return FactoredOperator((geometry.m, geometry.m), (Dft(inverse=True),))
 
 
-def _build_ofdm(geometry: FrameGeometry, params: dict):
-    return transforms.dft_matrix(geometry.m).conj().T
-
-
-def _frft_order(params: dict) -> float:
-    return float(params.get("p", 0.5))
-
-
 def _factor_frft_ofdm(geometry: FrameGeometry, params: dict):
     # The kernel is scale * chirp E chirp with E = sqrt(m) F.
-    scale, chirp = transforms.dfrft_chirp(geometry.m, _frft_order(params))
+    scale, chirp = transforms.dfrft_chirp(geometry.m, float(params.get("p", 0.5)))
     return _chirped_fourier(chirp, scale * np.sqrt(geometry.m) * chirp)
-
-
-def _build_frft_ofdm(geometry: FrameGeometry, params: dict):
-    return transforms.dfrft_matrix(geometry.m, _frft_order(params)).conj().T
 
 
 def _factor_ocdm(geometry: FrameGeometry, params: dict):
     return _chirped_fourier(*transforms.dfnt_diagonals(geometry.m))
 
 
-def _build_ocdm(geometry: FrameGeometry, params: dict):
+def _ocdm_dense(geometry: FrameGeometry) -> np.ndarray:
+    # The GEMM product diag(t2) F diag(t1) rounds unlike the composed factors
+    # (by up to 6e-17), and the benchmark's PAPR digests pin the QAM frames
+    # made with it; ROADMAP direction 2's declared numerics move removes it.
     return transforms.dfnt_matrix(geometry.m).conj().T
 
 
@@ -343,34 +364,11 @@ def _factor_dft_s_ofdm(geometry: FrameGeometry, params: dict):
                             (Dft(), Embed(rows, geometry.m), Dft(inverse=True)))
 
 
-def _build_dft_s_ofdm(geometry: FrameGeometry, params: dict):
-    M = geometry.m
-    rows = _dfts_rows(geometry, params)
-    width = rows.size
-    P = np.zeros((M, width), dtype=complex)
-    P[rows, np.arange(width)] = 1.0
-    Fm = transforms.dft_matrix(M)
-    Fw = transforms.dft_matrix(width)
-    return Fm.conj().T @ P @ Fw
-
-
-def _ifdm_interleaver(geometry: FrameGeometry, params: dict) -> np.ndarray:
-    return transforms.random_interleaver(geometry.m, int(params.get("seed", 0)))
-
-
 def _factor_ifdm(geometry: FrameGeometry, params: dict):
     # Pi x = x[perm]: symbol j lands on row argsort(perm)[j].
-    rows = np.argsort(_ifdm_interleaver(geometry, params))
+    rows = np.argsort(transforms.random_interleaver(geometry.m, int(params.get("seed", 0))))
     return FactoredOperator((geometry.m, geometry.m),
                             (Dft(inverse=True), Embed(rows, geometry.m)))
-
-
-def _build_ifdm(geometry: FrameGeometry, params: dict):
-    # Row indexing instead of the product Pi @ F^H with the 0/1 interleaver
-    # Pi; adding 0.0 gives the +0.0 that product gives, as in the otsm
-    # builder.
-    perm = _ifdm_interleaver(geometry, params)
-    return transforms.dft_matrix(geometry.m).conj().T[perm] + 0.0
 
 
 def _afdm_chirp_rates(geometry: FrameGeometry, params: dict) -> tuple[float, float]:
@@ -384,11 +382,6 @@ def _factor_afdm(geometry: FrameGeometry, params: dict):
     return _chirped_fourier(*transforms.daft_chirps(geometry.m, c1, c2))
 
 
-def _build_afdm(geometry: FrameGeometry, params: dict):
-    c1, c2 = _afdm_chirp_rates(geometry, params)
-    return transforms.daft_matrix(geometry.m, c1, c2).conj().T
-
-
 def _delay_major(m: int, n: int) -> np.ndarray:
     """Column of the delay-fastest layout (l + k*m) for each delay-major symbol l*n + k."""
     return np.arange(m * n).reshape(n, m).T.ravel()
@@ -399,22 +392,12 @@ def _factor_mc_otfs(geometry: FrameGeometry, params: dict):
     return FactoredOperator((L, L), (Dft(inverse=True, stride=geometry.m),))
 
 
-def _build_mc_otfs(geometry: FrameGeometry, params: dict):
-    # Delay-fastest vectorization: s = kron(F_N^H, G_tx) x with G = I.
-    Fn = transforms.dft_matrix(geometry.n)
-    return np.kron(Fn.conj().T, np.eye(geometry.m))
-
-
 # Delay-major symbols (delay blocks of Doppler symbols): symbol l*N + k is
 # the mc-otfs column l + k*M.
 def _factor_oddm(geometry: FrameGeometry, params: dict):
     M, N = geometry.m, geometry.n
     return FactoredOperator((M * N, M * N),
                             (Embed(_delay_major(M, N), M * N), Dft(inverse=True, stride=M)))
-
-
-def _build_oddm(geometry: FrameGeometry, params: dict):
-    return _build_mc_otfs(geometry, params)[:, _delay_major(geometry.m, geometry.n)]
 
 
 def _walsh(geometry: FrameGeometry, params: dict) -> np.ndarray:
@@ -434,22 +417,9 @@ def _factor_otsm(geometry: FrameGeometry, params: dict):
                             (Embed(_delay_major(M, N), M * N), Dense(_walsh(geometry, params), M)))
 
 
-def _build_otsm(geometry: FrameGeometry, params: dict):
-    # Column indexing instead of the product with the 0/1 shuffle P; adding
-    # 0.0 turns the -0.0 entries of the Kronecker factor into the +0.0 that
-    # product gives, so the bytes are those of kron(W, I) @ P.T.
-    M = geometry.m
-    a_tx = np.kron(_walsh(geometry, params), np.eye(M))[:, _delay_major(M, geometry.n)] + 0.0
-    return a_tx.astype(complex)
-
-
 def _factor_fbmc(geometry: FrameGeometry, params: dict):
     G = fbmc_synthesis(geometry)[0]
     return FactoredOperator(G.shape, (Dense(G),))
-
-
-def _build_fbmc(geometry: FrameGeometry, params: dict):
-    return fbmc_synthesis(geometry)[0]
 
 
 @dataclass(frozen=True)
@@ -458,10 +428,10 @@ class Scheme:
 
     ``label`` is the name configs and output files use; ``dim`` 1 schemes
     take a one-slot geometry, ``dim`` 2 schemes an m x n grid.  ``factor``
-    maps (geometry, params) to the :class:`FactoredOperator` of a_tx and
-    ``build`` maps them to the dense reference a_tx.  ``config_keys`` pairs
-    each parameter with the config key that sets it; they are the only
-    parameters :func:`build_waveform` accepts.
+    maps (geometry, params) to the :class:`FactoredOperator` of a_tx;
+    ``dense``, where set, maps the geometry to the dense a_tx in place of
+    the composed factors.  ``config_keys`` pairs each parameter with the
+    config key that sets it, the only parameters :func:`build_waveform` takes.
     """
 
     name: str
@@ -469,31 +439,28 @@ class Scheme:
     dim: int
     prefix_rule: str  # "cp" | "cpp" | "none"
     factor: Callable
-    build: Callable
     config_keys: tuple = ()
     real_field: bool = False
+    dense: Callable | None = None
 
 
 # Under the ideal (sample-spaced) pulse the Zak-transform and staggered
 # delay-Doppler schemes are the multicarrier one: zak-otfs is the same
 # operator and oddm takes its symbols delay-major.
 _TABLE = (
-    Scheme("scm", "scm", 1, "cp", _factor_scm, _build_scm),
-    Scheme("ofdm", "ofdm", 1, "cp", _factor_ofdm, _build_ofdm),
-    Scheme("dft-s-ofdm", "dft-s-ofdm", 1, "cp", _factor_dft_s_ofdm, _build_dft_s_ofdm,
+    Scheme("scm", "scm", 1, "cp", _factor_scm),
+    Scheme("ofdm", "ofdm", 1, "cp", _factor_ofdm),
+    Scheme("dft-s-ofdm", "dft-s-ofdm", 1, "cp", _factor_dft_s_ofdm,
            (("width", "dfts.width"), ("mapping", "dfts.mapping"))),
-    Scheme("frft-ofdm", "frft-ofdm", 1, "cp", _factor_frft_ofdm, _build_frft_ofdm,
-           (("p", "frft.p"),)),
-    Scheme("ocdm", "ocdm", 1, "cp", _factor_ocdm, _build_ocdm),
-    Scheme("ifdm", "ifdm", 1, "cp", _factor_ifdm, _build_ifdm,
-           (("seed", "ifdm.seed"),)),
-    Scheme("afdm", "afdm", 1, "cpp", _factor_afdm, _build_afdm,
-           (("c1", "afdm.c1"), ("c2", "afdm.c2"))),
-    Scheme("fbmc", "fbmc", 2, "none", _factor_fbmc, _build_fbmc, real_field=True),
-    Scheme("mc-otfs", "otfs", 2, "cp", _factor_mc_otfs, _build_mc_otfs),
-    Scheme("zak-otfs", "zak-otfs", 2, "cp", _factor_mc_otfs, _build_mc_otfs),
-    Scheme("oddm", "oddm", 2, "cp", _factor_oddm, _build_oddm),
-    Scheme("otsm", "otsm", 2, "cp", _factor_otsm, _build_otsm),
+    Scheme("frft-ofdm", "frft-ofdm", 1, "cp", _factor_frft_ofdm, (("p", "frft.p"),)),
+    Scheme("ocdm", "ocdm", 1, "cp", _factor_ocdm, dense=_ocdm_dense),
+    Scheme("ifdm", "ifdm", 1, "cp", _factor_ifdm, (("seed", "ifdm.seed"),)),
+    Scheme("afdm", "afdm", 1, "cpp", _factor_afdm, (("c1", "afdm.c1"), ("c2", "afdm.c2"))),
+    Scheme("fbmc", "fbmc", 2, "none", _factor_fbmc, real_field=True),
+    Scheme("mc-otfs", "otfs", 2, "cp", _factor_mc_otfs),
+    Scheme("zak-otfs", "zak-otfs", 2, "cp", _factor_mc_otfs),
+    Scheme("oddm", "oddm", 2, "cp", _factor_oddm),
+    Scheme("otsm", "otsm", 2, "cp", _factor_otsm),
 )
 SCHEMES = {s.name: s for s in _TABLE}
 SCHEMES_BY_LABEL = {s.label: s for s in _TABLE}

@@ -13,11 +13,14 @@ import numpy as np
 
 from mcwave.channel import ChannelRealization, Path, PathSet, tap_columns
 from mcwave.detection import Constellation
+from mcwave import transforms
+from mcwave import waveforms as wf
 from mcwave.transforms import _check_size
 from mcwave.waveforms import (
     ConfigurationError,
     CoreChannel,
     DdamConfig,
+    FrameGeometry,
     WaveformBundle,
     ddam_beamformers,
     ddam_blocks,
@@ -388,3 +391,87 @@ def ambiguity_grid(
                 shifted[i, lo:hi] = b[lo - lag : hi - lag]
     phases = np.exp(-2j * np.pi * np.outer(nu, np.arange(L)))
     return phases @ (a[None, :] * shifted.conj()).T
+
+
+def daft_matrix(M: int, c1: float, c2: float) -> np.ndarray:
+    """Forward discrete affine Fourier transform ``A = L_c2 @ F @ L_c1``, elementwise.
+
+    ``L_c = diag(exp(-2j*pi*c*l^2))`` for l = 0..M-1 (``transforms.daft_chirps``).
+    """
+    lam1, lam2 = transforms.daft_chirps(M, c1, c2)
+    return lam2[:, None] * transforms.dft_matrix(M) * lam1[None, :]
+
+
+def dfrft_matrix(M: int, p: float) -> np.ndarray:
+    """Discrete fractional Fourier kernel of order ``p``, entry by entry.
+
+    ``scale * chirp[k] * exp(-2j*pi*k*l/M) * chirp[l]`` from
+    ``transforms.dfrft_chirp``, which raises for a degenerate rotation.
+    """
+    scale, chirp = transforms.dfrft_chirp(M, p)
+    k = np.arange(chirp.size)
+    return scale * chirp[:, None] * np.exp(-2j * np.pi * np.outer(k, k) / k.size) * chirp[None, :]
+
+
+def _dense_mc_otfs(geometry: FrameGeometry, params: dict) -> np.ndarray:
+    # Delay-fastest vectorization: s = kron(F_N^H, G_tx) x with G = I.
+    Fn = transforms.dft_matrix(geometry.n)
+    return np.kron(Fn.conj().T, np.eye(geometry.m))
+
+
+def _dense_dft_s_ofdm(geometry: FrameGeometry, params: dict) -> np.ndarray:
+    M = geometry.m
+    rows = wf._dfts_rows(geometry, params)
+    width = rows.size
+    P = np.zeros((M, width), dtype=complex)
+    P[rows, np.arange(width)] = 1.0
+    return transforms.dft_matrix(M).conj().T @ P @ transforms.dft_matrix(width)
+
+
+def _dense_ifdm(geometry: FrameGeometry, params: dict) -> np.ndarray:
+    # Row indexing instead of the product Pi @ F^H with the 0/1 interleaver
+    # Pi; adding 0.0 gives the +0.0 that product gives, as for otsm.
+    perm = transforms.random_interleaver(geometry.m, params.get("seed", 0))
+    return transforms.dft_matrix(geometry.m).conj().T[perm] + 0.0
+
+
+def _dense_otsm(geometry: FrameGeometry, params: dict) -> np.ndarray:
+    # Column indexing instead of the product with the 0/1 shuffle P; adding
+    # 0.0 turns the -0.0 entries of the Kronecker factor into the +0.0 that
+    # product gives, so the bytes are those of kron(W, I) @ P.T.
+    M = geometry.m
+    a_tx = np.kron(wf._walsh(geometry, params), np.eye(M))[:, wf._delay_major(M, geometry.n)]
+    return (a_tx + 0.0).astype(complex)
+
+
+_DENSE = {
+    "scm": lambda g, p: np.eye(g.m, dtype=complex),
+    "ofdm": lambda g, p: transforms.dft_matrix(g.m).conj().T,
+    "dft-s-ofdm": _dense_dft_s_ofdm,
+    "frft-ofdm": lambda g, p: dfrft_matrix(g.m, p.get("p", 0.5)).conj().T,
+    "ocdm": lambda g, p: transforms.dfnt_matrix(g.m).conj().T,
+    "ifdm": _dense_ifdm,
+    "afdm": lambda g, p: daft_matrix(g.m, *wf._afdm_chirp_rates(g, p)).conj().T,
+    "fbmc": lambda g, p: wf.fbmc_synthesis(g)[0],
+    "mc-otfs": _dense_mc_otfs,
+    "zak-otfs": _dense_mc_otfs,
+    # delay-major symbols: symbol l*N + k is the mc-otfs column l + k*M
+    "oddm": lambda g, p: _dense_mc_otfs(g, p)[:, wf._delay_major(g.m, g.n)],
+    "otsm": _dense_otsm,
+}
+
+
+def dense_a_tx(scheme: str, geometry: FrameGeometry, params: dict | None = None) -> np.ndarray:
+    """A scheme's dense modulator a_tx, built from its textbook matrix product.
+
+    Each scheme's matrix is formed directly (transform matrices, Kronecker
+    products, row or column selections), apart from the factor chain the
+    package composes its ``a_tx`` from; the parameters are read the way
+    ``waveforms.build_waveform`` reads them.
+    """
+    return _DENSE[scheme](geometry, dict(params or {}))
+
+
+def bundle_dense(bundle: WaveformBundle) -> np.ndarray:
+    """:func:`dense_a_tx` for a built bundle."""
+    return dense_a_tx(bundle.scheme, bundle.geometry, bundle.params)

@@ -240,6 +240,36 @@ class TestValidationGaps:
         assert not (tmp_path / "out").exists()
         validate_config(self._cfg(**{"channel.velocity_kmh": 1e290}))
 
+    @pytest.mark.parametrize("d", ["1d", "2d"])
+    @pytest.mark.parametrize("name", ["tab5-ber-desk", "tab6-papr-desk", "tab8-unit",
+                                      "fig16-chanmat", "fig21-sweep", "overhead"])
+    def test_sample_rate_beyond_the_float_range_names_the_spacing(
+            self, tmp_path, capsys, name, d):
+        # m * delta_f = inf, which every run's manifest records, whichever
+        # dimension the run's schemes use
+        cfg = dict(preset_config(name), output_dir=str(tmp_path / "out"))
+        cfg_file = tmp_path / "rate.cfg"
+        cfg_file.write_text(serialize_config({**cfg, f"frame.delta_f_{d}_hz": 1e308}))
+        for command in ("validate", "run"):
+            assert cli.main([command, str(cfg_file)]) == 2
+            assert f"validation error: frame.delta_f_{d}_hz: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # a frame size beyond the float range, which m * delta_f cannot even convert
+        with pytest.raises(ValidationError, match=f"frame.delta_f_{d}_hz: times frame.m_{d}"):
+            validate_config({**cfg, f"frame.m_{d}": 10**400})
+        validate_config({**cfg, f"frame.delta_f_{d}_hz": 1e300 if name == "overhead" else 1e5})
+
+    def test_doppler_span_beyond_the_float_range_names_the_span(self, tmp_path, capsys):
+        # 2 pi span = inf: NaN grid points and phases, and a NaN width in every row
+        cfg = dict(preset_config("tab8-unit"), output_dir=str(tmp_path / "out"))
+        cfg_file = tmp_path / "span.cfg"
+        cfg_file.write_text(serialize_config({**cfg, "af.doppler_span": 1e308}))
+        for command in ("validate", "run"):
+            assert cli.main([command, str(cfg_file)]) == 2
+            assert "validation error: af.doppler_span " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        validate_config({**cfg, "af.doppler_span": 2.8e307})
+
     @pytest.mark.parametrize("frame,key", [
         ("waveforms = scm\nframe.m_1d = 1\n", "frame.m_1d"),
         ("waveforms = otfs\nframe.m_2d = 1\nframe.n_2d = 1\n", "frame.m_2d, frame.n_2d"),
@@ -791,12 +821,26 @@ class TestExperiments:
         header = (out / "af_points.csv").read_text().splitlines()[0]
         assert header == "scheme,axis,metric,value"
 
-    def test_af_cuts_build_no_dense_matrix(self):
-        cfg = preset_config("tab8-unit")
-        cfg["frame.m_1d"] = 64
-        b = bench.build_bundle("ofdm", cfg, validate_config(cfg))
-        bench._af_cuts(b, cfg)
-        assert not {"a_tx", "a_rx"} & set(vars(b))
+    # One desk-size run of every kind but papr, shrunk in trials and SNR points.
+    @pytest.mark.parametrize("name,overrides", [
+        ("tab5-ber-desk", {"trials": 2, "snr_db": [10.0]}),
+        ("fig16-chanmat", {}),
+        ("tab8-unit", {"frame.m_1d": 64}),
+        ("fig21-sweep", {"trials": 2, "sweep.steps": 2}),
+        ("overhead", {}),
+    ])
+    def test_runs_build_no_dense_matrix(self, tmp_path, monkeypatch, name, overrides):
+        built, build_bundle = [], bench.build_bundle
+
+        def recorded(*args):
+            built.append(build_bundle(*args))
+            return built[-1]
+
+        monkeypatch.setattr(bench, "build_bundle", recorded)
+        _run(tmp_path, name, **overrides)
+        assert (name == "overhead") != bool(built)
+        for b in built:
+            assert not {"a_tx", "a_rx"} & set(vars(b)), (name, b.scheme)
 
     def test_af_cuts_trace_under_two_megabytes(self):
         # Each cut is one slice sum per lag or Doppler point: no (2L - 1) x L

@@ -669,6 +669,14 @@ class TestAfCutMetrics:
         with pytest.raises(ValueError):
             kpi.af_cut_metrics(np.zeros(8), np.arange(8.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cut_or_axis_rejected(self, bad):
+        cut, axis = np.array([0.0, 0.5, 1.0, 0.5, 0.0]), np.arange(5.0)
+        with pytest.raises(ValueError, match="finite"):
+            kpi.af_cut_metrics(np.where(axis == 3, bad, cut), axis)
+        with pytest.raises(ValueError, match="finite"):
+            kpi.af_cut_metrics(cut, np.where(axis == 3, bad, axis))
+
 
 class TestOverheadFormulas:
     def test_cp_overhead_values(self):

@@ -31,8 +31,23 @@ PUBLIC = [
 ]
 
 
+TRANSFORMS_PUBLIC = [
+    "dft_matrix",
+    "daft_chirps",
+    "dfrft_chirp",
+    "dfnt_diagonals",
+    "dfnt_matrix",
+    "wht_matrix",
+    "random_interleaver",
+]
+
+
 def test_package_exports_are_pinned():
     assert mcwave.__all__ == PUBLIC
+
+
+def test_transform_exports_are_pinned():
+    assert transforms.__all__ == TRANSFORMS_PUBLIC
 
 
 def test_every_exported_name_resolves():

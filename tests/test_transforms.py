@@ -33,10 +33,10 @@ class TestDft:
 
 class TestDaft:
     def test_zero_chirps_reduce_to_dft(self):
-        assert np.max(np.abs(tr.daft_matrix(8, 0.0, 0.0) - tr.dft_matrix(8))) <= 1e-14
+        assert np.max(np.abs(oracles.daft_matrix(8, 0.0, 0.0) - tr.dft_matrix(8))) <= 1e-14
 
     def test_unitary(self):
-        assert unitary_defect(tr.daft_matrix(16, 0.01, 0.3)) <= 1e-10
+        assert unitary_defect(oracles.daft_matrix(16, 0.01, 0.3)) <= 1e-10
 
     def test_fresnel_factorization_at_8(self):
         # With c1 = c2 = 1/(2M) the affine transform is a unit-modulus
@@ -45,7 +45,7 @@ class TestDaft:
         # D_right = diag(e^{j pi/4} e^{-2j pi k^2 / M})  (even M).
         M = 8
         c = 1.0 / (2 * M)
-        A = tr.daft_matrix(M, c, c)
+        A = oracles.daft_matrix(M, c, c)
         Phi = tr.dfnt_matrix(M)
         k = np.arange(M)
         d_left = np.exp(-2j * np.pi * k**2 / M)
@@ -57,21 +57,21 @@ class TestDaft:
 
 class TestDfrft:
     def test_order_one_is_dft(self):
-        assert np.max(np.abs(tr.dfrft_matrix(12, 1.0) - tr.dft_matrix(12))) <= 1e-12
+        assert np.max(np.abs(oracles.dfrft_matrix(12, 1.0) - tr.dft_matrix(12))) <= 1e-12
 
     def test_unitary_fractional_order(self):
-        assert unitary_defect(tr.dfrft_matrix(16, 0.5)) <= 1e-8
+        assert unitary_defect(oracles.dfrft_matrix(16, 0.5)) <= 1e-8
 
     def test_single_point_is_unit_modulus(self):
         for p in (0.3, 1.0, 1.7):
-            K = tr.dfrft_matrix(1, p)
+            K = oracles.dfrft_matrix(1, p)
             assert K.shape == (1, 1)
             assert abs(abs(K[0, 0]) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("p", [0.0, 2.0, -0.1, 2.5])
     def test_degenerate_rotation_rejected(self, p):
         with pytest.raises(ValueError):
-            tr.dfrft_matrix(8, p)
+            tr.dfrft_chirp(8, p)
 
 
 class TestDfnt:
@@ -205,13 +205,13 @@ class TestStructuredPermutation:
 @given(M=st.integers(min_value=1, max_value=257))
 def test_property_dft_daft_unitary(M):
     assert unitary_defect(tr.dft_matrix(M)) <= 1e-10
-    assert unitary_defect(tr.daft_matrix(M, 0.013, 0.21)) <= 1e-10
+    assert unitary_defect(oracles.daft_matrix(M, 0.013, 0.21)) <= 1e-10
 
 
 @settings(max_examples=15, deadline=None)
 @given(M=st.integers(min_value=2, max_value=128), p=st.floats(min_value=0.05, max_value=1.95))
 def test_property_dfrft_unitary(M, p):
-    assert unitary_defect(tr.dfrft_matrix(M, p)) <= 1e-10
+    assert unitary_defect(oracles.dfrft_matrix(M, p)) <= 1e-10
 
 
 @settings(max_examples=20, deadline=None)
@@ -230,8 +230,8 @@ def test_property_dzt_round_trip(M, N, seed):
 @settings(max_examples=10, deadline=None)
 @given(M=st.sampled_from([2, 3, 5, 8, 13, 33, 64]))
 def test_property_daft_matches_dft_at_zero_chirp(M):
-    assert np.max(np.abs(tr.daft_matrix(M, 0, 0) - tr.dft_matrix(M))) <= 1e-14
-    assert np.max(np.abs(tr.dfrft_matrix(M, 1.0) - tr.dft_matrix(M))) <= 1e-12
+    assert np.max(np.abs(oracles.daft_matrix(M, 0, 0) - tr.dft_matrix(M))) <= 1e-14
+    assert np.max(np.abs(oracles.dfrft_matrix(M, 1.0) - tr.dft_matrix(M))) <= 1e-12
 
 
 def test_large_size_unitarity():
@@ -240,7 +240,7 @@ def test_large_size_unitarity():
     # a square operator, without the 4096^2 triple product).
     assert unitary_defect(tr.dft_matrix(1024)) <= 1e-10
     M = 4096
-    A = tr.daft_matrix(M, 1 / (2 * M), 1e-5)
+    A = oracles.daft_matrix(M, 1 / (2 * M), 1e-5)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(M) + 1j * rng.standard_normal(M)
     assert np.max(np.abs(A.conj().T @ (A @ x) - x)) <= 1e-10

@@ -242,15 +242,63 @@ def crit7_bundles():
 
 
 def factor_error(b, rng):
-    """Largest deviation of the factored tx / rx from the dense matrices."""
+    """Largest deviation of the factored tx / rx from the dense reference matrices."""
+    a_tx = oracles.bundle_dense(b)
     x = rng.standard_normal((3, b.n_symbols)) + 1j * rng.standard_normal((3, b.n_symbols))
     r = rng.standard_normal((3, b.core_len)) + 1j * rng.standard_normal((3, b.core_len))
-    return max(np.max(np.abs(b.operator.tx(x) - x @ b.a_tx.T)),
-               np.max(np.abs(b.operator.rx(r) - r @ b.a_tx.conj())))
+    return max(np.max(np.abs(b.operator.tx(x) - x @ a_tx.T)),
+               np.max(np.abs(b.operator.rx(r) - r @ a_tx.conj())))
+
+
+def assert_dense_matches_reference(b):
+    """The composed a_tx against the dense reference, as close as its operand order allows.
+
+    Elementwise diagonals and the Kronecker factor keep every byte; a
+    product with an index map differs at most in signs of zeros; the
+    fractional kernel (F scaled by sqrt(m) back) and the narrow spread
+    scheme (F_m^H P F_w in the other order) round differently.  ocdm's
+    a_tx is the reference's GEMM Fresnel product itself.
+    """
+    ref = oracles.bundle_dense(b)
+    narrow = b.scheme == "dft-s-ofdm" and b.n_symbols < b.core_len
+    if b.scheme == "frft-ofdm" or narrow:
+        assert np.max(np.abs(b.a_tx - ref)) <= 1e-14, (b.scheme, b.geometry)
+    elif b.scheme in ("ifdm", "oddm"):
+        assert np.array_equal(b.a_tx, ref), (b.scheme, b.geometry)
+    else:
+        assert b.a_tx.tobytes() == ref.tobytes(), (b.scheme, b.geometry)
 
 
 class TestFactoredOperators:
     """The factors are the working path; the dense matrices their reference."""
+
+    @pytest.mark.parametrize("m", [1, 4, 17, 64, 256, 512, 1024])
+    def test_composed_dense_matches_reference_1d(self, m):
+        geo = geo_1d(m=m)
+        for scheme, params in [("scm", {}), ("ofdm", {}), ("dft-s-ofdm", {}),
+                               ("dft-s-ofdm", {"width": max(1, m // 2)}),
+                               ("dft-s-ofdm", {"width": max(1, m // 3), "mapping": "dc-centered"}),
+                               ("frft-ofdm", {"p": 0.7}), ("ocdm", {}), ("ifdm", {"seed": 3}),
+                               ("afdm", {"c1": 5 / (2 * m), "c2": 1e-4}), ("afdm", {})]:
+            assert_dense_matches_reference(wf.build_waveform(scheme, geo, params))
+
+    @pytest.mark.parametrize("M,N", [(2, 2), (4, 2), (8, 4), (16, 8), (32, 16), (16, 32),
+                                     (32, 32), (64, 8)])
+    def test_composed_dense_matches_reference_2d(self, M, N):
+        for scheme in ("fbmc", "mc-otfs", "zak-otfs", "oddm", "otsm"):
+            assert_dense_matches_reference(wf.build_waveform(scheme, wf.FrameGeometry(m=M, n=N)))
+
+    def test_composed_dense_matches_reference_at_papr_desk(self):
+        cfg = preset_config("tab6-papr-desk")
+        chan = validate_config(cfg)
+        for label in cfg["waveforms"]:
+            if label != "ddam":  # precoded streams: no modulator
+                assert_dense_matches_reference(bench.build_bundle(label, cfg, chan))
+
+    def test_ocdm_is_the_only_dense_override(self):
+        assert [name for name, row in wf.SCHEMES.items() if row.dense] == ["ocdm"]
+        b = wf.build_waveform("ocdm", geo_1d(m=64))
+        assert b.a_tx.tobytes() == (tr.dfnt_matrix(64).conj().T).tobytes()
 
     def test_factors_match_dense_at_unitarity_sizes(self):
         rng = np.random.default_rng(7)
@@ -286,16 +334,16 @@ class TestFactoredOperators:
     def test_otsm_dense_reference_keeps_the_shuffle_product_bytes(self, M, N):
         W = tr.wht_matrix(N)
         P = oracles.structured_permutation("shuffle", M, N)
-        b = wf.build_waveform("otsm", wf.FrameGeometry(m=M, n=N))
-        assert b.a_tx.tobytes() == (np.kron(W, np.eye(M)) @ P.T).astype(complex).tobytes()
+        a_tx = oracles.dense_a_tx("otsm", wf.FrameGeometry(m=M, n=N))
+        assert a_tx.tobytes() == (np.kron(W, np.eye(M)) @ P.T).astype(complex).tobytes()
 
     @pytest.mark.parametrize("M", [4, 8, 16, 17, 32, 64, 100, 256])
     @pytest.mark.parametrize("seed", [0, 1, 5])
     def test_ifdm_dense_reference_keeps_the_interleaver_product_bytes(self, M, seed):
         Pi = np.eye(M)[tr.random_interleaver(M, seed)]
         F = tr.dft_matrix(M)
-        b = wf.build_waveform("ifdm", geo_1d(m=M), {"seed": seed})
-        assert b.a_tx.tobytes() == (Pi @ F.conj().T).tobytes()
+        a_tx = oracles.dense_a_tx("ifdm", geo_1d(m=M), {"seed": seed})
+        assert a_tx.tobytes() == (Pi @ F.conj().T).tobytes()
 
 
 class TestPrefix:
@@ -548,7 +596,8 @@ class TestCoreChannel:
         ))
         real = ch.discretize(ps, fs, kind=kind)
         He = wf.effective_channel(b, real)
-        fold = b.a_tx.conj().T @ dense_fold(b, real) @ b.a_tx
+        a_tx = oracles.bundle_dense(b)
+        fold = a_tx.conj().T @ dense_fold(b, real) @ a_tx
         assert np.max(np.abs(He - fold)) <= 1e-13
 
     def test_checks_match_effective_channel(self):
