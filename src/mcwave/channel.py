@@ -84,13 +84,10 @@ class Tap:
 class ChannelRealization:
     """An immutable channel draw tied to a sample rate."""
 
-    kind: str
     taps: tuple[Tap, ...]
     sample_rate_hz: float
 
     def __post_init__(self):
-        if self.kind not in CHANNEL_MODEL_KINDS:
-            raise ValueError(f"unknown channel model kind {self.kind!r}")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample rate must be positive")
 
@@ -278,14 +275,10 @@ def discretize(
     zeroes all Dopplers, a frequency-dispersive one zeroes all delays, and
     the narrowband model ignores time scaling.
     """
-    if sample_rate_hz <= 0:
-        raise ValueError("sample rate must be positive")
     if kind not in CHANNEL_MODEL_KINDS:
         raise ValueError(f"unknown channel model kind {kind!r}")
     taps = []
     for p in path_set.paths:
-        if p.delay_s < 0:
-            raise ValueError("negative delay")
         l = int(round(p.delay_s * sample_rate_hz))
         nu = p.doppler_hz
         scale = p.scale
@@ -296,7 +289,7 @@ def discretize(
         if kind != WIDEBAND_DDC:
             scale = 0.0
         taps.append(Tap(delay_samples=l, doppler_hz=nu, gain=p.gain, scale=scale))
-    return ChannelRealization(kind=kind, taps=tuple(taps), sample_rate_hz=sample_rate_hz)
+    return ChannelRealization(taps=tuple(taps), sample_rate_hz=sample_rate_hz)
 
 
 def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:
@@ -305,16 +298,15 @@ def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
-def tap_columns(real: ChannelRealization, tap: Tap, n: np.ndarray) -> np.ndarray:
+def tap_columns(tap: Tap, n: np.ndarray) -> np.ndarray:
     """Input sample index that output sample ``n`` reads through ``tap``.
 
-    n - l for a delay tap; the wideband kind indexes the warped time axis at
-    the nearest sample, round(n*(1+a)) - l.  Indices may fall outside the
-    frame; callers drop them.
+    The warped time axis at the nearest sample, round(n*(1+a)) - l, for the
+    tap's time scale a.  Only a wideband tap has a != 0 (:func:`discretize`),
+    so every other tap reads n - l exactly: n*1.0 is exact for n < 2**53.
+    Indices may fall outside the frame; callers drop them.
     """
-    if real.kind == WIDEBAND_DDC:
-        return np.round(n * (1.0 + tap.scale)).astype(int) - tap.delay_samples
-    return n - tap.delay_samples
+    return np.round(n * (1.0 + tap.scale)).astype(int) - tap.delay_samples
 
 
 @dataclass(frozen=True)

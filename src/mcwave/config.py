@@ -13,6 +13,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import CHANNEL_MODEL_KINDS, CHANNEL_PRESETS, ChannelConfig, doppler_from_velocity
 from .detection import QAM_ORDERS
 from .kpi import AF_CONVENTIONS, PAPR_MIN_TAIL, noise_variance
@@ -29,6 +31,10 @@ EXPERIMENT_KINDS = ("ber", "papr", "af", "chanmat", "afdm-sweep", "overhead")
 
 # Every scheme label, plus the path precoding of the peak-power experiments.
 WAVEFORM_LABELS = (*SCHEMES_BY_LABEL, "ddam")
+
+# The most complex values one array can hold: numpy refuses a larger one.
+MAX_COMPLEX_VALUES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
+_FRAME_KEYS = {"1d": "frame.m_1d", "2d": "frame.m_2d, frame.n_2d"}  # the keys of a frame's size
 
 
 class ValidationError(ValueError):
@@ -308,12 +314,12 @@ def validate_config(cfg: dict) -> ChannelConfig:
         # needs 3; fbmc's frame also carries the prototype's tails
         row = SCHEMES_BY_LABEL[w]
         if row.label != "fbmc" and scheme_geometry(cfg, row, chan).core_samples < 2:
-            keys = "frame.m_1d" if row.dim == 1 else "frame.m_2d, frame.n_2d"
             raise ValidationError(
-                f"{keys}: the {w!r} core frame has one sample; its ambiguity delay cut "
-                "needs at least 2")
+                f"{_FRAME_KEYS[f'{row.dim}d']}: the {w!r} core frame has one sample; its "
+                "ambiguity delay cut needs at least 2")
     if exp in ("ber", "chanmat", "afdm-sweep"):  # frames cross the channel
         _check_prefixes(cfg, chan)
+    _check_frame_sizes(cfg)
     return chan
 
 
@@ -367,11 +373,37 @@ def afdm_c1(cfg: dict, chan: ChannelConfig) -> float:
     return afdm_default_c1(cfg["frame.m_1d"], alpha)
 
 
+def _check_frame_size(keys: str, length: int) -> None:
+    """A frame of ``length`` complex samples, sized by ``keys``, must fit in one array."""
+    if length > MAX_COMPLEX_VALUES:
+        raise ValidationError(f"{keys}: a frame of {length} complex samples is more than "
+                              f"the {MAX_COMPLEX_VALUES} one array can hold")
+
+
+def _check_frame_sizes(cfg: dict) -> None:
+    """Each frame a papr or af run allocates must fit in one array.
+
+    A peak-power realization repeats the core frame (the path-precoded
+    stream, for ddam) up to ``papr.symbols`` symbols.  The check is integer
+    arithmetic and allocates nothing; the frames that cross the channel are
+    checked with their prefix (:func:`_check_prefixes`).
+    """
+    exp = cfg["experiment"]
+    for w in cfg["waveforms"] if exp in ("papr", "af") else ():
+        d = f"{SCHEMES_BY_LABEL[w].dim}d" if w != "ddam" else "1d"  # ddam precodes a 1D stream
+        n = cfg["frame.n_2d"] if d == "2d" else 1
+        keys, length = _FRAME_KEYS[d], cfg[f"frame.m_{d}"] * n
+        if exp == "papr":
+            keys, length = f"{keys}, papr.symbols", length * -(-cfg["papr.symbols"] // n)
+        _check_frame_size(keys, length)
+
+
 def _check_prefixes(cfg: dict, chan: ChannelConfig) -> None:
     """Each prefix in use must cover the channel memory and fit in the core frame.
 
     An automatic prefix is the memory, so only a set one needs the cover
-    check; a Doppler-only channel has no delay spread to cover.
+    check; a Doppler-only channel has no delay spread to cover.  The frame
+    with its prefix must fit in one array.
     """
     kinds = cfg["chanmat.models"] if cfg["experiment"] == "chanmat" else [cfg["channel.model"]]
     labels = ["afdm"] if cfg["experiment"] == "afdm-sweep" else cfg["waveforms"]
@@ -387,3 +419,4 @@ def _check_prefixes(cfg: dict, chan: ChannelConfig) -> None:
         if geo.prefix_len > geo.core_samples:
             raise ValidationError(
                 f"{key}: prefix {geo.prefix_len} longer than the core frame {geo.core_samples}")
+        _check_frame_size(f"{_FRAME_KEYS[f'{d}d']}, {key}", geo.core_samples + geo.prefix_len)

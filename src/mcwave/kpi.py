@@ -13,6 +13,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,9 +29,9 @@ from .detection import (
 from .waveforms import (
     ConfigurationError,
     CoreChannel,
-    DdamConfig,
     WaveformBundle,
     core_channel,
+    ddam_beamformers,
     ddam_blocks,
     ddam_frame_length,
     effective_channel,
@@ -131,19 +132,21 @@ def _ber_trial(
             cores[key] = core, (core.offsets.tobytes(), core.diags.tobytes())
         return cores[key]
 
-    def received(core: CoreChannel, group: list[WaveformBundle]):
-        """Each bundle's received cores, one row per SNR point, bundle by bundle.
+    def received(core: CoreChannel, group: list[WaveformBundle]) -> np.ndarray:
+        """The group's received cores, shape (bundles, SNR points, core length).
 
         The group's modulated cores go through C in one call; each bundle's
-        noisy cores are made only when the caller reaches it.
+        rows then take the core part of their noise rows.
         """
         r0 = core.apply(np.array([b.modulate(bits_and_symbols(b)[1]) for b in group]))
-        for b, r in zip(group, r0):
+        r = np.repeat(r0[:, None], sigma2s.size, 1)
+        for b, rows in zip(group, r):
             n = b.core_len + b.geometry.prefix_len
             if n not in noises:
                 shape = noise_shape(n, derive_rng(seed, trial, _STREAM_NOISE))
                 noises[n] = np.sqrt(sigma2s / 2.0)[:, None] * shape
-            yield r + noises[n][:, b.geometry.prefix_len:]
+            rows += noises[n][:, b.geometry.prefix_len:]
+        return r
 
     def count(i: int, soft: np.ndarray) -> None:
         """Bit errors of bundle i from soft, one row per SNR point."""
@@ -181,16 +184,14 @@ def time_domain_mmse(core: CoreChannel, bundles, received, sigma2s) -> np.ndarra
     costs O(L w^2) for channel memory w plus one application of each
     bundle's factored a_rx; no dense matrix is built.
 
-    ``received`` yields, bundle by bundle, the received cores r_core (one
-    per noise level).  They are written into one (R, Q, L) right-hand side
-    as they come, so only one bundle's cores exist at a time; C^H is
-    applied to it once, and it is dropped before the solve.  Returns
-    (len(bundles), len(sigma2s), n_symbols), written over the solution.
+    ``received`` holds the received cores r_core, shape (len(bundles),
+    len(sigma2s), L): one row per bundle and noise level.  C^H is applied
+    to the whole array once, and the cores are dropped before the solve.
+    Returns (len(bundles), len(sigma2s), n_symbols), written over the
+    solution.
     """
-    rhs = np.empty((len(bundles), len(sigma2s), core.diags.shape[0]), dtype=complex)
-    for r, r_core in enumerate(received):  # run it out, so it frees what it holds
-        rhs[r] = r_core
-    rhs = core.adjoint(rhs)
+    rhs = core.adjoint(received)
+    del received  # frees the cores where the caller holds no other reference
     z = solve_periodic_banded(core.gram_band(), sigma2s, rhs)
     for zr, bundle in zip(z, bundles):
         zr[...] = bundle.operator.rx(zr)
@@ -230,17 +231,15 @@ def run_ber(
         raise ConfigurationError("trials must be >= 1")
     bundles = tuple(bundles)
     snr_tuple = tuple(float(s) for s in snr_db_list)
-    args = [
-        (bundles, channel_cfg, constellation, snr_tuple, seed, t) for t in range(trials)
-    ]
+    trial = partial(_ber_trial, bundles, channel_cfg, constellation, snr_tuple, seed)
     # under fork the pool starts every worker up front, so it never asks for
     # more than the trials or the process's CPUs can use
     workers = min(workers, trials, usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(_ber_trial_star, args, chunksize=8))
+            per_trial = list(pool.map(trial, range(trials), chunksize=8))
     else:
-        per_trial = [_ber_trial_star(a) for a in args]
+        per_trial = [trial(t) for t in range(trials)]
     totals = np.sum(per_trial, axis=0)
     return [
         [
@@ -251,9 +250,6 @@ def run_ber(
         for bundle, row in zip(bundles, totals)
     ]
 
-
-def _ber_trial_star(args):
-    return _ber_trial(*args)
 
 
 def papr(signal: np.ndarray) -> float:
@@ -422,11 +418,11 @@ def ddam_frame_source(
         P = len(real.taps)
         steering = (rng.standard_normal((P, n_tx)) + 1j * rng.standard_normal((P, n_tx)))
         steering /= np.sqrt(2.0)
-        cfg = DdamConfig(steering=steering, beamformer=beamformer)
+        F = ddam_beamformers(steering, beamformer)
         x = constellation.points[rng.integers(0, constellation.order, n_samples)]
         return branch_papr(
             ddam_frame_length(x.size, real),
-            lambda spans: ddam_blocks(x, cfg, real, spans),
+            lambda spans: ddam_blocks(x, F, real, spans),
         )
 
     return source
@@ -473,7 +469,6 @@ class AfCutMetrics:
     pslr_db: float
     islr_db: float
     no_null: bool
-    mainlobe: tuple[int, int]  # inclusive index range around the peak
 
 
 def af_cut_metrics(cut: np.ndarray, axis: np.ndarray) -> AfCutMetrics:
@@ -500,7 +495,7 @@ def af_cut_metrics(cut: np.ndarray, axis: np.ndarray) -> AfCutMetrics:
     if np.ptp(cut) <= 1e-12 * peak_val:
         # Perfectly flat response: no mainlobe/sidelobe structure at all.
         return AfCutMetrics(width_3db=float(axis[-1] - axis[0]), pslr_db=0.0,
-                            islr_db=SENTINEL_DB, no_null=True, mainlobe=(0, cut.size - 1))
+                            islr_db=SENTINEL_DB, no_null=True)
 
     lo = p
     while lo > 0 and cut[lo - 1] < cut[lo]:
@@ -527,8 +522,7 @@ def af_cut_metrics(cut: np.ndarray, axis: np.ndarray) -> AfCutMetrics:
     width = float(right - left)
 
     if no_null:
-        return AfCutMetrics(width_3db=width, pslr_db=0.0, islr_db=SENTINEL_DB,
-                            no_null=True, mainlobe=(lo, hi))
+        return AfCutMetrics(width_3db=width, pslr_db=0.0, islr_db=SENTINEL_DB, no_null=True)
     side = np.concatenate([cut[:lo], cut[hi + 1 :]])
     main = cut[lo : hi + 1]
     side_peak = side.max() if side.size else 0.0
@@ -542,7 +536,6 @@ def af_cut_metrics(cut: np.ndarray, axis: np.ndarray) -> AfCutMetrics:
         pslr_db=max(float(pslr), SENTINEL_DB),
         islr_db=max(float(islr), SENTINEL_DB),
         no_null=False,
-        mainlobe=(lo, hi),
     )
 
 

@@ -648,7 +648,7 @@ def core_channel(bundle: WaveformBundle, real: ChannelRealization) -> CoreChanne
     rows, offsets, values = [], [], []
     for t in real.taps:
         phase = t.gain * np.exp(2j * np.pi * t.doppler_hz * m / real.sample_rate_hz)
-        cols = tap_columns(real, t, m)
+        cols = tap_columns(t, m)
         valid = (cols >= 0) & (cols < L + L_p)
         cols, phase = cols[valid], phase[valid]
         wrapped = cols < L_p  # lands in the prefix: a copy of the core's tail
@@ -663,52 +663,30 @@ def core_channel(bundle: WaveformBundle, real: ChannelRealization) -> CoreChanne
     return CoreChannel(offsets=uniq, diags=diags)
 
 
-@dataclass(frozen=True)
-class DdamConfig:
-    """Path-domain precoding setup for a multi-antenna transmitter.
-
-    ``steering`` holds one channel vector per path, shape (P, n_tx); the
-    beamformer is matched ("mrt") or interference-nulling ("zf").
-    """
-
-    steering: np.ndarray
-    beamformer: str = "zf"
-
-    def __post_init__(self):
-        steering = np.asarray(self.steering, dtype=complex)
-        object.__setattr__(self, "steering", steering)
-        if steering.ndim != 2:
-            raise ConfigurationError("steering must be (paths, n_tx)")
-        if self.beamformer not in BEAMFORMERS:
-            raise ConfigurationError(f"unknown beamformer {self.beamformer!r}")
-        if np.any(np.linalg.norm(steering, axis=1) == 0):
-            raise ConfigurationError("steering vectors must be nonzero")
-
-    @property
-    def n_paths(self) -> int:
-        return self.steering.shape[0]
-
-    @property
-    def n_tx(self) -> int:
-        return self.steering.shape[1]
-
-
-def ddam_beamformers(cfg: DdamConfig) -> np.ndarray:
+def ddam_beamformers(steering: np.ndarray, beamformer: str) -> np.ndarray:
     """Per-path beamforming vectors, shape (P, n_tx), unit total power.
 
-    MRT points each vector along its own path; ZF additionally projects it
-    onto the null space of every other path's steering vector so inter-path
-    leakage vanishes.  Raises when nulling is infeasible (fewer antennas
-    than paths, or a path falls inside the span of the others).
+    ``steering`` holds one channel vector per path, shape (P, n_tx).  MRT
+    points each vector along its own path; ZF additionally projects it onto
+    the null space of every other path's steering vector so inter-path
+    leakage vanishes.  Raises for steering that is not 2-D or has a zero
+    row, an unknown beamformer, and when nulling is infeasible (fewer
+    antennas than paths, or a path falls inside the span of the others).
     """
-    H = cfg.steering
+    H = np.asarray(steering, dtype=complex)
+    if H.ndim != 2:
+        raise ConfigurationError("steering must be (paths, n_tx)")
+    if beamformer not in BEAMFORMERS:
+        raise ConfigurationError(f"unknown beamformer {beamformer!r}")
+    if np.any(np.linalg.norm(H, axis=1) == 0):
+        raise ConfigurationError("steering vectors must be nonzero")
     P, n_tx = H.shape
-    if cfg.beamformer == "zf" and n_tx < P:
+    if beamformer == "zf" and n_tx < P:
         raise ConfigurationError(f"zero-forcing needs n_tx >= paths ({n_tx} < {P})")
     F = np.empty_like(H)
     for i in range(P):
         h = H[i]
-        if cfg.beamformer == "mrt" or P == 1:
+        if beamformer == "mrt" or P == 1:
             f = h / np.linalg.norm(h)
         else:
             others = np.delete(H, i, axis=0).T  # (n_tx, P-1)
@@ -781,12 +759,12 @@ def _precode(F: np.ndarray, streams: np.ndarray, out: np.ndarray) -> None:
         np.matmul(F.T, streams[:, w:], out=out[:, w:])
 
 
-def ddam_blocks(x: np.ndarray, cfg: DdamConfig, real: ChannelRealization, spans):
+def ddam_blocks(x: np.ndarray, F: np.ndarray, real: ChannelRealization, spans):
     """Per-path delay/Doppler pre-compensated transmit signal, block by block.
 
     Each path i carries a copy of the stream delayed by kappa_i = l_max - l_i
     samples and pre-rotated by its negated Doppler, beamformed with its own
-    vector:
+    vector f_i, row i of ``F`` (:func:`ddam_beamformers`):
 
         s[:, n] = sum_i f_i * x[n - kappa_i] * exp(-2j*pi*nu_i*n/f_s)
 
@@ -794,9 +772,9 @@ def ddam_blocks(x: np.ndarray, cfg: DdamConfig, real: ChannelRealization, spans)
     its columns lo:hi, one (n_tx, hi - lo) block per (lo, hi) of ``spans``,
     so the whole signal never needs to exist.  The blocks are views of one
     buffer, sized to the widest span: a block is valid until the next one is
-    requested, so keep a copy to hold it longer.  The beamformers are computed
-    (and the arguments checked) once, before the first block.  A tap with
-    zero Doppler is not rotated: exp(-0j) would change only signs of zeros.
+    requested, so keep a copy to hold it longer.  The arguments are checked
+    before the first block.  A tap with zero Doppler is not rotated:
+    exp(-0j) would change only signs of zeros.
     Each block's product is cut into pieces small enough for BLAS to keep on
     the calling thread (:func:`_precode`), so while 8 columns fit in
     ``PRODUCT_MACS`` its bytes do not depend on the CPU count or on how many
@@ -807,19 +785,19 @@ def ddam_blocks(x: np.ndarray, cfg: DdamConfig, real: ChannelRealization, spans)
     x = np.asarray(x, dtype=complex)
     if x.ndim != 1 or x.size == 0:
         raise ConfigurationError("stream must be a nonempty 1-D sequence")
-    if cfg.n_paths != len(real.taps):
+    n_paths, n_tx = F.shape
+    if n_paths != len(real.taps):
         raise ConfigurationError(
-            f"{cfg.n_paths} steering vectors for {len(real.taps)} channel taps"
+            f"{n_paths} steering vectors for {len(real.taps)} channel taps"
         )
-    F = ddam_beamformers(cfg)
     l_max = real.max_delay_samples
     fs = real.sample_rate_hz
     spans = list(spans)
 
     def blocks():
-        buf = np.empty(cfg.n_tx * max((hi - lo for lo, hi in spans), default=0), dtype=complex)
+        buf = np.empty(n_tx * max((hi - lo for lo, hi in spans), default=0), dtype=complex)
         for lo, hi in spans:
-            streams = np.zeros((cfg.n_paths, hi - lo), dtype=complex)  # shifted copies
+            streams = np.zeros((n_paths, hi - lo), dtype=complex)  # shifted copies
             for i, tap in enumerate(real.taps):
                 kap = l_max - tap.delay_samples
                 a, b = max(lo, kap), min(hi, kap + x.size)
@@ -829,7 +807,7 @@ def ddam_blocks(x: np.ndarray, cfg: DdamConfig, real: ChannelRealization, spans)
                 if tap.doppler_hz != 0:
                     seg = seg * np.exp(-2j * np.pi * tap.doppler_hz * np.arange(a, b) / fs)
                 streams[i, a - lo : b - lo] = seg
-            block = buf[: cfg.n_tx * (hi - lo)].reshape(cfg.n_tx, hi - lo)
+            block = buf[: n_tx * (hi - lo)].reshape(n_tx, hi - lo)
             _precode(F, streams, block)
             yield block
 

@@ -19,10 +19,8 @@ from mcwave.transforms import _check_size
 from mcwave.waveforms import (
     ConfigurationError,
     CoreChannel,
-    DdamConfig,
     FrameGeometry,
     WaveformBundle,
-    ddam_beamformers,
     ddam_blocks,
     ddam_frame_length,
 )
@@ -72,7 +70,7 @@ def apply_channel(s: np.ndarray, real: ChannelRealization) -> np.ndarray:
     out = np.zeros(s.shape, dtype=complex)
     for t in real.taps:
         phase = np.exp(2j * np.pi * t.doppler_hz * n / real.sample_rate_hz)
-        idx = tap_columns(real, t, n)
+        idx = tap_columns(t, n)
         valid = (idx >= 0) & (idx < L)
         shifted = np.zeros(s.shape, dtype=complex)
         shifted[..., valid] = s[..., idx[valid]]
@@ -96,7 +94,7 @@ def channel_matrix_full(real: ChannelRealization, length: int) -> np.ndarray:
     n = np.arange(length)
     for t in real.taps:
         phase = t.gain * np.exp(2j * np.pi * t.doppler_hz * n / real.sample_rate_hz)
-        cols = tap_columns(real, t, n)
+        cols = tap_columns(t, n)
         valid = (cols >= 0) & (cols < length)
         H[n[valid], cols[valid]] += phase[valid]
     return H
@@ -276,32 +274,35 @@ def ml_oracle(
     return np.array(best, dtype=int)
 
 
-def ddam_precode(
-    x: np.ndarray, cfg: DdamConfig, real: ChannelRealization
-) -> np.ndarray:
+def ddam_precode(x: np.ndarray, F: np.ndarray, real: ChannelRealization) -> np.ndarray:
     """The whole precoded signal of ``ddam_blocks``, one block spanning the frame."""
-    (s,) = ddam_blocks(x, cfg, real, [(0, ddam_frame_length(np.size(x), real))])
+    (s,) = ddam_blocks(x, F, real, [(0, ddam_frame_length(np.size(x), real))])
     return s
 
 
-def ddam_apply_channel(s: np.ndarray, cfg: DdamConfig, real: ChannelRealization) -> np.ndarray:
+def ddam_apply_channel(
+    s: np.ndarray, steering: np.ndarray, real: ChannelRealization
+) -> np.ndarray:
     """Propagate a multi-antenna signal through the per-path vector channel.
 
     r[n] = sum_i gain_i * (h_i^H s[:, n - l_i]) * exp(2j*pi*nu_i*n/f_s)
 
-    where h_i are the steering vectors of ``cfg`` and gain_i the (scalar) tap
-    gains of the realization, normally 1 when the vectors carry the gain.
+    where h_i are the rows of ``steering``, shape (P, n_tx), and gain_i the
+    (scalar) tap gains of the realization, normally 1 when the vectors carry
+    the gain.
     """
     s = np.asarray(s, dtype=complex)
-    if s.ndim != 2 or s.shape[0] != cfg.n_tx:
-        raise ConfigurationError(f"expected ({cfg.n_tx}, L) signal, got {s.shape}")
-    if cfg.n_paths != len(real.taps):
+    steering = np.asarray(steering, dtype=complex)
+    n_paths, n_tx = steering.shape
+    if s.ndim != 2 or s.shape[0] != n_tx:
+        raise ConfigurationError(f"expected ({n_tx}, L) signal, got {s.shape}")
+    if n_paths != len(real.taps):
         raise ConfigurationError("steering vector count != channel tap count")
     L = s.shape[1] + real.max_delay_samples
     n = np.arange(L)
     r = np.zeros(L, dtype=complex)
     fs = real.sample_rate_hz
-    for h_i, tap in zip(cfg.steering, real.taps):
+    for h_i, tap in zip(steering, real.taps):
         proj = h_i.conj() @ s  # (L_s,)
         delayed = np.zeros(L, dtype=complex)
         lo = tap.delay_samples
@@ -311,19 +312,20 @@ def ddam_apply_channel(s: np.ndarray, cfg: DdamConfig, real: ChannelRealization)
     return r
 
 
-def ddam_composite_gain(cfg: DdamConfig, real: ChannelRealization) -> complex:
-    """Gain of the single aligned tap after precoding and propagation.
+def ddam_composite_gain(
+    steering: np.ndarray, F: np.ndarray, real: ChannelRealization
+) -> complex:
+    """Gain of the single aligned tap after precoding with ``F`` and propagation.
 
     Path i's pre-delayed copy reaches the receiver with the residual constant
     phase exp(2j*pi*nu_i*l_i/f_s) picked up because the Doppler
     pre-compensation is evaluated at transmit rather than receive time.
     """
-    F = ddam_beamformers(cfg)
     g = 0.0 + 0.0j
     fs = real.sample_rate_hz
     for i, tap in enumerate(real.taps):
         phase = np.exp(2j * np.pi * tap.doppler_hz * tap.delay_samples / fs)
-        g += (cfg.steering[i].conj() @ F[i]) * tap.gain * phase
+        g += (steering[i].conj() @ F[i]) * tap.gain * phase
     return complex(g)
 
 

@@ -287,6 +287,40 @@ class TestValidationGaps:
         validate_config(self._cfg(experiment="af", waveforms=["fbmc"],
                                   **{"frame.m_2d": 1, "frame.n_2d": 1}))
 
+    @pytest.mark.parametrize("frame,key", [
+        ("experiment = af\nwaveforms = scm\nframe.m_1d = {}\nframe.delta_f_1d_hz = 1e-24\n"
+         .format(10**24), "frame.m_1d"),
+        ("experiment = papr\nwaveforms = ofdm\ntrials = 20\npapr.symbols = {}\n".format(10**20),
+         "frame.m_1d, papr.symbols"),
+        ("experiment = ber\nwaveforms = otfs\nframe.m_2d = {0}\nframe.n_2d = {0}\n"
+         "frame.delta_f_2d_hz = 1e-9\nchannel.preset = AWGN\n".format(10**11),
+         "frame.m_2d, frame.n_2d, frame.prefix_2d"),
+    ], ids=["af", "papr", "ber"])
+    def test_frame_beyond_the_array_limit_names_the_frame_key(
+            self, tmp_path, capsys, frame, key):
+        # numpy refuses the frame ("Maximum allowed dimension exceeded")
+        cfg_file = tmp_path / "big.cfg"
+        cfg_file.write_text("{}output_dir = {}\n".format(frame, tmp_path / "out"))
+        for command in ("validate", "run"):
+            assert cli.main([command, str(cfg_file)]) == 2
+            assert f"validation error: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_frame_at_the_array_limit_validates(self):
+        # integer arithmetic: the limit itself passes, one sample more does not
+        limit = config.MAX_COMPLEX_VALUES
+        assert limit == np.iinfo(np.intp).max // 16
+        cfg = self._cfg(experiment="papr", waveforms=["ddam"], trials=20,
+                        **{"frame.m_1d": 1, "frame.delta_f_1d_hz": 1e6})
+        validate_config({**cfg, "papr.symbols": limit})
+        with pytest.raises(ValidationError, match="frame.m_1d, papr.symbols: a frame of"):
+            validate_config({**cfg, "papr.symbols": limit + 1})
+        cfg = self._cfg(experiment="af", waveforms=["otfs"],
+                        **{"frame.m_2d": limit // 2, "frame.n_2d": 2})
+        validate_config(cfg)
+        with pytest.raises(ValidationError, match="frame.m_2d, frame.n_2d: a frame of"):
+            validate_config({**cfg, "frame.m_2d": limit // 2 + 1})
+
     def test_short_prefix_run_exit_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "prefix.cfg"
         cfg_file.write_text(

@@ -98,6 +98,27 @@ class TestDiscretize:
         assert r1.taps == r2.taps
 
 
+class TestTapColumns:
+    N = np.arange(2**20 + 1)
+
+    @pytest.mark.parametrize("kind", [ch.TDC, ch.FDC, ch.NARROWBAND_DDC])
+    def test_unwarped_kinds_read_the_plain_delay(self, kind):
+        # FIG16's paths have nonzero time scales; only the wideband kind keeps them
+        real = ch.discretize(ch.channel_preset("FIG16"), 30.72e6, kind=kind)
+        for tap in real.taps:
+            cols = ch.tap_columns(tap, self.N)
+            plain = self.N - tap.delay_samples
+            assert cols.dtype == plain.dtype and np.array_equal(cols, plain)
+
+    def test_wideband_reads_the_warped_axis(self):
+        real = ch.discretize(ch.channel_preset("FIG16"), 30.72e6, kind=ch.WIDEBAND_DDC)
+        assert any(tap.scale != 0 for tap in real.taps)
+        for tap in real.taps:
+            warped = np.round(self.N * (1.0 + tap.scale)).astype(int) - tap.delay_samples
+            cols = ch.tap_columns(tap, self.N)
+            assert cols.dtype == warped.dtype and np.array_equal(cols, warped)
+
+
 class TestApplyChannel:
     def test_identity_path(self):
         real = ch.discretize(ch.channel_preset("AWGN"), 1e6)

@@ -185,7 +185,7 @@ class TestTimeDomainMmse:
         w = kpi.noise_shape(frame.size, np.random.Generator(np.random.Philox(key=5)))
         frames = [oracles.apply_channel(frame, real) + np.sqrt(s / 2.0) * w for s in sigma2s]
         cores = oracles.remove_prefix(np.array(frames), geo.prefix_len)
-        soft = kpi.time_domain_mmse(wf.core_channel(b, real), [b], [cores], sigma2s)[0]
+        soft = kpi.time_domain_mmse(wf.core_channel(b, real), [b], cores[None], sigma2s)[0]
         h_eff = wf.effective_channel(b, real)
         for sq, r, s in zip(soft, frames, sigma2s):
             ref = det.mmse_equalize(oracles.receive(b, r), h_eff, s)
@@ -546,9 +546,9 @@ class TestPapr:
         real = chan.realize(30.72e6, rng_seed=rng)
         P = len(real.taps)
         steering = (rng.standard_normal((P, 12)) + 1j * rng.standard_normal((P, 12)))
-        cfg = wf.DdamConfig(steering=steering / np.sqrt(2.0), beamformer="mrt")
+        F = wf.ddam_beamformers(steering / np.sqrt(2.0), "mrt")
         x = const.points[rng.integers(0, const.order, 3000)]
-        frame = oracles.ddam_precode(x, cfg, real)
+        frame = oracles.ddam_precode(x, F, real)
         assert np.array_equal(got, [kpi.papr(row) for row in frame])
 
     def test_ccdf_floor_and_monotonicity(self):

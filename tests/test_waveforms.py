@@ -619,11 +619,11 @@ class TestCoreChannel:
 class TestDdam:
     def test_single_path_degenerate(self):
         steer = np.array([[1.0 + 0j, 1j, -1.0, 0.5]])
-        cfg = wf.DdamConfig(steering=steer, beamformer="mrt")
+        F = wf.ddam_beamformers(steer, "mrt")
         ps = ch.PathSet(paths=(ch.Path(1.0, 0.0, doppler_hz=100.0),))
         real = ch.discretize(ps, 1e6)
         x = rand_syms(32)
-        s = oracles.ddam_precode(x, cfg, real)
+        s = oracles.ddam_precode(x, F, real)
         assert s.shape == (4, 32)  # kappa_1 = 0, no extension
         f = steer[0] / np.linalg.norm(steer[0])
         n = np.arange(32)
@@ -631,13 +631,12 @@ class TestDdam:
         assert_allclose(s, expected, atol=1e-12)
 
     @staticmethod
-    def _dense_precode(x, cfg, real):
+    def _dense_precode(x, F, real):
         """The whole-frame construction: every path's shifted, rotated copy at once."""
-        F = wf.ddam_beamformers(cfg)
         kappas = [real.max_delay_samples - t.delay_samples for t in real.taps]
         L = x.size + max(kappas)
         n = np.arange(L)
-        streams = np.zeros((cfg.n_paths, L), dtype=complex)
+        streams = np.zeros((F.shape[0], L), dtype=complex)
         for i, (tap, kap) in enumerate(zip(real.taps, kappas)):
             streams[i, kap : kap + x.size] = x
             streams[i] *= np.exp(-2j * np.pi * tap.doppler_hz * n / real.sample_rate_hz)
@@ -652,18 +651,18 @@ class TestDdam:
         real = ch.discretize(ch.PathSet(paths=paths), fs)
         H = rng.standard_normal((len(dopplers), n_tx)) + 1j * rng.standard_normal((len(dopplers), n_tx))
         x = rng.standard_normal(n_symbols) + 1j * rng.standard_normal(n_symbols)
-        return x, wf.DdamConfig(steering=H, beamformer=beamformer), real
+        return x, wf.ddam_beamformers(H, beamformer), real
 
     @pytest.mark.parametrize("dopplers", [(0.0, 0.0, 0.0, 0.0, 0.0),
                                           (500.0, -800.0, 0.0, 120.0, 3e3),
                                           (-250.0,)])
     @pytest.mark.parametrize("beamformer", ["zf", "mrt"])
     def test_blocks_concatenate_to_the_dense_frame(self, dopplers, beamformer):
-        x, cfg, real = self._setup(dopplers, beamformer)
+        x, F, real = self._setup(dopplers, beamformer)
         L = wf.ddam_frame_length(x.size, real)
-        dense = self._dense_precode(x, cfg, real)
-        s = oracles.ddam_precode(x, cfg, real)
-        assert s.shape == dense.shape == (cfg.n_tx, L)
+        dense = self._dense_precode(x, F, real)
+        s = oracles.ddam_precode(x, F, real)
+        assert s.shape == dense.shape == (F.shape[1], L)
         assert np.array_equal(s, dense)  # a zero tap's skipped rotation moves no value
         # spans of a multiple of 8 samples but the last, as the pairwise-sum
         # tree cuts them: a BLAS product computes the last few columns of a
@@ -671,12 +670,12 @@ class TestDdam:
         for spans in ([(0, 8), (8, 40), (40, 2048), (2048, L)],
                       [(lo, min(L, lo + 1000)) for lo in range(0, L, 1000)]):
             blocks, previous = [], None
-            for b in wf.ddam_blocks(x, cfg, real, spans):
+            for b in wf.ddam_blocks(x, F, real, spans):
                 # each block is a view of the one buffer the frame reuses
                 assert previous is None or np.shares_memory(b, previous)
                 previous = b
                 blocks.append(b.copy())
-            assert [b.shape for b in blocks] == [(cfg.n_tx, hi - lo) for lo, hi in spans]
+            assert [b.shape for b in blocks] == [(F.shape[1], hi - lo) for lo, hi in spans]
             assert np.array_equal(np.concatenate(blocks, axis=1), dense)
 
     @staticmethod
@@ -713,18 +712,16 @@ class TestDdam:
             assert rest != 1 or width == 1
 
     def test_blocks_check_arguments_before_the_first_block(self):
-        x, cfg, real = self._setup((0.0, 10.0), "zf")
-        short = wf.DdamConfig(steering=cfg.steering[:1], beamformer="zf")
+        x, F, real = self._setup((0.0, 10.0), "zf")
         with pytest.raises(wf.ConfigurationError, match="steering vectors"):
-            wf.ddam_blocks(x, short, real, [(0, 10)])
+            wf.ddam_blocks(x, F[:1], real, [(0, 10)])
         with pytest.raises(wf.ConfigurationError, match="1-D"):
-            wf.ddam_blocks(x[:0], cfg, real, [(0, 10)])
+            wf.ddam_blocks(x[:0], F, real, [(0, 10)])
 
     def test_zero_forcing_nulls_cross_paths(self):
         rng = np.random.default_rng(42)
         H = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
-        cfg = wf.DdamConfig(steering=H, beamformer="zf")
-        F = wf.ddam_beamformers(cfg)
+        F = wf.ddam_beamformers(H, "zf")
         for i in range(4):
             for j in range(4):
                 if i != j:
@@ -734,7 +731,7 @@ class TestDdam:
         rng = np.random.default_rng(17)
         P, n_tx = 4, 16
         H = rng.standard_normal((P, n_tx)) + 1j * rng.standard_normal((P, n_tx))
-        cfg = wf.DdamConfig(steering=H, beamformer="zf")
+        F = wf.ddam_beamformers(H, "zf")
         fs = 1e6
         paths = tuple(
             ch.Path(gain=1.0, delay_s=d / fs, doppler_hz=nu)
@@ -742,11 +739,11 @@ class TestDdam:
         )
         real = ch.discretize(ch.PathSet(paths=paths), fs)
         x = rand_syms(64)
-        s = oracles.ddam_precode(x, cfg, real)
-        r = oracles.ddam_apply_channel(s, cfg, real)
+        s = oracles.ddam_precode(x, F, real)
+        r = oracles.ddam_apply_channel(s, H, real)
         # all energy collapses onto the common tap at l_max
         l_max = real.max_delay_samples
-        g = oracles.ddam_composite_gain(cfg, real)
+        g = oracles.ddam_composite_gain(H, F, real)
         aligned = r[l_max : l_max + x.size]
         leak = np.linalg.norm(r) ** 2 - np.linalg.norm(aligned) ** 2
         assert leak <= 1e-9 * np.linalg.norm(r) ** 2
@@ -759,13 +756,13 @@ class TestDdam:
     def test_mrt_with_orthogonal_paths_recovers(self):
         # spatially orthogonal steering makes matched beams interference-free
         H = np.eye(2, 8) + 0j
-        cfg = wf.DdamConfig(steering=H, beamformer="mrt")
+        F = wf.ddam_beamformers(H, "mrt")
         fs = 1e6
         paths = (ch.Path(1.0, 0.0, doppler_hz=300.0), ch.Path(1.0, 4 / fs, doppler_hz=-2e3))
         real = ch.discretize(ch.PathSet(paths=paths), fs)
         x = rand_syms(40)
-        r = oracles.ddam_apply_channel(oracles.ddam_precode(x, cfg, real), cfg, real)
-        g = oracles.ddam_composite_gain(cfg, real)
+        r = oracles.ddam_apply_channel(oracles.ddam_precode(x, F, real), H, real)
+        g = oracles.ddam_composite_gain(H, F, real)
         x_hat = oracles.ddam_receive(r, real.max_delay_samples, g, n_symbols=x.size)
         assert np.max(np.abs(x_hat - x)) <= 1e-9
 
@@ -773,15 +770,24 @@ class TestDdam:
         rng = np.random.default_rng(0)
         H = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
         with pytest.raises(wf.ConfigurationError):
-            wf.ddam_beamformers(wf.DdamConfig(steering=H, beamformer="zf"))
+            wf.ddam_beamformers(H, "zf")
         # duplicated steering rows: path inside the span of the others
         H2 = np.ones((2, 8)) + 0j
         with pytest.raises(wf.ConfigurationError):
-            wf.ddam_beamformers(wf.DdamConfig(steering=H2, beamformer="zf"))
+            wf.ddam_beamformers(H2, "zf")
+
+    @pytest.mark.parametrize("steering,beamformer,match", [
+        (np.ones(8, complex), "mrt", "steering must be"),
+        (np.ones((2, 8), complex), "svd", "unknown beamformer"),
+        (np.vstack([np.ones(8), np.zeros(8)]) + 0j, "mrt", "must be nonzero"),
+    ], ids=["1-D", "unknown", "zero-row"])
+    def test_malformed_inputs_rejected(self, steering, beamformer, match):
+        with pytest.raises(wf.ConfigurationError, match=match):
+            wf.ddam_beamformers(steering, beamformer)
 
     def test_total_power_normalized(self):
         rng = np.random.default_rng(9)
         H = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
         for bf in ("mrt", "zf"):
-            F = wf.ddam_beamformers(wf.DdamConfig(steering=H, beamformer=bf))
+            F = wf.ddam_beamformers(H, bf)
             assert np.sum(np.abs(F) ** 2) == pytest.approx(1.0)
