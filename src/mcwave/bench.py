@@ -220,12 +220,14 @@ def _run_af_experiment(cfg: dict, chan: channel.ChannelConfig):
 
 
 def _run_chanmat_experiment(cfg: dict, chan: channel.ChannelConfig):
+    # a bundle reads the path set and the Doppler rule, never the model kind
+    bundles = [(label, build_bundle(label, cfg, chan)) for label in cfg["waveforms"]]
     thr = cfg["chanmat.threshold"]
     for kind in cfg["chanmat.models"]:  # each model draws its own channel
         model_chan = channel_config(cfg, kind=kind)
-        for label in cfg["waveforms"]:
-            bundle = build_bundle(label, cfg, model_chan)
-            real = model_chan.realize(bundle.geometry.sample_rate_hz, cfg["seed"])
+        for label, bundle in bundles:
+            rng = np.random.Generator(np.random.Philox(key=cfg["seed"]))
+            real = model_chan.realize(bundle.geometry.sample_rate_hz, rng)
             h_eff = waveforms.effective_channel(bundle, real)
             mag = np.abs(h_eff)
             peak = mag.max()

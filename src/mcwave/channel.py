@@ -229,17 +229,13 @@ def load_profile_file(path: str, carrier_hz: float = 0.0) -> PathSet:
     return PathSet(paths=tuple(paths), normalized=True)
 
 
-def draw_jakes_dopplers(
-    path_set: PathSet, nu_max_hz: float, rng_seed: int | np.random.Generator
-) -> PathSet:
+def draw_jakes_dopplers(path_set: PathSet, nu_max_hz: float, rng: np.random.Generator) -> PathSet:
     """Replace every path's Doppler by ``nu_max * cos(theta)``, theta ~ U[-pi, pi].
 
-    Each path gets an independent angle; the draw is deterministic for a
-    fixed seed.
+    Each path gets an independent angle from ``rng``.
     """
     if nu_max_hz < 0:
         raise ValueError("nu_max_hz must be >= 0")
-    rng = _as_generator(rng_seed)
     theta = rng.uniform(-np.pi, np.pi, size=path_set.count)
     dops = nu_max_hz * np.cos(theta)
     paths = tuple(
@@ -248,13 +244,12 @@ def draw_jakes_dopplers(
     return PathSet(paths=paths, normalized=path_set.normalized)
 
 
-def draw_profile_gains(path_set: PathSet, rng_seed: int | np.random.Generator) -> PathSet:
+def draw_profile_gains(path_set: PathSet, rng: np.random.Generator) -> PathSet:
     """Redraw gains as circular Gaussians scaled by the per-path powers.
 
     The existing |gain|^2 values act as the power profile; the redrawn set is
     renormalized to unit total power so the SNR definition stays exact.
     """
-    rng = _as_generator(rng_seed)
     P = path_set.count
     g = (rng.standard_normal(P) + 1j * rng.standard_normal(P)) / np.sqrt(2.0)
     g = g * np.abs(path_set.gains())
@@ -290,12 +285,6 @@ def discretize(
             scale = 0.0
         taps.append(Tap(delay_samples=l, doppler_hz=nu, gain=p.gain, scale=scale))
     return ChannelRealization(taps=tuple(taps), sample_rate_hz=sample_rate_hz)
-
-
-def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
 def tap_columns(tap: Tap, n: np.ndarray) -> np.ndarray:
@@ -338,10 +327,7 @@ class ChannelConfig:
             return load_profile_file(self.profile_path, self.carrier_hz)
         return channel_preset(self.preset)
 
-    def realize(
-        self, sample_rate_hz: float, rng_seed: int | np.random.Generator
-    ) -> ChannelRealization:
-        rng = _as_generator(rng_seed)
+    def realize(self, sample_rate_hz: float, rng: np.random.Generator) -> ChannelRealization:
         ps = self.path_set
         if self.random_gains:
             ps = draw_profile_gains(ps, rng)

@@ -301,25 +301,30 @@ def validate_config(cfg: dict) -> ChannelConfig:
                 f"ddam.n_tx: zero-forcing over {paths} paths needs at least {paths} "
                 f"antennas, got {cfg['ddam.n_tx']}"
             )
-    for w in cfg["waveforms"] if exp == "papr" else ():
-        # a bundle frame gives one sample, a DDAM frame one per antenna
-        samples = cfg["trials"] * (cfg["ddam.n_tx"] if w == "ddam" else 1)
-        if samples <= PAPR_MIN_TAIL:
-            raise ValidationError(
-                f"trials: {w!r} gets {samples} peak-power samples from {cfg['trials']} "
-                f"trials; its survivor curve needs more than {PAPR_MIN_TAIL}"
-            )
-    for w in cfg["waveforms"] if exp == "af" else ():
-        # the delay cut of an L-sample core frame has 2L - 1 points and a cut
-        # needs 3; fbmc's frame also carries the prototype's tails
-        row = SCHEMES_BY_LABEL[w]
-        if row.label != "fbmc" and scheme_geometry(cfg, row, chan).core_samples < 2:
-            raise ValidationError(
-                f"{_FRAME_KEYS[f'{row.dim}d']}: the {w!r} core frame has one sample; its "
-                "ambiguity delay cut needs at least 2")
+    for w in cfg["waveforms"] if exp in ("papr", "af") else ():
+        # each frame this run allocates must also fit in one array; the check
+        # is integer arithmetic and allocates nothing
+        d = f"{SCHEMES_BY_LABEL[w].dim}d" if w != "ddam" else "1d"  # ddam precodes a 1D stream
+        n = cfg["frame.n_2d"] if d == "2d" else 1
+        keys, length = _FRAME_KEYS[d], cfg[f"frame.m_{d}"] * n
+        if exp == "papr":
+            # a bundle frame gives one sample, a DDAM frame one per antenna
+            samples = cfg["trials"] * (cfg["ddam.n_tx"] if w == "ddam" else 1)
+            if samples <= PAPR_MIN_TAIL:
+                raise ValidationError(
+                    f"trials: {w!r} gets {samples} peak-power samples from {cfg['trials']} "
+                    f"trials; its survivor curve needs more than {PAPR_MIN_TAIL}"
+                )
+            # a realization repeats the core frame up to papr.symbols symbols
+            keys, length = f"{keys}, papr.symbols", length * -(-cfg["papr.symbols"] // n)
+        elif w != "fbmc" and scheme_geometry(cfg, SCHEMES_BY_LABEL[w], chan).core_samples < 2:
+            # the delay cut of an L-sample core frame has 2L - 1 points and a
+            # cut needs 3; fbmc's frame also carries the prototype's tails
+            raise ValidationError(f"{keys}: the {w!r} core frame has one sample; its "
+                                  "ambiguity delay cut needs at least 2")
+        _check_frame_size(keys, length)
     if exp in ("ber", "chanmat", "afdm-sweep"):  # frames cross the channel
         _check_prefixes(cfg, chan)
-    _check_frame_sizes(cfg)
     return chan
 
 
@@ -378,24 +383,6 @@ def _check_frame_size(keys: str, length: int) -> None:
     if length > MAX_COMPLEX_VALUES:
         raise ValidationError(f"{keys}: a frame of {length} complex samples is more than "
                               f"the {MAX_COMPLEX_VALUES} one array can hold")
-
-
-def _check_frame_sizes(cfg: dict) -> None:
-    """Each frame a papr or af run allocates must fit in one array.
-
-    A peak-power realization repeats the core frame (the path-precoded
-    stream, for ddam) up to ``papr.symbols`` symbols.  The check is integer
-    arithmetic and allocates nothing; the frames that cross the channel are
-    checked with their prefix (:func:`_check_prefixes`).
-    """
-    exp = cfg["experiment"]
-    for w in cfg["waveforms"] if exp in ("papr", "af") else ():
-        d = f"{SCHEMES_BY_LABEL[w].dim}d" if w != "ddam" else "1d"  # ddam precodes a 1D stream
-        n = cfg["frame.n_2d"] if d == "2d" else 1
-        keys, length = _FRAME_KEYS[d], cfg[f"frame.m_{d}"] * n
-        if exp == "papr":
-            keys, length = f"{keys}, papr.symbols", length * -(-cfg["papr.symbols"] // n)
-        _check_frame_size(keys, length)
 
 
 def _check_prefixes(cfg: dict, chan: ChannelConfig) -> None:

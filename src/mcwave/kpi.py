@@ -381,11 +381,12 @@ def qam_frame_source(
     repeated ceil(n_symbols / n) times).
     """
     reps = max(1, -(-n_symbols // bundle.geometry.n))
+    real_field = bundle.row.real_field
 
     def source(rng: np.random.Generator) -> np.ndarray:
         idx = rng.integers(0, constellation.order, (bundle.n_symbols, reps))
         x = constellation.points[idx]
-        if bundle.real_field:
+        if real_field:
             x = np.sqrt(2.0) * x.real  # offset-QAM carries one real axis
         # The dense product pins the PAPR bytes; the factored apply differs
         # in last bits, so it waits for a declared numerics move.

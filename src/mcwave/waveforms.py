@@ -215,19 +215,22 @@ class FactoredOperator:
 
 @dataclass(frozen=True)
 class WaveformBundle:
-    """A scheme's modulation/demodulation operators plus its prefix rule.
+    """A scheme, its frame, its operator and its parameters.
 
     ``operator`` is the factored a_tx that modulation and demodulation
-    apply.  The dense ``a_tx`` is composed from it on first access and kept.
+    apply.  The prefix rule, the field and the dense override are read
+    from the scheme's row (:attr:`row`), the prefix's chirp rate from the
+    parameters.  The dense ``a_tx`` is composed on first access and kept.
     """
 
     scheme: str
     geometry: FrameGeometry
     operator: FactoredOperator
-    prefix_rule: str  # "cp" | "cpp" | "none"
-    cpp_c1: float = 0.0
-    real_field: bool = False
     params: dict = field(default_factory=dict)
+
+    @property
+    def row(self) -> Scheme:
+        return SCHEMES[self.scheme]
 
     @property
     def n_symbols(self) -> int:
@@ -244,12 +247,12 @@ class WaveformBundle:
         a_rx is a_tx^H by construction, so a square complex-field bundle is
         a unitary pair without comparing its matrices.
         """
-        return not self.real_field and self.core_len == self.n_symbols
+        return not self.row.real_field and self.core_len == self.n_symbols
 
     @cached_property
     def a_tx(self) -> np.ndarray:
         """Dense modulator (core_len x n_symbols): the row's ``dense`` override, else composed."""
-        override = SCHEMES[self.scheme].dense
+        override = self.row.dense
         return override(self.geometry) if override else self.operator.dense()
 
     def modulate(self, x: np.ndarray) -> np.ndarray:
@@ -272,11 +275,13 @@ class WaveformBundle:
     def prefix_phase(self) -> np.ndarray:
         """Factor on each prefix sample's copy of the core: the chirp phase, else 1.
 
-        Computed once per bundle; the core channel and the grouping of the
-        BER loop read it.
+        The chirp-periodic prefix follows the affine scheme's first chirp
+        rate.  Computed once per bundle; the core channel and the grouping
+        of the BER loop read it.
         """
-        if self.prefix_rule == "cpp":
-            return _cpp_phase(self.core_len, self.geometry.prefix_len, self.cpp_c1)
+        if self.row.prefix_rule == "cpp":
+            c1 = _afdm_chirp_rates(self.geometry, self.params)[0]
+            return _cpp_phase(self.core_len, self.geometry.prefix_len, c1)
         return np.ones(self.geometry.prefix_len, dtype=complex)
 
 
@@ -495,13 +500,7 @@ def build_waveform(scheme: str, geometry: FrameGeometry, params: dict | None = N
     unknown = set(params) - {p for p, _ in row.config_keys}
     if unknown:
         raise ConfigurationError(f"unknown {scheme} parameters: {sorted(unknown)}")
-    op = row.factor(geometry, params)
-    # the chirp-periodic prefix follows the affine scheme's first chirp rate
-    cpp_c1 = _afdm_chirp_rates(geometry, params)[0] if row.prefix_rule == "cpp" else 0.0
-    return WaveformBundle(
-        scheme=scheme, geometry=geometry, operator=op, prefix_rule=row.prefix_rule,
-        cpp_c1=cpp_c1, real_field=row.real_field, params=params,
-    )
+    return WaveformBundle(scheme, geometry, row.factor(geometry, params), params)
 
 
 # Hermite-series prototype coefficients (even orders 0..20).
@@ -571,7 +570,7 @@ def effective_channel(
     for the bundle's end-to-end chain.  Raises for a real-field bundle and
     on the checks of :func:`core_channel`.
     """
-    if bundle.real_field:
+    if bundle.row.real_field:
         raise ConfigurationError(
             "real-field bundles have no complex modulation-domain channel matrix"
         )

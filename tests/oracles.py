@@ -26,6 +26,11 @@ from mcwave.waveforms import (
 )
 
 
+def philox(seed: int) -> np.random.Generator:
+    """The counter-based generator keyed on one integer, as the chanmat runner draws."""
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
 def awgn_qpsk_ber(snr_db: float) -> float:
     """Closed-form Gray 4-QAM bit error rate over the pure-noise channel."""
     snr = 10.0 ** (snr_db / 10.0)
@@ -147,7 +152,7 @@ def remove_prefix(frame: np.ndarray, prefix_len: int) -> np.ndarray:
 
 def transmit(bundle: WaveformBundle, x: np.ndarray) -> np.ndarray:
     """Modulate and attach the bundle's prefix, with its cached phase."""
-    return add_prefix(bundle.modulate(x), bundle.prefix_rule, bundle.geometry.prefix_len,
+    return add_prefix(bundle.modulate(x), bundle.row.prefix_rule, bundle.geometry.prefix_len,
                       phase=bundle.prefix_phase)
 
 

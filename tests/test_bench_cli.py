@@ -903,6 +903,17 @@ class TestExperiments:
         rows = [line.split(",") for line in text[1:]]
         assert all(r == c for r, c, _ in rows)
 
+    def test_chanmat_builds_each_bundle_once(self, tmp_path, monkeypatch):
+        # a bundle reads the path set and the Doppler rule, not the model
+        # kind: one build per label, not one per label and model
+        calls = []
+        build = bench.build_bundle
+        monkeypatch.setattr(bench, "build_bundle", lambda *a: calls.append(a[0]) or build(*a))
+        cfg = preset_config("fig16-chanmat")
+        bench.run_experiment(cfg, tmp_path / "out")
+        assert len(cfg["waveforms"]) * len(cfg["chanmat.models"]) == 12
+        assert calls == cfg["waveforms"]
+
     def test_sweep_contains_anchor_points(self, tmp_path):
         cfg, out, _ = _run(
             tmp_path, "fig21-sweep", trials=2,

@@ -177,7 +177,7 @@ class TestTimeDomainMmse:
     def test_matches_modulation_domain_mmse(self, scheme, geo, params):
         b = wf.build_waveform(scheme, geo, params)
         assert b.adjoint_pair
-        real = EVA_DOPPLER.realize(geo.sample_rate_hz, 3)
+        real = EVA_DOPPLER.realize(geo.sample_rate_hz, oracles.philox(3))
         rng = np.random.default_rng(99)
         x = rng.standard_normal(b.n_symbols) + 1j * rng.standard_normal(b.n_symbols)
         frame = oracles.transmit(b, x)
@@ -543,7 +543,7 @@ class TestPapr:
         got = source(rng)
         # replay the source's draws and precode the whole frame densely
         rng = kpi.derive_rng(3, 1)
-        real = chan.realize(30.72e6, rng_seed=rng)
+        real = chan.realize(30.72e6, rng=rng)
         P = len(real.taps)
         steering = (rng.standard_normal((P, 12)) + 1j * rng.standard_normal((P, 12)))
         F = wf.ddam_beamformers(steering / np.sqrt(2.0), "mrt")

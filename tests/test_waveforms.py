@@ -1,5 +1,6 @@
 """Waveform bundle tests: operator chains, prefixes, filters, precoding."""
 
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -57,7 +58,8 @@ def prefix_operator(rule, core_len, prefix_len, c1=0.0):
 def dense_fold(b, real):
     """Core channel as the dense fold (H @ R)[Lp:] of the frame channel and prefix."""
     L, Lp = b.core_len, b.geometry.prefix_len
-    R_add = prefix_operator(b.prefix_rule, L, Lp, b.cpp_c1)
+    c1 = wf._afdm_chirp_rates(b.geometry, b.params)[0]
+    R_add = prefix_operator(b.row.prefix_rule, L, Lp, c1)
     return (oracles.channel_matrix_full(real, L + Lp) @ R_add)[Lp:]
 
 
@@ -202,7 +204,7 @@ class TestBundles:
             assert label == ("otfs" if row.name == "mc-otfs" else row.name)
             geo = geo_1d(prefix=0) if row.dim == 1 else geo_2d(m=4, n=2, prefix=0)
             b = wf.build_waveform(row.name, geo)
-            assert (b.prefix_rule, b.real_field) == (row.prefix_rule, row.real_field)
+            assert b.row is row
 
     # parameters that no config key sets: the builder refuses them
     @pytest.mark.parametrize("scheme,param,value", [
@@ -385,7 +387,8 @@ class TestPrefix:
         b = bench.build_bundle("afdm", cfg, validate_config(cfg))
         assert b.core_len == core_len and b.geometry.prefix_len > 0
         assert np.array_equal(b.prefix_phase, np.ones(b.geometry.prefix_len))
-        assert np.array_equal(wf._cpp_phase(core_len, core_len, b.cpp_c1), np.ones(core_len))
+        c1 = wf._afdm_chirp_rates(b.geometry, b.params)[0]
+        assert np.array_equal(wf._cpp_phase(core_len, core_len, c1), np.ones(core_len))
 
     @pytest.mark.parametrize("core_len", [1, 3, 15, 17])
     @pytest.mark.parametrize("c1", [0.5, 1.5, -0.5])
@@ -411,6 +414,13 @@ class TestPrefix:
         assert calls == [(32, 6, 0.05)]
         for frame in frames:
             assert frame.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("m,params,c1", [
+        (32, {}, wf.afdm_default_c1(32, 0)), (32, {"c1": 0.05}, 0.05),
+        (15, {"c1": 0.5}, 0.5)])  # 2 L c1 L odd: an odd number of half turns
+    def test_afdm_prefix_phase_takes_c1_from_the_parameters(self, m, params, c1):
+        b = wf.build_waveform("afdm", geo_1d(m=m, prefix=4), params)
+        assert np.max(np.abs(b.prefix_phase - exact_cpp_phase(m, 4, c1))) <= 1e-15
 
     def test_cpp_phase_rejects_a_non_finite_c1(self):
         with pytest.raises(wf.ConfigurationError, match="c1 must be finite"):
@@ -515,7 +525,7 @@ class TestEffectiveChannel:
         geo = wf.FrameGeometry(m=8, n=4, delta_f_hz=60e3, prefix_len=3)
         b = wf.build_waveform("mc-otfs", geo)
         fs = b.geometry.sample_rate_hz
-        ps = ch.draw_jakes_dopplers(ch.channel_preset("EVA"), 2000.0, rng_seed=4)
+        ps = ch.draw_jakes_dopplers(ch.channel_preset("EVA"), 2000.0, rng=oracles.philox(4))
         real = ch.discretize(ps, fs)
         He = wf.effective_channel(b, real)
         rng = np.random.default_rng(11)
@@ -567,7 +577,7 @@ class TestCoreChannel:
         # C x against the physical chain: prefix, frame channel, prefix removed
         b = wf.build_waveform(scheme, geo, params)
         Lp = geo.prefix_len
-        if b.prefix_rule == "cpp":
+        if b.row.prefix_rule == "cpp":
             assert np.max(np.abs(b.prefix_phase - 1.0)) > 0.1
         real = ch.discretize(self.PATHS, geo.sample_rate_hz, kind=kind)
         core = wf.core_channel(b, real)
@@ -577,7 +587,7 @@ class TestCoreChannel:
         assert out.shape == x.shape
         for row, xr in zip(out, x):
             assert row.tobytes() == core.apply(xr).tobytes()
-            frame = oracles.add_prefix(xr, b.prefix_rule, Lp, phase=b.prefix_phase)
+            frame = oracles.add_prefix(xr, b.row.prefix_rule, Lp, phase=b.prefix_phase)
             ref = oracles.remove_prefix(oracles.apply_channel(frame, real), Lp)
             assert np.linalg.norm(row - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -614,6 +624,25 @@ class TestCoreChannel:
             b = wf.build_waveform(scheme, geo, params)
             assert b.adjoint_pair == (b.n_symbols == b.core_len), (scheme, params)
         assert not wf.build_waveform("fbmc", geo_2d()).adjoint_pair
+
+    def test_real_field_bundle_rejected(self):
+        b = wf.build_waveform("fbmc", geo_2d(prefix=0))
+        real = ch.discretize(ch.channel_preset("AWGN"), b.geometry.sample_rate_hz)
+        with pytest.raises(wf.ConfigurationError, match="real-field"):
+            wf.effective_channel(b, real)
+
+    @pytest.mark.parametrize("scheme,geo,params", [
+        ("afdm", geo_1d(m=32, prefix=6), {"c1": 0.05}), ("ofdm", geo_1d(), {}),
+        ("fbmc", geo_2d(prefix=0), {})])
+    def test_bundle_survives_pickle(self, scheme, geo, params):
+        # the BER worker pool receives its bundles pickled
+        b = wf.build_waveform(scheme, geo, params)
+        copy = pickle.loads(pickle.dumps(b))
+        assert copy.row is b.row
+        assert copy.prefix_phase.tobytes() == b.prefix_phase.tobytes()
+        assert copy.adjoint_pair == b.adjoint_pair
+        x = rand_syms(b.n_symbols)
+        assert copy.operator.tx(x).tobytes() == b.operator.tx(x).tobytes()
 
 
 class TestDdam:
