@@ -66,9 +66,6 @@ class PathSet:
     def gains(self) -> np.ndarray:
         return np.array([p.gain for p in self.paths], dtype=complex)
 
-    def dopplers(self) -> np.ndarray:
-        return np.array([p.doppler_hz for p in self.paths])
-
 
 @dataclass(frozen=True)
 class Tap:

@@ -56,7 +56,7 @@ class Key:
 
 CONFIG_SCHEMA: dict[str, Key] = {
     "experiment": Key("str", "ber", "experiment kind", choices=EXPERIMENT_KINDS),
-    "seed": Key("int", 1, "master seed; every trial stream derives from it"),
+    "seed": Key("int", 1, "master seed; every trial stream derives from it", low=0, high=2**128),
     "trials": Key("int", 100, "Monte-Carlo realizations", low=1),
     "workers": Key("int", 1, "parallel trial workers, used by ber and afdm-sweep only "
                    "(results are worker-count invariant); papr and af run in one process, "
@@ -85,7 +85,7 @@ CONFIG_SCHEMA: dict[str, Key] = {
     "afdm.c1": Key("float", -1.0, "first chirp rate; -1 = (2 ceil(alpha_max)+1)/(2M)"),
     "afdm.c2": Key("float", 0.0, "second chirp rate"),
     "frft.p": Key("float", 0.5, "fractional transform order", low=0, low_open=True, high=2),
-    "ifdm.seed": Key("int", 0, "interleaver key", low=0),
+    "ifdm.seed": Key("int", 0, "interleaver key", low=0, high=2**128),
     "dfts.width": Key("int", -1, "spread width; -1 = full allocation"),
     "dfts.mapping": Key("str", "block-centered", "spread-block subcarrier mapping",
                         choices=DFTS_MAPPINGS),
@@ -291,6 +291,18 @@ def validate_config(cfg: dict) -> ChannelConfig:
     if cfg["afdm.c1"] < 0 and cfg["afdm.c1"] != -1:  # a sentinel no range can hold
         raise ValidationError(f"afdm.c1 must be >= 0 or -1, got {cfg['afdm.c1']!r} "
                               f"({CONFIG_SCHEMA['afdm.c1'].help})")
+    span = doppler_span_hz(chan)
+    for d in ("1d", "2d"):  # the automatic c1 takes 2 ceil(span / delta_f) + 1
+        if not math.isfinite(2 * span / cfg[f"frame.delta_f_{d}_hz"]):
+            raise ValidationError(f"frame.delta_f_{d}_hz: the Doppler span over this "
+                                  "spacing is beyond the float range")
+    if "afdm" in cfg["waveforms"] and exp in ("ber", "papr", "af", "chanmat"):
+        m = cfg["frame.m_1d"]
+        for key, c in (("afdm.c1", afdm_c1(cfg, chan)), ("afdm.c2", cfg["afdm.c2"])):
+            # the largest chirp phase 2 pi c (M - 1)^2, c first: (M - 1)^2 may exceed a float
+            if not math.isfinite(2 * math.pi * abs(c) * (m - 1) * (m - 1)):
+                raise ValidationError(f"{key}: a chirp rate of {c:g} over frame.m_1d "
+                                      "subcarriers gives a phase beyond the float range")
     width = cfg["dfts.width"]
     if "dft-s-ofdm" in cfg["waveforms"] and width != -1 and not 1 <= width <= cfg["frame.m_1d"]:
         raise ValidationError("dfts.width must be -1 (full allocation) or in 1..frame.m_1d")
@@ -390,7 +402,8 @@ def _check_prefixes(cfg: dict, chan: ChannelConfig) -> None:
 
     An automatic prefix is the memory, so only a set one needs the cover
     check; a Doppler-only channel has no delay spread to cover.  The frame
-    with its prefix must fit in one array.
+    with its prefix must fit in one array, and its largest Doppler phase,
+    2 pi span (L + L_p) / f_s, must stay in the float range.
     """
     kinds = cfg["chanmat.models"] if cfg["experiment"] == "chanmat" else [cfg["channel.model"]]
     labels = ["afdm"] if cfg["experiment"] == "afdm-sweep" else cfg["waveforms"]
@@ -406,4 +419,8 @@ def _check_prefixes(cfg: dict, chan: ChannelConfig) -> None:
         if geo.prefix_len > geo.core_samples:
             raise ValidationError(
                 f"{key}: prefix {geo.prefix_len} longer than the core frame {geo.core_samples}")
-        _check_frame_size(f"{_FRAME_KEYS[f'{d}d']}, {key}", geo.core_samples + geo.prefix_len)
+        frame = geo.core_samples + geo.prefix_len
+        _check_frame_size(f"{_FRAME_KEYS[f'{d}d']}, {key}", frame)
+        if not math.isfinite(2 * math.pi * doppler_span_hz(chan) * frame / geo.sample_rate_hz):
+            raise ValidationError(f"frame.delta_f_{d}d_hz: the largest Doppler phase of a "
+                                  f"{frame}-sample frame is beyond the float range")

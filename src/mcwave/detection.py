@@ -17,43 +17,21 @@ import numpy as np
 QAM_ORDERS = (4, 16, 64, 128)
 
 
-def _gray(n: int) -> int:
-    return n ^ (n >> 1)
+def _qam_lattice(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points and integer labels of a QAM alphabet on the odd-integer lattice.
 
-
-def _square_qam_points(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Points and integer labels of a Gray-mapped square constellation."""
-    side = int(round(np.sqrt(order)))
-    bits_axis = side.bit_length() - 1
-    levels = 2 * np.arange(side) - (side - 1)  # ..., -3, -1, 1, 3, ...
-    points = np.empty(order, dtype=complex)
-    labels = np.empty(order, dtype=int)
-    idx = 0
-    for i in range(side):
-        for q in range(side):
-            points[idx] = levels[i] + 1j * levels[q]
-            labels[idx] = (_gray(i) << bits_axis) | _gray(q)
-            idx += 1
-    return points, labels
-
-
-def _cross_128_points() -> tuple[np.ndarray, np.ndarray]:
-    """128-point cross constellation: 12x12 lattice minus the 2x2 corners.
-
-    Labels simply enumerate the surviving lattice points row-major with
-    per-axis Gray codes on the underlying lattice, a quasi-Gray assignment.
+    A square order takes the whole side x side lattice, row-major, with
+    per-axis Gray labels.  128 is the cross: the 12 x 12 lattice minus its
+    2 x 2 corners, the survivors labeled in row-major order.
     """
-    side = 12
-    levels = 2 * np.arange(side) - (side - 1)
-    pts = []
-    for i in range(side):
-        for q in range(side):
-            corner = (i < 2 or i >= side - 2) and (q < 2 or q >= side - 2)
-            if not corner:
-                pts.append(levels[i] + 1j * levels[q])
-    points = np.array(pts, dtype=complex)
-    labels = np.arange(points.size)
-    return points, labels
+    side = 12 if order == 128 else int(round(np.sqrt(order)))
+    levels = 2 * np.arange(side) - (side - 1)  # ..., -3, -1, 1, 3, ...
+    i, q = np.divmod(np.arange(side * side), side)
+    points = levels[i] + 1j * levels[q]
+    if order == 128:
+        corner = ((i < 2) | (i >= side - 2)) & ((q < 2) | (q >= side - 2))
+        return points[~corner], np.arange(order)
+    return points, ((i ^ (i >> 1)) << (side.bit_length() - 1)) | (q ^ (q >> 1))
 
 
 @dataclass(frozen=True)
@@ -90,10 +68,7 @@ def qam_constellation(order: int) -> Constellation:
     """Unit-energy QAM alphabet of the given order (4, 16, 64 or 128)."""
     if order not in QAM_ORDERS:
         raise ValueError(f"unsupported order {order}; pick from {QAM_ORDERS}")
-    if order == 128:
-        points, labels = _cross_128_points()
-    else:
-        points, labels = _square_qam_points(order)
+    points, labels = _qam_lattice(order)
     points = points / np.sqrt(np.mean(np.abs(points) ** 2))
     return Constellation(order=order, points=points, labels=labels)
 

@@ -138,7 +138,7 @@ def _ber_trial(
         The group's modulated cores go through C in one call; each bundle's
         rows then take the core part of their noise rows.
         """
-        r0 = core.apply(np.array([b.modulate(bits_and_symbols(b)[1]) for b in group]))
+        r0 = core.apply(np.array([b.operator.tx(bits_and_symbols(b)[1]) for b in group]))
         r = np.repeat(r0[:, None], sigma2s.size, 1)
         for b, rows in zip(group, r):
             n = b.core_len + b.geometry.prefix_len
@@ -162,8 +162,8 @@ def _ber_trial(
             continue
         h_eff = effective_channel(bundle, core)
         (r,) = received(core, [bundle])
-        count(i, np.array([mmse_equalize(bundle.demodulate(row), h_eff, sigma2)
-                           for row, sigma2 in zip(r, sigma2s)]))
+        count(i, np.array([mmse_equalize(y, h_eff, sigma2)
+                           for y, sigma2 in zip(bundle.operator.rx(r), sigma2s)]))
     for core, members in groups.values():
         shared = [bundles[i] for i in members]
         soft = time_domain_mmse(core, shared, received(core, shared), sigma2s)
@@ -433,21 +433,18 @@ def af_delay_cut(a: np.ndarray, convention: str = "aperiodic") -> np.ndarray:
     """Zero-Doppler cut of the self-ambiguity, sum_n a[n] a*[n - k], k = -(L-1)..L-1.
 
     The aperiodic convention treats a as zero outside its support, the
-    cyclic one wraps it.  One slice product and sum per lag: no lag matrix.
+    cyclic one wraps it.  One slice product and sum per lag k = 0..L-1: lag
+    -k is the conjugate of lag k (the cut is Hermitian), and the cyclic lag
+    k adds the aperiodic lag k - L, the conjugate of lag L - k.
     """
     a = np.asarray(a, dtype=complex)
     if convention not in AF_CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     L = a.size
-    cut = np.empty(2 * L - 1, dtype=complex)
-    for k in range(1 - L, L):
-        if convention == "cyclic":
-            cut[k + L - 1] = np.sum(a * np.roll(a, k).conj())
-        elif k >= 0:
-            cut[k + L - 1] = np.sum(a[k:] * a[: L - k].conj())
-        else:
-            cut[k + L - 1] = np.sum(a[: L + k] * a[-k:].conj())
-    return cut
+    half = np.array([np.sum(a[k:] * a[: L - k].conj()) for k in range(L)], dtype=complex)
+    if convention == "cyclic":
+        half[1:] += half[:0:-1].conj()
+    return np.concatenate([half[:0:-1].conj(), half])
 
 
 def af_doppler_cut(a: np.ndarray, nu: np.ndarray) -> np.ndarray:
@@ -498,28 +495,11 @@ def af_cut_metrics(cut: np.ndarray, axis: np.ndarray) -> AfCutMetrics:
         return AfCutMetrics(width_3db=float(axis[-1] - axis[0]), pslr_db=0.0,
                             islr_db=SENTINEL_DB, no_null=True)
 
-    lo = p
-    while lo > 0 and cut[lo - 1] < cut[lo]:
-        lo -= 1
-    hi = p
-    while hi < cut.size - 1 and cut[hi + 1] < cut[hi]:
-        hi += 1
-    no_null = lo == 0 and hi == cut.size - 1
-
-    # 3-dB width by linear interpolation on each flank.
     level = peak_val / np.sqrt(2.0)
-    left = axis[0]
-    for i in range(p, 0, -1):
-        if cut[i - 1] <= level <= cut[i]:
-            frac = (cut[i] - level) / (cut[i] - cut[i - 1])
-            left = axis[i] - frac * (axis[i] - axis[i - 1])
-            break
-    right = axis[-1]
-    for i in range(p, cut.size - 1):
-        if cut[i + 1] <= level <= cut[i]:
-            frac = (cut[i] - level) / (cut[i] - cut[i + 1])
-            right = axis[i] + frac * (axis[i + 1] - axis[i])
-            break
+    down, right = _flank(cut[p:], axis[p:], level)
+    up, left = _flank(cut[p::-1], axis[p::-1], level)
+    lo, hi = p - up, p + down
+    no_null = lo == 0 and hi == cut.size - 1
     width = float(right - left)
 
     if no_null:
@@ -538,6 +518,22 @@ def af_cut_metrics(cut: np.ndarray, axis: np.ndarray) -> AfCutMetrics:
         islr_db=max(float(islr), SENTINEL_DB),
         no_null=False,
     )
+
+
+def _flank(c: np.ndarray, x: np.ndarray, level: float) -> tuple[int, float]:
+    """One side of a cut, ``c`` and its axis ``x`` running outward from the peak.
+
+    Returns the steps to the first local minimum (to the end if there is
+    none) and the axis point where ``c`` first falls to ``level``, linearly
+    interpolated, or ``x[-1]`` if it never does.
+    """
+    steps = 0
+    while steps < c.size - 1 and c[steps + 1] < c[steps]:
+        steps += 1
+    for i in range(c.size - 1):
+        if c[i + 1] <= level <= c[i]:
+            return steps, x[i] + (c[i] - level) / (c[i] - c[i + 1]) * (x[i + 1] - x[i])
+    return steps, x[-1]
 
 
 def cp_overhead(t_cp_s: float, t_sym_s: float) -> float:

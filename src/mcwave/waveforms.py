@@ -162,22 +162,27 @@ class FactoredOperator:
     ``shape`` is a_tx's (core samples, symbols).  :meth:`tx` applies a_tx and
     :meth:`rx` applies a_rx = a_tx^H (the adjoints in reverse order), both
     along the last axis, so a batch of vectors goes through in one call.
+    They are the modulation entry point: a last axis of the wrong length
+    raises :class:`ConfigurationError`.
     """
 
     shape: tuple[int, int]
     factors: tuple = ()
 
     def tx(self, x: np.ndarray) -> np.ndarray:
-        x = np.array(x, dtype=complex)
-        for f in self.factors:
-            x = f.apply(x)
-        return x
+        return self._run(x, self.shape[1], [f.apply for f in self.factors])
 
     def rx(self, r: np.ndarray) -> np.ndarray:
-        r = np.array(r, dtype=complex)
-        for f in reversed(self.factors):
-            r = f.adjoint(r)
-        return r
+        return self._run(r, self.shape[0], [f.adjoint for f in reversed(self.factors)])
+
+    def _run(self, x: np.ndarray, size: int, steps: list) -> np.ndarray:
+        """``steps`` in order on a complex copy of ``x``, whose last axis holds ``size``."""
+        x = np.array(x, dtype=complex)
+        if x.ndim == 0 or x.shape[-1] != size:
+            raise ConfigurationError(f"expected {size} entries on the last axis, got {x.shape}")
+        for step in steps:
+            x = step(x)
+        return x
 
     def dense(self) -> np.ndarray:
         """The dense a_tx, composed from the factors in application order.
@@ -217,8 +222,8 @@ class FactoredOperator:
 class WaveformBundle:
     """A scheme, its frame, its operator and its parameters.
 
-    ``operator`` is the factored a_tx that modulation and demodulation
-    apply.  The prefix rule, the field and the dense override are read
+    ``operator`` is the factored a_tx: its ``tx`` modulates and its ``rx``
+    demodulates.  The prefix rule, the field and the dense override are read
     from the scheme's row (:attr:`row`), the prefix's chirp rate from the
     parameters.  The dense ``a_tx`` is composed on first access and kept.
     """
@@ -254,22 +259,6 @@ class WaveformBundle:
         """Dense modulator (core_len x n_symbols): the row's ``dense`` override, else composed."""
         override = self.row.dense
         return override(self.geometry) if override else self.operator.dense()
-
-    def modulate(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.shape != (self.n_symbols,):
-            raise ConfigurationError(
-                f"{self.scheme} expects {self.n_symbols} symbols, got {x.shape}"
-            )
-        return self.operator.tx(x)
-
-    def demodulate(self, r_core: np.ndarray) -> np.ndarray:
-        r_core = np.asarray(r_core)
-        if r_core.shape != (self.core_len,):
-            raise ConfigurationError(
-                f"{self.scheme} expects {self.core_len} core samples, got {r_core.shape}"
-            )
-        return self.operator.rx(r_core)
 
     @cached_property
     def prefix_phase(self) -> np.ndarray:
@@ -423,7 +412,7 @@ def _factor_otsm(geometry: FrameGeometry, params: dict):
 
 
 def _factor_fbmc(geometry: FrameGeometry, params: dict):
-    G = fbmc_synthesis(geometry)[0]
+    G = fbmc_synthesis(geometry)
     return FactoredOperator(G.shape, (Dense(G),))
 
 
@@ -531,14 +520,14 @@ def hermite_prototype(t_over_t0: np.ndarray) -> np.ndarray:
 FBMC_OVERLAP = 6
 
 
-def fbmc_synthesis(geometry: FrameGeometry) -> tuple[np.ndarray, int]:
+def fbmc_synthesis(geometry: FrameGeometry) -> np.ndarray:
     """Offset-QAM filter-bank synthesis matrix.
 
     Columns are sampled basis pulses g_{l,k}: the prototype shifted to time
     position k * T0/2 and subcarrier l (spacing 1/T0), with the phase factor
     exp(1j*pi*(l+k)/2).  The prototype is truncated to ±FBMC_OVERLAP*T0/2
-    and normalized to unit sampled energy.  Returns (G, sample_count) with G
-    of shape (sample_count, m*n); m*n real-valued symbols enter per frame.
+    and normalized to unit sampled energy.  G is (samples, m*n); m*n
+    real-valued symbols enter per frame.
     """
     M, N = geometry.m, geometry.n
     half = FBMC_OVERLAP / 2.0  # prototype support: |t| <= half * T0
@@ -554,7 +543,7 @@ def fbmc_synthesis(geometry: FrameGeometry) -> tuple[np.ndarray, int]:
         for l in range(M):
             col = p * np.exp(2j * np.pi * l * tk) * np.exp(1j * np.pi * (l + k) / 2.0)
             G[:, l + k * M] = np.sqrt(dt) * col
-    return G, n_samp
+    return G
 
 
 def effective_channel(

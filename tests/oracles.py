@@ -152,13 +152,13 @@ def remove_prefix(frame: np.ndarray, prefix_len: int) -> np.ndarray:
 
 def transmit(bundle: WaveformBundle, x: np.ndarray) -> np.ndarray:
     """Modulate and attach the bundle's prefix, with its cached phase."""
-    return add_prefix(bundle.modulate(x), bundle.row.prefix_rule, bundle.geometry.prefix_len,
+    return add_prefix(bundle.operator.tx(x), bundle.row.prefix_rule, bundle.geometry.prefix_len,
                       phase=bundle.prefix_phase)
 
 
 def receive(bundle: WaveformBundle, frame: np.ndarray) -> np.ndarray:
     """Strip the bundle's prefix and demodulate."""
-    return bundle.demodulate(remove_prefix(frame, bundle.geometry.prefix_len))
+    return bundle.operator.rx(remove_prefix(frame, bundle.geometry.prefix_len))
 
 
 def implied_path_set(real: ChannelRealization) -> PathSet:
@@ -459,7 +459,7 @@ _DENSE = {
     "ocdm": lambda g, p: transforms.dfnt_matrix(g.m).conj().T,
     "ifdm": _dense_ifdm,
     "afdm": lambda g, p: daft_matrix(g.m, *wf._afdm_chirp_rates(g, p)).conj().T,
-    "fbmc": lambda g, p: wf.fbmc_synthesis(g)[0],
+    "fbmc": lambda g, p: wf.fbmc_synthesis(g),
     "mc-otfs": _dense_mc_otfs,
     "zak-otfs": _dense_mc_otfs,
     # delay-major symbols: symbol l*N + k is the mc-otfs column l + k*M

@@ -277,7 +277,7 @@ def test_criterion_08_cross_formulation_equivalences(zak_tx):
     geo2 = wf.FrameGeometry(m=16, n=8, delta_f_hz=60e3, prefix_len=4)
     x2 = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     b1 = wf.build_waveform("mc-otfs", geo2)
-    worst = max(worst, np.max(np.abs(b1.modulate(x2) - zak_tx(16, 8) @ x2)))
+    worst = max(worst, np.max(np.abs(b1.operator.tx(x2) - zak_tx(16, 8) @ x2)))
 
     ok = worst <= 1e-10
     _report(8, "cross-formulation equivalences", ok, f"worst diff {worst:.1e}")

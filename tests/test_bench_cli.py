@@ -270,6 +270,67 @@ class TestValidationGaps:
         assert not (tmp_path / "out").exists()
         validate_config({**cfg, "af.doppler_span": 2.8e307})
 
+    @pytest.mark.parametrize("text,key", [
+        ("experiment = ber\nseed = -1\n", "seed"),
+        ("experiment = papr\nwaveforms = ofdm\nseed = -1\n", "seed"),
+        ("experiment = chanmat\nseed = -1\n", "seed"),
+        ("experiment = chanmat\nseed = {}\n".format(10**40), "seed"),
+        ("experiment = ber\nwaveforms = ifdm\nifdm.seed = {}\n".format(10**42), "ifdm.seed"),
+    ], ids=["ber", "papr", "chanmat", "chanmat-big", "ifdm"])
+    def test_seed_the_generators_refuse_names_the_key(self, tmp_path, capsys, text, key):
+        # SeedSequence takes no negative entropy and Philox no key of 2**128 or more
+        cfg_file = tmp_path / "seed.cfg"
+        cfg_file.write_text("{}trials = 20\noutput_dir = {}\n".format(text, tmp_path / "out"))
+        for command in ("validate", "run"):
+            assert cli.main([command, str(cfg_file)]) == 2
+            assert f"validation error: {key} must be in [0, " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        validate_config(self._cfg(**{key: 2**128 - 1}))
+
+    @pytest.mark.parametrize("key", ["afdm.c1", "afdm.c2"])
+    @pytest.mark.parametrize("experiment", ["ber", "papr", "af", "chanmat"])
+    def test_chirp_phase_beyond_the_float_range_names_the_rate(
+            self, tmp_path, capsys, experiment, key):
+        # 2 pi c l^2 overflows: NaN chirps, and a ber run wrote 0.51 at every SNR
+        cfg_file = tmp_path / "chirp.cfg"
+        cfg_file.write_text(
+            "experiment = {}\ntrials = 20\nwaveforms = afdm\n{} = 1e307\n"
+            "output_dir = {}\n".format(experiment, key, tmp_path / "out"))
+        for command in ("validate", "run"):
+            assert cli.main([command, str(cfg_file)]) == 2
+            assert f"validation error: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # 2 pi c (m - 1)^2 < 1.8e308 at m = 256
+        validate_config(self._cfg(experiment=experiment, waveforms=["afdm"], **{key: 1e302}))
+        # the sweep takes both rates from its grid
+        validate_config(self._cfg(experiment="afdm-sweep", **{key: 1e307}))
+
+    @pytest.mark.parametrize("text,key", [
+        ("experiment = ber\nwaveforms = scm\nframe.delta_f_1d_hz = 1e-306\n",
+         "frame.delta_f_1d_hz"),
+        ("experiment = ber\nwaveforms = afdm\nframe.delta_f_1d_hz = 1e-306\n",
+         "frame.delta_f_1d_hz"),
+        ("experiment = overhead\nwaveforms = afdm\nframe.delta_f_1d_hz = 1e-306\n",
+         "frame.delta_f_1d_hz"),
+        ("experiment = ber\nwaveforms = otfs\nframe.delta_f_2d_hz = 1e-306\n",
+         "frame.delta_f_2d_hz"),
+        # span / delta_f is finite here, the frame's largest Doppler phase is not
+        ("experiment = ber\nwaveforms = scm\nframe.delta_f_1d_hz = 2e-304\n",
+         "frame.delta_f_1d_hz"),
+        ("experiment = chanmat\nwaveforms = otfs\nframe.delta_f_2d_hz = 2e-304\n",
+         "frame.delta_f_2d_hz"),
+    ], ids=["ber-scm", "ber-afdm", "overhead-afdm", "ber-otfs", "ber-scm-phase",
+            "chanmat-otfs-phase"])
+    def test_doppler_over_a_tiny_spacing_names_the_spacing(self, tmp_path, capsys, text, key):
+        # at 540 km/h and 24 GHz: NaN Doppler phases (LinAlgError in the
+        # solve), or math.ceil(inf) in the automatic chirp rate
+        cfg_file = tmp_path / "spacing.cfg"
+        cfg_file.write_text("{}trials = 2\noutput_dir = {}\n".format(text, tmp_path / "out"))
+        for command in ("validate", "run"):
+            assert cli.main([command, str(cfg_file)]) == 2
+            assert f"validation error: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("frame,key", [
         ("waveforms = scm\nframe.m_1d = 1\n", "frame.m_1d"),
         ("waveforms = otfs\nframe.m_2d = 1\nframe.n_2d = 1\n", "frame.m_2d, frame.n_2d"),
@@ -424,7 +485,7 @@ class TestValidationGaps:
 # that validate_config's rules check against other keys, the channel or a
 # sentinel.  A new key declares its domain, or joins this list on purpose.
 KEYS_WITHOUT_DOMAIN = {
-    "seed", "output_dir", "snr_db", "channel.preset", "channel.profile_file",
+    "output_dir", "snr_db", "channel.preset", "channel.profile_file",
     "channel.jakes", "channel.random_gains", "afdm.c1", "afdm.c2", "dfts.width",
 }
 

@@ -25,8 +25,8 @@ class TestPresets:
         # nu = (v / 3.6) * f_c / c for v = -1080 km/h at 24 GHz -> -24 kHz
         ps = ch.channel_preset("FIG16")
         expected = (-1080.0 / 3.6) * 24e9 / 3e8
-        assert ps.dopplers()[1] == pytest.approx(expected)
-        assert ps.dopplers()[1] == pytest.approx(-24e3)
+        assert np.array([p.doppler_hz for p in ps.paths])[1] == pytest.approx(expected)
+        assert np.array([p.doppler_hz for p in ps.paths])[1] == pytest.approx(-24e3)
 
     def test_awgn_single_unit_path(self):
         ps = ch.channel_preset("AWGN")
@@ -48,13 +48,13 @@ class TestPresets:
 class TestJakesDraw:
     def test_zero_spread_zeroes_dopplers(self):
         ps = ch.draw_jakes_dopplers(ch.channel_preset("EVA"), 0.0, rng=oracles.philox(1))
-        assert np.all(ps.dopplers() == 0.0)
+        assert np.all(np.array([p.doppler_hz for p in ps.paths]) == 0.0)
 
     def test_cosine_bound(self):
         ps = ch.channel_preset("EVA")
         for seed in range(20):
             drawn = ch.draw_jakes_dopplers(ps, 500.0, rng=oracles.philox(seed))
-            assert np.all(np.abs(drawn.dopplers()) <= 500.0)
+            assert np.all(np.abs(np.array([p.doppler_hz for p in drawn.paths])) <= 500.0)
 
     def test_sample_mean_near_zero(self):
         # cos(U[-pi,pi]) has zero mean and variance 1/2; check a large draw.
@@ -64,7 +64,8 @@ class TestJakesDraw:
         base = ch.PathSet(paths=tuple(ch.Path(gain=1.0, delay_s=0.0) for _ in range(5)))
         draws = []
         for _ in range(n // 5):
-            draws.append(ch.draw_jakes_dopplers(base, nu_max, rng).dopplers())
+            drawn = ch.draw_jakes_dopplers(base, nu_max, rng)
+            draws.append(np.array([p.doppler_hz for p in drawn.paths]))
         vals = np.concatenate(draws)
         sigma = nu_max / np.sqrt(2.0) / np.sqrt(vals.size)
         assert abs(vals.mean()) <= 3 * sigma

@@ -1,5 +1,6 @@
 """Constellation and equalizer tests."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -49,6 +50,26 @@ class TestConstellation:
     def test_unsupported_order_rejected(self):
         with pytest.raises(ValueError):
             det.qam_constellation(32)
+
+    # sha256 of points.tobytes() and labels.tobytes(); the PAPR golden cases
+    # and the benchmark's 128-QAM DDAM frames pin these alphabets
+    PINNED = {
+        4: ("396fa67b42551008ee291dff4a9d5b2e5ec5a845576e65fb6feac5500271efb1",
+            "a1e03200f1f82ad2c1cec8795c271aaecf98f5aa2d151d2229ec5fa0c177cf77"),
+        16: ("fadc5967faf0cb3c51e73103d8a453da1358cbf554a72c7a2d2cbdfc3be31a8b",
+             "134b98cb8cdcf912139838cc05cb233e9c8c2182593cffe2c769e5a180ef42ab"),
+        64: ("5bf9650888696536af317351095ea3560cc283c48f4f53012720f9b6b4acae5c",
+             "2d1eddf29aa963d79e8aa75b7b5788dd75ab2be13f18383ff6dc1b7e83238979"),
+        128: ("b71bfca8bc61536a38282e9d3e9329a1e85502cb32ef254854e55402517faa82",
+              "3e4f0a2fd9498da7c1440a355a22b6292161a5216c63aa0bc59b5a4742fd1e36"),
+    }
+
+    @pytest.mark.parametrize("order", [4, 16, 64, 128])
+    def test_alphabet_bytes_are_pinned(self, order):
+        c = det.qam_constellation(order)
+        assert c.labels.dtype == np.int64
+        got = tuple(hashlib.sha256(v.tobytes()).hexdigest() for v in (c.points, c.labels))
+        assert got == self.PINNED[order]
 
 
 class TestSingleTap:

@@ -106,9 +106,12 @@ def test_golden_digests(name, tmp_path):
     assert run_case(name, tmp_path) == expected
 
 
-# The cases whose float outputs are channel matrices and ambiguity cuts.
-FACTOR_CASES = ["af-fbmc", "chanmat-afdm-c1", "chanmat-afdm-c1-fig16", "chanmat-variants",
-                "fig16-chanmat", "tab8-unit"]
+# Every case whose bytes hold on every host: the channel matrices, the
+# ambiguity cuts, the bit error rates and the overheads.  The PAPR cases
+# still depend on the BLAS kernel and on numpy's AVX-512 loops.
+HOST_CASES = ["af-fbmc", "awgn-ber", "ber-variants", "chanmat-afdm-c1", "chanmat-afdm-c1-fig16",
+              "chanmat-variants", "fig16-chanmat", "fig21-sweep", "overhead", "tab5-ber-desk",
+              "tab8-unit"]
 
 _CPU_FEATURES = np._core._multiarray_umath.__cpu_features__
 _HASWELL = pytest.mark.skipif(not _CPU_FEATURES.get("AVX2"),
@@ -124,7 +127,7 @@ _HASWELL = pytest.mark.skipif(not _CPU_FEATURES.get("AVX2"),
                  id="avx512-off", marks=pytest.mark.skipif(
                      not _CPU_FEATURES.get("AVX512F"), reason="the host has no AVX-512 to turn off")),
 ])
-def test_factor_cases_do_not_depend_on_cpu_dispatch(env, one_cpu, tmp_path):
+def test_host_cases_do_not_depend_on_cpu_dispatch(env, one_cpu, tmp_path):
     # Under the BLAS kernel an AVX2-only host gets, on one CPU and on all of
     # the process's CPUs, and under numpy's loops without AVX-512, the cases
     # write the recorded bytes.  OpenBLAS reads its kernel and its thread
@@ -143,11 +146,11 @@ def test_factor_cases_do_not_depend_on_cpu_dispatch(env, one_cpu, tmp_path):
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), str(tests), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path), "one" if one_cpu else "all", *FACTOR_CASES],
+        [sys.executable, "-c", code, str(tmp_path), "one" if one_cpu else "all", *HOST_CASES],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    assert json.loads(proc.stdout) == {name: expected[name] for name in FACTOR_CASES}
+    assert json.loads(proc.stdout) == {name: expected[name] for name in HOST_CASES}
 
 
 def test_cases_use_every_label():

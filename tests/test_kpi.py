@@ -605,6 +605,16 @@ class TestAmbiguity:
             kpi.af_delay_cut(np.ones(4), "periodic")
 
     @pytest.mark.parametrize("convention", kpi.AF_CONVENTIONS)
+    @pytest.mark.parametrize("size", [1, 2, 7, 64])
+    def test_delay_cut_is_exactly_hermitian(self, size, convention):
+        # cut[L-1-k] == conj(cut[L-1+k]) bit for bit for k >= 1 (lag 0 keeps
+        # the products' rounding in its imaginary part)
+        cut = kpi.af_delay_cut(self._random_frame(size, size), convention)
+        L = size
+        assert cut.size == 2 * L - 1
+        assert cut[: L - 1].tobytes() == cut[: L - 1 : -1].conj().tobytes()
+
+    @pytest.mark.parametrize("convention", kpi.AF_CONVENTIONS)
     @pytest.mark.parametrize("label", [*preset_config("tab8-unit")["waveforms"], "fbmc"])
     def test_cuts_are_the_oracle_surface_through_the_origin(self, label, convention):
         # tab8-unit's all-one frames, and fbmc's on the af-fbmc golden case's grid
@@ -664,6 +674,22 @@ class TestAfCutMetrics:
         m2 = kpi.af_cut_metrics(cut * 7.3, axis)
         assert m1.pslr_db == pytest.approx(m2.pslr_db)
         assert m1.islr_db == pytest.approx(m2.islr_db)
+
+    def test_mirrored_cut_gives_the_same_metrics(self):
+        # Dyadic values keep every sum exact, so the reversed sidelobe
+        # order cannot move the integrated ratio either.
+        cut = np.array([0.0625, 0.25, 0.125, 0.5, 0.8125, 1.0, 0.75, 0.375, 0.5, 0.25, 0.0, 0.1875])
+        axis = np.linspace(-1.3, 2.1, cut.size)
+        assert kpi.af_cut_metrics(cut[::-1], -axis[::-1]) == kpi.af_cut_metrics(cut, axis)
+
+    def test_mirrored_random_cut_gives_the_same_width_and_peak_ratio(self):
+        rng = np.random.default_rng(11)
+        cut = np.abs(rng.standard_normal(41)) + np.where(np.arange(41) == 17, 6.0, 0.0)
+        axis = np.cumsum(rng.uniform(0.5, 1.5, 41))
+        m, mirrored = (kpi.af_cut_metrics(cut, axis),
+                       kpi.af_cut_metrics(cut[::-1], -axis[::-1]))
+        assert (mirrored.width_3db, mirrored.pslr_db, mirrored.no_null) == (
+            m.width_3db, m.pslr_db, m.no_null)
 
     def test_flat_zero_cut_rejected(self):
         with pytest.raises(ValueError):

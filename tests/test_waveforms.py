@@ -93,7 +93,7 @@ class TestBundles:
         b = wf.build_waveform("ofdm", geo_1d(m=4, prefix=0))
         x = np.zeros(4, dtype=complex)
         x[0] = 1.0
-        assert_allclose(b.modulate(x), 0.5 * np.ones(4), atol=1e-15)
+        assert_allclose(b.operator.tx(x), 0.5 * np.ones(4), atol=1e-15)
 
     def test_afdm_zero_chirps_match_plain_multicarrier(self):
         geo = geo_1d()
@@ -134,7 +134,7 @@ class TestBundles:
         assert_allclose(b.a_tx, expected, atol=1e-15)
         x = np.zeros(4, dtype=complex)
         x[0] = 1.0  # delay 0, Doppler 0
-        assert_allclose(b.modulate(x), np.array([1, 0, 1, 0]) / np.sqrt(2), atol=1e-15)
+        assert_allclose(b.operator.tx(x), np.array([1, 0, 1, 0]) / np.sqrt(2), atol=1e-15)
 
     def test_otsm_explicit_chain(self):
         geo = wf.FrameGeometry(m=2, n=2, prefix_len=0)
@@ -154,7 +154,7 @@ class TestBundles:
         X = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
         W = tr.wht_matrix(N)
         expected = (X @ W).T.reshape(-1)
-        got = b.modulate(X.reshape(-1))
+        got = b.operator.tx(X.reshape(-1))
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_otsm_requires_power_of_two_slots(self):
@@ -180,8 +180,8 @@ class TestBundles:
         bz = wf.build_waveform("zak-otfs", geo)
         rng = np.random.default_rng(8)
         X = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
-        assert np.max(np.abs(bo.modulate(X.reshape(-1)) -
-                             bz.modulate(X.T.reshape(-1)))) <= 1e-12
+        assert np.max(np.abs(bo.operator.tx(X.reshape(-1)) -
+                             bz.operator.tx(X.T.reshape(-1)))) <= 1e-12
 
     def test_chirp_multiplex_allone_frame_is_constant(self):
         # For even sizes the all-one chirp-multiplexed frame collapses to a
@@ -189,7 +189,7 @@ class TestBundles:
         # shift-invariant), which is why it shares the single-carrier
         # reference's ambiguity metrics.
         b = wf.build_waveform("ocdm", geo_1d(m=32, prefix=0))
-        s = b.modulate(np.ones(32, dtype=complex))
+        s = b.operator.tx(np.ones(32, dtype=complex))
         assert np.max(np.abs(s - s[0])) <= 1e-12
 
     def test_1d_schemes_reject_slots(self):
@@ -321,9 +321,24 @@ class TestFactoredOperators:
         rng = np.random.default_rng(3)
         for b in crit7_bundles():
             x = rand_syms(b.n_symbols, rng)
-            assert np.array_equal(b.modulate(x), b.operator.tx(x[None])[0])
+            assert np.array_equal(b.operator.tx(x), b.operator.tx(x[None])[0])
             r = rand_syms(b.core_len, rng)
-            assert np.array_equal(b.demodulate(r), b.operator.rx(r[None])[0])
+            assert np.array_equal(b.operator.rx(r), b.operator.rx(r[None])[0])
+
+    @pytest.mark.parametrize("scheme", list(wf.SCHEMES))
+    def test_wrong_last_axis_rejected(self, scheme):
+        # 8 symbols: ofdm would turn 5 symbols into a 5-sample frame, and
+        # mc-otfs (4 x 2) would take 12, if the operator did not check
+        geo = geo_1d(m=8) if wf.SCHEMES[scheme].dim == 1 else wf.FrameGeometry(m=4, n=2)
+        op = wf.build_waveform(scheme, geo).operator
+        for apply, size in ((op.tx, op.shape[1]), (op.rx, op.shape[0])):
+            for batch in ((), (3,), (2, 5)):
+                assert apply(np.ones((*batch, size))).shape[:-1] == batch
+                for bad in (size - 3, size + 4):
+                    with pytest.raises(wf.ConfigurationError, match=f"expected {size} "):
+                        apply(np.ones((*batch, bad)))
+            with pytest.raises(wf.ConfigurationError):
+                apply(1.0)
 
     def test_dense_matrix_is_built_on_first_read(self):
         b = wf.build_waveform("ocdm", geo_1d())
@@ -406,7 +421,7 @@ class TestPrefix:
     def test_transmit_reads_the_cached_phase(self, monkeypatch):
         b = wf.build_waveform("afdm", geo_1d(m=32, prefix=6), {"c1": 0.05})
         x = rand_syms(32)
-        expected = oracles.add_prefix(b.modulate(x), "cpp", 6, phase=wf._cpp_phase(32, 6, 0.05))
+        expected = oracles.add_prefix(b.operator.tx(x), "cpp", 6, phase=wf._cpp_phase(32, 6, 0.05))
         calls = []
         cpp_phase = wf._cpp_phase
         monkeypatch.setattr(wf, "_cpp_phase", lambda *a: calls.append(a) or cpp_phase(*a))
@@ -456,7 +471,8 @@ class TestFbmc:
 
     def test_real_field_orthogonality(self):
         geo = wf.FrameGeometry(m=16, n=8, delta_f_hz=15e3, prefix_len=0)
-        G, n_samp = wf.fbmc_synthesis(geo)
+        G = wf.fbmc_synthesis(geo)
+        n_samp = G.shape[0]
         assert G.shape == (n_samp, 16 * 8)
         R = (G.conj().T @ G).real
         assert np.max(np.abs(R - np.eye(16 * 8))) <= 1e-3
@@ -465,7 +481,7 @@ class TestFbmc:
         geo = wf.FrameGeometry(m=16, n=8, delta_f_hz=15e3, prefix_len=0)
         b = wf.build_waveform("fbmc", geo)
         x = np.random.default_rng(3).choice([-1.0, 1.0], size=b.n_symbols)
-        y = b.demodulate(b.modulate(x))
+        y = b.operator.rx(b.operator.tx(x))
         assert np.max(np.abs(y.real - x)) <= 1e-3
 
 
