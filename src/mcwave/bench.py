@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, channel, detection, kpi, waveforms
-from .config import ValidationError, afdm_c1, channel_config, scheme_geometry, validate_config
+from .config import (ValidationError, afdm_c1, channel_config, doppler_span_hz,
+                     scheme_geometry, validate_config)
 
 CSV_SCHEMAS = {
     "ber": ("scheme", "snr_db", "bits", "bit_errors", "ber"),
@@ -79,28 +80,28 @@ _channel_config = channel_config
 
 def build_bundle(label: str, cfg: dict, chan: channel.ChannelConfig) -> waveforms.WaveformBundle:
     """Build the operator bundle behind a config waveform label."""
-    row = waveforms.SCHEMES_BY_LABEL.get(label)
+    row = waveforms.SCHEMES.get(label)
     if row is None:
         raise ValidationError(f"waveforms: no bundle for label {label!r}")
     # -1 (dfts.width's full allocation) leaves the builder's default in place
     params = {p: cfg[k] for p, k in row.config_keys if cfg[k] != -1}
     if label == "afdm":  # the automatic chirp rate depends on the channel
         params.update(c1=afdm_c1(cfg, chan), c2=cfg["afdm.c2"])
-    return waveforms.build_waveform(row.name, scheme_geometry(cfg, row, chan), params)
+    return waveforms.build_waveform(label, scheme_geometry(cfg, row, chan), params)
 
 
 def _derived_info(cfg: dict, chan: channel.ChannelConfig) -> dict:
     fs1 = cfg["frame.m_1d"] * cfg["frame.delta_f_1d_hz"]
     fs2 = cfg["frame.m_2d"] * cfg["frame.delta_f_2d_hz"]
-    nu_max = chan.nu_max_hz
+    span = doppler_span_hz(chan)  # the largest |Doppler| the run draws
     info = {
         "sample_rate_1d_hz": fs1,
         "sample_rate_2d_hz": fs2,
-        "nu_max_hz": nu_max,
+        "nu_max_hz": span,
         "max_delay_samples_1d": chan.max_delay_samples(fs1),
         "max_delay_samples_2d": chan.max_delay_samples(fs2),
-        "normalized_doppler_1d": nu_max / cfg["frame.delta_f_1d_hz"],
-        "normalized_doppler_2d": nu_max / (cfg["frame.delta_f_2d_hz"] / cfg["frame.n_2d"]),
+        "normalized_doppler_1d": span / cfg["frame.delta_f_1d_hz"],
+        "normalized_doppler_2d": span * cfg["frame.n_2d"] / cfg["frame.delta_f_2d_hz"],
         "snr_convention": "symbol SNR Es/N0; sigma2 = 10^(-snr_db/10), unit-energy alphabet",
         "delay_rounding": "nearest sample: l = round(tau * f_s)",
         "doppler_quantization": "none (continuous per-path phase ramps)",
@@ -241,14 +242,13 @@ def _run_chanmat_experiment(cfg: dict, chan: channel.ChannelConfig):
 def _run_sweep_experiment(cfg: dict, chan: channel.ChannelConfig):
     M = cfg["frame.m_1d"]
     grid = np.linspace(0.0, 1.0 / (2.0 * M), cfg["sweep.steps"])
+    geo = scheme_geometry(cfg, waveforms.SCHEMES["afdm"], chan)
     tags, bundles = [], []
     for c1 in grid:
         for c2 in grid:
-            sweep_cfg = dict(cfg)
-            sweep_cfg["afdm.c1"] = float(c1)
-            sweep_cfg["afdm.c2"] = float(c2)
             tags.append(f"afdm[c1={c1:.10g};c2={c2:.10g}]")
-            bundles.append(build_bundle("afdm", sweep_cfg, chan))
+            params = {"c1": float(c1), "c2": float(c2)}
+            bundles.append(waveforms.build_waveform("afdm", geo, params))
     rows = _ber_rows(tags, bundles, cfg, chan)
     yield "afdm_sweep.csv", "ber", [row for points in rows for row in points]
 
@@ -321,9 +321,9 @@ def run_experiment(cfg: dict, output_dir: str | Path | None = None,
             "derived": _derived_info(cfg, chan),
             "outputs": outputs,
         }
-        (staging / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        # a non-finite derived number fails the run: JSON has no Infinity or NaN
+        text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+        (staging / "manifest.json").write_text(text + "\n", encoding="utf-8")
         for fname in (*outputs, "manifest.json"):
             os.replace(staging / fname, out / fname)
     finally:

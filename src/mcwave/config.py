@@ -21,7 +21,7 @@ from .kpi import AF_CONVENTIONS, PAPR_MIN_TAIL, noise_variance
 from .waveforms import (
     BEAMFORMERS,
     DFTS_MAPPINGS,
-    SCHEMES_BY_LABEL,
+    SCHEMES,
     FrameGeometry,
     Scheme,
     afdm_default_c1,
@@ -30,7 +30,7 @@ from .waveforms import (
 EXPERIMENT_KINDS = ("ber", "papr", "af", "chanmat", "afdm-sweep", "overhead")
 
 # Every scheme label, plus the path precoding of the peak-power experiments.
-WAVEFORM_LABELS = (*SCHEMES_BY_LABEL, "ddam")
+WAVEFORM_LABELS = (*SCHEMES, "ddam")
 
 # The most complex values one array can hold: numpy refuses a larger one.
 MAX_COMPLEX_VALUES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
@@ -71,7 +71,9 @@ CONFIG_SCHEMA: dict[str, Key] = {
     "frame.delta_f_1d_hz": Key("float", 24e3, "1D subcarrier spacing", low=0, low_open=True),
     "frame.prefix_1d": Key("int", -1, "1D prefix samples; -1 = channel max delay", low=-1),
     "frame.m_2d": Key("int", 16, "delay bins for 2D schemes", low=1),
-    "frame.n_2d": Key("int", 16, "Doppler bins / slots for 2D schemes", low=1),
+    # the manifest's normalized 2D Doppler takes it as a float
+    "frame.n_2d": Key("int", 16, "Doppler bins / slots for 2D schemes", low=1,
+                      high=int(sys.float_info.max)),
     "frame.delta_f_2d_hz": Key("float", 384e3, "2D subcarrier spacing", low=0, low_open=True),
     "frame.prefix_2d": Key("int", -1, "2D prefix samples; -1 = channel max delay", low=-1),
     "channel.preset": Key("str", "EVA", "|".join(CHANNEL_PRESETS) + " or 'file'"),
@@ -238,11 +240,6 @@ def validate_config(cfg: dict) -> ChannelConfig:
 
     for key, spec in CONFIG_SCHEMA.items():
         _check_domain(key, spec, cfg[key])
-    for d in ("1d", "2d"):  # every run's manifest records both sample rates
-        m, delta_f = cfg[f"frame.m_{d}"], cfg[f"frame.delta_f_{d}_hz"]
-        if m > sys.float_info.max or not math.isfinite(m * delta_f):
-            raise ValidationError(f"frame.delta_f_{d}_hz: times frame.m_{d} it gives a "
-                                  "sample rate beyond the float range")
 
     exp = cfg["experiment"]
     for snr in cfg["snr_db"]:
@@ -261,7 +258,7 @@ def validate_config(cfg: dict) -> ChannelConfig:
                 f"{-10.0 * math.log10(math.ulp(1.0)):.1f} dB)"
             )
     for w in cfg["waveforms"]:
-        if w in SCHEMES_BY_LABEL and SCHEMES_BY_LABEL[w].real_field and exp in ("ber", "chanmat"):
+        if w in SCHEMES and SCHEMES[w].real_field and exp in ("ber", "chanmat"):
             raise ValidationError(
                 f"waveforms: {w!r} is real-field and has no complex channel matrix, "
                 f"so it is not available in {exp} experiments"
@@ -292,8 +289,13 @@ def validate_config(cfg: dict) -> ChannelConfig:
         raise ValidationError(f"afdm.c1 must be >= 0 or -1, got {cfg['afdm.c1']!r} "
                               f"({CONFIG_SCHEMA['afdm.c1'].help})")
     span = doppler_span_hz(chan)
-    for d in ("1d", "2d"):  # the automatic c1 takes 2 ceil(span / delta_f) + 1
-        if not math.isfinite(2 * span / cfg[f"frame.delta_f_{d}_hz"]):
+    # every manifest records both rates and normalized Dopplers (x2 in 1D: c1 takes 2 ceil(.) + 1)
+    for d, doppler in (("1d", 2 * span), ("2d", span * cfg["frame.n_2d"])):
+        m, delta_f = cfg[f"frame.m_{d}"], cfg[f"frame.delta_f_{d}_hz"]
+        if m > sys.float_info.max or not math.isfinite(m * delta_f):
+            raise ValidationError(f"frame.delta_f_{d}_hz: times frame.m_{d} it gives a "
+                                  "sample rate beyond the float range")
+        if not math.isfinite(doppler / delta_f):
             raise ValidationError(f"frame.delta_f_{d}_hz: the Doppler span over this "
                                   "spacing is beyond the float range")
     if "afdm" in cfg["waveforms"] and exp in ("ber", "papr", "af", "chanmat"):
@@ -313,10 +315,45 @@ def validate_config(cfg: dict) -> ChannelConfig:
                 f"ddam.n_tx: zero-forcing over {paths} paths needs at least {paths} "
                 f"antennas, got {cfg['ddam.n_tx']}"
             )
+    for keys, samples, note, d in _frames(cfg, chan):  # integer sizes: nothing is allocated
+        if samples > MAX_COMPLEX_VALUES:
+            raise ValidationError(f"{keys}: a frame of {samples} complex samples{note} is more "
+                                  f"than the {MAX_COMPLEX_VALUES} one array can hold")
+        # a frame the channel's Doppler rotates reaches the phase 2 pi span samples / f_s
+        if d and not math.isfinite(2 * math.pi * span * samples
+                                   / (cfg[f"frame.m_{d}"] * cfg[f"frame.delta_f_{d}_hz"])):
+            raise ValidationError(f"frame.delta_f_{d}_hz: the largest Doppler phase of a "
+                                  f"{samples}-sample frame is beyond the float range")
+    return chan
+
+
+def _frames(cfg: dict, chan: ChannelConfig):
+    """Each frame the run builds, once its own rules hold.
+
+    Yields (size keys, samples, note on the size, d): the channel's Doppler
+    rotates the frame at dimension d's rate, and d is "" for a frame that
+    never meets the channel.
+    """
+    exp = cfg["experiment"]
+    if exp in ("ber", "chanmat", "afdm-sweep"):
+        # each prefix in use must cover the channel memory (only a set one can
+        # fall short, and a Doppler-only channel has none) and fit in the core frame
+        kinds = cfg["chanmat.models"] if exp == "chanmat" else [cfg["channel.model"]]
+        labels = ["afdm"] if exp == "afdm-sweep" else cfg["waveforms"]
+        rows = {f"{r.dim}d": r for r in map(SCHEMES.get, labels) if r.prefix_rule != "none"}
+        for d, row in sorted(rows.items()):
+            key, geo = f"frame.prefix_{d}", scheme_geometry(cfg, row, chan)
+            if cfg[key] >= 0 and set(kinds) != {"fdc"}:
+                memory = chan.max_delay_samples(geo.sample_rate_hz)
+                if geo.prefix_len < memory:
+                    raise ValidationError(
+                        f"{key}: prefix {geo.prefix_len} shorter than channel memory {memory}")
+            if geo.prefix_len > geo.core_samples:
+                raise ValidationError(
+                    f"{key}: prefix {geo.prefix_len} longer than the core frame {geo.core_samples}")
+            yield f"{_FRAME_KEYS[d]}, {key}", geo.core_samples + geo.prefix_len, "", d
     for w in cfg["waveforms"] if exp in ("papr", "af") else ():
-        # each frame this run allocates must also fit in one array; the check
-        # is integer arithmetic and allocates nothing
-        d = f"{SCHEMES_BY_LABEL[w].dim}d" if w != "ddam" else "1d"  # ddam precodes a 1D stream
+        d = f"{SCHEMES[w].dim}d" if w != "ddam" else "1d"  # ddam precodes a 1D stream
         n = cfg["frame.n_2d"] if d == "2d" else 1
         keys, length = _FRAME_KEYS[d], cfg[f"frame.m_{d}"] * n
         if exp == "papr":
@@ -329,15 +366,16 @@ def validate_config(cfg: dict) -> ChannelConfig:
                 )
             # a realization repeats the core frame up to papr.symbols symbols
             keys, length = f"{keys}, papr.symbols", length * -(-cfg["papr.symbols"] // n)
-        elif w != "fbmc" and scheme_geometry(cfg, SCHEMES_BY_LABEL[w], chan).core_samples < 2:
+        elif w != "fbmc" and scheme_geometry(cfg, SCHEMES[w], chan).core_samples < 2:
             # the delay cut of an L-sample core frame has 2L - 1 points and a
             # cut needs 3; fbmc's frame also carries the prototype's tails
             raise ValidationError(f"{keys}: the {w!r} core frame has one sample; its "
                                   "ambiguity delay cut needs at least 2")
-        _check_frame_size(keys, length)
-    if exp in ("ber", "chanmat", "afdm-sweep"):  # frames cross the channel
-        _check_prefixes(cfg, chan)
-    return chan
+        if w != "ddam":
+            yield keys, length, "", ""
+        else:  # each path delays the stream by up to the channel memory and rotates it
+            memory = chan.max_delay_samples(cfg["frame.m_1d"] * cfg["frame.delta_f_1d_hz"])
+            yield keys, length + memory, " (the stream and the channel memory)", d
 
 
 # The mapping from a config to what a run builds.  Validation and the runner
@@ -388,39 +426,3 @@ def afdm_c1(cfg: dict, chan: ChannelConfig) -> float:
         return cfg["afdm.c1"]
     alpha = math.ceil(doppler_span_hz(chan) / cfg["frame.delta_f_1d_hz"] - 1e-12)
     return afdm_default_c1(cfg["frame.m_1d"], alpha)
-
-
-def _check_frame_size(keys: str, length: int) -> None:
-    """A frame of ``length`` complex samples, sized by ``keys``, must fit in one array."""
-    if length > MAX_COMPLEX_VALUES:
-        raise ValidationError(f"{keys}: a frame of {length} complex samples is more than "
-                              f"the {MAX_COMPLEX_VALUES} one array can hold")
-
-
-def _check_prefixes(cfg: dict, chan: ChannelConfig) -> None:
-    """Each prefix in use must cover the channel memory and fit in the core frame.
-
-    An automatic prefix is the memory, so only a set one needs the cover
-    check; a Doppler-only channel has no delay spread to cover.  The frame
-    with its prefix must fit in one array, and its largest Doppler phase,
-    2 pi span (L + L_p) / f_s, must stay in the float range.
-    """
-    kinds = cfg["chanmat.models"] if cfg["experiment"] == "chanmat" else [cfg["channel.model"]]
-    labels = ["afdm"] if cfg["experiment"] == "afdm-sweep" else cfg["waveforms"]
-    rows = {r.dim: r for r in (SCHEMES_BY_LABEL[w] for w in labels) if r.prefix_rule != "none"}
-    for d, row in sorted(rows.items()):
-        key = f"frame.prefix_{d}d"
-        geo = scheme_geometry(cfg, row, chan)
-        if cfg[key] >= 0 and set(kinds) != {"fdc"}:
-            memory = chan.max_delay_samples(geo.sample_rate_hz)
-            if geo.prefix_len < memory:
-                raise ValidationError(
-                    f"{key}: prefix {geo.prefix_len} shorter than channel memory {memory}")
-        if geo.prefix_len > geo.core_samples:
-            raise ValidationError(
-                f"{key}: prefix {geo.prefix_len} longer than the core frame {geo.core_samples}")
-        frame = geo.core_samples + geo.prefix_len
-        _check_frame_size(f"{_FRAME_KEYS[f'{d}d']}, {key}", frame)
-        if not math.isfinite(2 * math.pi * doppler_span_hz(chan) * frame / geo.sample_rate_hz):
-            raise ValidationError(f"frame.delta_f_{d}d_hz: the largest Doppler phase of a "
-                                  f"{frame}-sample frame is beyond the float range")

@@ -387,7 +387,7 @@ def _factor_mc_otfs(geometry: FrameGeometry, params: dict):
 
 
 # Delay-major symbols (delay blocks of Doppler symbols): symbol l*N + k is
-# the mc-otfs column l + k*M.
+# the otfs column l + k*M.
 def _factor_oddm(geometry: FrameGeometry, params: dict):
     M, N = geometry.m, geometry.n
     return FactoredOperator((M * N, M * N),
@@ -420,16 +420,16 @@ def _factor_fbmc(geometry: FrameGeometry, params: dict):
 class Scheme:
     """One row of the scheme table.
 
-    ``label`` is the name configs and output files use; ``dim`` 1 schemes
-    take a one-slot geometry, ``dim`` 2 schemes an m x n grid.  ``factor``
-    maps (geometry, params) to the :class:`FactoredOperator` of a_tx;
-    ``dense``, where set, maps the geometry to the dense a_tx in place of
-    the composed factors.  ``config_keys`` pairs each parameter with the
-    config key that sets it, the only parameters :func:`build_waveform` takes.
+    ``name`` is the scheme's one name, in configs, output files and
+    :func:`build_waveform`; ``dim`` 1 schemes take a one-slot geometry,
+    ``dim`` 2 schemes an m x n grid.  ``factor`` maps (geometry, params) to
+    the :class:`FactoredOperator` of a_tx; ``dense``, where set, maps the
+    geometry to the dense a_tx in place of the composed factors.
+    ``config_keys`` pairs each parameter with the config key that sets it,
+    the only parameters :func:`build_waveform` takes.
     """
 
     name: str
-    label: str
     dim: int
     prefix_rule: str  # "cp" | "cpp" | "none"
     factor: Callable
@@ -441,23 +441,21 @@ class Scheme:
 # Under the ideal (sample-spaced) pulse the Zak-transform and staggered
 # delay-Doppler schemes are the multicarrier one: zak-otfs is the same
 # operator and oddm takes its symbols delay-major.
-_TABLE = (
-    Scheme("scm", "scm", 1, "cp", _factor_scm),
-    Scheme("ofdm", "ofdm", 1, "cp", _factor_ofdm),
-    Scheme("dft-s-ofdm", "dft-s-ofdm", 1, "cp", _factor_dft_s_ofdm,
+SCHEMES = {s.name: s for s in (
+    Scheme("scm", 1, "cp", _factor_scm),
+    Scheme("ofdm", 1, "cp", _factor_ofdm),
+    Scheme("dft-s-ofdm", 1, "cp", _factor_dft_s_ofdm,
            (("width", "dfts.width"), ("mapping", "dfts.mapping"))),
-    Scheme("frft-ofdm", "frft-ofdm", 1, "cp", _factor_frft_ofdm, (("p", "frft.p"),)),
-    Scheme("ocdm", "ocdm", 1, "cp", _factor_ocdm, dense=_ocdm_dense),
-    Scheme("ifdm", "ifdm", 1, "cp", _factor_ifdm, (("seed", "ifdm.seed"),)),
-    Scheme("afdm", "afdm", 1, "cpp", _factor_afdm, (("c1", "afdm.c1"), ("c2", "afdm.c2"))),
-    Scheme("fbmc", "fbmc", 2, "none", _factor_fbmc, real_field=True),
-    Scheme("mc-otfs", "otfs", 2, "cp", _factor_mc_otfs),
-    Scheme("zak-otfs", "zak-otfs", 2, "cp", _factor_mc_otfs),
-    Scheme("oddm", "oddm", 2, "cp", _factor_oddm),
-    Scheme("otsm", "otsm", 2, "cp", _factor_otsm),
-)
-SCHEMES = {s.name: s for s in _TABLE}
-SCHEMES_BY_LABEL = {s.label: s for s in _TABLE}
+    Scheme("frft-ofdm", 1, "cp", _factor_frft_ofdm, (("p", "frft.p"),)),
+    Scheme("ocdm", 1, "cp", _factor_ocdm, dense=_ocdm_dense),
+    Scheme("ifdm", 1, "cp", _factor_ifdm, (("seed", "ifdm.seed"),)),
+    Scheme("afdm", 1, "cpp", _factor_afdm, (("c1", "afdm.c1"), ("c2", "afdm.c2"))),
+    Scheme("fbmc", 2, "none", _factor_fbmc, real_field=True),
+    Scheme("otfs", 2, "cp", _factor_mc_otfs),
+    Scheme("zak-otfs", 2, "cp", _factor_mc_otfs),
+    Scheme("oddm", 2, "cp", _factor_oddm),
+    Scheme("otsm", 2, "cp", _factor_otsm),
+)}
 
 
 def build_waveform(scheme: str, geometry: FrameGeometry, params: dict | None = None) -> WaveformBundle:

@@ -460,9 +460,9 @@ _DENSE = {
     "ifdm": _dense_ifdm,
     "afdm": lambda g, p: daft_matrix(g.m, *wf._afdm_chirp_rates(g, p)).conj().T,
     "fbmc": lambda g, p: wf.fbmc_synthesis(g),
-    "mc-otfs": _dense_mc_otfs,
+    "otfs": _dense_mc_otfs,
     "zak-otfs": _dense_mc_otfs,
-    # delay-major symbols: symbol l*N + k is the mc-otfs column l + k*M
+    # delay-major symbols: symbol l*N + k is the otfs column l + k*M
     "oddm": lambda g, p: _dense_mc_otfs(g, p)[:, wf._delay_major(g.m, g.n)],
     "otsm": _dense_otsm,
 }

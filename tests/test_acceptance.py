@@ -209,7 +209,7 @@ def test_criterion_06_structural_channel_properties():
 
 
 ACC7_1D = ("scm", "ofdm", "dft-s-ofdm", "frft-ofdm", "ocdm", "ifdm", "afdm")
-ACC7_2D = ("mc-otfs", "zak-otfs", "oddm", "otsm")
+ACC7_2D = ("otfs", "zak-otfs", "oddm", "otsm")
 
 
 def test_criterion_07_unitarity_loopback_suite():
@@ -276,7 +276,7 @@ def test_criterion_08_cross_formulation_equivalences(zak_tx):
 
     geo2 = wf.FrameGeometry(m=16, n=8, delta_f_hz=60e3, prefix_len=4)
     x2 = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    b1 = wf.build_waveform("mc-otfs", geo2)
+    b1 = wf.build_waveform("otfs", geo2)
     worst = max(worst, np.max(np.abs(b1.operator.tx(x2) - zak_tx(16, 8) @ x2)))
 
     ok = worst <= 1e-10

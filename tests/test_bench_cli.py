@@ -102,7 +102,7 @@ class TestValidationGaps:
         return cfg
 
     def test_labels_come_from_the_scheme_table(self):
-        assert WAVEFORM_LABELS == (*wf.SCHEMES_BY_LABEL, "ddam")
+        assert WAVEFORM_LABELS == (*wf.SCHEMES, "ddam")
 
     @pytest.mark.parametrize("experiment", ["ber", "chanmat"])
     def test_real_field_scheme_rejected_in_channel_experiments(self, experiment):
@@ -319,8 +319,13 @@ class TestValidationGaps:
          "frame.delta_f_1d_hz"),
         ("experiment = chanmat\nwaveforms = otfs\nframe.delta_f_2d_hz = 2e-304\n",
          "frame.delta_f_2d_hz"),
+        # the DDAM frame's pre-rotation, in a run that builds no prefix
+        ("experiment = papr\nwaveforms = ddam\nddam.n_tx = 16\npapr.symbols = 2\n"
+         "frame.delta_f_1d_hz = 2e-304\n", "frame.delta_f_1d_hz"),
+        # the manifest's normalized 2D Doppler, span n_2d / delta_f_2d
+        ("experiment = overhead\nframe.delta_f_2d_hz = 5e-304\n", "frame.delta_f_2d_hz"),
     ], ids=["ber-scm", "ber-afdm", "overhead-afdm", "ber-otfs", "ber-scm-phase",
-            "chanmat-otfs-phase"])
+            "chanmat-otfs-phase", "papr-ddam-phase", "overhead-doppler-2d"])
     def test_doppler_over_a_tiny_spacing_names_the_spacing(self, tmp_path, capsys, text, key):
         # at 540 km/h and 24 GHz: NaN Doppler phases (LinAlgError in the
         # solve), or math.ceil(inf) in the automatic chirp rate
@@ -356,7 +361,10 @@ class TestValidationGaps:
         ("experiment = ber\nwaveforms = otfs\nframe.m_2d = {0}\nframe.n_2d = {0}\n"
          "frame.delta_f_2d_hz = 1e-9\nchannel.preset = AWGN\n".format(10**11),
          "frame.m_2d, frame.n_2d, frame.prefix_2d"),
-    ], ids=["af", "papr", "ber"])
+        # EVA's 2.51 us at 2.56e302 samples per second: the DDAM frame's memory
+        ("experiment = papr\nwaveforms = ddam\nddam.n_tx = 16\nframe.delta_f_1d_hz = 1e300\n",
+         "frame.m_1d, papr.symbols"),
+    ], ids=["af", "papr", "ber", "papr-ddam"])
     def test_frame_beyond_the_array_limit_names_the_frame_key(
             self, tmp_path, capsys, frame, key):
         # numpy refuses the frame ("Maximum allowed dimension exceeded")
@@ -367,15 +375,35 @@ class TestValidationGaps:
             assert f"validation error: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("jakes", ["true", "false"])
+    def test_ddam_frame_carries_the_delay_spread(self, tmp_path, capsys, jakes):
+        # a path 1e300 s late: each path delays the precoded stream by up to
+        # the channel memory (RecursionError in the block spans)
+        profile = tmp_path / "late.txt"
+        profile.write_text("0 0 0\n0 1e300 0\n")
+        cfg_file = tmp_path / "late.cfg"
+        cfg_file.write_text(
+            "experiment = papr\ntrials = 2\nwaveforms = ddam\nddam.n_tx = 8\npapr.symbols = 1\n"
+            "channel.preset = file\nchannel.profile_file = {}\nchannel.jakes = {}\n"
+            "output_dir = {}\n".format(profile, jakes, tmp_path / "out"))
+        for command in ("validate", "run"):
+            assert cli.main([command, str(cfg_file)]) == 2
+            err = capsys.readouterr().err
+            assert "validation error: frame.m_1d, papr.symbols: a frame of" in err
+            assert "channel memory" in err
+        assert not (tmp_path / "out").exists()
+
     def test_frame_at_the_array_limit_validates(self):
         # integer arithmetic: the limit itself passes, one sample more does not
         limit = config.MAX_COMPLEX_VALUES
         assert limit == np.iinfo(np.intp).max // 16
+        # the DDAM frame carries the channel memory after its stream: EVA's
+        # 2.51 us at 1 MHz round to 3 samples
         cfg = self._cfg(experiment="papr", waveforms=["ddam"], trials=20,
                         **{"frame.m_1d": 1, "frame.delta_f_1d_hz": 1e6})
-        validate_config({**cfg, "papr.symbols": limit})
+        validate_config({**cfg, "papr.symbols": limit - 3})
         with pytest.raises(ValidationError, match="frame.m_1d, papr.symbols: a frame of"):
-            validate_config({**cfg, "papr.symbols": limit + 1})
+            validate_config({**cfg, "papr.symbols": limit - 2})
         cfg = self._cfg(experiment="af", waveforms=["otfs"],
                         **{"frame.m_2d": limit // 2, "frame.n_2d": 2})
         validate_config(cfg)
@@ -697,7 +725,7 @@ class TestBuildBundle:
                     "frame.prefix_2d": 9, "frft.p": 0.7, "dfts.width": 8})
         chan = bench._channel_config(cfg)
         otfs = bench.build_bundle("otfs", cfg, chan)
-        assert (otfs.scheme, otfs.geometry.n, otfs.geometry.prefix_len) == ("mc-otfs", 4, 9)
+        assert (otfs.scheme, otfs.geometry.n, otfs.geometry.prefix_len) == ("otfs", 4, 9)
         assert bench.build_bundle("fbmc", cfg, chan).geometry.prefix_len == 0
         assert bench.build_bundle("frft-ofdm", cfg, chan).params == {"p": 0.7}
         dfts = bench.build_bundle("dft-s-ofdm", cfg, chan)
@@ -707,11 +735,11 @@ class TestBuildBundle:
         cfg.update({"afdm.c1": 0.01, "afdm.c2": -0.002})
         assert bench.build_bundle("afdm", cfg, chan).params == {"c1": 0.01, "c2": -0.002}
 
-    @pytest.mark.parametrize("label", sorted(wf.SCHEMES_BY_LABEL))
+    @pytest.mark.parametrize("label", sorted(wf.SCHEMES))
     def test_bundle_params_are_the_row_config_keys(self, label):
         cfg = preset_config("tab5-ber-desk")
         cfg["dfts.width"] = 64  # -1 (full allocation) would leave the width to the builder
-        row = wf.SCHEMES_BY_LABEL[label]
+        row = wf.SCHEMES[label]
         bundle = bench.build_bundle(label, cfg, channel_config(cfg))
         assert set(bundle.params) == {p for p, _ in row.config_keys}
 
@@ -730,7 +758,7 @@ class TestBuildBundle:
         assert bool(checked) == (cfg["experiment"] in ("ber", "chanmat", "af", "afdm-sweep"))
         chan = channel_config(cfg)
         for label in (w for w in cfg["waveforms"] if w != "ddam"):
-            row = wf.SCHEMES_BY_LABEL[label]
+            row = wf.SCHEMES[label]
             geometry = bench.build_bundle(label, cfg, chan).geometry
             assert geometry == scheme_geometry(cfg, row, chan)
             assert geometry == checked.get(row.dim, geometry)
@@ -819,6 +847,29 @@ class TestExperiments:
         assert manifest["outputs"]["ber_scm.csv"]
         data = json.loads((out / "manifest.json").read_text())
         jsonschema.validate(data, bench.MANIFEST_SCHEMA)
+
+    def test_manifest_doppler_is_the_span_the_run_draws(self, tmp_path):
+        # the Jakes draw is off, so the run draws FIG16's paths, the fastest
+        # at 1080 km/h (24 kHz at 24 GHz), not channel.velocity_kmh's 12 kHz
+        _, _, manifest = _run(tmp_path, "fig21-sweep", trials=2, **{"sweep.steps": 2})
+        derived = manifest["derived"]
+        assert (derived["nu_max_hz"], derived["normalized_doppler_1d"]) == (24000.0, 2.0)
+        assert derived["afdm_c1"] == 5 / 256  # (2 * 2 + 1) / (2 M)
+        # EVA's paths hold still: a spacing that once gave Infinity gives 0
+        _, _, manifest = _run(tmp_path, "overhead", **{"channel.jakes": False,
+                                                       "frame.delta_f_2d_hz": 1e-320})
+        assert (manifest["derived"]["nu_max_hz"],
+                manifest["derived"]["normalized_doppler_2d"]) == (0.0, 0.0)
+
+    def test_non_finite_manifest_number_fails_the_run(self, tmp_path, monkeypatch, capsys):
+        # JSON has no Infinity: the run exits 3 and leaves no output behind
+        derived = bench._derived_info
+        monkeypatch.setattr(bench, "_derived_info",
+                            lambda cfg, chan: dict(derived(cfg, chan), nu_max_hz=math.inf))
+        out = tmp_path / "out"
+        assert cli.main(["run", "overhead", "--output-dir", str(out)]) == 3
+        assert "ValueError" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fig17_desk_file_set(self, tmp_path):
         cfg = preset_config("fig17-desk")
@@ -925,13 +976,17 @@ class TestExperiments:
         ("overhead", {}),
     ])
     def test_runs_build_no_dense_matrix(self, tmp_path, monkeypatch, name, overrides):
-        built, build_bundle = [], bench.build_bundle
+        built = []
 
-        def recorded(*args):
-            built.append(build_bundle(*args))
-            return built[-1]
+        def recorded(build):
+            def wrapper(*args):
+                built.append(build(*args))
+                return built[-1]
+            return wrapper
 
-        monkeypatch.setattr(bench, "build_bundle", recorded)
+        # the sweep builds its grid from one geometry, past build_bundle
+        monkeypatch.setattr(bench, "build_bundle", recorded(bench.build_bundle))
+        monkeypatch.setattr(wf, "build_waveform", recorded(wf.build_waveform))
         _run(tmp_path, name, **overrides)
         assert (name == "overhead") != bool(built)
         for b in built:

@@ -100,10 +100,16 @@ def run_case(name: str, out: Path) -> dict:
     return dict(outputs, **{"manifest.json": manifest})
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not standard JSON")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digests(name, tmp_path):
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
     assert run_case(name, tmp_path) == expected
+    # the manifest is standard JSON: no Infinity or NaN
+    json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"), parse_constant=_refuse)
 
 
 # Every case whose bytes hold on every host: the channel matrices, the

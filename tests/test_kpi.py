@@ -165,7 +165,7 @@ SQUARE_SCHEMES = [
     ("ocdm", GEO_1D, {}),
     ("ifdm", GEO_1D, {"seed": 3}),
     ("afdm", GEO_1D, {"c1": 3 / 64}),
-    ("mc-otfs", GEO_2D, {}),
+    ("otfs", GEO_2D, {}),
     ("zak-otfs", GEO_2D, {}),
     ("oddm", GEO_2D, {}),
     ("otsm", GEO_2D, {}),
@@ -197,11 +197,11 @@ class TestTimeDomainMmse:
     # the per-bin Wiener filter does, and builds no dense matrix for it.
     @pytest.mark.parametrize("scheme,geo,params,cfg,equalize,dense_calls", [
         ("ofdm", GEO_1D, {}, EVA_DOPPLER, det.mmse_equalize, 0),
-        ("mc-otfs", GEO_2D, {}, EVA_DOPPLER, det.mmse_equalize, 0),
+        ("otfs", GEO_2D, {}, EVA_DOPPLER, det.mmse_equalize, 0),
         ("dft-s-ofdm", GEO_1D, {"width": 24}, EVA_DOPPLER, det.mmse_equalize, 3),  # not square
         ("ofdm", GEO_1D, {}, EVA_STATIC, oracles.single_tap_equalize, 0),
         ("scm", GEO_1D, {}, AWGN_STATIC, oracles.single_tap_equalize, 0),
-    ], ids=["ofdm", "mc-otfs", "dft-s-ofdm", "ofdm-static-single-tap", "scm-awgn-single-tap"])
+    ], ids=["ofdm", "otfs", "dft-s-ofdm", "ofdm-static-single-tap", "scm-awgn-single-tap"])
     def test_run_ber_path_and_counts(self, monkeypatch, scheme, geo, params, cfg, equalize,
                                      dense_calls):
         c = det.qam_constellation(4)
@@ -232,9 +232,9 @@ class TestTimeDomainMmse:
 # Every label of the bit-error experiments, the spread scheme narrower than
 # the frame (the non-square, effective-channel path).
 BER_BUNDLES = [
-    (row.label, GEO_1D if row.dim == 1 else GEO_2D,
+    (row.name, GEO_1D if row.dim == 1 else GEO_2D,
      {"width": 24} if row.name == "dft-s-ofdm" else {})
-    for row in wf.SCHEMES_BY_LABEL.values() if not row.real_field
+    for row in wf.SCHEMES.values() if not row.real_field
 ]
 
 
@@ -263,7 +263,7 @@ class TestFactoredBerPath:
     @pytest.mark.parametrize("label,geo,params", BER_BUNDLES)
     def test_worker_count_invariance_every_label(self, label, geo, params):
         c = det.qam_constellation(4)
-        b = wf.build_waveform(wf.SCHEMES_BY_LABEL[label].name, geo, params)
+        b = wf.build_waveform(label, geo, params)
         counts = [
             [p.bit_errors for p in kpi.run_ber([b], EVA_DOPPLER, [10.0, 20.0], trials=4,
                                                  seed=2, constellation=c,
@@ -315,7 +315,7 @@ class TestSharedSolve:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_bundle_gets_its_own_counts(self, workers):
         c = det.qam_constellation(4)
-        bundles = [wf.build_waveform(wf.SCHEMES_BY_LABEL[label].name, geo, params)
+        bundles = [wf.build_waveform(label, geo, params)
                    for label, geo, params in BER_BUNDLES]
         bundles.append(wf.build_waveform("afdm", GEO_1D, {"c1": 3 / 64}))
         run = dict(channel_cfg=EVA_DOPPLER, snr_db_list=[10.0, 20.0],

@@ -73,7 +73,7 @@ UNITARY_CASES = [
     ("ocdm", wf.FrameGeometry(m=15, n=1, prefix_len=3), {}),  # odd size branch
     ("ifdm", geo_1d(), {"seed": 3}),
     ("afdm", geo_1d(), {"c1": 3 / 32, "c2": 1e-4}),
-    ("mc-otfs", geo_2d(), {}),
+    ("otfs", geo_2d(), {}),
     ("zak-otfs", geo_2d(), {}),
     ("oddm", geo_2d(), {}),
     ("otsm", geo_2d(), {}),
@@ -123,13 +123,13 @@ class TestBundles:
     def test_otfs_variants_agree(self, zak_tx):
         geo = geo_2d()
         oracle = zak_tx(geo.m, geo.n)
-        for scheme in ("mc-otfs", "zak-otfs"):
+        for scheme in ("otfs", "zak-otfs"):
             b = wf.build_waveform(scheme, geo)
             assert np.max(np.abs(b.a_tx - oracle)) <= 1e-12
 
     def test_mc_otfs_small_structure(self):
         geo = wf.FrameGeometry(m=2, n=2, prefix_len=0)
-        b = wf.build_waveform("mc-otfs", geo)
+        b = wf.build_waveform("otfs", geo)
         expected = np.kron(tr.dft_matrix(2).conj().T, np.eye(2))
         assert_allclose(b.a_tx, expected, atol=1e-15)
         x = np.zeros(4, dtype=complex)
@@ -199,9 +199,8 @@ class TestBundles:
                     wf.build_waveform(scheme, geo_2d())
 
     def test_scheme_table_rows(self):
-        assert set(wf.SCHEMES_BY_LABEL) == (set(wf.SCHEMES) - {"mc-otfs"}) | {"otfs"}
-        for label, row in wf.SCHEMES_BY_LABEL.items():
-            assert label == ("otfs" if row.name == "mc-otfs" else row.name)
+        for label, row in wf.SCHEMES.items():
+            assert label == row.name
             geo = geo_1d(prefix=0) if row.dim == 1 else geo_2d(m=4, n=2, prefix=0)
             b = wf.build_waveform(row.name, geo)
             assert b.row is row
@@ -218,7 +217,7 @@ class TestBundles:
     @pytest.mark.parametrize("M,N", [(4, 3), (16, 8)])
     def test_oddm_matches_interleaved_chain(self, M, N):
         # The canonical staggered chain Pi (I_M kron F_N^H), built apart
-        # from the mc-otfs columns the bundle reuses.
+        # from the otfs columns the bundle reuses.
         b = wf.build_waveform("oddm", wf.FrameGeometry(m=M, n=N, prefix_len=0))
         chain = oracles.structured_permutation("oddm", M, N) @ np.kron(
             np.eye(M), tr.dft_matrix(N).conj().T)
@@ -287,7 +286,7 @@ class TestFactoredOperators:
     @pytest.mark.parametrize("M,N", [(2, 2), (4, 2), (8, 4), (16, 8), (32, 16), (16, 32),
                                      (32, 32), (64, 8)])
     def test_composed_dense_matches_reference_2d(self, M, N):
-        for scheme in ("fbmc", "mc-otfs", "zak-otfs", "oddm", "otsm"):
+        for scheme in ("fbmc", "otfs", "zak-otfs", "oddm", "otsm"):
             assert_dense_matches_reference(wf.build_waveform(scheme, wf.FrameGeometry(m=M, n=N)))
 
     def test_composed_dense_matches_reference_at_papr_desk(self):
@@ -328,7 +327,7 @@ class TestFactoredOperators:
     @pytest.mark.parametrize("scheme", list(wf.SCHEMES))
     def test_wrong_last_axis_rejected(self, scheme):
         # 8 symbols: ofdm would turn 5 symbols into a 5-sample frame, and
-        # mc-otfs (4 x 2) would take 12, if the operator did not check
+        # otfs (4 x 2) would take 12, if the operator did not check
         geo = geo_1d(m=8) if wf.SCHEMES[scheme].dim == 1 else wf.FrameGeometry(m=4, n=2)
         op = wf.build_waveform(scheme, geo).operator
         for apply, size in ((op.tx, op.shape[1]), (op.rx, op.shape[0])):
@@ -539,7 +538,7 @@ class TestEffectiveChannel:
 
     def test_matches_probe_on_dispersive_channel(self):
         geo = wf.FrameGeometry(m=8, n=4, delta_f_hz=60e3, prefix_len=3)
-        b = wf.build_waveform("mc-otfs", geo)
+        b = wf.build_waveform("otfs", geo)
         fs = b.geometry.sample_rate_hz
         ps = ch.draw_jakes_dopplers(ch.channel_preset("EVA"), 2000.0, rng=oracles.philox(4))
         real = ch.discretize(ps, fs)
@@ -587,7 +586,7 @@ class TestCoreChannel:
     @pytest.mark.parametrize("scheme,geo,params", [
         ("ofdm", wf.FrameGeometry(m=32, n=1, delta_f_hz=96e3, prefix_len=6), {}),
         ("afdm", wf.FrameGeometry(m=32, n=1, delta_f_hz=96e3, prefix_len=6), {"c1": 0.05}),
-        ("mc-otfs", wf.FrameGeometry(m=8, n=4, delta_f_hz=384e3, prefix_len=6), {}),
+        ("otfs", wf.FrameGeometry(m=8, n=4, delta_f_hz=384e3, prefix_len=6), {}),
     ])
     def test_apply_matches_the_frame_channel(self, kind, scheme, geo, params):
         # C x against the physical chain: prefix, frame channel, prefix removed
