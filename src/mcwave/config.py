@@ -25,6 +25,7 @@ from .waveforms import (
     FrameGeometry,
     Scheme,
     afdm_default_c1,
+    fbmc_frame_length,
 )
 
 EXPERIMENT_KINDS = ("ber", "papr", "af", "chanmat", "afdm-sweep", "overhead")
@@ -354,8 +355,9 @@ def _frames(cfg: dict, chan: ChannelConfig):
             yield f"{_FRAME_KEYS[d]}, {key}", geo.core_samples + geo.prefix_len, "", d
     for w in cfg["waveforms"] if exp in ("papr", "af") else ():
         d = f"{SCHEMES[w].dim}d" if w != "ddam" else "1d"  # ddam precodes a 1D stream
-        n = cfg["frame.n_2d"] if d == "2d" else 1
-        keys, length = _FRAME_KEYS[d], cfg[f"frame.m_{d}"] * n
+        keys, m, n = _FRAME_KEYS[d], cfg[f"frame.m_{d}"], cfg["frame.n_2d"] if d == "2d" else 1
+        # fbmc adds the prototype's tails; past the limit its m n symbols are too many already
+        length = fbmc_frame_length(m, n) if w == "fbmc" and m * n <= MAX_COMPLEX_VALUES else m * n
         if exp == "papr":
             # a bundle frame gives one sample, a DDAM frame one per antenna
             samples = cfg["trials"] * (cfg["ddam.n_tx"] if w == "ddam" else 1)
@@ -374,7 +376,7 @@ def _frames(cfg: dict, chan: ChannelConfig):
         if w != "ddam":
             yield keys, length, "", ""
         else:  # each path delays the stream by up to the channel memory and rotates it
-            memory = chan.max_delay_samples(cfg["frame.m_1d"] * cfg["frame.delta_f_1d_hz"])
+            memory = chan.max_delay_samples(m * cfg["frame.delta_f_1d_hz"])
             yield keys, length + memory, " (the stream and the channel memory)", d
 
 

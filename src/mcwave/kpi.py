@@ -101,12 +101,13 @@ def _ber_trial(
     is C times its modulated core, and the modulated cores of bundles that
     share C go through it in one call.  Each SNR point adds the core part
     (the samples after the prefix) of the frame-length noise shape, scaled
-    to its noise variance.  Every bundle is equalized by the block MMSE:
-    square unitary bundles in the time domain (:func:`time_domain_mmse`),
-    which never builds a dense matrix, and bundles whose core channels are
-    equal, byte for byte, share one solve; non-square bundles use the
-    modulation-domain channel matrix formed from C and the factors
-    (:func:`effective_channel`).
+    to its noise variance; the receivers are linear, so each takes that
+    unit noise core once and scales it after.  Every bundle is equalized by
+    the block MMSE: square unitary bundles in the time domain
+    (:func:`time_domain_mmse`), which never builds a dense matrix, and
+    bundles whose core channels are equal, byte for byte, share one solve;
+    non-square bundles use the modulation-domain channel matrix formed
+    from C and the factors (:func:`effective_channel`).
     """
     sigma2s = np.array([noise_variance(snr_db) for snr_db in snr_db_list])
     errors = np.empty((len(bundles), sigma2s.size), dtype=np.int64)
@@ -122,31 +123,21 @@ def _ber_trial(
 
     def core_of(bundle: WaveformBundle) -> tuple[CoreChannel, tuple[bytes, bytes]]:
         """The trial's core channel of the bundle and its bytes (offsets, diagonals)."""
-        key = (bundle.geometry.sample_rate_hz, bundle.core_len,
-               bundle.geometry.prefix_len, bundle.prefix_phase.tobytes())
+        fs = bundle.geometry.sample_rate_hz
+        key = (fs, bundle.core_len, bundle.geometry.prefix_len, bundle.prefix_phase.tobytes())
         if key not in cores:
-            fs = bundle.geometry.sample_rate_hz
             if fs not in reals:
                 reals[fs] = channel_cfg.realize(fs, derive_rng(seed, trial, _STREAM_CHANNEL))
             core = core_channel(bundle, reals[fs])
             cores[key] = core, (core.offsets.tobytes(), core.diags.tobytes())
         return cores[key]
 
-    def received(core: CoreChannel, group: list[WaveformBundle]) -> np.ndarray:
-        """The group's received cores, shape (bundles, SNR points, core length).
-
-        The group's modulated cores go through C in one call; each bundle's
-        rows then take the core part of their noise rows.
-        """
-        r0 = core.apply(np.array([b.operator.tx(bits_and_symbols(b)[1]) for b in group]))
-        r = np.repeat(r0[:, None], sigma2s.size, 1)
-        for b, rows in zip(group, r):
-            n = b.core_len + b.geometry.prefix_len
-            if n not in noises:
-                shape = noise_shape(n, derive_rng(seed, trial, _STREAM_NOISE))
-                noises[n] = np.sqrt(sigma2s / 2.0)[:, None] * shape
-            rows += noises[n][:, b.geometry.prefix_len:]
-        return r
+    def unit_noise(bundle: WaveformBundle) -> np.ndarray:
+        """The bundle's unit noise core: the noise shape at its frame length, after its prefix."""
+        n = bundle.core_len + bundle.geometry.prefix_len
+        if n not in noises:
+            noises[n] = noise_shape(n, derive_rng(seed, trial, _STREAM_NOISE))
+        return noises[n][bundle.geometry.prefix_len:]
 
     def count(i: int, soft: np.ndarray) -> None:
         """Bit errors of bundle i from soft, one row per SNR point."""
@@ -154,6 +145,7 @@ def _ber_trial(
         decided = bits_for_indices(hard, constellation).reshape(sigma2s.size, -1)
         errors[i] = np.sum(decided != bits_and_symbols(bundles[i])[0], axis=1)
 
+    scales = np.sqrt(sigma2s / 2.0)  # unit noise to each point's noise variance
     groups = {}  # core channel bytes -> (core channel, indices of its bundles)
     for i, bundle in enumerate(bundles):
         core, core_bytes = core_of(bundle)
@@ -161,18 +153,23 @@ def _ber_trial(
             groups.setdefault(core_bytes, (core, []))[1].append(i)
             continue
         h_eff = effective_channel(bundle, core)
-        (r,) = received(core, [bundle])
-        count(i, np.array([mmse_equalize(y, h_eff, sigma2)
-                           for y, sigma2 in zip(bundle.operator.rx(r), sigma2s)]))
+        clean = core.apply(bundle.operator.tx(bits_and_symbols(bundle)[1]))
+        y, n = bundle.operator.rx(np.array([clean, unit_noise(bundle)]))
+        count(i, np.array([mmse_equalize(y + c * n, h_eff, sigma2)
+                           for c, sigma2 in zip(scales, sigma2s)]))
     for core, members in groups.values():
         shared = [bundles[i] for i in members]
-        soft = time_domain_mmse(core, shared, received(core, shared), sigma2s)
-        for i, rows in zip(members, soft):
+        clean = core.apply(np.array([b.operator.tx(bits_and_symbols(b)[1]) for b in shared]))
+        # one core length per group: its noise cores differ by prefix length alone
+        by_prefix = {b.geometry.prefix_len: b for b in shared}
+        picks = [list(by_prefix).index(b.geometry.prefix_len) for b in shared]
+        noise = np.array([unit_noise(b) for b in by_prefix.values()])
+        for i, rows in zip(members, time_domain_mmse(core, shared, clean, noise, picks, sigma2s)):
             count(i, rows)
     return errors
 
 
-def time_domain_mmse(core: CoreChannel, bundles, received, sigma2s) -> np.ndarray:
+def time_domain_mmse(core: CoreChannel, bundles, clean, noise, picks, sigma2s) -> np.ndarray:
     """Block MMSE soft symbols of bundles that share one core channel.
 
     For a square bundle with a_rx = a_tx^H (unitary), the modulation-domain
@@ -184,14 +181,16 @@ def time_domain_mmse(core: CoreChannel, bundles, received, sigma2s) -> np.ndarra
     costs O(L w^2) for channel memory w plus one application of each
     bundle's factored a_rx; no dense matrix is built.
 
-    ``received`` holds the received cores r_core, shape (len(bundles),
-    len(sigma2s), L): one row per bundle and noise level.  C^H is applied
-    to the whole array once, and the cores are dropped before the solve.
-    Returns (len(bundles), len(sigma2s), n_symbols), written over the
-    solution.
+    Bundle r receives r_core = clean[r] + sqrt(s / 2) noise[picks[r]] at
+    noise level s: C^H is applied once, to the noiseless cores ``clean``
+    and the distinct unit noise cores ``noise`` together, and the
+    right-hand sides are formed after it.  Returns (len(bundles),
+    len(sigma2s), n_symbols), written over the solution.
     """
-    rhs = core.adjoint(received)
-    del received  # frees the cores where the caller holds no other reference
+    adj = core.adjoint(np.concatenate([clean, noise]))
+    scales = np.sqrt(np.asarray(sigma2s, dtype=float) / 2.0)
+    rhs = scales[:, None] * adj[len(clean) + np.asarray(picks), None]  # (R, Q, L)
+    rhs += adj[: len(clean), None]
     z = solve_periodic_banded(core.gram_band(), sigma2s, rhs)
     for zr, bundle in zip(z, bundles):
         zr[...] = bundle.operator.rx(zr)
@@ -241,15 +240,9 @@ def run_ber(
     else:
         per_trial = [trial(t) for t in range(trials)]
     totals = np.sum(per_trial, axis=0)
-    return [
-        [
-            BerPoint(snr_db=s, bit_errors=int(e),
-                     bits=bundle.n_symbols * constellation.bits_per_symbol * trials)
-            for s, e in zip(snr_tuple, row)
-        ]
-        for bundle, row in zip(bundles, totals)
-    ]
-
+    bits = [b.n_symbols * constellation.bits_per_symbol * trials for b in bundles]
+    return [[BerPoint(snr_db=s, bit_errors=int(e), bits=n) for s, e in zip(snr_tuple, row)]
+            for n, row in zip(bits, totals)]
 
 
 def papr(signal: np.ndarray) -> float:

@@ -518,6 +518,11 @@ def hermite_prototype(t_over_t0: np.ndarray) -> np.ndarray:
 FBMC_OVERLAP = 6
 
 
+def fbmc_frame_length(m: int, n: int) -> int:
+    """Rows of the m x n synthesis matrix: n pulses T0/2 apart and the prototype's tails."""
+    return int(round((FBMC_OVERLAP + (n - 1) * 0.5) / (1.0 / m))) + 1
+
+
 def fbmc_synthesis(geometry: FrameGeometry) -> np.ndarray:
     """Offset-QAM filter-bank synthesis matrix.
 
@@ -530,7 +535,7 @@ def fbmc_synthesis(geometry: FrameGeometry) -> np.ndarray:
     M, N = geometry.m, geometry.n
     half = FBMC_OVERLAP / 2.0  # prototype support: |t| <= half * T0
     dt = 1.0 / M  # in units of T0 (critical sampling, f_s = M / T0)
-    n_samp = int(round((half * 2 + (N - 1) * 0.5) / dt)) + 1
+    n_samp = fbmc_frame_length(M, N)
     t = -half + dt * np.arange(n_samp)  # t / T0
     G = np.empty((n_samp, M * N), dtype=complex)
     proto_ref = hermite_prototype(np.arange(-half, half + dt / 2, dt))

@@ -364,7 +364,10 @@ class TestValidationGaps:
         # EVA's 2.51 us at 2.56e302 samples per second: the DDAM frame's memory
         ("experiment = papr\nwaveforms = ddam\nddam.n_tx = 16\nframe.delta_f_1d_hz = 1e300\n",
          "frame.m_1d, papr.symbols"),
-    ], ids=["af", "papr", "ber", "papr-ddam"])
+        # an fbmc frame whose length in samples is beyond the float range
+        ("experiment = af\nwaveforms = fbmc\nframe.m_2d = {}\nframe.n_2d = {}\n"
+         .format(10**300, 10**10), "frame.m_2d, frame.n_2d"),
+    ], ids=["af", "papr", "ber", "papr-ddam", "af-fbmc"])
     def test_frame_beyond_the_array_limit_names_the_frame_key(
             self, tmp_path, capsys, frame, key):
         # numpy refuses the frame ("Maximum allowed dimension exceeded")
@@ -392,6 +395,17 @@ class TestValidationGaps:
             assert "validation error: frame.m_1d, papr.symbols: a frame of" in err
             assert "channel memory" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment,samples", [("af", 153), ("papr", 2 * 153)])
+    def test_fbmc_frame_is_its_synthesis_length(self, experiment, samples):
+        # 16 x 8 symbols give 153 samples with the prototype's tails, not 128;
+        # a papr realization repeats the frame up to papr.symbols symbols
+        cfg = self._cfg(experiment=experiment, waveforms=["fbmc"], trials=20,
+                        **{"frame.m_2d": 16, "frame.n_2d": 8, "papr.symbols": 16})
+        chan = validate_config(cfg)
+        assert [size for _, size, _, _ in config._frames(cfg, chan)] == [samples]
+        geo = bench.build_bundle("fbmc", cfg, chan).geometry
+        assert wf.fbmc_synthesis(geo).shape == (153, 128)
 
     def test_frame_at_the_array_limit_validates(self):
         # integer arithmetic: the limit itself passes, one sample more does not

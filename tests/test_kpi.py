@@ -184,8 +184,10 @@ class TestTimeDomainMmse:
         sigma2s = [1.0, 1e-2, 1e-3]
         w = kpi.noise_shape(frame.size, np.random.Generator(np.random.Philox(key=5)))
         frames = [oracles.apply_channel(frame, real) + np.sqrt(s / 2.0) * w for s in sigma2s]
-        cores = oracles.remove_prefix(np.array(frames), geo.prefix_len)
-        soft = kpi.time_domain_mmse(wf.core_channel(b, real), [b], cores[None], sigma2s)[0]
+        clean = oracles.remove_prefix(oracles.apply_channel(frame, real), geo.prefix_len)
+        noise = oracles.remove_prefix(w, geo.prefix_len)
+        soft = kpi.time_domain_mmse(wf.core_channel(b, real), [b], clean[None], noise[None],
+                                    [0], sigma2s)[0]
         h_eff = wf.effective_channel(b, real)
         for sq, r, s in zip(soft, frames, sigma2s):
             ref = det.mmse_equalize(oracles.receive(b, r), h_eff, s)
@@ -353,6 +355,66 @@ class TestSharedSolve:
         together = kpi.run_ber(bundles, **run)
         assert calls == {"solve": 2, "apply": 2}
         assert together == [kpi.run_ber([b], **run)[0] for b in bundles]
+
+    def test_one_adjoint_over_the_noiseless_and_noise_cores(self, monkeypatch):
+        # C^H goes over the six noiseless received cores and the trial's one
+        # unit noise core, not over every bundle's SNR rows (6 x 5)
+        bundles, run = desk_run(trials=2)
+        shapes, adjoint = [], wf.CoreChannel.adjoint
+
+        def recorded(core, r):
+            shapes.append(np.shape(r))
+            return adjoint(core, r)
+
+        monkeypatch.setattr(wf.CoreChannel, "adjoint", recorded)
+        kpi.run_ber(bundles, **run)
+        assert shapes == [(7, bundles[0].core_len)] * 2
+
+    # The two mixed groups above, and a non-square bundle alone.
+    @pytest.mark.parametrize("overrides", [
+        {"channel.velocity_kmh": 0.0, "frame.prefix_1d": 20},
+        {"channel.preset": "AWGN", "channel.velocity_kmh": 0.0, "frame.delta_f_2d_hz": 192e3},
+        {"waveforms": ["dft-s-ofdm"], "dfts.width": 128},
+    ], ids=["prefix-lengths", "sample-rates", "dft-s-ofdm"])
+    def test_soft_symbols_equal_the_received_array_formula(self, monkeypatch, overrides):
+        cfg = dict(preset_config("tab5-ber-desk"), trials=2, **overrides)
+        chan = validate_config(cfg)
+        bundles = [bench.build_bundle(label, cfg, chan) for label in cfg["waveforms"]]
+        assert [b.adjoint_pair for b in bundles] == ["dfts.width" not in overrides] * len(bundles)
+        c = det.qam_constellation(cfg["constellation"])
+        sigma2s = np.array([kpi.noise_variance(s) for s in cfg["snr_db"]])
+        soft, decide = [], kpi.hard_decide
+
+        def recorded(symbols, constellation):
+            soft.append(symbols.reshape(sigma2s.size, -1).copy())
+            return decide(symbols, constellation)
+
+        monkeypatch.setattr(kpi, "hard_decide", recorded)
+        kpi.run_ber(bundles, chan, cfg["snr_db"], cfg["trials"], cfg["seed"], c)
+        # every group here is all of the bundles, so they are decided in order
+        assert len(soft) == cfg["trials"] * len(bundles)
+        got = iter(soft)
+        for t in range(cfg["trials"]):
+            for b in bundles:
+                # the received cores of every SNR point, built whole
+                geo = b.geometry
+                bits = kpi.derive_rng(cfg["seed"], t, 0).integers(
+                    0, 2, b.n_symbols * c.bits_per_symbol)
+                real = chan.realize(geo.sample_rate_hz, kpi.derive_rng(cfg["seed"], t, 1))
+                core = wf.core_channel(b, real)
+                w = kpi.noise_shape(b.core_len + geo.prefix_len,
+                                    kpi.derive_rng(cfg["seed"], t, 2))
+                received = (core.apply(b.operator.tx(det.map_bits(bits, c)))
+                            + np.sqrt(sigma2s / 2.0)[:, None] * w[geo.prefix_len:])
+                if b.adjoint_pair:
+                    z = det.solve_periodic_banded(core.gram_band(), sigma2s,
+                                                  core.adjoint(received)[None])[0]
+                    ref = b.operator.rx(z)
+                else:
+                    h_eff = wf.effective_channel(b, core)
+                    ref = [det.mmse_equalize(y, h_eff, s)
+                           for y, s in zip(b.operator.rx(received), sigma2s)]
+                assert np.max(np.abs(next(got) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     # afdm at c1 = 3/64 (2 L c1 = 3, times L even) has a cyclic prefix and
     # joins the solve; at c1 = 0.05 its prefix phase differs and it has its own.
