@@ -248,12 +248,17 @@ def run_ber(
 def papr(signal: np.ndarray) -> float:
     """Peak-to-average power ratio of a sample sequence, in dB.
 
-    Raises ``ValueError`` for an empty, non-finite or zero-power sequence.
+    An array of several axes is read in row-major order: its powers are
+    laid out as ``reshape(-1)`` before the mean sums them, so a transposed
+    view copies real powers, not complex samples.  Raises ``ValueError``
+    for an empty, non-finite or zero-power sequence.
     """
     s = np.asarray(signal)
     if s.size == 0:
         raise ValueError("signal must be nonempty")
-    power = np.abs(s) ** 2
+    power = np.abs(s)
+    np.square(power, out=power)  # what ``** 2`` runs
+    power = power.reshape(-1)
     return float(_papr_db(power.max(), power.mean()))
 
 
@@ -383,7 +388,7 @@ def qam_frame_source(
             x = np.sqrt(2.0) * x.real  # offset-QAM carries one real axis
         # The dense product pins the PAPR bytes; the factored apply differs
         # in last bits, so it waits for a declared numerics move.
-        return [papr((bundle.a_tx @ x).T.reshape(-1))]
+        return [papr((bundle.a_tx @ x).T)]
 
     return source
 

@@ -35,7 +35,11 @@ def dft_matrix(M: int) -> np.ndarray:
     """
     M = _check_size(M)
     k = np.arange(M)
-    return np.exp(-2j * np.pi * np.outer(k, k) / M) / np.sqrt(M)
+    f = -2j * np.pi * np.outer(k, k)
+    f /= M
+    np.exp(f, out=f)
+    f /= np.sqrt(M)
+    return f
 
 
 def daft_chirps(M: int, c1: float, c2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -100,9 +104,23 @@ def dfnt_matrix(M: int) -> np.ndarray:
     T1 and T2 are the unit-modulus diagonals of :func:`dfnt_diagonals` and F
     is the DFT matrix; Phi is the (unitary) Fresnel transform used by the
     chirp-multiplexed waveform.  The modulator applies ``Phi^H``.
+
+    F's rows are scaled by t2, then its columns by t1, each entry by the
+    unfused complex product ``(dr*fr - di*fi, dr*fi + di*fr)`` in real
+    arithmetic, written into F.  At even M these are the bytes of the GEMM
+    product ``diag(t2) @ F @ diag(t1)`` under the BLAS kernels that do not
+    fuse it; unlike that product they depend on no BLAS kernel.
     """
     t1, t2 = dfnt_diagonals(M)
-    return np.diag(t2) @ dft_matrix(M) @ np.diag(t1)
+    f = dft_matrix(M)
+    re, im = f.real, f.imag
+    for d in (t2[:, None], t1[None, :]):
+        real = d.real * re
+        real -= d.imag * im
+        im *= d.real
+        im += d.imag * re
+        re[...] = real
+    return f
 
 
 def wht_matrix(N: int) -> np.ndarray:

@@ -109,7 +109,7 @@ class Dft:
     def matrix(self, size: int) -> np.ndarray:
         """The dense factor for vectors of ``size`` entries."""
         f = transforms.dft_matrix(size // self.stride)
-        return Dense(f.conj().T if self.inverse else f, self.stride).matrix(size)
+        return Dense(np.conj(f, out=f).T if self.inverse else f, self.stride).matrix(size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,15 +193,26 @@ class FactoredOperator:
         conjugate transpose of its transform's elementwise product
         ``(d2[:, None] * F) * d1[None, :]``.  An :class:`Embed` places the
         rows into zeros; a :class:`Dft` or :class:`Dense` factor
-        left-multiplies.
+        left-multiplies.  A scaling is written into the product when this
+        method allocated it, never into a :class:`Dense` factor's own
+        matrix; it keeps the operand order above, because numpy's complex
+        multiply is not bitwise commutative.
         """
+        shared = [f.a for f in self.factors if isinstance(f, Dense)]
+
+        def product(x: np.ndarray, y: np.ndarray, a: np.ndarray) -> np.ndarray:
+            """``x * y``, written into ``a`` unless it is shared or of another dtype."""
+            if any(a is m for m in shared) or np.result_type(x, y) != a.dtype:
+                return x * y
+            return np.multiply(x, y, out=a)
+
         a, lead = None, None  # a is None while the product is diag(lead), or I
         for f in self.factors:
             if isinstance(f, Diag):
                 if a is None:
                     lead = f.d if lead is None else f.d * lead
                 else:
-                    a = a * f.d[:, None]
+                    a = product(a, f.d[:, None], a)
             elif isinstance(f, Embed):
                 if a is None:
                     a = np.eye(self.shape[1]) if lead is None else np.diag(lead)
@@ -210,7 +221,7 @@ class FactoredOperator:
                 a = placed
             elif a is None:
                 a = f.matrix(self.shape[1])
-                a = a if lead is None else lead[None, :] * a
+                a = a if lead is None else product(lead[None, :], a, a)
             else:
                 a = f.matrix(a.shape[0]) @ a
         if a is None:
@@ -332,10 +343,11 @@ def _factor_ocdm(geometry: FrameGeometry, params: dict):
 
 
 def _ocdm_dense(geometry: FrameGeometry) -> np.ndarray:
-    # The GEMM product diag(t2) F diag(t1) rounds unlike the composed factors
-    # (by up to 6e-17), and the benchmark's PAPR digests pin the QAM frames
-    # made with it; ROADMAP direction 2's declared numerics move removes it.
-    return transforms.dfnt_matrix(geometry.m).conj().T
+    # The unfused Fresnel product rounds unlike the composed factors (by up
+    # to 6e-17), and the benchmark's PAPR digests pin the QAM frames made
+    # with it; ROADMAP direction 2's declared numerics move removes it.
+    f = transforms.dfnt_matrix(geometry.m)
+    return np.conj(f, out=f).T
 
 
 def _dfts_rows(geometry: FrameGeometry, params: dict) -> np.ndarray:

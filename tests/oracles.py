@@ -409,6 +409,15 @@ def daft_matrix(M: int, c1: float, c2: float) -> np.ndarray:
     return lam2[:, None] * transforms.dft_matrix(M) * lam1[None, :]
 
 
+def dfnt_matrix(M: int) -> np.ndarray:
+    """Discrete Fresnel transform ``T2 @ F @ T1`` as the GEMM product of its diagonals.
+
+    ``T1 = diag(t1)`` and ``T2 = diag(t2)`` from ``transforms.dfnt_diagonals``.
+    """
+    t1, t2 = transforms.dfnt_diagonals(M)
+    return np.diag(t2) @ transforms.dft_matrix(M) @ np.diag(t1)
+
+
 def dfrft_matrix(M: int, p: float) -> np.ndarray:
     """Discrete fractional Fourier kernel of order ``p``, entry by entry.
 
@@ -456,7 +465,7 @@ _DENSE = {
     "ofdm": lambda g, p: transforms.dft_matrix(g.m).conj().T,
     "dft-s-ofdm": _dense_dft_s_ofdm,
     "frft-ofdm": lambda g, p: dfrft_matrix(g.m, p.get("p", 0.5)).conj().T,
-    "ocdm": lambda g, p: transforms.dfnt_matrix(g.m).conj().T,
+    "ocdm": lambda g, p: dfnt_matrix(g.m).conj().T,
     "ifdm": _dense_ifdm,
     "afdm": lambda g, p: daft_matrix(g.m, *wf._afdm_chirp_rates(g, p)).conj().T,
     "fbmc": lambda g, p: wf.fbmc_synthesis(g),

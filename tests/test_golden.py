@@ -119,6 +119,15 @@ HOST_CASES = ["af-fbmc", "awgn-ber", "ber-variants", "chanmat-afdm-c1", "chanmat
               "chanmat-variants", "fig16-chanmat", "fig21-sweep", "overhead", "tab5-ber-desk",
               "tab8-unit"]
 
+
+def ocdm_digests() -> dict[str, str]:
+    """sha256 of the ocdm a_tx at m = 64, 127 and 512, keyed by m."""
+    from mcwave.waveforms import FrameGeometry, build_waveform
+
+    return {str(m): hashlib.sha256(build_waveform("ocdm", FrameGeometry(m=m)).a_tx.tobytes())
+            .hexdigest() for m in (64, 127, 512)}
+
+
 _CPU_FEATURES = np._core._multiarray_umath.__cpu_features__
 _HASWELL = pytest.mark.skipif(not _CPU_FEATURES.get("AVX2"),
                               reason="OpenBLAS's Haswell kernel needs AVX2")
@@ -136,9 +145,10 @@ _HASWELL = pytest.mark.skipif(not _CPU_FEATURES.get("AVX2"),
 def test_host_cases_do_not_depend_on_cpu_dispatch(env, one_cpu, tmp_path):
     # Under the BLAS kernel an AVX2-only host gets, on one CPU and on all of
     # the process's CPUs, and under numpy's loops without AVX-512, the cases
-    # write the recorded bytes.  OpenBLAS reads its kernel and its thread
-    # count, and numpy its CPU features, when they load, so the runs go to a
-    # child process that cuts its affinity before it imports numpy.
+    # write the recorded bytes and the ocdm modulators are this process's.
+    # OpenBLAS reads its kernel and its thread count, and numpy its CPU
+    # features, when they load, so the runs go to a child process that cuts
+    # its affinity before it imports numpy.
     code = (
         "import json, os, sys\n"
         "if sys.argv[2] == 'one':\n"
@@ -146,7 +156,8 @@ def test_host_cases_do_not_depend_on_cpu_dispatch(env, one_cpu, tmp_path):
         "from pathlib import Path\n"
         "import test_golden\n"
         "out = Path(sys.argv[1])\n"
-        "print(json.dumps({n: test_golden.run_case(n, out / n) for n in sys.argv[3:]}))\n"
+        "print(json.dumps([{n: test_golden.run_case(n, out / n) for n in sys.argv[3:]},\n"
+        "                  test_golden.ocdm_digests()]))\n"
     )
     src, tests = Path(bench.__file__).resolve().parents[1], Path(__file__).resolve().parent
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
@@ -156,7 +167,9 @@ def test_host_cases_do_not_depend_on_cpu_dispatch(env, one_cpu, tmp_path):
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    assert json.loads(proc.stdout) == {name: expected[name] for name in HOST_CASES}
+    cases, ocdm = json.loads(proc.stdout)
+    assert cases == {name: expected[name] for name in HOST_CASES}
+    assert ocdm == ocdm_digests()
 
 
 def test_cases_use_every_label():

@@ -1,6 +1,7 @@
 """Waveform bundle tests: operator chains, prefixes, filters, precoding."""
 
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -251,6 +252,22 @@ def factor_error(b, rng):
                np.max(np.abs(b.operator.rx(r) - r @ a_tx.conj())))
 
 
+def unfused_fresnel(m):
+    """diag(t2) F diag(t1), rows then columns, by the unfused complex product.
+
+    Each entry is (dr*fr - di*fi, dr*fi + di*fr), every real product and
+    sum rounded on its own.
+    """
+    t1, t2 = tr.dfnt_diagonals(m)
+    f = tr.dft_matrix(m)
+    for d in (t2[:, None], t1[None, :]):
+        g = np.empty_like(f)
+        g.real = d.real * f.real - d.imag * f.imag
+        g.imag = d.real * f.imag + d.imag * f.real
+        f = g
+    return f
+
+
 def assert_dense_matches_reference(b):
     """The composed a_tx against the dense reference, as close as its operand order allows.
 
@@ -258,11 +275,15 @@ def assert_dense_matches_reference(b):
     product with an index map differs at most in signs of zeros; the
     fractional kernel (F scaled by sqrt(m) back) and the narrow spread
     scheme (F_m^H P F_w in the other order) round differently.  ocdm's
-    a_tx is the reference's GEMM Fresnel product itself.
+    a_tx is the unfused Fresnel product, within 1e-15 of the reference's
+    GEMM product (equal to it at even m under a kernel that does not fuse).
     """
     ref = oracles.bundle_dense(b)
     narrow = b.scheme == "dft-s-ofdm" and b.n_symbols < b.core_len
-    if b.scheme == "frft-ofdm" or narrow:
+    if b.scheme == "ocdm":
+        assert np.max(np.abs(b.a_tx - ref)) <= 1e-15, b.geometry
+        assert b.a_tx.tobytes() == unfused_fresnel(b.geometry.m).conj().T.tobytes(), b.geometry
+    elif b.scheme == "frft-ofdm" or narrow:
         assert np.max(np.abs(b.a_tx - ref)) <= 1e-14, (b.scheme, b.geometry)
     elif b.scheme in ("ifdm", "oddm"):
         assert np.array_equal(b.a_tx, ref), (b.scheme, b.geometry)
@@ -295,6 +316,40 @@ class TestFactoredOperators:
         for label in cfg["waveforms"]:
             if label != "ddam":  # precoded streams: no modulator
                 assert_dense_matches_reference(bench.build_bundle(label, cfg, chan))
+
+    def test_dense_build_holds_at_most_twice_its_bytes(self):
+        # The tracemalloc peak of building a_tx, over the result's bytes: the
+        # builders write into the array that becomes a_tx, so no build holds
+        # more than one more L x L complex array beside it.
+        cfg = preset_config("tab6-papr-desk")
+        desk_1d = wf.FrameGeometry(m=cfg["frame.m_1d"])
+        desk_2d = wf.FrameGeometry(m=cfg["frame.m_2d"], n=cfg["frame.n_2d"])
+        cases = [(s, desk_1d) for s in ("ofdm", "ocdm", "afdm", "frft-ofdm")]
+        cases += [("otfs", desk_2d), ("ocdm", geo_1d(m=1024)), ("ofdm", geo_1d(m=1024))]
+        ratios = {}
+        for scheme, geo in cases:
+            b = wf.build_waveform(scheme, geo)
+            tracemalloc.start()
+            try:
+                a_tx = b.a_tx
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            ratios[f"{scheme} {geo.m}x{geo.n}"] = round(peak / a_tx.nbytes, 3)
+        assert max(ratios.values()) <= 2.1, ratios
+
+    def test_dense_scales_without_writing_a_dense_factor(self):
+        rng = np.random.default_rng(5)
+        a, d = rand_syms(16, rng).reshape(4, 4), rand_syms(4, rng)
+        before, diag = a.copy(), wf.Diag(d)
+        for factors, ref in [((diag, wf.Dense(a)), d[None, :] * a),
+                             ((wf.Dense(a), diag), a * d[:, None])]:
+            assert wf.FactoredOperator((4, 4), factors).dense().tobytes() == ref.tobytes()
+            assert a.tobytes() == before.tobytes()
+        # a real product scaled by a complex diagonal is a new complex array
+        rows = np.array([2, 0, 3, 1])
+        got = wf.FactoredOperator((4, 4), (wf.Embed(rows, 4), diag)).dense()
+        assert np.array_equal(got, d[:, None] * np.eye(4)[np.argsort(rows)])
 
     def test_ocdm_is_the_only_dense_override(self):
         assert [name for name, row in wf.SCHEMES.items() if row.dense] == ["ocdm"]
