@@ -31,23 +31,6 @@ CSV_SCHEMAS = {
     "overhead": ("scheme", "metric", "value"),
 }
 
-MANIFEST_SCHEMA = {
-    "type": "object",
-    "required": ["library", "version", "experiment", "config", "derived", "outputs"],
-    "properties": {
-        "library": {"type": "string"},
-        "version": {"type": "string"},
-        "experiment": {"type": "string"},
-        "preset": {"type": ["string", "null"]},
-        "config": {"type": "object"},
-        "derived": {"type": "object"},
-        "outputs": {
-            "type": "object",
-            "additionalProperties": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-        },
-    },
-}
-
 
 def _fmt(value) -> str:
     if isinstance(value, float):

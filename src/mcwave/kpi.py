@@ -94,24 +94,24 @@ def _ber_trial(
     Every bundle draws the trial's bits, channel and unit noise shape from
     the same streams, so each shared input is made once per distinct key:
     the bits and their symbols per bit count, the channel realization per
-    sample rate, the noise shape per frame length and the core channel C
-    per (sample rate, core length, prefix length, prefix phase).  C, the
-    frame's channel with the prefix folded in (:func:`core_channel`), is
-    the only channel model of the trial: a bundle's noiseless received core
-    is C times its modulated core, and the modulated cores of bundles that
-    share C go through it in one call.  Each SNR point adds the core part
-    (the samples after the prefix) of the frame-length noise shape, scaled
-    to its noise variance; the receivers are linear, so each takes that
-    unit noise core once and scales it after.  Every bundle is equalized by
-    the block MMSE: square unitary bundles in the time domain
-    (:func:`time_domain_mmse`), which never builds a dense matrix, and
-    bundles whose core channels are equal, byte for byte, share one solve;
-    non-square bundles use the modulation-domain channel matrix formed
-    from C and the factors (:func:`effective_channel`).
+    sample rate, and per group the core channel C with its unit noise core.
+    A group holds the bundles of one (sample rate, core length, prefix
+    length, prefix phase), the inputs C is a function of.  C, the frame's
+    channel with the prefix folded in (:func:`core_channel`), is the only
+    channel model of the trial: a bundle's noiseless received core is C
+    times its modulated core, and the modulated cores of a group go through
+    it in one call.  Each SNR point adds the group's noise core (the frame's
+    noise shape after the prefix), scaled to its noise variance; the
+    receivers are linear, so each takes the unit noise core once and scales
+    it after.  Every bundle is equalized by the block MMSE: the square
+    unitary bundles of a group share one time-domain solve
+    (:func:`time_domain_mmse`), which never builds a dense matrix;
+    non-square bundles use the modulation-domain channel matrix formed from
+    C and the factors (:func:`effective_channel`).
     """
     sigma2s = np.array([noise_variance(snr_db) for snr_db in snr_db_list])
     errors = np.empty((len(bundles), sigma2s.size), dtype=np.int64)
-    drawn, reals, noises, cores = {}, {}, {}, {}
+    drawn, reals = {}, {}
 
     def bits_and_symbols(bundle: WaveformBundle) -> tuple[np.ndarray, np.ndarray]:
         """The trial's bits for the bundle and the symbols they map to."""
@@ -121,24 +121,6 @@ def _ber_trial(
             drawn[n_bits] = bits, map_bits(bits, constellation)
         return drawn[n_bits]
 
-    def core_of(bundle: WaveformBundle) -> tuple[CoreChannel, tuple[bytes, bytes]]:
-        """The trial's core channel of the bundle and its bytes (offsets, diagonals)."""
-        fs = bundle.geometry.sample_rate_hz
-        key = (fs, bundle.core_len, bundle.geometry.prefix_len, bundle.prefix_phase.tobytes())
-        if key not in cores:
-            if fs not in reals:
-                reals[fs] = channel_cfg.realize(fs, derive_rng(seed, trial, _STREAM_CHANNEL))
-            core = core_channel(bundle, reals[fs])
-            cores[key] = core, (core.offsets.tobytes(), core.diags.tobytes())
-        return cores[key]
-
-    def unit_noise(bundle: WaveformBundle) -> np.ndarray:
-        """The bundle's unit noise core: the noise shape at its frame length, after its prefix."""
-        n = bundle.core_len + bundle.geometry.prefix_len
-        if n not in noises:
-            noises[n] = noise_shape(n, derive_rng(seed, trial, _STREAM_NOISE))
-        return noises[n][bundle.geometry.prefix_len:]
-
     def count(i: int, soft: np.ndarray) -> None:
         """Bit errors of bundle i from soft, one row per SNR point."""
         hard = hard_decide(soft.reshape(-1), constellation)
@@ -146,30 +128,37 @@ def _ber_trial(
         errors[i] = np.sum(decided != bits_and_symbols(bundles[i])[0], axis=1)
 
     scales = np.sqrt(sigma2s / 2.0)  # unit noise to each point's noise variance
-    groups = {}  # core channel bytes -> (core channel, indices of its bundles)
-    for i, bundle in enumerate(bundles):
-        core, core_bytes = core_of(bundle)
-        if bundle.adjoint_pair:
-            groups.setdefault(core_bytes, (core, []))[1].append(i)
-            continue
-        h_eff = effective_channel(bundle, core)
-        clean = core.apply(bundle.operator.tx(bits_and_symbols(bundle)[1]))
-        y, n = bundle.operator.rx(np.array([clean, unit_noise(bundle)]))
-        count(i, np.array([mmse_equalize(y + c * n, h_eff, sigma2)
-                           for c, sigma2 in zip(scales, sigma2s)]))
-    for core, members in groups.values():
-        shared = [bundles[i] for i in members]
-        clean = core.apply(np.array([b.operator.tx(bits_and_symbols(b)[1]) for b in shared]))
-        # one core length per group: its noise cores differ by prefix length alone
-        by_prefix = {b.geometry.prefix_len: b for b in shared}
-        picks = [list(by_prefix).index(b.geometry.prefix_len) for b in shared]
-        noise = np.array([unit_noise(b) for b in by_prefix.values()])
-        for i, rows in zip(members, time_domain_mmse(core, shared, clean, noise, picks, sigma2s)):
-            count(i, rows)
+    groups = {}  # (sample rate, core length, prefix length, prefix phase) -> bundle indices
+    for i, b in enumerate(bundles):
+        key = (b.geometry.sample_rate_hz, b.core_len, b.geometry.prefix_len,
+               b.prefix_phase.tobytes())
+        groups.setdefault(key, []).append(i)
+    for (fs, core_len, prefix_len, _), members in groups.items():
+        if fs not in reals:
+            reals[fs] = channel_cfg.realize(fs, derive_rng(seed, trial, _STREAM_CHANNEL))
+        core = core_channel(bundles[members[0]], reals[fs])
+        noise = noise_shape(core_len + prefix_len,
+                            derive_rng(seed, trial, _STREAM_NOISE))[prefix_len:]
+        square = []
+        for i in members:
+            bundle = bundles[i]
+            if bundle.adjoint_pair:
+                square.append(i)
+                continue
+            h_eff = effective_channel(bundle, core)
+            clean = core.apply(bundle.operator.tx(bits_and_symbols(bundle)[1]))
+            y, n = bundle.operator.rx(np.array([clean, noise]))
+            count(i, np.array([mmse_equalize(y + c * n, h_eff, sigma2)
+                               for c, sigma2 in zip(scales, sigma2s)]))
+        if square:
+            shared = [bundles[i] for i in square]
+            clean = core.apply(np.array([b.operator.tx(bits_and_symbols(b)[1]) for b in shared]))
+            for i, rows in zip(square, time_domain_mmse(core, shared, clean, noise, sigma2s)):
+                count(i, rows)
     return errors
 
 
-def time_domain_mmse(core: CoreChannel, bundles, clean, noise, picks, sigma2s) -> np.ndarray:
+def time_domain_mmse(core: CoreChannel, bundles, clean, noise, sigma2s) -> np.ndarray:
     """Block MMSE soft symbols of bundles that share one core channel.
 
     For a square bundle with a_rx = a_tx^H (unitary), the modulation-domain
@@ -181,16 +170,15 @@ def time_domain_mmse(core: CoreChannel, bundles, clean, noise, picks, sigma2s) -
     costs O(L w^2) for channel memory w plus one application of each
     bundle's factored a_rx; no dense matrix is built.
 
-    Bundle r receives r_core = clean[r] + sqrt(s / 2) noise[picks[r]] at
-    noise level s: C^H is applied once, to the noiseless cores ``clean``
-    and the distinct unit noise cores ``noise`` together, and the
+    Bundle r receives r_core = clean[r] + sqrt(s / 2) noise at noise level
+    s, ``noise`` the group's one unit noise core (L,): C^H is applied once,
+    to the noiseless cores ``clean`` and the noise core together, and the
     right-hand sides are formed after it.  Returns (len(bundles),
     len(sigma2s), n_symbols), written over the solution.
     """
-    adj = core.adjoint(np.concatenate([clean, noise]))
+    adj = core.adjoint(np.concatenate([clean, noise[None]]))
     scales = np.sqrt(np.asarray(sigma2s, dtype=float) / 2.0)
-    rhs = scales[:, None] * adj[len(clean) + np.asarray(picks), None]  # (R, Q, L)
-    rhs += adj[: len(clean), None]
+    rhs = adj[:-1, None] + scales[:, None] * adj[-1]  # (R, Q, L)
     z = solve_periodic_banded(core.gram_band(), sigma2s, rhs)
     for zr, bundle in zip(z, bundles):
         zr[...] = bundle.operator.rx(zr)
@@ -219,8 +207,9 @@ def run_ber(
     (seed, trial), so every bundle sees the same bitstream and channel
     realization, and the same unit noise shape scaled to each SNR.  The
     bundles of one trial run together: each shared draw is made once per
-    trial and key rather than per bundle, and bundles that see the same
-    core channel share one block MMSE solve.  Error counts are integers
+    trial and key rather than per bundle, and the square bundles of one
+    core-channel key (sample rate, core length, prefix length, prefix
+    phase) share one block MMSE solve.  Error counts are integers
     summed over trials, making the result independent of worker count and
     scheduling.  The trials run in min(workers, trials, usable_cpus()) worker
     processes, or in this process when that count is 1.  Returns one list of

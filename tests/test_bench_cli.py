@@ -34,6 +34,25 @@ from mcwave.config import (
 from mcwave.presets import preset_config, preset_names
 
 
+# The keys and types every manifest.json has; outputs map file names to sha256.
+MANIFEST_SCHEMA = {
+    "type": "object",
+    "required": ["library", "version", "experiment", "config", "derived", "outputs"],
+    "properties": {
+        "library": {"type": "string"},
+        "version": {"type": "string"},
+        "experiment": {"type": "string"},
+        "preset": {"type": ["string", "null"]},
+        "config": {"type": "object"},
+        "derived": {"type": "object"},
+        "outputs": {
+            "type": "object",
+            "additionalProperties": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
+        },
+    },
+}
+
+
 class TestConfigFormat:
     def test_round_trip_lossless(self):
         cfg = preset_config("tab5-ber-desk")
@@ -860,7 +879,7 @@ class TestExperiments:
         assert text.splitlines()[0] == "scheme,snr_db,bits,bit_errors,ber"
         assert manifest["outputs"]["ber_scm.csv"]
         data = json.loads((out / "manifest.json").read_text())
-        jsonschema.validate(data, bench.MANIFEST_SCHEMA)
+        jsonschema.validate(data, MANIFEST_SCHEMA)
 
     def test_manifest_doppler_is_the_span_the_run_draws(self, tmp_path):
         # the Jakes draw is off, so the run draws FIG16's paths, the fastest

@@ -21,6 +21,7 @@ from mcwave.config import validate_config
 from mcwave.presets import preset_config
 
 import oracles
+import test_golden
 
 
 def awgn_bundle(m=64):
@@ -186,8 +187,8 @@ class TestTimeDomainMmse:
         frames = [oracles.apply_channel(frame, real) + np.sqrt(s / 2.0) * w for s in sigma2s]
         clean = oracles.remove_prefix(oracles.apply_channel(frame, real), geo.prefix_len)
         noise = oracles.remove_prefix(w, geo.prefix_len)
-        soft = kpi.time_domain_mmse(wf.core_channel(b, real), [b], clean[None], noise[None],
-                                    [0], sigma2s)[0]
+        soft = kpi.time_domain_mmse(wf.core_channel(b, real), [b], clean[None], noise,
+                                    sigma2s)[0]
         h_eff = wf.effective_channel(b, real)
         for sq, r, s in zip(soft, frames, sigma2s):
             ref = det.mmse_equalize(oracles.receive(b, r), h_eff, s)
@@ -327,16 +328,17 @@ class TestSharedSolve:
         assert together == alone
 
     # Without Doppler C depends on neither the prefix length nor the sample
-    # rate, so one group can hold frames of two lengths (the cp schemes'
-    # 20-sample prefix, otfs/otsm's automatic 15) or of two rates (AWGN with
-    # the 2-D frame at half the rate).  Their cores have one length, so the
-    # group goes through C in one call per trial; each bundle takes the
-    # noise of its own frame length after its own prefix.
+    # rate, but a trial groups bundles by what C is a function of: (sample
+    # rate, core length, prefix length, prefix phase).  Frames of two lengths
+    # (the cp schemes' 20-sample prefix, otfs/otsm's automatic 15) or of two
+    # rates (AWGN with the 2-D frame at half the rate) are two groups, each
+    # with one solve and one propagation per trial, and the counts are those
+    # of each bundle run alone.
     @pytest.mark.parametrize("overrides", [
         {"channel.velocity_kmh": 0.0, "frame.prefix_1d": 20},
         {"channel.preset": "AWGN", "channel.velocity_kmh": 0.0, "frame.delta_f_2d_hz": 192e3},
     ], ids=["prefix-lengths", "sample-rates"])
-    def test_one_solve_over_frames_of_two_shapes(self, monkeypatch, overrides):
+    def test_one_solve_and_one_propagation_per_frame_shape(self, monkeypatch, overrides):
         bundles, run = desk_run(trials=2, **overrides)
         assert len({(b.geometry.sample_rate_hz, b.geometry.prefix_len) for b in bundles}) == 2
         calls = {"solve": 0, "apply": 0}
@@ -353,7 +355,7 @@ class TestSharedSolve:
         monkeypatch.setattr(kpi, "solve_periodic_banded", counted_solve)
         monkeypatch.setattr(wf.CoreChannel, "apply", counted_apply)
         together = kpi.run_ber(bundles, **run)
-        assert calls == {"solve": 2, "apply": 2}
+        assert calls == {"solve": 4, "apply": 4}
         assert together == [kpi.run_ber([b], **run)[0] for b in bundles]
 
     def test_one_adjoint_over_the_noiseless_and_noise_cores(self, monkeypatch):
@@ -370,7 +372,7 @@ class TestSharedSolve:
         kpi.run_ber(bundles, **run)
         assert shapes == [(7, bundles[0].core_len)] * 2
 
-    # The two mixed groups above, and a non-square bundle alone.
+    # The two mixed-shape configs above, and a non-square bundle alone.
     @pytest.mark.parametrize("overrides", [
         {"channel.velocity_kmh": 0.0, "frame.prefix_1d": 20},
         {"channel.preset": "AWGN", "channel.velocity_kmh": 0.0, "frame.delta_f_2d_hz": 192e3},
@@ -391,7 +393,7 @@ class TestSharedSolve:
 
         monkeypatch.setattr(kpi, "hard_decide", recorded)
         kpi.run_ber(bundles, chan, cfg["snr_db"], cfg["trials"], cfg["seed"], c)
-        # every group here is all of the bundles, so they are decided in order
+        # each group here holds consecutive bundles, so they are decided in order
         assert len(soft) == cfg["trials"] * len(bundles)
         got = iter(soft)
         for t in range(cfg["trials"]):
@@ -440,6 +442,44 @@ class TestSharedSolve:
         kpi.run_ber(bundles, EVA_DOPPLER, [10.0, 20.0], trials=1, seed=3,
                     constellation=det.qam_constellation(4))
         assert calls == {"solve": solves, "gram": solves}
+
+    # The shipped BER presets and the golden variants: a trial groups its
+    # bundles by what C is a function of, and still solves once per distinct
+    # core channel, told apart by its bytes, among its square bundles.  So no
+    # sharing is lost by not comparing bytes.
+    @pytest.mark.parametrize("name,overrides", [
+        ("tab5-ber-desk", {}),
+        ("tab5-ber", {}),
+        ("awgn-ber", {}),
+        ("fig21-sweep", {}),
+        test_golden.CASES["ber-variants"],
+    ], ids=["tab5-ber-desk", "tab5-ber", "awgn-ber", "fig21-sweep", "ber-variants"])
+    def test_one_solve_per_distinct_core_channel_on_the_presets(self, monkeypatch, tmp_path,
+                                                                name, overrides):
+        solves, trial, solve = [], kpi._ber_trial, kpi.solve_periodic_banded
+
+        def counted_solve(*args):
+            solves[-1] += 1
+            return solve(*args)
+
+        def checked_trial(bundles, channel_cfg, constellation, snr_db_list, seed, t):
+            solves.append(0)
+            errors = trial(bundles, channel_cfg, constellation, snr_db_list, seed, t)
+            cores = set()
+            for b in bundles:
+                if b.adjoint_pair:
+                    real = channel_cfg.realize(b.geometry.sample_rate_hz,
+                                               kpi.derive_rng(seed, t, 1))
+                    core = wf.core_channel(b, real)
+                    cores.add((core.offsets.tobytes(), core.diags.tobytes()))
+            assert solves[-1] == len(cores)
+            return errors
+
+        monkeypatch.setattr(kpi, "solve_periodic_banded", counted_solve)
+        monkeypatch.setattr(kpi, "_ber_trial", checked_trial)
+        cfg = dict(preset_config(name), **overrides)
+        bench.run_experiment(dict(cfg, trials=2, workers=1), tmp_path)
+        assert len(solves) == 2
 
 
 class TestPapr:
