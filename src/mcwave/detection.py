@@ -11,6 +11,7 @@ sides, serves the same block stage in the time domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,22 +74,84 @@ def qam_constellation(order: int) -> Constellation:
     return Constellation(order=order, points=points, labels=labels)
 
 
-def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Group bits (MSB first) into labels and map them to symbols."""
+def indices_for_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
+    """Point indices of bits grouped into labels (MSB first)."""
     bits = np.asarray(bits, dtype=int)
     k = constellation.bits_per_symbol
     if bits.ndim != 1 or bits.size % k:
         raise ValueError(f"bit count must be a multiple of {k}")
-    words = bits.reshape(-1, k)
-    labels = words @ (1 << np.arange(k - 1, -1, -1))
-    return constellation.points[constellation.index_of_label()[labels]]
+    labels = bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
+    return constellation.index_of_label()[labels]
+
+
+def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
+    """Group bits (MSB first) into labels and map them to symbols."""
+    return constellation.points[indices_for_bits(bits, constellation)]
+
+
+@lru_cache(maxsize=None)
+def _decision_grid(order: int) -> tuple[int, float, float, np.ndarray]:
+    """The slicer of a QAM order: (side, scale, shift, cells).
+
+    A symbol's coordinate times ``scale`` plus ``shift`` is (u + side) / 2,
+    u the coordinate in lattice units; its ceiling is the 1-based level of
+    the nearest odd integer, the lower one on an exact tie.  ``cells`` maps
+    the 1-based levels (i, q) of the real and imaginary parts, at flat
+    index i (side + 1) + q, to the point index, and to -1 where the lattice
+    has no point (the corners of the 128 cross).
+    """
+    points, _ = _qam_lattice(order)
+    side = int(points.real.max()) + 1  # the top level is side - 1
+    norm = np.sqrt(np.mean(np.abs(points) ** 2))  # what qam_constellation divides by
+    i = (points.real.astype(int) + side + 1) // 2
+    q = (points.imag.astype(int) + side + 1) // 2
+    cells = np.full((side + 1) ** 2, -1, dtype=np.intp)
+    cells[i * (side + 1) + q] = np.arange(order)
+    return side, norm / 2.0, side / 2.0, cells
+
+
+def _slice_axis(x: np.ndarray, scale: float, shift: float, side: int) -> np.ndarray:
+    """1-based nearest lattice level of each coordinate, as floats.
+
+    A NaN goes to level 1, and so a NaN symbol to index 0, where the search
+    over every point put it.
+    """
+    level = x * scale
+    level += shift
+    np.ceil(level, out=level)
+    np.fmax(level, 1, out=level)
+    return np.fmin(level, side, out=level)
 
 
 def hard_decide(symbols: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Nearest-neighbor point indices; ties break toward the lowest index."""
+    """Nearest-point indices in a :func:`qam_constellation` alphabet, shaped as ``symbols``.
+
+    Each axis is sliced on the alphabet's bounding odd-integer lattice,
+    ties going to the lower level and so to the lower index; a lattice
+    cell holds exactly the symbols nearest its point.  Only the corner
+    cells of the 128 cross hold no point, and their symbols alone are
+    searched over every point (ties to the lowest index).
+    """
     symbols = np.asarray(symbols, dtype=complex)
-    d2 = np.abs(symbols[:, None] - constellation.points[None, :]) ** 2
-    return np.argmin(d2, axis=1)
+    side, scale, shift, cells = _decision_grid(constellation.order)
+    cell = _slice_axis(symbols.real, scale, shift, side)
+    cell *= side + 1
+    cell += _slice_axis(symbols.imag, scale, shift, side)
+    hard = cells[cell.astype(np.intp)]
+    outside = hard < 0
+    if outside.any():
+        d2 = np.abs(symbols[outside][:, None] - constellation.points) ** 2
+        hard[outside] = np.argmin(d2, axis=1)
+    return hard
+
+
+@lru_cache(maxsize=None)
+def label_distances(order: int) -> np.ndarray:
+    """Bit errors between the labels of QAM points h and s at flat index h * order + s."""
+    labels = _qam_lattice(order)[1]
+    table = np.bitwise_count(labels[:, None] ^ labels[None, :]).astype(np.uint8).reshape(-1)
+    table.setflags(write=False)  # one table per order, shared by every caller
+    return table
 
 
 def demap_hard(symbols: np.ndarray, constellation: Constellation) -> np.ndarray:
@@ -166,16 +229,14 @@ def solve_periodic_banded(
             A[j, (j + k - w) % L] += band[:, k]
         systems = A + shifts[:, None, None] * np.eye(L)
         return np.linalg.solve(systems, rhs.transpose(1, 2, 0)).transpose(2, 0, 1)
-    interior = np.arange(m * b).reshape(m, b)
-    border = np.arange(m * b, L)
-    D = _band_block(band, interior[:, :, None], interior[:, None, :])
-    U = _band_block(band, interior[:-1, :, None], interior[1:, None, :])
-    E = _band_block(band, interior[:, :, None], border)  # interior rows, border columns
+    c = L - m * b  # border width
+    flat = np.append(band.reshape(-1), 0)  # entries outside the band read the 0
+    D, U, E, border = (flat[i] for i in _block_gathers(L, width, b))
     load = shifts[:, None, None] * np.eye(b)
     # Columns swept through the interior: the R right-hand sides, then E
     # (the border rows hold their right-hand sides only).  The solution is
     # written over the right-hand sides, so no result-sized array is made.
-    G = np.empty((Q, L, R + border.size), dtype=complex)
+    G = np.empty((Q, L, R + c), dtype=complex)
     G[..., :R] = rhs.transpose(1, 2, 0)
     G[:, : m * b, R:] = E.reshape(m * b, -1)
     blocks = G[:, : m * b].reshape(Q, m, b, -1)  # the interior rows, block by block
@@ -199,8 +260,7 @@ def solve_periodic_banded(
     y = G[:, : m * b, :R]
     X = G[:, : m * b, R:]
     E = E.reshape(m * b, -1)
-    schur = (_band_block(band, border[:, None], border)
-             + shifts[:, None, None] * np.eye(border.size) - E.conj().T @ X)
+    schur = border + shifts[:, None, None] * np.eye(c) - E.conj().T @ X
     z_border = np.linalg.solve(schur, G[:, m * b :, :R] - E.conj().T @ y)
     for q in range(Q):  # one load at a time, so the product's temporary stays small
         y[q] -= X[q] @ z_border[q]
@@ -208,10 +268,27 @@ def solve_periodic_banded(
     return G[..., :R].transpose(2, 0, 1)
 
 
-def _band_block(band: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Entries A[rows, cols] (broadcast) of a periodic band with 2w + 1 <= L."""
-    L, width = band.shape
+@lru_cache(maxsize=16)
+def _block_gathers(L: int, width: int, b: int) -> tuple[np.ndarray, ...]:
+    """Flat band indices of the solver's blocks D, U, E and the border block.
+
+    Entry A[r, col] of the periodic band (2w + 1 = ``width`` <= L) lies at
+    flat index r (2w + 1) + w + d of the band, d the wrapped distance from
+    r to col, when |d| <= w, and at the flat band's end (one past it, where
+    the solver appends a 0) elsewhere.  D holds the m diagonal b x b blocks
+    of the interior, U the m - 1 blocks right of them, E the interior rows'
+    border columns and the last the border's own block.
+    """
     w = width // 2
-    d = (cols - rows + L // 2) % L - L // 2
-    inside = np.abs(d) <= w
-    return np.where(inside, band[rows, w + np.where(inside, d, 0)], 0)
+    m = L // b - 1
+    interior = np.arange(m * b).reshape(m, b)
+    border = np.arange(m * b, L)
+
+    def gather(rows, cols):
+        d = (cols - rows + L // 2) % L - L // 2
+        return np.where(np.abs(d) <= w, rows * width + w + d, L * width)
+
+    return (gather(interior[:, :, None], interior[:, None, :]),
+            gather(interior[:-1, :, None], interior[1:, None, :]),
+            gather(interior[:, :, None], border),
+            gather(border[:, None], border))

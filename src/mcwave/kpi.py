@@ -20,9 +20,9 @@ import numpy as np
 from .channel import ChannelConfig
 from .detection import (
     Constellation,
-    bits_for_indices,
     hard_decide,
-    map_bits,
+    indices_for_bits,
+    label_distances,
     mmse_equalize,
     solve_periodic_banded,
 )
@@ -93,10 +93,11 @@ def _ber_trial(
 
     Every bundle draws the trial's bits, channel and unit noise shape from
     the same streams, so each shared input is made once per distinct key:
-    the bits and their symbols per bit count, the channel realization per
-    sample rate, and per group the core channel C with its unit noise core.
-    A group holds the bundles of one (sample rate, core length, prefix
-    length, prefix phase), the inputs C is a function of.  C, the frame's
+    the bits' point indices and symbols per bit count, the channel
+    realization per sample rate, the unit noise shape per frame length, and
+    per group the core channel C.  A group holds the bundles of one (sample
+    rate, core length, prefix length, prefix phase), the inputs C is a
+    function of.  C, the frame's
     channel with the prefix folded in (:func:`core_channel`), is the only
     channel model of the trial: a bundle's noiseless received core is C
     times its modulated core, and the modulated cores of a group go through
@@ -107,25 +108,30 @@ def _ber_trial(
     unitary bundles of a group share one time-domain solve
     (:func:`time_domain_mmse`), which never builds a dense matrix;
     non-square bundles use the modulation-domain channel matrix formed from
-    C and the factors (:func:`effective_channel`).
+    C and the factors (:func:`effective_channel`).  A group's soft symbols
+    are decided in one call, and its bit errors are read from the table of
+    label distances between decided and sent points (:func:`label_distances`).
     """
     sigma2s = np.array([noise_variance(snr_db) for snr_db in snr_db_list])
     errors = np.empty((len(bundles), sigma2s.size), dtype=np.int64)
-    drawn, reals = {}, {}
+    distances = label_distances(constellation.order)
+    drawn, reals, noises = {}, {}, {}
 
-    def bits_and_symbols(bundle: WaveformBundle) -> tuple[np.ndarray, np.ndarray]:
-        """The trial's bits for the bundle and the symbols they map to."""
+    def sent_and_symbols(bundle: WaveformBundle) -> tuple[np.ndarray, np.ndarray]:
+        """The point indices of the trial's bits for the bundle, and their symbols."""
         n_bits = bundle.n_symbols * constellation.bits_per_symbol
         if n_bits not in drawn:
             bits = derive_rng(seed, trial, _STREAM_BITS).integers(0, 2, n_bits)
-            drawn[n_bits] = bits, map_bits(bits, constellation)
+            sent = indices_for_bits(bits, constellation)
+            drawn[n_bits] = sent, constellation.points[sent]
         return drawn[n_bits]
 
-    def count(i: int, soft: np.ndarray) -> None:
-        """Bit errors of bundle i from soft, one row per SNR point."""
-        hard = hard_decide(soft.reshape(-1), constellation)
-        decided = bits_for_indices(hard, constellation).reshape(sigma2s.size, -1)
-        errors[i] = np.sum(decided != bits_and_symbols(bundles[i])[0], axis=1)
+    def count(members: list[int], soft: np.ndarray) -> None:
+        """Bit errors of bundles of one symbol count from their (R, Q, n) soft symbols."""
+        flat = hard_decide(soft, constellation)
+        flat *= constellation.order
+        flat += sent_and_symbols(bundles[members[0]])[0]
+        errors[members] = distances[flat].sum(axis=-1)
 
     scales = np.sqrt(sigma2s / 2.0)  # unit noise to each point's noise variance
     groups = {}  # (sample rate, core length, prefix length, prefix phase) -> bundle indices
@@ -136,9 +142,11 @@ def _ber_trial(
     for (fs, core_len, prefix_len, _), members in groups.items():
         if fs not in reals:
             reals[fs] = channel_cfg.realize(fs, derive_rng(seed, trial, _STREAM_CHANNEL))
+        frame_len = core_len + prefix_len
+        if frame_len not in noises:
+            noises[frame_len] = noise_shape(frame_len, derive_rng(seed, trial, _STREAM_NOISE))
+        noise = noises[frame_len][prefix_len:]
         core = core_channel(bundles[members[0]], reals[fs])
-        noise = noise_shape(core_len + prefix_len,
-                            derive_rng(seed, trial, _STREAM_NOISE))[prefix_len:]
         square = []
         for i in members:
             bundle = bundles[i]
@@ -146,15 +154,14 @@ def _ber_trial(
                 square.append(i)
                 continue
             h_eff = effective_channel(bundle, core)
-            clean = core.apply(bundle.operator.tx(bits_and_symbols(bundle)[1]))
+            clean = core.apply(bundle.operator.tx(sent_and_symbols(bundle)[1]))
             y, n = bundle.operator.rx(np.array([clean, noise]))
-            count(i, np.array([mmse_equalize(y + c * n, h_eff, sigma2)
-                               for c, sigma2 in zip(scales, sigma2s)]))
+            count([i], np.array([[mmse_equalize(y + c * n, h_eff, sigma2)
+                                  for c, sigma2 in zip(scales, sigma2s)]]))
         if square:
             shared = [bundles[i] for i in square]
-            clean = core.apply(np.array([b.operator.tx(bits_and_symbols(b)[1]) for b in shared]))
-            for i, rows in zip(square, time_domain_mmse(core, shared, clean, noise, sigma2s)):
-                count(i, rows)
+            clean = core.apply(np.array([b.operator.tx(sent_and_symbols(b)[1]) for b in shared]))
+            count(square, time_domain_mmse(core, shared, clean, noise, sigma2s))
     return errors
 
 

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
 from . import transforms
-from .channel import ChannelRealization, tap_columns
+from .channel import ChannelRealization, Tap, tap_columns
 
 
 class ConfigurationError(ValueError):
@@ -630,9 +630,12 @@ def core_channel(bundle: WaveformBundle, real: ChannelRealization) -> CoreChanne
 
     Row n is row n + Lp of the frame's linear time-varying channel, with the
     columns that land in the prefix folded onto the core's tail (times the
-    chirp phase of a "cpp" prefix).  Raises if the realization's sample rate
-    is not the bundle's, or if the prefix is shorter than the channel memory
-    (the circular structure would be broken) or longer than the core.
+    chirp phase of a "cpp" prefix).  Where each tap lands depends on the
+    frame and the taps' delays and scales only (:func:`_core_layout`, kept
+    per frame and taps); a draw adds each tap's gain and Doppler phase,
+    scattered onto the diagonals.  Raises if the realization's sample rate is not the
+    bundle's, or if the prefix is shorter than the channel memory (the
+    circular structure would be broken) or longer than the core.
     """
     fs = bundle.geometry.sample_rate_hz
     if abs(fs - real.sample_rate_hz) > 1e-6 * fs:
@@ -646,24 +649,46 @@ def core_channel(bundle: WaveformBundle, real: ChannelRealization) -> CoreChanne
         )
     if L_p > L:
         raise ConfigurationError(f"prefix {L_p} longer than core {L}")
+    per_tap, offsets, scatter = _core_layout(
+        L, L_p, bundle.prefix_phase.tobytes(), tuple((t.delay_samples, t.scale) for t in real.taps))
+    m = np.arange(L_p, L + L_p)  # rows of the full frame
+    values = []
+    for t, (valid, wrapped, factors) in zip(real.taps, per_tap):
+        phase = t.gain * np.exp(2j * np.pi * t.doppler_hz * m / real.sample_rate_hz)
+        phase = phase[valid]
+        phase[wrapped] *= factors
+        values.append(phase)
+    diags = np.zeros((L, offsets.size), dtype=complex)
+    np.add.at(diags.reshape(-1), scatter, np.concatenate(values))
+    return CoreChannel(offsets=offsets, diags=diags)
+
+
+@lru_cache(maxsize=64)  # a wideband draw's scales are a new key each time
+def _core_layout(L: int, L_p: int, prefix_phase: bytes, taps: tuple) -> tuple:
+    """Where taps (delay samples, scale) land on the core channel of core L and prefix L_p.
+
+    Returns (per_tap, offsets, scatter): per tap the mask of the rows it
+    reaches, those of them whose column wraps into the prefix and the
+    prefix factors they take; the distinct diagonal offsets; and the flat
+    index row K + diagonal of every value into the (L, K) diagonals, taps in
+    order.  No gain or Doppler enters.
+    """
+    prefix_phase = np.frombuffer(prefix_phase, dtype=complex)
     n = np.arange(L)
     m = n + L_p  # row of the full frame
-    rows, offsets, values = [], [], []
-    for t in real.taps:
-        phase = t.gain * np.exp(2j * np.pi * t.doppler_hz * m / real.sample_rate_hz)
-        cols = tap_columns(t, m)
+    per_tap, rows, offsets = [], [], []
+    for delay, scale in taps:
+        cols = tap_columns(Tap(delay_samples=delay, doppler_hz=0.0, gain=0j, scale=scale), m)
         valid = (cols >= 0) & (cols < L + L_p)
-        cols, phase = cols[valid], phase[valid]
+        cols = cols[valid]
         wrapped = cols < L_p  # lands in the prefix: a copy of the core's tail
-        phase[wrapped] *= bundle.prefix_phase[cols[wrapped]]
+        per_tap.append((valid, wrapped, prefix_phase[cols[wrapped]]))
         core_cols = np.where(wrapped, cols + L - L_p, cols - L_p)
         rows.append(n[valid])
         offsets.append((core_cols - n[valid] + L // 2) % L - L // 2)
-        values.append(phase)
     uniq, k = np.unique(np.concatenate(offsets), return_inverse=True)
-    diags = np.zeros((L, uniq.size), dtype=complex)
-    np.add.at(diags, (np.concatenate(rows), k), np.concatenate(values))
-    return CoreChannel(offsets=uniq, diags=diags)
+    uniq.setflags(write=False)  # every core channel of the layout shares it
+    return tuple(per_tap), uniq, np.concatenate(rows) * uniq.size + k
 
 
 def ddam_beamformers(steering: np.ndarray, beamformer: str) -> np.ndarray:

@@ -114,6 +114,50 @@ def core_matrix(core: CoreChannel) -> np.ndarray:
     return C
 
 
+def core_channel(bundle: WaveformBundle, real: ChannelRealization) -> CoreChannel:
+    """The core channel built tap by tap in one pass, nothing kept between calls.
+
+    The construction ``waveforms.core_channel`` splits into a layout kept per
+    frame and taps and the values of a draw; the bundle's checks are not
+    repeated here.
+    """
+    L, L_p = bundle.core_len, bundle.geometry.prefix_len
+    n = np.arange(L)
+    m = n + L_p  # row of the full frame
+    rows, offsets, values = [], [], []
+    for t in real.taps:
+        phase = t.gain * np.exp(2j * np.pi * t.doppler_hz * m / real.sample_rate_hz)
+        cols = tap_columns(t, m)
+        valid = (cols >= 0) & (cols < L + L_p)
+        cols, phase = cols[valid], phase[valid]
+        wrapped = cols < L_p  # lands in the prefix: a copy of the core's tail
+        phase[wrapped] *= bundle.prefix_phase[cols[wrapped]]
+        core_cols = np.where(wrapped, cols + L - L_p, cols - L_p)
+        rows.append(n[valid])
+        offsets.append((core_cols - n[valid] + L // 2) % L - L // 2)
+        values.append(phase)
+    uniq, k = np.unique(np.concatenate(offsets), return_inverse=True)
+    diags = np.zeros((L, uniq.size), dtype=complex)
+    np.add.at(diags, (np.concatenate(rows), k), np.concatenate(values))
+    return CoreChannel(offsets=uniq, diags=diags)
+
+
+def band_block(band: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entries A[rows, cols] (broadcast) of a periodic band with 2w + 1 <= L."""
+    L, width = band.shape
+    w = width // 2
+    d = (cols - rows + L // 2) % L - L // 2
+    inside = np.abs(d) <= w
+    return np.where(inside, band[rows, w + np.where(inside, d, 0)], 0)
+
+
+def nearest_points(symbols: np.ndarray, constellation: Constellation) -> np.ndarray:
+    """Nearest-point indices by the squared distance to every point; ties to the lowest."""
+    symbols = np.asarray(symbols, dtype=complex)
+    d2 = np.abs(symbols[:, None] - constellation.points[None, :]) ** 2
+    return np.argmin(d2, axis=1)
+
+
 def add_prefix(
     core: np.ndarray, rule: str, prefix_len: int, *, phase: np.ndarray | None = None,
 ) -> np.ndarray:

@@ -72,6 +72,82 @@ class TestConstellation:
         assert got == self.PINNED[order]
 
 
+class TestHardDecide:
+    """The lattice slicer against the all-points argmin it replaced."""
+
+    ORDERS = [4, 16, 64, 128]
+
+    @staticmethod
+    def centres(c):
+        """Every cell centre of the alphabet's bounding lattice, the 128 corners included."""
+        levels = np.unique(c.points.real)  # the cross covers every level of each axis
+        return (levels[:, None] + 1j * levels[None, :]).reshape(-1)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("scale", [0.25, 1.0, 4.0])
+    def test_random_symbols(self, order, scale):
+        c = det.qam_constellation(order)
+        rng = np.random.default_rng(order)
+        s = scale * (rng.standard_normal(20000) + 1j * rng.standard_normal(20000))
+        assert np.array_equal(det.hard_decide(s, c), oracles.nearest_points(s, c))
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_every_cell_centre(self, order):
+        c = det.qam_constellation(order)
+        s = self.centres(c)
+        assert s.size == (144 if order == 128 else order)
+        assert np.array_equal(det.hard_decide(s, c), oracles.nearest_points(s, c))
+        # a centre of the alphabet is its own point
+        assert np.array_equal(c.points[det.hard_decide(c.points, c)], c.points)
+
+    def test_cross_corner_regions(self):
+        # the 2 x 2 lattice corners of the 128 cross hold no point: their
+        # symbols are searched over every point, with its ties at the cell centres
+        c = det.qam_constellation(128)
+        step = np.ptp(c.points.real) / 22  # half the lattice step
+        rng = np.random.default_rng(5)
+        u, v = rng.uniform(8, 14, (2, 20000)) * step
+        signs = rng.choice([-1, 1], (2, 20000))
+        s = signs[0] * u + 1j * signs[1] * v
+        assert np.array_equal(det.hard_decide(s, c), oracles.nearest_points(s, c))
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_exact_ties_go_to_the_lowest_index(self, order):
+        # 0 is the middle boundary of each axis: both neighbours are equally far
+        c = det.qam_constellation(order)
+        rng = np.random.default_rng(order)
+        x = rng.standard_normal(200)
+        s = np.concatenate([[0j], x, 1j * x])
+        hard = det.hard_decide(s, c)
+        assert np.array_equal(hard, oracles.nearest_points(s, c))
+        assert c.points[hard[0]].real < 0 and c.points[hard[0]].imag < 0
+
+    def test_keeps_the_shape_of_the_symbols(self):
+        c = det.qam_constellation(16)
+        rng = np.random.default_rng(3)
+        s = rng.standard_normal((2, 3, 50)) + 1j * rng.standard_normal((2, 3, 50))
+        strided = s.transpose(2, 0, 1)  # a view, as the solver returns its soft symbols
+        assert np.array_equal(det.hard_decide(strided, c),
+                              oracles.nearest_points(strided.reshape(-1), c).reshape(50, 2, 3))
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_table_count_equals_the_bit_comparison(self, order):
+        c = det.qam_constellation(order)
+        k = c.bits_per_symbol
+        bits = det.bits_for_indices(np.arange(order), c).reshape(order, k)
+        table = det.label_distances(order).reshape(order, order)
+        assert np.array_equal(table, np.sum(bits[:, None] != bits[None, :], axis=2))
+        rng = np.random.default_rng(order)
+        hard, sent = rng.integers(0, order, (2, 3, 1000))
+        counts = det.label_distances(order)[hard * order + sent].sum(axis=1)
+        for h, s, n in zip(hard, sent, counts):
+            assert n == np.sum(det.bits_for_indices(h, c) != det.bits_for_indices(s, c))
+
+    def test_tables_are_read_only(self):
+        with pytest.raises(ValueError):
+            det.label_distances(4)[0] = 1
+
+
 class TestSingleTap:
     """The per-bin Wiener filter, kept as a test reference: on a diagonal
     channel it equals the block MMSE, so BER runs need no one-tap detector."""

@@ -315,6 +315,37 @@ class TestSharedSolve:
         assert calls == {"realize": 2, "core_channel": 2, "derive_rng": 6, "gram_band": 2,
                          "solve_periodic_banded": 2, "apply": 2}
 
+    def test_per_run_builders_run_once_per_key(self, tmp_path):
+        # the core-channel layout, the solver's gathers, the decision grid
+        # and the label-distance table depend on no draw: a 3-trial run
+        # builds each once and looks it up on every later trial
+        builders = (wf._core_layout, det._block_gathers, det._decision_grid,
+                    det.label_distances)
+        for builder in builders:
+            builder.cache_clear()
+        cfg = dict(preset_config("tab5-ber-desk"), trials=3, workers=1)
+        bench.run_experiment(cfg, tmp_path)
+        assert [(f.cache_info().misses, f.cache_info().hits) for f in builders] == [(1, 2)] * 4
+
+    def test_one_noise_draw_per_frame_length(self, monkeypatch, tmp_path):
+        # fig21-sweep's 15 groups (one per distinct chirp-periodic prefix)
+        # share one frame length, so a trial draws its noise shape once
+        calls, trial, draw = [], kpi._ber_trial, kpi.noise_shape
+
+        def counted_trial(*args):
+            calls.append(0)
+            return trial(*args)
+
+        def counted_draw(*args):
+            calls[-1] += 1
+            return draw(*args)
+
+        monkeypatch.setattr(kpi, "_ber_trial", counted_trial)
+        monkeypatch.setattr(kpi, "noise_shape", counted_draw)
+        cfg = dict(preset_config("fig21-sweep"), trials=2, workers=1)
+        bench.run_experiment(cfg, tmp_path)
+        assert calls == [1, 1]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_bundle_gets_its_own_counts(self, workers):
         c = det.qam_constellation(4)
@@ -388,14 +419,17 @@ class TestSharedSolve:
         soft, decide = [], kpi.hard_decide
 
         def recorded(symbols, constellation):
-            soft.append(symbols.reshape(sigma2s.size, -1).copy())
+            soft.append(symbols.copy())
             return decide(symbols, constellation)
 
         monkeypatch.setattr(kpi, "hard_decide", recorded)
         kpi.run_ber(bundles, chan, cfg["snr_db"], cfg["trials"], cfg["seed"], c)
-        # each group here holds consecutive bundles, so they are decided in order
-        assert len(soft) == cfg["trials"] * len(bundles)
-        got = iter(soft)
+        # one call per group with its (R, Q, L) soft symbols; each group here
+        # holds consecutive bundles, so split per bundle they come in order
+        assert all(s.ndim == 3 and s.shape[1] == sigma2s.size for s in soft)
+        per_bundle = [rows for group in soft for rows in group]
+        assert len(per_bundle) == cfg["trials"] * len(bundles)
+        got = iter(per_bundle)
         for t in range(cfg["trials"]):
             for b in bundles:
                 # the received cores of every SNR point, built whole

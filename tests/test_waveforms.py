@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from mcwave import bench
 from mcwave import channel as ch
+from mcwave import detection as det
 from mcwave import transforms as tr
 from mcwave import waveforms as wf
 from mcwave.config import validate_config
@@ -636,6 +637,43 @@ class TestCoreChannel:
         r = rand_syms(32)
         assert np.max(np.abs(core.adjoint(r) - C.conj().T @ r)) <= 1e-14
         assert np.max(np.abs(core.apply(r) - C @ r)) <= 1e-14
+
+    # ofdm's cyclic prefix and afdm's chirp-periodic one at c1 = 0.05; the
+    # layout is kept per frame and taps, the solver's gathers per band shape
+    @pytest.mark.parametrize("kind", ch.CHANNEL_MODEL_KINDS)
+    @pytest.mark.parametrize("scheme,params", [("ofdm", {}), ("afdm", {"c1": 0.05})])
+    def test_layout_and_gathers_are_byte_equal_to_the_direct_build(self, kind, scheme, params):
+        geo = wf.FrameGeometry(m=64, n=1, delta_f_hz=48e3, prefix_len=6)
+        b = wf.build_waveform(scheme, geo, params)
+        if b.row.prefix_rule == "cpp":
+            assert np.max(np.abs(b.prefix_phase - 1.0)) > 0.1
+        hits = wf._core_layout.cache_info().hits
+        # a second draw: other gains and Dopplers on the same delays and scales
+        redrawn = ch.PathSet(paths=tuple(
+            ch.Path(-1j * p.gain, p.delay_s, doppler_hz=-2 * p.doppler_hz, scale=p.scale)
+            for p in self.PATHS.paths))
+        for paths in (self.PATHS, redrawn):
+            real = ch.discretize(paths, geo.sample_rate_hz, kind=kind)
+            core, ref = wf.core_channel(b, real), oracles.core_channel(b, real)
+            assert core.offsets.tobytes() == ref.offsets.tobytes()
+            assert core.diags.tobytes() == ref.diags.tobytes()
+            band = core.gram_band()
+            L, width = band.shape
+            w = width // 2
+            blk = max(w, det._MIN_BLOCK)
+            m = L // blk - 1
+            assert m >= 1 and width <= L  # the solver's block path
+            interior, border = np.arange(m * blk).reshape(m, blk), np.arange(m * blk, L)
+            flat = np.append(band.reshape(-1), 0)  # as the solver gathers
+            got = [flat[i] for i in det._block_gathers(L, width, blk)]
+            refs = [oracles.band_block(band, interior[:, :, None], interior[:, None, :]),
+                    oracles.band_block(band, interior[:-1, :, None], interior[1:, None, :]),
+                    oracles.band_block(band, interior[:, :, None], border),
+                    oracles.band_block(band, border[:, None], border)]
+            assert [g.tobytes() for g in got] == [r.tobytes() for r in refs]
+        assert wf._core_layout.cache_info().hits > hits
+        with pytest.raises(ValueError):
+            core.offsets[0] = 0  # shared by every core channel of its layout
 
     @pytest.mark.parametrize("kind", ch.CHANNEL_MODEL_KINDS)
     @pytest.mark.parametrize("scheme,geo,params", [
